@@ -37,7 +37,7 @@ from .contract import (
 )
 from .costmodel import GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
 from .crypto import KeyPair, Signature, generate_keypair, omega_less, sign, verify
-from .ecosystem import RunReport, check_consistency, count_corrupted, run, wallet_keypair
+from .ecosystem import RunReport, check_consistency, run, wallet_keypair
 from .protocol import (
     Claim,
     Contest,

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .chain import SimChain
 from .contract import PENDING
-from .crypto import KeyPair, Signature, contest_order_key, sign
+from .crypto import KeyPair, Signature, contest_winner, sign
 from .protocol import (
     Contest,
     ProofOfIntent,
@@ -150,24 +150,18 @@ class Observer:
         if now >= poi.t1:
             return []
         omega = self.omega_for(poi)
+        me = self.key.public_key
         submissions = []
         for chain in chains:
             record = chain.state.poi_records.get(poi.alpha_id)
             if record is not None:
                 if record.status != PENDING:
                     continue
-                if self.key.public_key in record.contestants:
+                if me in record.contestants:
                     continue
-                if self.post_iff_winnable and record.contestants:
-                    best = min(
-                        contest_order_key(record.contestants[w], w)
-                        for w in record.contestants
-                    )
-                    if contest_order_key(omega, self.key.public_key) >= best:
-                        continue
-            submissions.append(
-                (chain.chain_id, Contest(poi=poi, contestant=self.key.public_key, omega=omega))
-            )
+                if self.post_iff_winnable and contest_winner({**record.contestants, me: omega}) != me:
+                    continue
+            submissions.append((chain.chain_id, Contest(poi=poi, contestant=me, omega=omega)))
         return submissions
 
     def make_vetoes(
@@ -185,15 +179,3 @@ class Observer:
             submissions.append((chain.chain_id, make_veto(self.key, a.alpha_id, b)))
             submissions.append((chain.chain_id, make_veto(self.key, b.alpha_id, a)))
         return submissions
-
-
-class Adversary:
-    """Double-spending wallet: deliberately signs overlapping proofs."""
-
-    def __init__(self, name: str, key: KeyPair, reward: int):
-        self.name = name
-        self.key = key
-        self.reward = reward
-
-    def sign_leg(self, recipient_key: KeyPair, amount: int, t0: int, t1: int) -> ProofOfIntent:
-        return make_poi(self.key, recipient_key, amount=amount, t0=t0, t1=t1, reward=self.reward)

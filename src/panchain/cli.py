@@ -33,7 +33,7 @@ from .chain import block_log_entry
 from .costmodel import GasCost, GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
 from .ecosystem import Ecosystem, RunReport, run, wallet_keypair
 
-CAMPAIGNS = ("run", "sweep-validity", "contest-scaling", "cost-report", "incentive", "veto-demo")
+CAMPAIGNS = ("run", "sweep-validity", "contest-scaling", "cost-report", "veto-demo")
 
 DEFAULT_VALIDITY_POINTS = tuple(range(10, 71, 5))
 DEFAULT_N_VALUES = (4, 16, 64)
@@ -355,7 +355,6 @@ _HANDLERS = {
     "sweep-validity": cmd_sweep_validity,
     "contest-scaling": cmd_contest_scaling,
     "cost-report": cmd_cost_and_incentive,
-    "incentive": cmd_cost_and_incentive,
     "veto-demo": cmd_veto_demo,
 }
 

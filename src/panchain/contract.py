@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .crypto import Signature, contest_order_key, verify
+from .crypto import Signature, contest_winner, verify
 from .protocol import (
     Claim,
     Contest,
@@ -189,8 +189,8 @@ class ChainState:
             if conflicts(poi, record.poi):
                 raise ConflictingPoi(incoming=poi, stored=record.poi)
 
-    def _known_record(self, poi: ProofOfIntent) -> Optional[PoiRecord]:
-        record = self.poi_records.get(poi.alpha_id)
+    def _known_record(self, alpha: bytes) -> Optional[PoiRecord]:
+        record = self.poi_records.get(alpha)
         if record is None:
             return None
         if record.status == VETOED:
@@ -203,7 +203,7 @@ class ChainState:
 
     def apply_claim(self, tx: Claim, now: float) -> "ChainState":
         """Record a proof as pending; balances stay untouched until finalize."""
-        record = self._known_record(tx.poi)
+        record = self._known_record(tx.poi.alpha_id)
         if record is None:
             self._check_new_poi(tx.poi, now)
             self._insert_pending(tx.poi)
@@ -215,7 +215,7 @@ class ChainState:
         know it yet (contests are the cross-chain propagation mechanism)."""
         if not verify(tx.contestant, encode_poi(tx.poi), tx.omega):
             raise BadSignature("contest omega does not verify")
-        record = self._known_record(tx.poi)
+        record = self._known_record(tx.poi.alpha_id)
         if record is None:
             self._check_new_poi(tx.poi, now)
             record = self._insert_pending(tx.poi)
@@ -229,14 +229,12 @@ class ChainState:
 
     def apply_finalize(self, tx: Finalize, now: float) -> "ChainState":
         """Conclude a contest: execute the transfer and pay the lowest-omega
-        contestant; with no contestants the reward is burned."""
-        record = self.poi_records.get(tx.alpha)
+        contestant; with no contestants the reward is burned. A finalize
+        carries no signature: the outcome follows from chain state alone, so
+        any wallet may post it."""
+        record = self._known_record(tx.alpha)
         if record is None:
             raise UnknownPoi("no proof with this alpha on this chain")
-        if record.status == VETOED:
-            raise VetoedPoi("proof was cancelled by a veto")
-        if record.status == FINALIZED:
-            raise AlreadyConcluded("contest already finalized")
         poi = record.poi
         if now <= poi.t1:
             raise PrematureFinalize(f"validity runs until {poi.t1}, now {now}")
@@ -244,12 +242,7 @@ class ChainState:
             # Can only happen to a sender gaming the one-pending-proof rule
             # with back-to-back windows; never to honest agents.
             raise InsufficientBalance("sender balance no longer covers the transfer")
-        winner: Optional[WalletId] = None
-        if record.contestants:
-            winner = min(
-                record.contestants,
-                key=lambda w: contest_order_key(record.contestants[w], w),
-            )
+        winner = contest_winner(record.contestants) if record.contestants else None
         self.balances[poi.sender] = self.balance(poi.sender) - poi.amount
         self.balances[poi.recipient] = self.balance(poi.recipient) + poi.amount - self.reward
         if winner is None:
@@ -308,10 +301,7 @@ class ChainState:
             raise PrematureFinalizeVeto(
                 f"veto contest runs until {veto_record.deadline}, now {now}"
             )
-        winner = min(
-            veto_record.contestants,
-            key=lambda w: contest_order_key(veto_record.contestants[w], w),
-        )
+        winner = contest_winner(veto_record.contestants)
         self.balances[winner] = self.balance(winner) + self.reward
         self.burned -= self.reward
         veto_record.status = FINALIZED
@@ -319,17 +309,9 @@ class ChainState:
         return self
 
     def apply(self, tx: Transaction, now: float) -> "ChainState":
-        if isinstance(tx, Claim):
-            return self.apply_claim(tx, now)
-        if isinstance(tx, Contest):
-            return self.apply_contest(tx, now)
-        if isinstance(tx, Finalize):
-            return self.apply_finalize(tx, now)
-        if isinstance(tx, Veto):
-            return self.apply_veto(tx, now)
-        if isinstance(tx, FinalizeVeto):
-            return self.apply_finalize_veto(tx, now)
-        raise TypeError(f"not a transaction: {type(tx).__name__}")
+        # Looked up on the instance at each call, so wrappers installed on
+        # the class later still see every application.
+        return getattr(self, "apply_" + tx.kind)(tx, now)
 
     # -- auditing and snapshots -------------------------------------------
 

@@ -123,3 +123,9 @@ def omega_less(a: Signature, b: Signature) -> bool:
 def contest_order_key(omega: Signature, wallet: bytes) -> tuple[bytes, bytes]:
     """Sort key for picking a contest winner: lowest omega wins, wallet bytes break ties."""
     return (omega.data, wallet)
+
+
+def contest_winner(contestants: dict[bytes, Signature]) -> bytes:
+    """The contest rule every chain applies on its own: the wallet with the
+    lowest omega wins, so chains that saw the same contestants agree."""
+    return min(contestants, key=lambda w: contest_order_key(contestants[w], w))

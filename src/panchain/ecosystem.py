@@ -6,7 +6,9 @@ Events execute in (fire_at, sequence) order; the sequence counter is assigned
 at scheduling time, so identical (config, seed) pairs replay identically.
 After the client-initiation window (``duration``) closes, the loop keeps
 producing blocks until every proof and veto contest is past its deadline plus
-two block intervals, then reports.
+two block intervals, then reports. A transfer's outcome is judged only once
+every chain has included its finalize, accepted or rejected; until then the
+check is retried one block interval later.
 """
 
 from __future__ import annotations
@@ -17,17 +19,19 @@ import heapq
 import io
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .agents import Adversary, Client, Observer
+from .agents import Client, Observer
 from .chain import ChainConfig, SimChain
 from .configs import EcosystemConfig, ScriptedAction
 from .contract import FINALIZED, OPEN, VETOED, ChainState, _pair_key
-from .crypto import KeyPair, contest_order_key, generate_keypair
+from .crypto import KeyPair, contest_winner, generate_keypair
 from .protocol import (
     Claim,
     Contest,
+    Finalize,
     ProofOfIntent,
     Veto,
     make_claim,
@@ -51,9 +55,9 @@ class _Transfer:
     recipient_name: str
     claim_chain: int
     client_driven: bool
-    scripted: bool
     claim_ok: Optional[bool] = None
-    detected: bool = False
+    # Finalize outcomes seen so far, one per chain once all have landed.
+    finalize_results: int = 0
     executed: dict[int, Optional[bytes]] = field(default_factory=dict)
     contest_counts: dict[int, int] = field(default_factory=dict)
     vetoed_chains: int = 0
@@ -81,22 +85,8 @@ class RunReport:
     def corrupted_count(self) -> int:
         return sum(1 for t in self.transfers if t["corrupted"])
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "chains": self.chains,
-            "transfers": self.transfers,
-            "vetoes": self.vetoes,
-            "consistency": self.consistency,
-            "resync_events": self.resync_events,
-            "tx_counts": self.tx_counts,
-            "tx_counts_ok": self.tx_counts_ok,
-            "stats": self.stats,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
     def ledger_csv(self) -> str:
         """One row per transfer: ids, window, winner, per-chain contest counts,
@@ -142,12 +132,6 @@ def check_consistency(states: Sequence[ChainState]) -> list[dict]:
     return rows
 
 
-def count_corrupted(report: RunReport) -> int:
-    """Transfers that finalized on a proper subset of chains or with divergent
-    winners (balances were re-synced to the majority during the run)."""
-    return report.corrupted_count
-
-
 class Ecosystem:
     def __init__(self, config: EcosystemConfig):
         self.config = config
@@ -190,7 +174,6 @@ class Ecosystem:
             )
             for name in config.observers
         }
-        self._adversaries: dict[str, Adversary] = {}
         self._heap: list[tuple[float, int, tuple]] = []
         self._seq = 0
         self._now = 0.0
@@ -212,9 +195,14 @@ class Ecosystem:
         """Schedule a non-block event and keep chains producing long enough to
         include whatever it may submit."""
         self._push(fire_at, payload)
-        margin = 2 * self.config.block_interval * (1 + self.config.jitter) + 1
-        if fire_at + margin > self._horizon:
-            self._horizon = fire_at + margin
+        self._extend_horizon(fire_at)
+
+    def _extend_horizon(self, at: float) -> None:
+        """Keep producing blocks until two (jittered) block intervals and one
+        second past ``at``."""
+        end = at + 2 * self.config.block_interval * (1 + self.config.jitter) + 1
+        if end > self._horizon:
+            self._horizon = end
             self._ensure_blocks()
 
     def _ensure_blocks(self) -> None:
@@ -223,12 +211,9 @@ class Ecosystem:
                 self._push(chain.next_block_time, ("block", chain.chain_id))
                 self._block_scheduled[chain.chain_id] = True
 
-    def _submit(self, chain_id: int, tx) -> None:
+    def _handle_submit(self, chain_id: int, tx) -> None:
         self.chains[chain_id].submit(tx, self._now)
-        margin = 2 * self.config.block_interval * (1 + self.config.jitter) + 1
-        if self._now + margin > self._horizon:
-            self._horizon = self._now + margin
-        self._ensure_blocks()
+        self._extend_horizon(self._now)
 
     # -- run loop -----------------------------------------------------------
 
@@ -245,23 +230,7 @@ class Ecosystem:
         while self._heap:
             fire_at, _, payload = heapq.heappop(self._heap)
             self._now = fire_at
-            kind = payload[0]
-            if kind == "block":
-                self._handle_block(payload[1])
-            elif kind == "client":
-                self._handle_client(payload[1])
-            elif kind == "observe":
-                self._handle_observe(payload[1], payload[2])
-            elif kind == "submit":
-                self._submit(payload[1], payload[2])
-            elif kind == "detect":
-                self._handle_detect(payload[1])
-            elif kind == "leg":
-                self._handle_leg(payload[1], payload[2])
-            elif kind == "fvcheck":
-                self._handle_fvcheck(payload[1], payload[2])
-            else:  # pragma: no cover
-                raise RuntimeError(f"unknown event {payload!r}")
+            getattr(self, "_handle_" + payload[0])(*payload[1:])
 
         for chain in self.chains:
             chain.state.audit()
@@ -281,6 +250,8 @@ class Ecosystem:
                 self._expose_poi(tx.poi)
             elif isinstance(tx, Veto):
                 self._expose_poi(tx.conflicting_poi)
+            elif isinstance(tx, Finalize) and tx.alpha in self._transfers:
+                self._transfers[tx.alpha].finalize_results += 1
         self._block_scheduled[chain_id] = False
         self._ensure_blocks()
 
@@ -359,28 +330,22 @@ class Ecosystem:
             return
         client.busy = True
         self._register_transfer(plan.poi, name, plan.recipient_name, plan.claim_chain,
-                                client_driven=True, scripted=False)
+                                client_driven=True)
 
     def _handle_leg(self, action_idx: int, leg_idx: int) -> None:
         action: ScriptedAction = self.config.script[action_idx]
         leg = action.legs[leg_idx]
-        if action.kind == "double_spend":
-            adversary = self._adversaries.get(action.sender)
-            if adversary is None:
-                adversary = Adversary(action.sender, self.keys[action.sender], self.config.reward)
-                self._adversaries[action.sender] = adversary
-            poi = adversary.sign_leg(self.keys[leg.recipient], leg.amount, leg.t0, leg.t1)
-        else:
-            poi = make_poi(
-                self.keys[action.sender],
-                self.keys[leg.recipient],
-                amount=leg.amount,
-                t0=leg.t0,
-                t1=leg.t1,
-                reward=self.config.reward,
-            )
+        # A double spend is just legs whose windows overlap.
+        poi = make_poi(
+            self.keys[action.sender],
+            self.keys[leg.recipient],
+            amount=leg.amount,
+            t0=leg.t0,
+            t1=leg.t1,
+            reward=self.config.reward,
+        )
         self._register_transfer(poi, action.sender, leg.recipient, leg.chain,
-                                client_driven=False, scripted=True)
+                                client_driven=False)
 
     def _register_transfer(
         self,
@@ -389,7 +354,6 @@ class Ecosystem:
         recipient_name: str,
         claim_chain: int,
         client_driven: bool,
-        scripted: bool,
     ) -> None:
         self._transfers[poi.alpha_id] = _Transfer(
             poi=poi,
@@ -397,18 +361,15 @@ class Ecosystem:
             recipient_name=recipient_name,
             claim_chain=claim_chain,
             client_driven=client_driven,
-            scripted=scripted,
         )
-        self._submit(claim_chain, make_claim(poi))
+        self._handle_submit(claim_chain, make_claim(poi))
 
     def _handle_observe(self, name: str, alpha: bytes) -> None:
         observer = self.observers[name]
         poi = self._poi_by_alpha[alpha]
         reaction = observer.handle_new_poi(poi, self.chains, self._now)
-        for chain_id, tx in reaction.contests:
-            self._submit(chain_id, tx)
-        for chain_id, tx in reaction.vetoes:
-            self._submit(chain_id, tx)
+        for chain_id, tx in reaction.contests + reaction.vetoes:
+            self._handle_submit(chain_id, tx)
         interval = self.config.block_interval
         for a, b, deadline in reaction.conflicts_found:
             key = (name, _pair_key(a, b))
@@ -422,19 +383,17 @@ class Ecosystem:
             record = chain.state.veto_records.get(pair)
             if record is None or record.status != OPEN or not record.contestants:
                 continue
-            winner = min(
-                record.contestants,
-                key=lambda w: contest_order_key(record.contestants[w], w),
-            )
-            if winner == observer.key.public_key:
-                self._submit(chain.chain_id, make_finalize_veto(observer.key, pair[0], pair[1]))
+            if contest_winner(record.contestants) == observer.key.public_key:
+                self._handle_submit(chain.chain_id, make_finalize_veto(observer.key, pair[0], pair[1]))
 
     def _handle_detect(self, alpha: bytes) -> None:
         tracker = self._transfers[alpha]
-        if tracker.detected:
-            return
-        tracker.detected = True
         m = len(self.chains)
+        if tracker.finalize_results < m:
+            # Under mempool backlog some finalizes are still queued; judging
+            # now would score a transfer that is about to land as partial.
+            self._schedule(self._now + self.config.block_interval, ("detect", alpha))
+            return
         for chain in self.chains:
             record = chain.state.poi_records.get(alpha)
             tracker.contest_counts[chain.chain_id] = (
@@ -493,14 +452,11 @@ class Ecosystem:
     # -- reporting ----------------------------------------------------------
 
     def _build_report(self) -> RunReport:
-        tx_counts: dict[str, int] = {}
-        tx_counts_ok: dict[str, int] = {}
-        for chain in self.chains:
-            for block in chain.blocks:
-                for applied in block.results:
-                    tx_counts[applied.tx.kind] = tx_counts.get(applied.tx.kind, 0) + 1
-                    if applied.ok:
-                        tx_counts_ok[applied.tx.kind] = tx_counts_ok.get(applied.tx.kind, 0) + 1
+        results = [
+            applied for chain in self.chains for block in chain.blocks for applied in block.results
+        ]
+        tx_counts = Counter(applied.tx.kind for applied in results)
+        tx_counts_ok = Counter(applied.tx.kind for applied in results if applied.ok)
 
         m = len(self.chains)
         transfer_rows = []
@@ -541,7 +497,7 @@ class Ecosystem:
                     "corrupted": tracker.corrupted,
                     "failed": tracker.failed,
                     "resynced": tracker.resynced,
-                    "scripted": tracker.scripted,
+                    "scripted": not tracker.client_driven,
                     "self_transfer": tracker.sender_name == tracker.recipient_name,
                 }
             )

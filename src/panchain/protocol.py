@@ -187,8 +187,8 @@ def veto_deadline(a: ProofOfIntent, b: ProofOfIntent) -> int:
 
 @dataclass(frozen=True)
 class Claim:
-    """Publication of a proof of intent by its recipient. The recipient's
-    counter-signature beta doubles as the transaction's outer signature."""
+    """Publication of a proof of intent by its recipient, whose
+    counter-signature beta the proof already carries."""
 
     poi: ProofOfIntent
 
@@ -198,16 +198,12 @@ class Claim:
     def poster(self) -> WalletId:
         return self.poi.recipient
 
-    @property
-    def signature(self) -> Signature:
-        return self.poi.beta
-
 
 @dataclass(frozen=True)
 class Contest:
     """A contestant's registration for the witness contest; omega is the
-    contestant's signature over the full proof and is both its contest
-    ranking value and the transaction's outer signature."""
+    contestant's signature over the full proof and its contest ranking
+    value."""
 
     poi: ProofOfIntent
     contestant: WalletId
@@ -219,18 +215,16 @@ class Contest:
     def poster(self) -> WalletId:
         return self.contestant
 
-    @property
-    def signature(self) -> Signature:
-        return self.omega
-
 
 @dataclass(frozen=True)
 class Finalize:
-    """Conclusion of a witness contest, referencing the proof by alpha."""
+    """Conclusion of a witness contest, referencing the proof by alpha.
+
+    Unsigned: the outcome is fixed by chain state, so any wallet may post it.
+    """
 
     alpha: bytes
     poster: WalletId
-    signature: Signature
 
     kind = "finalize"
 
@@ -251,32 +245,20 @@ class Veto:
     def poster(self) -> WalletId:
         return self.vetoer
 
-    @property
-    def signature(self) -> Signature:
-        return self.omega
-
 
 @dataclass(frozen=True)
 class FinalizeVeto:
-    """Conclusion of a veto contest for the unordered pair {alpha, alpha_prime}."""
+    """Conclusion of a veto contest for the unordered pair {alpha, alpha_prime};
+    unsigned, like Finalize."""
 
     alpha: bytes
     alpha_prime: bytes
     poster: WalletId
-    signature: Signature
 
     kind = "finalize_veto"
 
 
 Transaction = Union[Claim, Contest, Finalize, Veto, FinalizeVeto]
-
-
-def _finalize_payload(alpha: bytes) -> bytes:
-    return b"FIN" + _lp(alpha)
-
-
-def _finalize_veto_payload(alpha: bytes, alpha_prime: bytes) -> bytes:
-    return b"FVT" + _lp(alpha) + _lp(alpha_prime)
 
 
 def make_claim(poi: ProofOfIntent) -> Claim:
@@ -289,11 +271,7 @@ def make_contest(contestant_key: KeyPair, poi: ProofOfIntent) -> Contest:
 
 
 def make_finalize(poster_key: KeyPair, alpha: bytes) -> Finalize:
-    return Finalize(
-        alpha=alpha,
-        poster=poster_key.public_key,
-        signature=sign(poster_key, _finalize_payload(alpha)),
-    )
+    return Finalize(alpha=alpha, poster=poster_key.public_key)
 
 
 def make_veto(vetoer_key: KeyPair, alpha: bytes, conflicting_poi: ProofOfIntent) -> Veto:
@@ -307,9 +285,4 @@ def make_veto(vetoer_key: KeyPair, alpha: bytes, conflicting_poi: ProofOfIntent)
 
 
 def make_finalize_veto(poster_key: KeyPair, alpha: bytes, alpha_prime: bytes) -> FinalizeVeto:
-    return FinalizeVeto(
-        alpha=alpha,
-        alpha_prime=alpha_prime,
-        poster=poster_key.public_key,
-        signature=sign(poster_key, _finalize_veto_payload(alpha, alpha_prime)),
-    )
+    return FinalizeVeto(alpha=alpha, alpha_prime=alpha_prime, poster=poster_key.public_key)

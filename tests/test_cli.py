@@ -128,7 +128,7 @@ def test_cmd_cost_report_simulated_join(tmp_path):
 
 def test_cmd_incentive_rejects_small_n(tmp_path):
     config = {"cost": {"n_grid": [1, 10]}}
-    result = cmd_cost_and_incentive(spec_for("incentive", tmp_path, config=config))
+    result = cmd_cost_and_incentive(spec_for("cost-report", tmp_path, config=config))
     assert result["errors"] and result["errors"][0]["n"] == 1
 
 
@@ -167,7 +167,7 @@ def test_main_exit_codes(tmp_path, capsys):
 def test_main_failure_summary_is_machine_readable(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"cost": {"n_grid": [1]}}))
-    rc = main(["--campaign", "incentive", "--config", str(config), "--out", str(tmp_path)])
+    rc = main(["--campaign", "cost-report", "--config", str(config), "--out", str(tmp_path)])
     assert rc == 1
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "failed" and out["errors"]
@@ -175,7 +175,7 @@ def test_main_failure_summary_is_machine_readable(tmp_path, capsys):
 
 def test_round_observer_cost_flag(tmp_path):
     result = cmd_cost_and_incentive(
-        spec_for("incentive", tmp_path, round_observer_cost=False)
+        spec_for("cost-report", tmp_path, round_observer_cost=False)
     )
     payload = json.loads((tmp_path / "cost-report" / "cost-report.json").read_text())
     assert payload["min_viable_price_usd"]["100"] == pytest.approx(14.19, abs=0.01)

@@ -203,10 +203,15 @@ def _contested_state():
     return state, poi, contests
 
 
-def test_finalize_executes_transfer_and_pays_lowest_omega():
-    # final state of the worked example: sender 60, recipient 19, winner 1
+STRANGER = keypair("table-stranger")  # holds no balance on the chain
+
+
+@pytest.mark.parametrize("poster", [D, U, STRANGER], ids=["recipient", "observer", "stranger"])
+def test_finalize_executes_transfer_and_pays_lowest_omega(poster):
+    # final state of the worked example: sender 60, recipient 19, winner 1;
+    # a finalize is unsigned, so anyone may post it with the same outcome
     state, poi, contests = _contested_state()
-    state.apply_finalize(make_finalize(D, poi.alpha_id), now=62)
+    state.apply_finalize(make_finalize(poster, poi.alpha_id), now=62)
     winner = expected_winner(contests)
     assert state.balance(S.public_key) == 60
     assert state.balance(D.public_key) == 19
@@ -216,6 +221,9 @@ def test_finalize_executes_transfer_and_pays_lowest_omega():
     assert state.poi_records[poi.alpha_id].status == FINALIZED
     assert state.poi_records[poi.alpha_id].winner == winner
     assert state.audit() == (80, 0, 80)
+    by_recipient, _, _ = _contested_state()
+    by_recipient.apply_finalize(make_finalize(D, poi.alpha_id), now=62)
+    assert state.snapshot() == by_recipient.snapshot()
 
 
 def test_finalize_at_t1_is_premature():
