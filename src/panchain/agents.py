@@ -107,7 +107,14 @@ class ObserverReaction:
 
 
 class Observer:
-    """Contest observer and conflict watchdog with its own proof memory."""
+    """Contest observer and conflict watchdog with its own proof memory.
+
+    ``seen`` holds every proof this observer has ever seen; ``_by_sender``
+    holds the same proofs grouped by sender, in the order they were seen.
+    Only proofs from one sender can conflict, so a new proof is checked
+    against its sender's list alone. Memory is never pruned by time: a
+    back-dated window can conflict with a proof long since finalized.
+    """
 
     def __init__(self, name: str, key: KeyPair, rng: random.Random, post_iff_winnable: bool = True):
         self.name = name
@@ -115,6 +122,7 @@ class Observer:
         self.rng = rng
         self.post_iff_winnable = post_iff_winnable
         self.seen: dict[bytes, ProofOfIntent] = {}
+        self._by_sender: dict[bytes, list[ProofOfIntent]] = {}
         self._omega_cache: dict[bytes, Signature] = {}
 
     def omega_for(self, poi: ProofOfIntent) -> Signature:
@@ -130,7 +138,9 @@ class Observer:
         reaction = ObserverReaction()
         if poi.alpha_id in self.seen:
             return reaction
-        conflicting = [p for p in self.seen.values() if conflicts(poi, p)]
+        earlier = self._by_sender.setdefault(poi.sender, [])
+        conflicting = [p for p in earlier if conflicts(poi, p)]
+        earlier.append(poi)
         self.seen[poi.alpha_id] = poi
         if conflicting:
             for other in conflicting:

@@ -178,6 +178,42 @@ def _parse_participants(raw, prefix: str, default_balance: int, wallets: dict[st
     raise ConfigError(f"{prefix} must be a count or a list of wallet names")
 
 
+# Field types of the JSON sections; a float field also takes an integer, and
+# true/false is never taken for a number.
+_SCALAR_FIELDS = {
+    "chains": int, "block_interval": float, "max_txs_per_block": int, "jitter": float,
+    "validity_length": int, "reward": int, "duration": float, "seed": int,
+    "post_iff_winnable": bool,
+}
+_OBSERVATION_FIELDS = {"mode": str, "low": float, "high": float, "spacing": float}
+_ACTION_FIELDS = {"kind": str, "sender": str, "legs": list}
+_LEG_FIELDS = {"at": float, "recipient": str, "amount": int, "t0": int, "t1": int, "chain": int}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false", list: "a list"}
+
+
+def _is(value, kind: type) -> bool:
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _checked(raw, fields: dict[str, type], where: str, required: bool = False) -> dict:
+    """``raw`` if it is an object holding only ``fields``, each of its type
+    (and all of them, when ``required``); ConfigError otherwise."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
+    missing = set(fields) - set(raw) if required else ()
+    if missing:
+        raise ConfigError(f"{where} is missing fields: {sorted(missing)}")
+    for key, value in raw.items():
+        if not _is(value, fields[key]):
+            raise ConfigError(f"{where} field {key!r} must be {_TYPE_NAMES[fields[key]]}, got {value!r}")
+    return raw
+
+
 def config_from_dict(data: dict) -> EcosystemConfig:
     if not isinstance(data, dict):
         raise ConfigError("ecosystem config must be a JSON object")
@@ -192,29 +228,35 @@ def config_from_dict(data: dict) -> EcosystemConfig:
             raise ConfigError(f"wallet {name!r} needs a non-negative integer balance")
         wallets[name] = balance
 
-    clients = _parse_participants(
-        data.pop("clients", []), "client", int(data.pop("client_balance", 100)), wallets
-    )
+    client_balance = data.pop("client_balance", 100)
+    if not _is(client_balance, int):
+        raise ConfigError(f"client_balance must be an integer, got {client_balance!r}")
+    clients = _parse_participants(data.pop("clients", []), "client", client_balance, wallets)
     observers = _parse_participants(data.pop("observers", []), "obs", 0, wallets)
 
     observation = data.pop("observation", None)
-    policy = ObservationPolicy(**observation) if observation else ObservationPolicy()
+    if observation:
+        policy = ObservationPolicy(**_checked(observation, _OBSERVATION_FIELDS, "observation"))
+    else:
+        policy = ObservationPolicy()
 
     think = data.pop("think_time", (15.0, 30.0))
+    if not (isinstance(think, (list, tuple)) and len(think) == 2 and all(_is(t, float) for t in think)):
+        raise ConfigError(f"think_time must be a pair of numbers, got {think!r}")
     script_raw = data.pop("script", [])
+    if not isinstance(script_raw, list):
+        raise ConfigError("script must be a list of actions")
     script = []
     for entry in script_raw:
-        legs = tuple(TransferLeg(**leg) for leg in entry.get("legs", []))
+        entry = _checked(entry, _ACTION_FIELDS, "script action")
+        legs = tuple(
+            TransferLeg(**_checked(leg, _LEG_FIELDS, "script leg", required=True))
+            for leg in entry.get("legs", [])
+        )
         script.append(ScriptedAction(kind=entry.get("kind", "transfer"),
                                      sender=entry.get("sender", ""), legs=legs))
 
-    known_fields = {
-        "chains", "block_interval", "max_txs_per_block", "jitter",
-        "validity_length", "reward", "duration", "seed", "post_iff_winnable",
-    }
-    unknown = set(data) - known_fields
-    if unknown:
-        raise ConfigError(f"unknown ecosystem config fields: {sorted(unknown)}")
+    _checked(data, _SCALAR_FIELDS, "ecosystem config")
 
     return EcosystemConfig(
         wallets=tuple(WalletSpec(name, bal) for name, bal in wallets.items()),

@@ -123,6 +123,9 @@ class VetoRecord:
     contestants: dict[WalletId, Signature] = field(default_factory=dict)
     status: str = OPEN
     winner: Optional[WalletId] = None
+    # What the vetoes for this pair actually burned; the winner's reward is
+    # paid out of this and never out of other burns.
+    escrow: int = 0
 
 
 def _pair_key(alpha: bytes, alpha_prime: bytes) -> tuple[bytes, bytes]:
@@ -278,20 +281,23 @@ class ChainState:
         if other.alpha_id not in self.poi_records:
             # The veto itself teaches this chain the second proof.
             self._insert_pending(other)
-        self.burned += self.balance(sender)
+        if veto_record is None:
+            veto_record = VetoRecord(alpha_pair=pair, deadline=veto_deadline(known, other))
+            self.veto_records[pair] = veto_record
+        burn = self.balance(sender)
+        self.burned += burn
+        veto_record.escrow += burn
         self.balances[sender] = 0
         for rec in list(self.pending_proofs(sender)):
             if now < rec.poi.t1:
                 self._conclude(rec, VETOED)
-        if veto_record is None:
-            veto_record = VetoRecord(alpha_pair=pair, deadline=veto_deadline(known, other))
-            self.veto_records[pair] = veto_record
         veto_record.contestants.setdefault(tx.vetoer, tx.omega)
         return self
 
     def apply_finalize_veto(self, tx: FinalizeVeto, now: float) -> "ChainState":
-        """Conclude a veto contest: pay the lowest-omega vetoer from the burned
-        funds. No transfer is executed."""
+        """Conclude a veto contest: pay the lowest-omega vetoer the reward out
+        of what this pair's vetoes burned, or all of it if that is less. No
+        transfer is executed."""
         veto_record = self.veto_records.get(_pair_key(tx.alpha, tx.alpha_prime))
         if veto_record is None:
             raise UnknownVeto("no veto contest for this pair")
@@ -302,8 +308,9 @@ class ChainState:
                 f"veto contest runs until {veto_record.deadline}, now {now}"
             )
         winner = contest_winner(veto_record.contestants)
-        self.balances[winner] = self.balance(winner) + self.reward
-        self.burned -= self.reward
+        payout = min(self.reward, veto_record.escrow)
+        self.balances[winner] = self.balance(winner) + payout
+        self.burned -= payout
         veto_record.status = FINALIZED
         veto_record.winner = winner
         return self
@@ -318,8 +325,9 @@ class ChainState:
     def audit(self) -> tuple[int, int, int]:
         """Supply report (total balance, burned, initial supply).
 
-        Raises if token conservation is violated; resync_adjustment accounts
-        for experiment-level balance resets and is zero otherwise.
+        Raises if token conservation is violated or tokens were minted;
+        resync_adjustment accounts for experiment-level balance resets and is
+        zero otherwise.
         """
         total = sum(self.balances.values())
         expected = self.initial_supply + self.resync_adjustment
@@ -327,6 +335,11 @@ class ChainState:
             raise RuntimeError(
                 f"supply violation on chain {self.chain_id}: "
                 f"{total} + {self.burned} != {expected}"
+            )
+        if self.burned < 0 or total > expected:
+            raise RuntimeError(
+                f"minted supply on chain {self.chain_id}: "
+                f"{total} in circulation from {expected}, burned {self.burned}"
             )
         return total, self.burned, self.initial_supply
 

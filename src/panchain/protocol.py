@@ -89,21 +89,34 @@ class ProofOfIntent:
         return self.intent.t1
 
 
+# Both encoders memoise their result on the frozen value as ``_encoded``:
+# the fields never change, so neither do the bytes, and the same proof is
+# encoded again and again by verification, contests and observers.
+
+
 def encode_intent(intent: TransferIntent) -> bytes:
-    return b"".join(
-        (
-            b"INT",
-            _lp(intent.sender),
-            _lp(intent.recipient),
-            _lp(_u64(intent.amount, "amount")),
-            _lp(_u64(intent.t0, "t0")),
-            _lp(_u64(intent.t1, "t1")),
+    encoded = intent.__dict__.get("_encoded")
+    if encoded is None:
+        encoded = b"".join(
+            (
+                b"INT",
+                _lp(intent.sender),
+                _lp(intent.recipient),
+                _lp(_u64(intent.amount, "amount")),
+                _lp(_u64(intent.t0, "t0")),
+                _lp(_u64(intent.t1, "t1")),
+            )
         )
-    )
+        object.__setattr__(intent, "_encoded", encoded)
+    return encoded
 
 
 def encode_poi(poi: ProofOfIntent) -> bytes:
-    return b"POI" + encode_intent(poi.intent)[3:] + _lp(poi.alpha.data) + _lp(poi.beta.data)
+    encoded = poi.__dict__.get("_encoded")
+    if encoded is None:
+        encoded = b"POI" + encode_intent(poi.intent)[3:] + _lp(poi.alpha.data) + _lp(poi.beta.data)
+        object.__setattr__(poi, "_encoded", encoded)
+    return encoded
 
 
 def encode_veto_payload(alpha: bytes, conflicting_alpha: bytes) -> bytes:

@@ -1,17 +1,30 @@
+import dataclasses
+import hashlib
 import math
 import random
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from panchain import agents
 from panchain.agents import Client, Observer
 from panchain.chain import ChainConfig, SimChain
 from panchain.configs import contest_scaling_config, sweep_config
-from panchain.contract import ChainState
+from panchain.contract import FINALIZED, ChainState
 from panchain.crypto import contest_order_key
 from panchain.ecosystem import run
-from panchain.protocol import Contest, make_claim, make_contest, make_poi
+from panchain.protocol import (
+    Contest,
+    conflicts,
+    encode_poi,
+    make_claim,
+    make_contest,
+    make_finalize,
+    make_poi,
+)
 
 from conftest import keypair
 
@@ -173,6 +186,78 @@ def test_watchdog_no_action_without_conflict():
     observer.handle_new_poi(poi, chains, now=2.0)
     reaction = observer.handle_new_poi(later, chains, now=3.0)
     assert not reaction.vetoes and not reaction.conflicts_found
+
+
+def test_backdated_proof_conflicting_with_a_finalized_one_is_vetoed():
+    # Memory must not be pruned by time: the old proof concluded long ago,
+    # but a new window reaching back over it is still a double spend.
+    observer, poi, chains, sender = observer_fixture()
+    chains[0].state.apply_claim(make_claim(poi), now=1)
+    observer.handle_new_poi(poi, chains, now=2.0)
+    chains[0].state.apply_finalize(make_finalize(sender, poi.alpha_id), now=62)
+    assert chains[0].state.poi_records[poi.alpha_id].status == FINALIZED
+    backdated = make_poi(sender, keypair("late-recipient"), amount=20, t0=50, t1=300)
+    reaction = observer.handle_new_poi(backdated, chains, now=200.0)
+    assert len(reaction.vetoes) == 6
+    assert [(a, b) for a, b, _ in reaction.conflicts_found] == [(poi.alpha_id, backdated.alpha_id)]
+
+
+PROP_SENDERS = [keypair(f"prop-sender-{i}") for i in range(3)]
+PROP_RECIPIENTS = [keypair(f"prop-recipient-{i}") for i in range(2)]
+
+
+def _proof_specs(senders: int):
+    # (sender, recipient, t0, window length): small integer windows, so
+    # overlapping, touching and disjoint windows all come up.
+    spec = st.tuples(st.integers(0, senders - 1), st.integers(0, 1), st.integers(0, 40), st.integers(1, 20))
+    return st.lists(spec, min_size=1, max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(_proof_specs))
+def test_sender_index_finds_what_a_full_scan_finds(specs):
+    observer = Observer("watch", keypair("watch"), random.Random(0))
+    earlier = []
+    for s, r, t0, length in specs:
+        poi = make_poi(PROP_SENDERS[s], PROP_RECIPIENTS[r], amount=2, t0=t0, t1=t0 + length)
+        # No chains, and past every window: only the conflict check runs.
+        reaction = observer.handle_new_poi(poi, [], now=100.0)
+        if poi in earlier:
+            expected = []
+        else:
+            expected = [(p.alpha_id, poi.alpha_id) for p in earlier if conflicts(poi, p)]
+            earlier.append(poi)
+        assert [(a, b) for a, b, _ in reaction.conflicts_found] == expected
+
+
+def test_observer_checks_a_proof_only_against_its_senders_proofs(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return conflicts(a, b)
+
+    monkeypatch.setattr(agents, "conflicts", counting)
+    observer = Observer("watch", keypair("watch"), random.Random(0))
+    recipient = keypair("guard-recipient")
+    senders = [keypair(f"guard-sender-{i}") for i in range(50)]
+    for sender in senders:
+        observer.handle_new_poi(make_poi(sender, recipient, amount=2, t0=1, t1=61), [], now=100.0)
+    assert calls == []
+    observer.handle_new_poi(make_poi(senders[7], recipient, amount=2, t0=70, t1=130), [], now=200.0)
+    assert len(calls) == 1
+
+
+def test_encode_poi_bytes_are_memoised_per_proof():
+    poi = make_poi(keypair("sender"), keypair("recipient"), amount=20, t0=1, t1=61)
+    first = encode_poi(poi)
+    # The canonical bytes are what every signature covers, so they are pinned.
+    assert hashlib.sha256(first).hexdigest() == "f5e4bd01760e364f40be1635419c2b4ef194470007ea1ed7ed37562c1436467c"
+    assert encode_poi(poi) is first
+    other = dataclasses.replace(poi, intent=dataclasses.replace(poi.intent, amount=21))
+    assert hashlib.sha256(encode_poi(other)).hexdigest() == (
+        "fc8cbd67c7a129c06f29d596163a3a30161b5544c123495909f93652b2a6ee25"
+    )
 
 
 # --- collective behavior -------------------------------------------------

@@ -199,3 +199,22 @@ def test_config_validation_error_paths(tmp_path):
         from panchain.configs import config_from_dict
 
         config_from_dict({"unknown_field": 1})
+
+
+@pytest.mark.parametrize(
+    "ecosystem",
+    [
+        {"observation": {"mode": "staggered", "bogus": 1}},
+        {"chains": "3"},
+        {"wallets": {"a": 10}, "script": [{"kind": "double_spend", "sender": "a", "legs": [{"at": 1.0}]}]},
+    ],
+    ids=["unknown-observation-key", "string-chain-count", "incomplete-script-leg"],
+)
+def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, ecosystem):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"ecosystem": ecosystem}))
+    rc = main(["--campaign", "run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["status"] == "error"

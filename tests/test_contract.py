@@ -360,6 +360,30 @@ def test_finalize_veto_pays_lowest_omega_from_burned():
         state.apply_finalize_veto(make_finalize_veto(U, a.alpha_id, b.alpha_id), now=127)
 
 
+def test_finalize_veto_pays_only_what_the_pair_burned():
+    # The first transfer spends the sender's whole balance, so the veto burns
+    # nothing; the reward burned by that finalize must not fund the winner.
+    state = fresh_state(sender_balance=10)
+    a = table_poi(amount=10, t0=1, t1=61)
+    b = table_poi(amount=8, t0=50, t1=120, recipient=keypair("elsewhere"))
+    state.apply_claim(make_claim(a), now=1)
+    state.apply_finalize(make_finalize(D, a.alpha_id), now=62)
+    assert state.burned == 1
+    state.apply_veto(make_veto(U, a.alpha_id, b), now=70)
+    state.apply_finalize_veto(make_finalize_veto(U, a.alpha_id, b.alpha_id), now=200)
+    assert state.balance(U.public_key) == 0
+    assert state.audit() == (9, 1, 10)
+
+
+def test_audit_rejects_minted_supply():
+    # Conserved in sum, yet one token more circulates than ever existed.
+    state = fresh_state(sender_balance=10)
+    state.balances[S.public_key] = 11
+    state.burned = -1
+    with pytest.raises(RuntimeError, match="minted"):
+        state.audit()
+
+
 def test_finalize_veto_unknown_pair():
     state = fresh_state()
     with pytest.raises(UnknownVeto):

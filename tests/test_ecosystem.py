@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from panchain.configs import (
@@ -7,6 +9,7 @@ from panchain.configs import (
     TransferLeg,
     WalletSpec,
     sweep_config,
+    veto_demo_boundary,
     worked_example,
 )
 from panchain.contract import ChainState
@@ -166,6 +169,20 @@ def test_backlogged_finalizes_are_awaited_before_judging(seed):
     })
     report = run(config)
     assert report.consistency == []
+
+
+def test_veto_reward_is_not_minted_when_the_veto_burns_nothing():
+    # The first leg takes mallory's whole balance, so when the second leg
+    # surfaces the veto burns 0; paying the veto winner out of the chain's
+    # other burns used to leave burned = -1 and 11 of 10 tokens circulating.
+    base = veto_demo_boundary(0)
+    action = base.script[0]
+    legs = (replace(action.legs[0], amount=10), action.legs[1])
+    report = run(replace(base, script=(replace(action, legs=legs),)))
+    for snap in report.chains:
+        assert snap["veto_records"]
+        assert snap["burned"] >= 0
+        assert sum(snap["balances"].values()) <= snap["initial_supply"] + snap["resync_adjustment"]
 
 
 def test_one_block_validity_corrupts_majority_of_seeds():
