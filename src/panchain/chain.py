@@ -73,10 +73,6 @@ class SimChain:
     def chain_id(self) -> int:
         return self.config.chain_id
 
-    @property
-    def last_block(self) -> Block:
-        return self.blocks[-1]
-
     def _draw_interval(self) -> float:
         base = self.config.block_interval
         if self.config.jitter:

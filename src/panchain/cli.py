@@ -14,7 +14,7 @@ import math
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -24,31 +24,71 @@ from .configs import (
     config_from_dict,
     contest_scaling_config,
     load_experiment_file,
+    read,
     sweep_config,
     veto_demo,
     veto_demo_boundary,
     worked_example,
 )
 from .chain import block_log_entry
-from .costmodel import GasCost, GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
+from .costmodel import GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
 from .ecosystem import Ecosystem, RunReport, run, wallet_keypair
 
 CAMPAIGNS = ("run", "sweep-validity", "contest-scaling", "cost-report", "veto-demo")
 
-DEFAULT_VALIDITY_POINTS = tuple(range(10, 71, 5))
-DEFAULT_N_VALUES = (4, 16, 64)
+
+@dataclass(frozen=True)
+class SweepSection:
+    validity_points: tuple[int, ...] = tuple(range(10, 71, 5))
+
+
+@dataclass(frozen=True)
+class ScalingSection:
+    n_values: tuple[int, ...] = (4, 16, 64)
+    runs: Optional[int] = None  # None: as many as seeds or --reps, whichever is more
+
+    def __post_init__(self) -> None:
+        if self.runs is not None and self.runs < 1:
+            raise ConfigError("runs must be >= 1")
+
+
+@dataclass(frozen=True)
+class CostSection:
+    m: int = 10
+    n: int = 10
+    n_grid: tuple[int, ...] = (10, 100, 1000)
+    reward: int = 1
+    gas: GasTable = GasTable()
+    price: PriceModel = PriceModel()
+    run_report: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if min(self.m, self.n, self.reward) < 1:
+            raise ConfigError("m, n and reward must be >= 1")
+
+
+@dataclass(frozen=True)
+class ExperimentFile:
+    """An experiment file; config_from_dict reads its ecosystem section."""
+
+    ecosystem: Optional[dict] = None
+    sweep: SweepSection = SweepSection()
+    scaling: ScalingSection = ScalingSection()
+    cost: CostSection = CostSection()
+    block_log: bool = False
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     campaign: str
-    config: dict
+    config: dict  # the experiment file's JSON object
     out_dir: Path
     seeds: tuple[int, ...]
     reps: int
     jitter: Optional[float] = None
     round_observer_cost: bool = True
     jobs: int = 1
+    sections: ExperimentFile = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.campaign not in CAMPAIGNS:
@@ -59,6 +99,7 @@ class ExperimentSpec:
             raise ConfigError("need at least one seed")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        object.__setattr__(self, "sections", read(ExperimentFile, self.config, "config"))
 
 
 def _map_points(fn, points: list, jobs: int) -> Iterable:
@@ -71,7 +112,7 @@ def _map_points(fn, points: list, jobs: int) -> Iterable:
 
 
 def _ecosystem_config(spec: ExperimentSpec, default: EcosystemConfig) -> EcosystemConfig:
-    raw = spec.config.get("ecosystem")
+    raw = spec.sections.ecosystem
     cfg = config_from_dict(raw) if raw else default
     if spec.jitter is not None:
         cfg = replace(cfg, jitter=spec.jitter)
@@ -84,41 +125,20 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _gas_table(spec: ExperimentSpec) -> GasTable:
-    raw = spec.config.get("cost", {}).get("gas")
-    if not raw:
-        return GasTable()
-    kinds = {}
-    for kind, entry in raw.items():
-        kinds[kind] = GasCost(float(entry["mean_kgas"]), float(entry.get("std_kgas", 0.0)))
-    return GasTable(**kinds)
-
-
-def _price_model(spec: ExperimentSpec) -> PriceModel:
-    raw = spec.config.get("cost", {}).get("price")
-    if not raw:
-        return PriceModel()
-    return PriceModel(
-        gas_price_gwei=float(raw.get("gas_price_gwei", 10.0)),
-        ether_usd=float(raw.get("ether_usd", 115.71)),
-    )
-
-
 def cmd_run(spec: ExperimentSpec) -> dict:
     """Single-ecosystem runs: report JSON, ledger CSV, and per-chain snapshots
     per seed; optionally a JSONL block log (one line per block)."""
     out = spec.out_dir / "run"
     base = _ecosystem_config(spec, worked_example())
-    block_log = bool(spec.config.get("block_log", False))
     outputs, errors = [], []
     for seed in spec.seeds:
-        eco = Ecosystem(base.with_seed(seed))
+        eco = Ecosystem(replace(base, seed=seed))
         report = eco.run()
         outputs.append(str(_write(out / f"run-{seed}.json", report.to_json())))
         outputs.append(str(_write(out / f"run-{seed}.csv", report.ledger_csv())))
         snapshots = json.dumps(report.chains, sort_keys=True, indent=2) + "\n"
         outputs.append(str(_write(out / f"run-{seed}.chains.json", snapshots)))
-        if block_log:
+        if spec.sections.block_log:
             lines = [
                 json.dumps(block_log_entry(chain.chain_id, block), sort_keys=True)
                 for chain in eco.chains
@@ -148,9 +168,8 @@ def cmd_sweep_validity(spec: ExperimentSpec) -> dict:
     """Corrupted-transfer counts over the validity-period grid, one CSV per
     seed plus an aggregated summary."""
     out = spec.out_dir / "sweep-validity"
-    sweep_conf = spec.config.get("sweep", {})
-    points = tuple(int(v) for v in sweep_conf.get("validity_points", DEFAULT_VALIDITY_POINTS))
-    ecosystem_dict = spec.config.get("ecosystem")
+    points = spec.sections.sweep.validity_points
+    ecosystem_dict = spec.sections.ecosystem
     jobs = [
         (ecosystem_dict, validity, seed, spec.jitter)
         for seed in spec.seeds
@@ -198,9 +217,8 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     """Confirmed contests per chain for each observer count, against the
     harmonic-number expectation and the log2 bound."""
     out = spec.out_dir / "contest-scaling"
-    scaling = spec.config.get("scaling", {})
-    n_values = tuple(int(n) for n in scaling.get("n_values", DEFAULT_N_VALUES))
-    runs = int(scaling.get("runs", max(len(spec.seeds), spec.reps)))
+    n_values = spec.sections.scaling.n_values
+    runs = spec.sections.scaling.runs or max(len(spec.seeds), spec.reps)
     base_seed = spec.seeds[0]
     points = [(n, base_seed + k) for n in n_values for k in range(runs)]
     results = _map_points(_scaling_point, points, spec.jobs)
@@ -228,29 +246,23 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
     """Analytical per-role costs and token-price thresholds; joins in empirical
     counts when a run report is supplied."""
     out = spec.out_dir / "cost-report"
-    cost_conf = spec.config.get("cost", {})
-    m = int(cost_conf.get("m", 10))
-    n = int(cost_conf.get("n", 10))
-    n_grid = tuple(cost_conf.get("n_grid", (10, 100, 1000)))
-    reward = int(cost_conf.get("reward", 1))
-    gas = _gas_table(spec)
-    price = _price_model(spec)
+    conf = spec.sections.cost
     errors: list[dict] = []
 
-    cost = transfer_cost(m, n, gas, price)
+    cost = transfer_cost(conf.m, conf.n, conf.gas, conf.price)
     thresholds = {}
-    for grid_n in n_grid:
+    for grid_n in conf.n_grid:
         if grid_n < 2:
             errors.append({"n": grid_n, "error": "incentive threshold needs n >= 2"})
             continue
         thresholds[str(grid_n)] = min_viable_price(
-            int(grid_n), m=m, reward=reward, gas=gas, price=price,
+            grid_n, m=conf.m, reward=conf.reward, gas=conf.gas, price=conf.price,
             round_observer_cost=spec.round_observer_cost,
         )
     payload = {
-        "chains": m,
-        "observers": n,
-        "reward": reward,
+        "chains": conf.m,
+        "observers": conf.n,
+        "reward": conf.reward,
         "round_observer_cost": spec.round_observer_cost,
         "transfer_cost": {
             "receiver_kgas": cost.receiver_kgas,
@@ -262,10 +274,11 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
         },
         "min_viable_price_usd": thresholds,
     }
-    run_report_path = cost_conf.get("run_report")
-    if run_report_path:
-        run_data = json.loads(Path(run_report_path).read_text())
-        payload["simulated"] = simulated_cost_report(run_data, gas, price)
+    if conf.run_report:
+        run_data = load_experiment_file(conf.run_report)
+        if "tx_counts" not in run_data:
+            raise ConfigError(f"{conf.run_report}: not a run report (no tx_counts)")
+        payload["simulated"] = simulated_cost_report(run_data, conf.gas, conf.price)
 
     outputs = [str(_write(out / "cost-report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"))]
     table = [

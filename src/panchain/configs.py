@@ -1,13 +1,14 @@
-"""Ecosystem configuration: typed config objects, JSON loading with line
-diagnostics, and the built-in scenario presets used by the experiment
-campaigns."""
+"""Ecosystem configuration: typed config objects, the one reader that builds
+any of them from JSON, JSON loading with line diagnostics, and the built-in
+scenario presets used by the experiment campaigns."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -59,9 +60,9 @@ class ScriptedAction:
     """A scripted event: a single transfer, or a deliberate double spend
     (one sender signing several conflicting legs)."""
 
-    kind: str  # "transfer" | "double_spend"
     sender: str
     legs: tuple[TransferLeg, ...]
+    kind: str = "transfer"  # or "double_spend"
 
     def __post_init__(self) -> None:
         if self.kind not in ("transfer", "double_spend"):
@@ -93,10 +94,17 @@ class EcosystemConfig:
     def __post_init__(self) -> None:
         if self.chains < 1:
             raise ConfigError("need at least one chain")
+        if self.block_interval <= 0:
+            raise ConfigError("block_interval must be positive")
+        if self.max_txs_per_block < 1:
+            raise ConfigError("max_txs_per_block must be at least 1")
+        if not 0 <= self.jitter < 1:
+            raise ConfigError("jitter must be in [0, 1)")
         if self.duration < 0:
             raise ConfigError("duration must be non-negative")
-        if self.validity_length < 1:
-            raise ConfigError("validity_length must be at least 1 second")
+        # Windows and amounts go on chain as unsigned 64-bit integers.
+        if not 1 <= self.validity_length < 2**63:
+            raise ConfigError("validity_length must be at least 1 second and below 2^63")
         if self.reward < 0:
             raise ConfigError("reward must be non-negative")
         lo, hi = self.think_time
@@ -117,155 +125,113 @@ class EcosystemConfig:
                     raise ConfigError(f"scripted recipient is not a wallet: {leg.recipient!r}")
                 if not 0 <= leg.chain < self.chains:
                     raise ConfigError(f"scripted leg targets chain {leg.chain}, have {self.chains}")
-
-    def with_seed(self, seed: int) -> "EcosystemConfig":
-        return replace(self, seed=seed)
+                if not 0 <= leg.t0 < leg.t1 < 2**64:
+                    raise ConfigError(f"scripted leg window needs 0 <= t0 < t1 < 2^64, got [{leg.t0}, {leg.t1}]")
+                if not self.reward < leg.amount < 2**64:
+                    raise ConfigError(f"scripted leg amount {leg.amount} must exceed the reward {self.reward}")
 
     def to_dict(self) -> dict:
-        return {
-            "chains": self.chains,
-            "block_interval": self.block_interval,
-            "max_txs_per_block": self.max_txs_per_block,
-            "jitter": self.jitter,
-            "wallets": {w.name: w.balance for w in self.wallets},
-            "clients": list(self.clients),
-            "observers": list(self.observers),
-            "validity_length": self.validity_length,
-            "reward": self.reward,
-            "duration": self.duration,
-            "seed": self.seed,
-            "think_time": list(self.think_time),
-            "observation": {
-                "mode": self.observation.mode,
-                "low": self.observation.low,
-                "high": self.observation.high,
-                "spacing": self.observation.spacing,
-            },
-            "post_iff_winnable": self.post_iff_winnable,
-            "script": [
-                {
-                    "kind": a.kind,
-                    "sender": a.sender,
-                    "legs": [
-                        {
-                            "at": leg.at,
-                            "recipient": leg.recipient,
-                            "amount": leg.amount,
-                            "t0": leg.t0,
-                            "t1": leg.t1,
-                            "chain": leg.chain,
-                        }
-                        for leg in a.legs
-                    ],
-                }
-                for a in self.script
-            ],
-        }
+        """The config as JSON data that config_from_dict reads back, with
+        ``wallets`` as a name -> balance map."""
+        data = {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.name != "wallets"}
+        data["wallets"] = {w.name: w.balance for w in self.wallets}
+        return data
 
 
-def _parse_participants(raw, prefix: str, default_balance: int, wallets: dict[str, int]) -> list[str]:
-    """Accept either an explicit name list or a count of generated wallets."""
-    if isinstance(raw, int):
-        names = [f"{prefix}-{i:02d}" for i in range(raw)]
-        for name in names:
-            wallets.setdefault(name, default_balance)
-        return names
-    if isinstance(raw, list):
-        for name in raw:
-            if not isinstance(name, str):
-                raise ConfigError(f"{prefix} entries must be wallet names")
-        return list(raw)
-    raise ConfigError(f"{prefix} must be a count or a list of wallet names")
+def _plain(value):
+    """A config value as JSON data: tuples become lists, dataclasses objects."""
+    if isinstance(value, (str, int, float)):  # checked first: most values are names
+        return value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
 
 
-# Field types of the JSON sections; a float field also takes an integer, and
-# true/false is never taken for a number.
-_SCALAR_FIELDS = {
-    "chains": int, "block_interval": float, "max_txs_per_block": int, "jitter": float,
-    "validity_length": int, "reward": int, "duration": float, "seed": int,
-    "post_iff_winnable": bool,
-}
-_OBSERVATION_FIELDS = {"mode": str, "low": float, "high": float, "spacing": float}
-_ACTION_FIELDS = {"kind": str, "sender": str, "legs": list}
-_LEG_FIELDS = {"at": float, "recipient": str, "amount": int, "t0": int, "t1": int, "chain": int}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false", list: "a list"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               dict: "a JSON object"}
 
 
 def _is(value, kind: type) -> bool:
+    """Whether the JSON ``value`` is a ``kind``: true/false is never a number,
+    an integer is also a number, and a number is finite."""
     if isinstance(value, bool) != (kind is bool):
         return False
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
-def _checked(raw, fields: dict[str, type], where: str, required: bool = False) -> dict:
-    """``raw`` if it is an object holding only ``fields``, each of its type
-    (and all of them, when ``required``); ConfigError otherwise."""
+def read(cls, raw, where: str, **given):
+    """Build the config dataclass ``cls`` from the JSON object ``raw``, reading
+    each field by its type hint: a tuple from a list, a dataclass from an
+    object, ``Optional`` also from null. ``given`` holds fields the caller has
+    built. An unknown key, a wrong type, a missing field or a value ``cls``
+    rejects is a ConfigError naming ``where``."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(raw) - set(fields)
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    hints = get_type_hints(cls)
+    unknown = set(raw) - hints.keys()
     if unknown:
         raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
-    missing = set(fields) - set(raw) if required else ()
+    missing = {
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    } - raw.keys() - given.keys()
     if missing:
         raise ConfigError(f"{where} is missing fields: {sorted(missing)}")
-    for key, value in raw.items():
-        if not _is(value, fields[key]):
-            raise ConfigError(f"{where} field {key!r} must be {_TYPE_NAMES[fields[key]]}, got {value!r}")
+    values = {key: _value(hints[key], value, f"{where}.{key}") for key, value in raw.items()}
+    try:
+        return cls(**values, **given)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _value(hint, raw, where: str):
+    """The JSON value ``raw`` read as a ``hint``."""
+    if is_dataclass(hint):
+        return read(hint, raw, where)
+    args = get_args(hint)
+    if get_origin(hint) is Union:  # Optional[X]
+        return None if raw is None else _value(args[0], raw, where)
+    if get_origin(hint) is tuple:
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {raw!r}")
+        kinds = args[:1] * len(raw) if args[-1] is Ellipsis else args
+        if len(kinds) != len(raw):
+            raise ConfigError(f"{where} must be a list of {len(kinds)}, got {raw!r}")
+        return tuple(_value(kind, item, f"{where}[{i}]") for i, (kind, item) in enumerate(zip(kinds, raw)))
+    if not _is(raw, hint):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[hint]}, got {raw!r}")
     return raw
 
 
 def config_from_dict(data: dict) -> EcosystemConfig:
+    """Read the ecosystem section: EcosystemConfig's fields, except that
+    ``wallets`` maps name -> balance and ``clients`` or ``observers`` may be a
+    count of wallets to generate; generated clients hold ``client_balance``."""
     if not isinstance(data, dict):
         raise ConfigError("ecosystem config must be a JSON object")
     data = dict(data)
 
-    wallets_raw = data.pop("wallets", {})
-    if not isinstance(wallets_raw, dict):
+    wallets = data.pop("wallets", {})
+    if not isinstance(wallets, dict):
         raise ConfigError("wallets must map name -> initial balance")
-    wallets: dict[str, int] = {}
-    for name, balance in wallets_raw.items():
-        if not isinstance(balance, int) or balance < 0:
+    wallets = dict(wallets)
+    for name, balance in wallets.items():
+        if not _is(balance, int) or balance < 0:
             raise ConfigError(f"wallet {name!r} needs a non-negative integer balance")
-        wallets[name] = balance
 
     client_balance = data.pop("client_balance", 100)
     if not _is(client_balance, int):
         raise ConfigError(f"client_balance must be an integer, got {client_balance!r}")
-    clients = _parse_participants(data.pop("clients", []), "client", client_balance, wallets)
-    observers = _parse_participants(data.pop("observers", []), "obs", 0, wallets)
+    for key, prefix, balance in (("clients", "client", client_balance), ("observers", "obs", 0)):
+        if _is(data.get(key), int):
+            data[key] = [f"{prefix}-{i:02d}" for i in range(data[key])]
+            for name in data[key]:
+                wallets.setdefault(name, balance)
 
-    observation = data.pop("observation", None)
-    if observation:
-        policy = ObservationPolicy(**_checked(observation, _OBSERVATION_FIELDS, "observation"))
-    else:
-        policy = ObservationPolicy()
-
-    think = data.pop("think_time", (15.0, 30.0))
-    if not (isinstance(think, (list, tuple)) and len(think) == 2 and all(_is(t, float) for t in think)):
-        raise ConfigError(f"think_time must be a pair of numbers, got {think!r}")
-    script_raw = data.pop("script", [])
-    if not isinstance(script_raw, list):
-        raise ConfigError("script must be a list of actions")
-    script = []
-    for entry in script_raw:
-        entry = _checked(entry, _ACTION_FIELDS, "script action")
-        legs = tuple(
-            TransferLeg(**_checked(leg, _LEG_FIELDS, "script leg", required=True))
-            for leg in entry.get("legs", [])
-        )
-        script.append(ScriptedAction(kind=entry.get("kind", "transfer"),
-                                     sender=entry.get("sender", ""), legs=legs))
-
-    _checked(data, _SCALAR_FIELDS, "ecosystem config")
-
-    return EcosystemConfig(
-        wallets=tuple(WalletSpec(name, bal) for name, bal in wallets.items()),
-        clients=tuple(clients),
-        observers=tuple(observers),
-        observation=policy,
-        think_time=(float(think[0]), float(think[1])),
-        script=tuple(script),
-        **data,
+    return read(
+        EcosystemConfig, data, "ecosystem",
+        wallets=tuple(WalletSpec(name, balance) for name, balance in wallets.items()),
     )
 
 

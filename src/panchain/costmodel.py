@@ -16,7 +16,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class GasCost:
     mean_kgas: float
-    std_kgas: float
+    std_kgas: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mean_kgas <= 0:

@@ -40,9 +40,6 @@ class Signature:
     def hex(self) -> str:
         return self.data.hex()
 
-    def __bytes__(self) -> bytes:
-        return self.data
-
 
 @dataclass(frozen=True)
 class KeyPair:

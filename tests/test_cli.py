@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from panchain.cli import (
     ExperimentSpec,
@@ -201,20 +203,128 @@ def test_config_validation_error_paths(tmp_path):
         config_from_dict({"unknown_field": 1})
 
 
+def _leg(**fields):
+    return {"at": 1.0, "recipient": "b", "amount": 20, "t0": 1, "t1": 61, "chain": 0, **fields}
+
+
+def _one_leg_script(**fields):
+    return {"ecosystem": {"wallets": {"a": 30, "b": 0}, "script": [{"sender": "a", "legs": [_leg(**fields)]}]}}
+
+
 @pytest.mark.parametrize(
-    "ecosystem",
+    "campaign, config, argv",
     [
-        {"observation": {"mode": "staggered", "bogus": 1}},
-        {"chains": "3"},
-        {"wallets": {"a": 10}, "script": [{"kind": "double_spend", "sender": "a", "legs": [{"at": 1.0}]}]},
+        ("run", {"ecosystem": {"observation": {"mode": "staggered", "bogus": 1}}}, []),
+        ("run", {"ecosystem": {"chains": "3"}}, []),
+        ("run", {"ecosystem": {"wallets": {"a": 10}, "script": [
+            {"kind": "double_spend", "sender": "a", "legs": [{"at": 1.0}]}]}}, []),
+        ("sweep-validity", {"sweep": {"validity_points": "x"}}, []),
+        ("cost-report", {"cost": {"gas": {"claim": {"std_kgas": 1.0}}}}, []),
+        ("cost-report", {"cost": {"gas": {"bribe": {"mean_kgas": 1.0}}}}, []),
+        ("cost-report", {"cost": {"price": {"gas_price_gwei": -1}}}, []),
+        ("cost-report", {"cost": {"m": 0}}, []),
+        ("cost-report", {"cost": {"run_report": "no-such-run.json"}}, []),
+        ("contest-scaling", {"scaling": {"runs": 0}}, []),
+        ("run", {"ecosystem": {"block_interval": 0}}, []),
+        ("run", {"ecosystem": {"max_txs_per_block": 0}}, []),
+        ("run", {"ecosystem": {"jitter": 1.5}}, []),
+        ("run", {}, ["--jitter", "1.5"]),
+        ("run", _one_leg_script(amount=1), []),
+        ("run", _one_leg_script(t0=61), []),
+        ("run", {"ecosystem": {"wallets": {"a": True}}}, []),
+        ("contest-scaling", {"scaling": {"runs": "2"}}, []),
+        ("run", {"block_log": "yes"}, []),
+        ("veto-demo", {"sweeep": {}}, []),
+        ("run", {"ecosystem": {"duration": float("inf")}}, []),
     ],
-    ids=["unknown-observation-key", "string-chain-count", "incomplete-script-leg"],
+    ids=[
+        "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
+        "string-validity-points", "gas-without-mean", "unknown-gas-kind", "negative-gas-price",
+        "zero-cost-chains", "missing-run-report", "zero-scaling-runs", "zero-block-interval",
+        "zero-block-capacity", "jitter-above-one", "jitter-flag-above-one", "leg-amount-at-reward",
+        "leg-empty-window", "boolean-wallet-balance", "string-scaling-runs", "string-block-log",
+        "misspelt-section", "infinite-duration",
+    ],
 )
-def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, ecosystem):
-    config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"ecosystem": ecosystem}))
-    rc = main(["--campaign", "run", "--config", str(config), "--out", str(tmp_path / "out")])
+def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv):
+    # A malformed value in any section the campaign reads is one JSON error
+    # line and exit code 2 before anything is simulated, never a traceback.
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(json.dumps(config))
+    rc = main(["--campaign", campaign, "--config", "bad.json", "--out", "out", *argv])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["status"] == "error"
+
+
+def test_garbled_run_report_exits_2_at_its_position(tmp_path, capsys):
+    report = tmp_path / "run-0.json"
+    report.write_text('{"tx_counts": {\n  "claim": 1,,\n}}')
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"cost": {"run_report": str(report)}}))
+    rc = main(["--campaign", "cost-report", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{report}:2:" in json.loads(capsys.readouterr().err)["error"]
+
+
+def _key_paths(node, prefix=()):
+    """The path of every node in a JSON tree, the root included."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _key_paths(child, prefix + (key,))
+
+
+# Small values only: an integer may become a wallet count and a number a
+# duration, and the runs must stay tiny.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3),
+    st.sampled_from([-1.5, 0.0, 0.5, 2.5, 1e3, float("nan"), float("inf"), float("-inf")]),
+    st.lists(st.integers(-2, 3), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(-2, 3), max_size=1),
+)
+_TINY_RUN = {
+    "ecosystem": {
+        "chains": 2, "block_interval": 5.0, "wallets": {"a": 30, "b": 0}, "clients": 2,
+        "client_balance": 20, "observers": 1, "validity_length": 30, "duration": 40.0,
+        "observation": {"mode": "staggered", "spacing": 0.5},
+        "script": [{"sender": "a", "legs": [_leg(amount=5, t1=31)]}],
+    },
+    "block_log": True,
+}
+_TINY_COST = {
+    "cost": {"m": 2, "n": 3, "n_grid": [2, 10], "reward": 1,
+             "gas": {"claim": {"mean_kgas": 50.0}}, "price": {"gas_price_gwei": 5}},
+}
+
+
+@st.composite
+def _mangled_configs(draw):
+    """A valid tiny config for ``run`` or ``cost-report`` with a few of its
+    values swapped for junk or a junk key added somewhere."""
+    campaign, config = draw(st.sampled_from([("run", _TINY_RUN), ("cost-report", _TINY_COST)]))
+    config = json.loads(json.dumps(config))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_key_paths(config))))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        junk = draw(_JUNK)
+        if path and draw(st.booleans()):
+            parent[path[-1]] = junk
+        else:
+            node = parent[path[-1]] if path else config
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(["x", "sweep", "cost", "m", "legs", "kind"]))] = junk
+    return campaign, config
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mangled_configs())
+def test_main_never_raises_on_mangled_configs(tmp_path, capsys, case):
+    campaign, config = case
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    rc = main(["--campaign", campaign, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc in (0, 1, 2)
+    capsys.readouterr()

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -5,10 +6,12 @@ import pytest
 from panchain.configs import (
     EcosystemConfig,
     config_from_dict,
+    contest_scaling_config,
     ScriptedAction,
     TransferLeg,
     WalletSpec,
     sweep_config,
+    veto_demo,
     veto_demo_boundary,
     worked_example,
 )
@@ -240,3 +243,19 @@ def test_config_echo_allows_reconstruction():
 
     rebuilt = config_from_dict(report.config)
     assert run(rebuilt).to_json() == report.to_json()
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [
+        lambda: worked_example(seed=9),
+        lambda: veto_demo(seed=2),
+        lambda: veto_demo_boundary(seed=3),
+        lambda: contest_scaling_config(16, seed=4),
+        lambda: sweep_config(validity=30, seed=5),
+    ],
+    ids=["worked_example", "veto_demo", "veto_demo_boundary", "contest_scaling_config", "sweep_config"],
+)
+def test_config_echo_reads_back_as_the_same_config(preset):
+    config = preset()
+    assert config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
