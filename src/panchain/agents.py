@@ -123,14 +123,9 @@ class Observer:
         self.post_iff_winnable = post_iff_winnable
         self.seen: dict[bytes, ProofOfIntent] = {}
         self._by_sender: dict[bytes, list[ProofOfIntent]] = {}
-        self._omega_cache: dict[bytes, Signature] = {}
 
     def omega_for(self, poi: ProofOfIntent) -> Signature:
-        omega = self._omega_cache.get(poi.alpha_id)
-        if omega is None:
-            omega = sign(self.key, encode_poi(poi))
-            self._omega_cache[poi.alpha_id] = omega
-        return omega
+        return sign(self.key, encode_poi(poi))
 
     def handle_new_poi(self, poi: ProofOfIntent, chains: Sequence[SimChain], now: float) -> ObserverReaction:
         """First sight of a proof: veto it if it conflicts with anything in

@@ -81,10 +81,11 @@ class SimChain:
             )
         return self.blocks[-1].timestamp + base
 
-    def submit(self, tx: Transaction, now: float) -> int:
-        """Queue a transaction; returns its position in the pool."""
+    def submit(self, tx: Transaction, now: float) -> None:
+        """Queue a transaction submitted at ``now``. The chain does not use
+        ``now``; the benchmark tracer (perfbench/tracing.py) reads it to
+        measure inclusion latency."""
         self.mempool.append(tx)
-        return len(self.mempool)
 
     def produce_block(self, now: float) -> Block:
         """Drain up to the capacity cap in FIFO order and apply each

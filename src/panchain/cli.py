@@ -24,6 +24,7 @@ from .configs import (
     config_from_dict,
     contest_scaling_config,
     load_experiment_file,
+    natural,
     read,
     sweep_config,
     veto_demo,
@@ -50,6 +51,8 @@ class ScalingSection:
     def __post_init__(self) -> None:
         if self.runs is not None and self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if min(self.n_values, default=0) < 0:
+            raise ConfigError("n_values must be non-negative observer counts")
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,10 @@ class CostSection:
 
 @dataclass(frozen=True)
 class ExperimentFile:
-    """An experiment file; config_from_dict reads its ecosystem section."""
+    """An experiment file. Its ecosystem section is read by config_from_dict;
+    None (absent, null or {}) means each campaign's own preset."""
 
-    ecosystem: Optional[dict] = None
+    ecosystem: Optional[EcosystemConfig] = None
     sweep: SweepSection = SweepSection()
     scaling: ScalingSection = ScalingSection()
     cost: CostSection = CostSection()
@@ -99,7 +103,10 @@ class ExperimentSpec:
             raise ConfigError("need at least one seed")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        object.__setattr__(self, "sections", read(ExperimentFile, self.config, "config"))
+        raw = dict(self.config)
+        ecosystem = raw.pop("ecosystem", None)
+        ecosystem = None if ecosystem in (None, {}) else config_from_dict(ecosystem)
+        object.__setattr__(self, "sections", read(ExperimentFile, raw, "config", ecosystem=ecosystem))
 
 
 def _map_points(fn, points: list, jobs: int) -> Iterable:
@@ -111,9 +118,10 @@ def _map_points(fn, points: list, jobs: int) -> Iterable:
         return list(pool.map(fn, points))
 
 
-def _ecosystem_config(spec: ExperimentSpec, default: EcosystemConfig) -> EcosystemConfig:
-    raw = spec.sections.ecosystem
-    cfg = config_from_dict(raw) if raw else default
+def _ecosystem_config(spec: ExperimentSpec, preset: EcosystemConfig) -> EcosystemConfig:
+    """The file's ecosystem section, or else the campaign's preset, with the
+    --jitter override applied."""
+    cfg = spec.sections.ecosystem or preset
     if spec.jitter is not None:
         cfg = replace(cfg, jitter=spec.jitter)
     return cfg
@@ -153,14 +161,8 @@ def cmd_run(spec: ExperimentSpec) -> dict:
 
 
 def _sweep_point(point: tuple) -> tuple:
-    ecosystem_dict, validity, seed, jitter = point
-    if ecosystem_dict:
-        cfg = replace(config_from_dict(ecosystem_dict), validity_length=validity, seed=seed)
-    else:
-        cfg = sweep_config(validity=validity, seed=seed)
-    if jitter is not None:
-        cfg = replace(cfg, jitter=jitter)
-    report = run(cfg)
+    base, validity, seed = point
+    report = run(replace(base, validity_length=validity, seed=seed))
     return validity, seed, report.stats["transfers_corrupted"], report.consistency
 
 
@@ -169,12 +171,8 @@ def cmd_sweep_validity(spec: ExperimentSpec) -> dict:
     seed plus an aggregated summary."""
     out = spec.out_dir / "sweep-validity"
     points = spec.sections.sweep.validity_points
-    ecosystem_dict = spec.sections.ecosystem
-    jobs = [
-        (ecosystem_dict, validity, seed, spec.jitter)
-        for seed in spec.seeds
-        for validity in points
-    ]
+    base = _ecosystem_config(spec, sweep_config())
+    jobs = [(base, validity, seed) for seed in spec.seeds for validity in points]
     results = _map_points(_sweep_point, jobs, spec.jobs)
 
     outputs, errors = [], []
@@ -207,8 +205,8 @@ def cmd_sweep_validity(spec: ExperimentSpec) -> dict:
 
 
 def _scaling_point(point: tuple) -> tuple:
-    n, seed = point
-    report = run(contest_scaling_config(n, seed=seed))
+    n, base, seed = point
+    report = run(replace(base, seed=seed))
     per_chain = list(report.transfers[0]["contest_counts"].values())
     return n, seed, per_chain
 
@@ -220,7 +218,8 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     n_values = spec.sections.scaling.n_values
     runs = spec.sections.scaling.runs or max(len(spec.seeds), spec.reps)
     base_seed = spec.seeds[0]
-    points = [(n, base_seed + k) for n in n_values for k in range(runs)]
+    bases = {n: contest_scaling_config(n) for n in n_values}
+    points = [(n, bases[n], base_seed + k) for n in n_values for k in range(runs)]
     results = _map_points(_scaling_point, points, spec.jobs)
 
     outputs, errors = [], []
@@ -276,8 +275,11 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
     }
     if conf.run_report:
         run_data = load_experiment_file(conf.run_report)
-        if "tx_counts" not in run_data:
-            raise ConfigError(f"{conf.run_report}: not a run report (no tx_counts)")
+        counts, stats = run_data.get("tx_counts"), run_data.get("stats", {})
+        if not isinstance(counts, dict) or not isinstance(stats, dict):
+            raise ConfigError(f"{conf.run_report}: not a run report (needs tx_counts and stats objects)")
+        for key, value in [*counts.items(), ("transfers_executed", stats.get("transfers_executed", 0))]:
+            natural(value, f"{conf.run_report}: {key}")
         payload["simulated"] = simulated_cost_report(run_data, conf.gas, conf.price)
 
     outputs = [str(_write(out / "cost-report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"))]
@@ -299,15 +301,12 @@ def cmd_veto_demo(spec: ExperimentSpec) -> dict:
     """Scripted double-spend scenarios: standard, partial-finalization
     boundary, and a conflict-free control."""
     out = spec.out_dir / "veto-demo"
+    scenarios = {"double_spend": veto_demo(), "boundary": veto_demo_boundary(), "control": worked_example()}
     outputs, errors = [], []
     for seed in spec.seeds:
-        scenarios = {
-            "double_spend": run(veto_demo(seed)),
-            "boundary": run(veto_demo_boundary(seed)),
-            "control": run(worked_example(seed)),
-        }
         payload = {}
-        for label, report in scenarios.items():
+        for label, config in scenarios.items():
+            report = run(replace(config, seed=seed))
             payload[label] = _veto_summary(report)
             for issue in _veto_assertions(label, report):
                 errors.append({"seed": seed, "scenario": label, "error": issue})

@@ -161,6 +161,13 @@ def _is(value, kind: type) -> bool:
     return isinstance(value, kind)
 
 
+def natural(value, where: str) -> int:
+    """``value`` if it is a non-negative JSON integer, else a ConfigError."""
+    if not _is(value, int) or value < 0:
+        raise ConfigError(f"{where} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def read(cls, raw, where: str, **given):
     """Build the config dataclass ``cls`` from the JSON object ``raw``, reading
     each field by its type hint: a tuple from a list, a dataclass from an
@@ -217,15 +224,14 @@ def config_from_dict(data: dict) -> EcosystemConfig:
         raise ConfigError("wallets must map name -> initial balance")
     wallets = dict(wallets)
     for name, balance in wallets.items():
-        if not _is(balance, int) or balance < 0:
-            raise ConfigError(f"wallet {name!r} needs a non-negative integer balance")
+        natural(balance, f"ecosystem.wallets.{name}")
 
     client_balance = data.pop("client_balance", 100)
     if not _is(client_balance, int):
         raise ConfigError(f"client_balance must be an integer, got {client_balance!r}")
     for key, prefix, balance in (("clients", "client", client_balance), ("observers", "obs", 0)):
         if _is(data.get(key), int):
-            data[key] = [f"{prefix}-{i:02d}" for i in range(data[key])]
+            data[key] = [f"{prefix}-{i:02d}" for i in range(natural(data[key], f"ecosystem.{key}"))]
             for name in data[key]:
                 wallets.setdefault(name, balance)
 
@@ -252,98 +258,52 @@ def load_experiment_file(path: str | Path) -> dict:
 
 
 # --- built-in presets ---------------------------------------------------
+# Each preset is an ecosystem section of an experiment file, read like one.
+# Fields left out take EcosystemConfig's defaults: 3 chains, 13 s blocks,
+# reward 1.
+
+
+def _leg(recipient: str, amount: int, at: float = 1.0, t0: int = 1, t1: int = 53, chain: int = 0) -> dict:
+    """A script leg; by default sent at 1 s to chain 0 with the window [1, 53)."""
+    return {"at": at, "recipient": recipient, "amount": amount, "t0": t0, "t1": t1, "chain": chain}
 
 
 def worked_example(seed: int = 0) -> EcosystemConfig:
     """Three chains, one scripted 20-unit transfer with a one-minute window,
     three named observers. Ends with (sender 60, recipient 19, winner 1)."""
-    return EcosystemConfig(
-        chains=3,
-        block_interval=13.0,
-        wallets=(
-            WalletSpec("sender", 80),
-            WalletSpec("recipient", 0),
-            WalletSpec("ursula", 0),
-            WalletSpec("victor", 0),
-            WalletSpec("wanda", 0),
-        ),
-        observers=("ursula", "victor", "wanda"),
-        reward=1,
-        duration=100.0,
-        seed=seed,
-        script=(
-            ScriptedAction(
-                kind="transfer",
-                sender="sender",
-                legs=(TransferLeg(at=1.0, recipient="recipient", amount=20, t0=1, t1=61, chain=0),),
-            ),
-        ),
-    )
+    return config_from_dict({
+        "wallets": {"sender": 80, "recipient": 0, "ursula": 0, "victor": 0, "wanda": 0},
+        "observers": ["ursula", "victor", "wanda"],
+        "duration": 100.0,
+        "seed": seed,
+        "script": [{"sender": "sender", "legs": [_leg("recipient", 20, t1=61)]}],
+    })
 
 
-def _observer_wallets(n: int) -> tuple[WalletSpec, ...]:
-    return tuple(WalletSpec(f"obs-{i:02d}", 0) for i in range(n))
+def _double_spend(seed: int, duration: float, amount: int, second: dict) -> EcosystemConfig:
+    """``mallory`` holds 10 units and signs two conflicting transfers, to
+    ``alice`` on chain 0 and to ``bob`` on chain 1; three watchdogs."""
+    return config_from_dict({
+        "wallets": {"mallory": 10, "alice": 0, "bob": 0},
+        "observers": 3,
+        "duration": duration,
+        "seed": seed,
+        "script": [{"kind": "double_spend", "sender": "mallory", "legs": [
+            _leg("alice", amount), _leg("bob", amount, chain=1, **second)]}],
+    })
 
 
 def veto_demo(seed: int = 0) -> EcosystemConfig:
-    """A sender holding 10 units signs two conflicting 8-unit transfers,
-    claimed on two different chains; watchdogs veto on every chain."""
-    observers = _observer_wallets(3)
-    return EcosystemConfig(
-        chains=3,
-        block_interval=13.0,
-        wallets=(
-            WalletSpec("mallory", 10),
-            WalletSpec("alice", 0),
-            WalletSpec("bob", 0),
-            *observers,
-        ),
-        observers=tuple(w.name for w in observers),
-        reward=1,
-        duration=250.0,
-        seed=seed,
-        script=(
-            ScriptedAction(
-                kind="double_spend",
-                sender="mallory",
-                legs=(
-                    TransferLeg(at=1.0, recipient="alice", amount=8, t0=1, t1=53, chain=0),
-                    TransferLeg(at=1.0, recipient="bob", amount=8, t0=1, t1=53, chain=1),
-                ),
-            ),
-        ),
-    )
+    """Two conflicting 8-unit transfers claimed at once on two chains;
+    watchdogs veto on every chain."""
+    return _double_spend(seed, 250.0, 8, {})
 
 
 def veto_demo_boundary(seed: int = 0) -> EcosystemConfig:
     """Partial-finalization veto: the first transfer completes before the
     conflict surfaces, leaving the sender with exactly the reward-sized
     balance when the veto lands, so the burn nets out to zero."""
-    observers = _observer_wallets(3)
-    return EcosystemConfig(
-        chains=3,
-        block_interval=13.0,
-        wallets=(
-            WalletSpec("mallory", 10),
-            WalletSpec("alice", 0),
-            WalletSpec("bob", 0),
-            *observers,
-        ),
-        observers=tuple(w.name for w in observers),
-        reward=1,
-        duration=300.0,
-        seed=seed,
-        script=(
-            ScriptedAction(
-                kind="double_spend",
-                sender="mallory",
-                legs=(
-                    TransferLeg(at=1.0, recipient="alice", amount=9, t0=1, t1=53, chain=0),
-                    TransferLeg(at=250.0, recipient="bob", amount=9, t0=40, t1=300, chain=1),
-                ),
-            ),
-        ),
-    )
+    return _double_spend(seed, 300.0, 9, {"at": 250.0, "t0": 40, "t1": 300})
 
 
 def contest_scaling_config(n: int, seed: int = 0, chains: int = 3) -> EcosystemConfig:
@@ -352,40 +312,19 @@ def contest_scaling_config(n: int, seed: int = 0, chains: int = 3) -> EcosystemC
     interval = 1.0
     spacing = 2.5 * interval
     validity = int(math.ceil(2 + spacing * (n + 1) + 3 * interval + 5))
-    observers = _observer_wallets(n)
-    return EcosystemConfig(
-        chains=chains,
-        block_interval=interval,
-        wallets=(WalletSpec("sender", 100), WalletSpec("recipient", 0), *observers),
-        observers=tuple(w.name for w in observers),
-        reward=1,
-        duration=float(validity + 10),
-        seed=seed,
-        observation=ObservationPolicy(mode="staggered", spacing=spacing),
-        script=(
-            ScriptedAction(
-                kind="transfer",
-                sender="sender",
-                legs=(
-                    TransferLeg(at=1.0, recipient="recipient", amount=20, t0=1, t1=1 + validity, chain=0),
-                ),
-            ),
-        ),
-    )
+    return config_from_dict({
+        "chains": chains,
+        "block_interval": interval,
+        "wallets": {"sender": 100, "recipient": 0},
+        "observers": n,
+        "duration": float(validity + 10),
+        "seed": seed,
+        "observation": {"mode": "staggered", "spacing": spacing},
+        "script": [{"sender": "sender", "legs": [_leg("recipient", 20, t1=1 + validity)]}],
+    })
 
 
-def sweep_config(validity: int, seed: int = 0) -> EcosystemConfig:
+def sweep_config(validity: int = 65, seed: int = 0) -> EcosystemConfig:
     """Workload run for the validity-period sweep: 10 clients, 30 simulated
     minutes, default observation delays."""
-    return config_from_dict(
-        {
-            "chains": 3,
-            "block_interval": 13.0,
-            "clients": 10,
-            "client_balance": 100,
-            "observers": 5,
-            "validity_length": validity,
-            "duration": 1800.0,
-            "seed": seed,
-        }
-    )
+    return config_from_dict({"clients": 10, "observers": 5, "validity_length": validity, "seed": seed})

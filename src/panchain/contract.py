@@ -204,16 +204,14 @@ class ChainState:
 
     # -- transaction application -----------------------------------------
 
-    def apply_claim(self, tx: Claim, now: float) -> "ChainState":
+    def apply_claim(self, tx: Claim, now: float) -> None:
         """Record a proof as pending; balances stay untouched until finalize."""
-        record = self._known_record(tx.poi.alpha_id)
-        if record is None:
+        # A claim for an already-pending proof is a harmless re-publication.
+        if self._known_record(tx.poi.alpha_id) is None:
             self._check_new_poi(tx.poi, now)
             self._insert_pending(tx.poi)
-        # A claim for an already-pending proof is a harmless re-publication.
-        return self
 
-    def apply_contest(self, tx: Contest, now: float) -> "ChainState":
+    def apply_contest(self, tx: Contest, now: float) -> None:
         """Register a contestant; also records the proof if this chain did not
         know it yet (contests are the cross-chain propagation mechanism)."""
         if not verify(tx.contestant, encode_poi(tx.poi), tx.omega):
@@ -228,9 +226,8 @@ class ChainState:
             if self.balance(tx.poi.sender) < tx.poi.amount:
                 raise InsufficientBalance("sender balance dropped below amount")
         record.contestants.setdefault(tx.contestant, tx.omega)
-        return self
 
-    def apply_finalize(self, tx: Finalize, now: float) -> "ChainState":
+    def apply_finalize(self, tx: Finalize, now: float) -> None:
         """Conclude a contest: execute the transfer and pay the lowest-omega
         contestant; with no contestants the reward is burned. A finalize
         carries no signature: the outcome follows from chain state alone, so
@@ -254,9 +251,8 @@ class ChainState:
             self.balances[winner] = self.balance(winner) + self.reward
         self._conclude(record, FINALIZED)
         record.winner = winner
-        return self
 
-    def apply_veto(self, tx: Veto, now: float) -> "ChainState":
+    def apply_veto(self, tx: Veto, now: float) -> None:
         """Punish a double-signing sender: burn their whole balance, cancel
         their still-valid pending proofs, and open (or join) the veto contest
         for the unordered pair of conflicting proofs."""
@@ -292,9 +288,8 @@ class ChainState:
             if now < rec.poi.t1:
                 self._conclude(rec, VETOED)
         veto_record.contestants.setdefault(tx.vetoer, tx.omega)
-        return self
 
-    def apply_finalize_veto(self, tx: FinalizeVeto, now: float) -> "ChainState":
+    def apply_finalize_veto(self, tx: FinalizeVeto, now: float) -> None:
         """Conclude a veto contest: pay the lowest-omega vetoer the reward out
         of what this pair's vetoes burned, or all of it if that is less. No
         transfer is executed."""
@@ -313,12 +308,11 @@ class ChainState:
         self.burned -= payout
         veto_record.status = FINALIZED
         veto_record.winner = winner
-        return self
 
-    def apply(self, tx: Transaction, now: float) -> "ChainState":
+    def apply(self, tx: Transaction, now: float) -> None:
         # Looked up on the instance at each call, so wrappers installed on
         # the class later still see every application.
-        return getattr(self, "apply_" + tx.kind)(tx, now)
+        getattr(self, "apply_" + tx.kind)(tx, now)
 
     # -- auditing and snapshots -------------------------------------------
 

@@ -181,7 +181,6 @@ class Ecosystem:
         self._block_scheduled: dict[int, bool] = {c.chain_id: False for c in self.chains}
         self._transfers: dict[bytes, _Transfer] = {}
         self._poi_by_alpha: dict[bytes, ProofOfIntent] = {}
-        self._exposed: set[bytes] = set()
         self._fv_scheduled: set[tuple[str, tuple[bytes, bytes]]] = set()
         self._resync_events: list[dict] = []
 
@@ -258,9 +257,8 @@ class Ecosystem:
     def _expose_poi(self, poi: ProofOfIntent) -> None:
         """First confirmation of a proof anywhere makes it observable; schedule
         each observer's (delayed) look at it."""
-        if poi.alpha_id in self._exposed:
+        if poi.alpha_id in self._poi_by_alpha:
             return
-        self._exposed.add(poi.alpha_id)
         self._poi_by_alpha[poi.alpha_id] = poi
         policy = self.config.observation
         names = list(self.observers)

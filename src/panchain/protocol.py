@@ -49,10 +49,6 @@ class TransferIntent:
         if self.t0 >= self.t1:
             raise ValueError(f"invalid validity window: t0={self.t0} >= t1={self.t1}")
 
-    @property
-    def validity_length(self) -> int:
-        return self.t1 - self.t0
-
 
 @dataclass(frozen=True)
 class ProofOfIntent:

@@ -88,6 +88,14 @@ def test_sweep_worker_pool_outputs_identical(tmp_path):
     assert [p.name for p in seq] == [p.name for p in par]
     assert all(a.read_bytes() == b.read_bytes() for a, b in zip(seq, par))
 
+    # Contest-scaling points carry their base config to the workers.
+    config = {"scaling": {"n_values": [1, 3, 5], "runs": 2}}
+    for jobs, name in ((1, "scaling-seq"), (3, "scaling-par")):
+        cmd_contest_scaling(spec_for("contest-scaling", tmp_path / name, config=config, jobs=jobs))
+    seq, par = ((tmp_path / name / "contest-scaling" / "contest-scaling-0.csv").read_bytes()
+                for name in ("scaling-seq", "scaling-par"))
+    assert seq == par
+
 
 def test_cmd_contest_scaling_csv_shape(tmp_path):
     config = {"scaling": {"n_values": [1, 4], "runs": 20}}
@@ -236,6 +244,13 @@ def _one_leg_script(**fields):
         ("run", {"block_log": "yes"}, []),
         ("veto-demo", {"sweeep": {}}, []),
         ("run", {"ecosystem": {"duration": float("inf")}}, []),
+        ("run", {"ecosystem": {"clients": -3}}, []),
+        ("sweep-validity", {"ecosystem": {"observers": -1}}, []),
+        ("veto-demo", {"ecosystem": {"chains": "3"}}, []),
+        ("contest-scaling", {"ecosystem": {"chains": "3"}}, []),
+        ("cost-report", {"ecosystem": {"chains": "3"}}, []),
+        ("veto-demo", {"ecosystem": []}, []),
+        ("contest-scaling", {"scaling": {"n_values": [4, -1]}}, []),
     ],
     ids=[
         "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
@@ -243,7 +258,9 @@ def _one_leg_script(**fields):
         "zero-cost-chains", "missing-run-report", "zero-scaling-runs", "zero-block-interval",
         "zero-block-capacity", "jitter-above-one", "jitter-flag-above-one", "leg-amount-at-reward",
         "leg-empty-window", "boolean-wallet-balance", "string-scaling-runs", "string-block-log",
-        "misspelt-section", "infinite-duration",
+        "misspelt-section", "infinite-duration", "negative-client-count", "negative-observer-count",
+        "veto-demo-string-chain-count", "contest-scaling-string-chain-count",
+        "cost-report-string-chain-count", "ecosystem-list", "negative-scaling-observer-count",
     ],
 )
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv):
@@ -266,6 +283,29 @@ def test_garbled_run_report_exits_2_at_its_position(tmp_path, capsys):
     rc = main(["--campaign", "cost-report", "--config", str(config), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"{report}:2:" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"tx_counts": {"claim": "x"}},
+        {"tx_counts": {"claim": 1, "contest": -2}},
+        {"tx_counts": {"claim": True}},
+        {"tx_counts": ["claim"]},
+        {"tx_counts": {"claim": 1}, "stats": {"transfers_executed": 1.5}},
+        {"tx_counts": {"claim": 1}, "stats": []},
+    ],
+    ids=["string-count", "negative-count", "boolean-count", "list-counts", "float-executed", "list-stats"],
+)
+def test_run_report_with_bad_counts_exits_2_naming_it(tmp_path, capsys, report):
+    path = tmp_path / "run-0.json"
+    path.write_text(json.dumps(report))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"cost": {"run_report": str(path)}}))
+    rc = main(["--campaign", "cost-report", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(path) in json.loads(err[0])["error"]
 
 
 def _key_paths(node, prefix=()):

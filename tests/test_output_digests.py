@@ -1,0 +1,133 @@
+"""Byte pins on every campaign output and every preset's config echo.
+
+Each digest is the SHA-256 of a file the five campaigns write, or of a
+preset's ``to_dict()`` JSON, taken from a known-good build. A change that
+moves any output byte fails here, including one that turns a float field
+into an integer (``250`` for ``250.0``) and so changes every report's
+config echo while leaving the configs equal under ``==``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from panchain.cli import CAMPAIGNS, main
+from panchain.configs import (
+    contest_scaling_config,
+    sweep_config,
+    veto_demo,
+    veto_demo_boundary,
+    worked_example,
+)
+
+
+def _leg(**fields):
+    return {"at": 1.0, "recipient": "b", "amount": 12, "t0": 1, "t1": 40, "chain": 0, **fields}
+
+
+# Every section the campaigns read, with a script, a block log, and a run
+# report joined into the cost report (``run`` writes it first).
+CUSTOM = {
+    "ecosystem": {
+        "chains": 2, "block_interval": 5.0, "wallets": {"a": 40, "b": 0, "c": 0}, "clients": 2,
+        "client_balance": 30, "observers": 2, "validity_length": 30, "duration": 120.0,
+        "script": [
+            {"sender": "b", "legs": [_leg(at=80.0, recipient="c", amount=3, t0=80, t1=110)]},
+            {"kind": "double_spend", "sender": "a", "legs": [_leg(), _leg(recipient="c", chain=1)]},
+        ],
+    },
+    "sweep": {"validity_points": [20, 40]},
+    "scaling": {"n_values": [1, 4], "runs": 2},
+    "cost": {"m": 3, "n": 5, "n_grid": [5, 50], "run_report": "out/run/run-0.json"},
+    "block_log": True,
+}
+
+CASES = {
+    "default": ({}, ["--seeds", "0"]),
+    "custom": (CUSTOM, ["--seeds", "0,1", "--jitter", "0.25"]),
+}
+
+
+def campaign_digests(config: dict, argv: list) -> dict:
+    """Run every campaign on ``config`` in the current directory; the SHA-256
+    of each file written under ``out``, by path."""
+    with open("cfg.json", "w") as handle:
+        json.dump(config, handle)
+    for campaign in CAMPAIGNS:
+        assert main(["--campaign", campaign, "--config", "cfg.json", "--out", "out", *argv]) == 0
+    return {
+        path.relative_to("out").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path("out").rglob("*"))
+        if path.is_file()
+    }
+
+
+PRESETS = {
+    "worked_example": lambda: worked_example(seed=9),
+    "veto_demo": lambda: veto_demo(seed=2),
+    "veto_demo_boundary": lambda: veto_demo_boundary(seed=3),
+    "contest_scaling_config": lambda: contest_scaling_config(16, seed=4),
+    "sweep_config": lambda: sweep_config(validity=30, seed=5),
+}
+
+
+def preset_digest(name: str) -> str:
+    return hashlib.sha256(json.dumps(PRESETS[name]().to_dict()).encode()).hexdigest()
+
+
+CAMPAIGN_DIGESTS = {
+    "custom": {
+        "contest-scaling/contest-scaling-0.csv": "0ebde9110f3c79d2500964cb42e287642928bd3f2c490d6bccc0f0e2792b8376",
+        "cost-report/cost-report.json": "d065744bf8ac42977133e86d5a5b383439a9ecaeb8058c443af0d9852ea81d37",
+        "cost-report/cost-report.txt": "a8fc35b7125cb4f8228bf4ee4bb7ac68b19bcc75de96369ae4051639a269b55a",
+        "run/run-0.blocks.jsonl": "113dc453a985f7b5b4a9cac4803101559242416087213338b60772f86961ade9",
+        "run/run-0.chains.json": "3a60f3aefa69c6dea1e39d7d9a7b65e5d10e67643cdcfc6a0d10ce336d838fdb",
+        "run/run-0.csv": "25921fb830ae7580d2c9e01545196cfc21912e92b4610c5fc5b546ba01693554",
+        "run/run-0.json": "40b82e25c7646149603f3176f02e8cae28688b389f3fb519de99cc84f2324709",
+        "run/run-1.blocks.jsonl": "48db448648eabd46759c1ba4e5f43e6598f4202f3ccfc303e12c45b1e8a09d73",
+        "run/run-1.chains.json": "4bb54d25f3cd3070bfd8b3298d7a647d147650a1c0fbce6f5537f3768c7dd31b",
+        "run/run-1.csv": "a74004d19b8f2bf60e5640b5da2b51d5a889b5a2b93a42a8e4cee1f9b95920bf",
+        "run/run-1.json": "8c244a9e000bfdd083b05d4bc01474117e13a5c3f306b5fddadb89c690f07d54",
+        "sweep-validity/sweep-validity-0.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
+        "sweep-validity/sweep-validity-1.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
+        "sweep-validity/sweep-validity-summary.csv":
+            "694dbd19e7239f6d3c509007dab5a5e7658f661a4d9ec385c848fcb9f8a6d261",
+        "veto-demo/veto-demo-0.json": "507ab72aadd8a75b274fefcbc248d382df630d9cd5a8188835e0093d0dba4af7",
+        "veto-demo/veto-demo-1.json": "66fc786af6cf393e3934deb11adf21de807fe4a85d101e763e92018a7625dd75",
+    },
+    "default": {
+        "contest-scaling/contest-scaling-0.csv": "0352f52191ca33527dfd5c4b42149347c1ca316d33ba3682e064566fe05ed185",
+        "cost-report/cost-report.json": "f59028f7439cbf73c15cee57bc0f8a3c574eb435405642429cf08d2983d3d391",
+        "cost-report/cost-report.txt": "e13b268b49b2f093524267ed89b1be68b152019c03b561aacdaf2fa32ca13474",
+        "run/run-0.chains.json": "4e296a92df563dfe7de457033bfd037cc63d0389d0f4513591c539dcf4d86c6b",
+        "run/run-0.csv": "36d2df5d3d0b01aea0c83475a948446fdfb07e0cd84bd901e634fa0f8e5076b0",
+        "run/run-0.json": "f39837eaae678e7f96ccc4feb45a9ea819024df83a8c94390480ee85eded86c4",
+        "sweep-validity/sweep-validity-0.csv": "bce751bbf3ea4202e7feae7cdf628b5551cef5fec355cd85a7101f9c96c5cfde",
+        "sweep-validity/sweep-validity-summary.csv":
+            "0221fa914a4f316d8550707132287ec7a5aaf5d3d2a77c2b26db47f748c94d5f",
+        "veto-demo/veto-demo-0.json": "507ab72aadd8a75b274fefcbc248d382df630d9cd5a8188835e0093d0dba4af7",
+    },
+}
+
+PRESET_DIGESTS = {
+    "contest_scaling_config": "0d35649ccc4fbcf85f612f3eb3191efbecee1e348036062f97e8af34ad79e482",
+    "sweep_config": "d344c92dcca7988444897e36ca2e3c6f5aaef85ec38ee209b80f6ea214b6daea",
+    "veto_demo": "7d8ae0dad7fe9193d6f24e4d6e29d979189a1e6150d71498ef9a7e1bceab8664",
+    "veto_demo_boundary": "8cf101ac55b0678877e272ecb36455c7bc9aa6eda5b7ad94489fe0e465c4d63f",
+    "worked_example": "ebc5cf9d2f519235ee370d61ad39501efe36b440fb4ee460f1e9ff34cdb88841",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_campaign_outputs_are_byte_identical(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    config, argv = CASES[case]
+    assert campaign_digests(config, argv) == CAMPAIGN_DIGESTS[case]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_config_echo_is_byte_identical(name):
+    assert preset_digest(name) == PRESET_DIGESTS[name]
