@@ -42,6 +42,12 @@ CAMPAIGNS = ("run", "sweep-validity", "contest-scaling", "cost-report", "veto-de
 class SweepSection:
     validity_points: tuple[int, ...] = tuple(range(10, 71, 5))
 
+    def __post_init__(self) -> None:
+        # Checked here, before any point runs; EcosystemConfig would reject
+        # the point only when the sweep reaches it.
+        if not all(1 <= v < 2**63 for v in self.validity_points):
+            raise ConfigError("validity_points must be at least 1 second and below 2^63")
+
 
 @dataclass(frozen=True)
 class ScalingSection:

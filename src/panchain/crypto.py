@@ -8,12 +8,17 @@ what makes ranking contestants by signature value fair. The scheme is
 deliberately toy-grade: it is deterministic, publicly verifiable, and
 uniform, which is all the witness contest needs. It is not secure against
 a party willing to factor 64-bit exponent inverses.
+
+The modular powers run in OpenSSL's BN_mod_exp when libcrypto loads, and in
+Python's pow otherwise; both give the same integers, so signatures do not
+depend on which one ran.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,6 +88,59 @@ def generate_keypair(seed: bytes) -> KeyPair:
     return KeyPair(private_key=seed, public_key=tag + e.to_bytes(8, "big"))
 
 
+def _pow(base: int, exp: int) -> int:
+    return pow(base, exp, PRIME)
+
+
+def _load_powmod():
+    """_pow evaluated by libcrypto's BN_mod_exp, falling back to _pow itself
+    when libcrypto cannot be loaded or a call fails."""
+    import ctypes
+    import ctypes.util
+
+    name = ctypes.util.find_library("crypto")
+    if name is None:
+        return _pow
+    try:
+        lib = ctypes.CDLL(name)
+        bin2bn, bn2bin, mod_exp, ctx_new = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp, lib.BN_CTX_new
+    except (OSError, AttributeError):
+        return _pow
+    ptr = ctypes.c_void_p
+    bin2bn.argtypes, bin2bn.restype = [ctypes.c_char_p, ctypes.c_int, ptr], ptr
+    bn2bin.argtypes, bn2bin.restype = [ptr, ctypes.c_char_p, ctypes.c_int], ctypes.c_int
+    mod_exp.argtypes, mod_exp.restype = [ptr] * 5, ctypes.c_int
+    ctx_new.argtypes, ctx_new.restype = [], ptr
+    ctx, modulus, r, a, p = ctx_new(), *(bin2bn(PRIME.to_bytes(32, "big"), 32, None) for _ in range(4))
+    out = ctypes.create_string_buffer(32)
+    if not all((ctx, modulus, r, a, p)):
+        return _pow
+
+    def powmod(base: int, exp: int) -> int:
+        if (
+            bin2bn(base.to_bytes(32, "big"), 32, a)
+            and bin2bn(exp.to_bytes(32, "big"), 32, p)
+            and mod_exp(r, a, p, modulus, ctx)
+            and bn2bin(r, out, 32) == 32
+        ):
+            return int.from_bytes(out.raw, "big")
+        return _pow(base, exp)
+
+    return powmod
+
+
+# One engine per process id, so pool workers never share a BN_CTX.
+_ENGINES: dict = {}
+
+
+def _powmod(base: int, exp: int) -> int:
+    """base**exp mod PRIME for base and exp below 2**256, identical to _pow."""
+    pid = os.getpid()
+    if pid not in _ENGINES:
+        _ENGINES[pid] = _load_powmod()
+    return _ENGINES[pid](base, exp)
+
+
 def _message_residue(message: bytes) -> int:
     return int.from_bytes(hashlib.sha256(message).digest(), "big") % PRIME
 
@@ -90,7 +148,7 @@ def _message_residue(message: bytes) -> int:
 def sign(key: KeyPair, message: bytes) -> Signature:
     """Deterministically sign a message; same (key, message) always yields the same bytes."""
     _, d = _derive_exponents(key.private_key)
-    value = pow(_message_residue(message), d, PRIME)
+    value = _powmod(_message_residue(message), d)
     return Signature(value.to_bytes(32, "big"))
 
 
@@ -101,7 +159,7 @@ def _verify_cached(public_key: bytes, message: bytes, sig_data: bytes) -> bool:
     e = int.from_bytes(public_key[24:], "big")
     if e <= 0:
         return False
-    return pow(int.from_bytes(sig_data, "big"), e, PRIME) == _message_residue(message)
+    return _powmod(int.from_bytes(sig_data, "big"), e) == _message_residue(message)
 
 
 def verify(public_key: bytes, message: bytes, sig: Signature) -> bool:

@@ -1,7 +1,9 @@
+import ctypes.util
 import hashlib
 
 import pytest
 
+from panchain import crypto
 from panchain.crypto import generate_keypair
 
 
@@ -22,3 +24,11 @@ def recipient_key():
 @pytest.fixture
 def observer_keys():
     return [keypair(f"observer-{i}") for i in range(3)]
+
+
+@pytest.fixture
+def pow_engine(monkeypatch):
+    """Run every modular power in pow, as on a machine without libcrypto."""
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    monkeypatch.setattr(crypto, "_ENGINES", {})
+    crypto._verify_cached.cache_clear()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from panchain import cli
 from panchain.cli import (
     ExperimentSpec,
     cmd_contest_scaling,
@@ -251,6 +252,7 @@ def _one_leg_script(**fields):
         ("cost-report", {"ecosystem": {"chains": "3"}}, []),
         ("veto-demo", {"ecosystem": []}, []),
         ("contest-scaling", {"scaling": {"n_values": [4, -1]}}, []),
+        ("sweep-validity", {"sweep": {"validity_points": [10, 0]}}, []),
     ],
     ids=[
         "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
@@ -261,15 +263,19 @@ def _one_leg_script(**fields):
         "misspelt-section", "infinite-duration", "negative-client-count", "negative-observer-count",
         "veto-demo-string-chain-count", "contest-scaling-string-chain-count",
         "cost-report-string-chain-count", "ecosystem-list", "negative-scaling-observer-count",
+        "zero-validity-point",
     ],
 )
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv):
     # A malformed value in any section the campaign reads is one JSON error
     # line and exit code 2 before anything is simulated, never a traceback.
     monkeypatch.chdir(tmp_path)
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda config: runs.append(config))
     Path("bad.json").write_text(json.dumps(config))
     rc = main(["--campaign", campaign, "--config", "bad.json", "--out", "out", *argv])
     assert rc == 2
+    assert runs == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["status"] == "error"

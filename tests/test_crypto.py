@@ -1,10 +1,12 @@
 import hashlib
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panchain import crypto
 from panchain.crypto import (
     PRIME,
     KeyPair,
@@ -155,3 +157,33 @@ def test_keypair_address_is_public_key():
     assert isinstance(key, KeyPair)
     assert key.address == key.public_key
     assert len(key.public_key) == 32
+
+
+@given(
+    base=st.integers(min_value=0, max_value=2**256 - 1),
+    exp=st.one_of(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**256 - 1),
+    ),
+)
+def test_powmod_matches_pow(base, exp):
+    # Bases from P up to 2**256 - 1 are arbitrary 32-byte signatures that
+    # verify must reduce exactly as pow does.
+    assert crypto._powmod(base, exp) == pow(base, exp, PRIME)
+
+
+@pytest.mark.parametrize("base", [0, 1, PRIME - 1])
+@pytest.mark.parametrize("exp", [0, 1, PRIME - 2])
+def test_powmod_edge_cases(base, exp):
+    assert crypto._powmod(base, exp) == pow(base, exp, PRIME)
+
+
+def test_pow_fallback_signs_and_verifies(request, sender_key, recipient_key):
+    m = b"signed without libcrypto"
+    expected = sign(sender_key, m)
+    request.getfixturevalue("pow_engine")
+    sig = sign(sender_key, m)
+    assert crypto._ENGINES == {os.getpid(): crypto._pow}
+    assert sig == expected
+    assert verify(sender_key.public_key, m, sig)
+    assert not verify(recipient_key.public_key, m, sig)

@@ -1,0 +1,25 @@
+"""Smoke runs of the scripts in demos/: each exits 0 and prints something.
+
+validity_sweep.py is left out: its text still places the corruption
+threshold at four block times, which the simulated sweep does not show.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["worked_example", "double_spend_veto", "contest_scaling", "cost_and_incentive"])
+def test_demo_runs(tmp_path, demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

@@ -44,9 +44,12 @@ CUSTOM = {
     "block_log": True,
 }
 
+# case -> (config, argv, modular-power engine); "pow" forces the fallback
+# that runs without libcrypto, which must write the same bytes.
 CASES = {
-    "default": ({}, ["--seeds", "0"]),
-    "custom": (CUSTOM, ["--seeds", "0,1", "--jitter", "0.25"]),
+    "default": ({}, ["--seeds", "0"], "libcrypto"),
+    "custom": (CUSTOM, ["--seeds", "0,1", "--jitter", "0.25"], "libcrypto"),
+    "custom-pow": (CUSTOM, ["--seeds", "0,1", "--jitter", "0.25"], "pow"),
 }
 
 
@@ -111,6 +114,8 @@ CAMPAIGN_DIGESTS = {
     },
 }
 
+CAMPAIGN_DIGESTS["custom-pow"] = CAMPAIGN_DIGESTS["custom"]
+
 PRESET_DIGESTS = {
     "contest_scaling_config": "0d35649ccc4fbcf85f612f3eb3191efbecee1e348036062f97e8af34ad79e482",
     "sweep_config": "d344c92dcca7988444897e36ca2e3c6f5aaef85ec38ee209b80f6ea214b6daea",
@@ -121,9 +126,11 @@ PRESET_DIGESTS = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_campaign_outputs_are_byte_identical(tmp_path, monkeypatch, capsys, case):
+def test_campaign_outputs_are_byte_identical(request, tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
-    config, argv = CASES[case]
+    config, argv, engine = CASES[case]
+    if engine == "pow":
+        request.getfixturevalue("pow_engine")
     assert campaign_digests(config, argv) == CAMPAIGN_DIGESTS[case]
     capsys.readouterr()
 
