@@ -116,10 +116,9 @@ class Observer:
     back-dated window can conflict with a proof long since finalized.
     """
 
-    def __init__(self, name: str, key: KeyPair, rng: random.Random, post_iff_winnable: bool = True):
+    def __init__(self, name: str, key: KeyPair, post_iff_winnable: bool = True):
         self.name = name
         self.key = key
-        self.rng = rng
         self.post_iff_winnable = post_iff_winnable
         self.seen: dict[bytes, ProofOfIntent] = {}
         self._by_sender: dict[bytes, list[ProofOfIntent]] = {}

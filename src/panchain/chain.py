@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .contract import ChainState, TxError
 from .protocol import Transaction
@@ -44,8 +44,7 @@ class AppliedTx:
     error: Optional[str] = None  # TxError code when not ok
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     height: int
     timestamp: float
     transactions: tuple[Transaction, ...]
@@ -94,22 +93,20 @@ class SimChain:
             raise ValueError(
                 f"chain {self.chain_id} expected block at {self.next_block_time}, got {now}"
             )
-        drained: list[Transaction] = []
-        results: list[AppliedTx] = []
-        while self.mempool and len(drained) < self.config.max_txs_per_block:
-            tx = self.mempool.popleft()
-            drained.append(tx)
-            try:
-                self.state.apply(tx, now)
-                results.append(AppliedTx(tx=tx, ok=True))
-            except TxError as err:
-                results.append(AppliedTx(tx=tx, ok=False, error=err.code))
-        block = Block(
-            height=len(self.blocks),
-            timestamp=now,
-            transactions=tuple(drained),
-            results=tuple(results),
-        )
+        if self.mempool:
+            drained: list[Transaction] = []
+            results: list[AppliedTx] = []
+            while self.mempool and len(drained) < self.config.max_txs_per_block:
+                tx = self.mempool.popleft()
+                drained.append(tx)
+                try:
+                    self.state.apply(tx, now)
+                    results.append(AppliedTx(tx=tx, ok=True))
+                except TxError as err:
+                    results.append(AppliedTx(tx=tx, ok=False, error=err.code))
+            block = Block(len(self.blocks), now, tuple(drained), tuple(results))
+        else:  # an idle chain's block: nothing to drain or apply
+            block = Block(len(self.blocks), now, (), ())
         self.blocks.append(block)
         self.next_block_time = self._draw_interval()
         return block

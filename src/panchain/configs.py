@@ -121,6 +121,9 @@ class EcosystemConfig:
             if action.sender not in known:
                 raise ConfigError(f"scripted sender is not a wallet: {action.sender!r}")
             for leg in action.legs:
+                # The clock starts at 0; an event before it would run the clock backwards.
+                if leg.at < 0:
+                    raise ConfigError(f"scripted leg time must be non-negative, got {leg.at}")
                 if leg.recipient not in known:
                     raise ConfigError(f"scripted recipient is not a wallet: {leg.recipient!r}")
                 if not 0 <= leg.chain < self.chains:

@@ -4,6 +4,11 @@ accounting.
 
 Events execute in (fire_at, sequence) order; the sequence counter is assigned
 at scheduling time, so identical (config, seed) pairs replay identically.
+Block events wait in their own queue, at most one per chain, beside the queue
+of every other event; both draw from the one sequence counter, and the loop
+takes whichever head is earlier, so the merged order is that of a single
+queue. A block on a chain with an empty mempool changes nothing but that
+chain, so the loop produces it and requeues the chain without a handler.
 After the client-initiation window (``duration``) closes, the loop keeps
 producing blocks until every proof and veto contest is past its deadline plus
 two block intervals, then reports. A transfer's outcome is judged only once
@@ -166,19 +171,19 @@ class Ecosystem:
             for name in config.clients
         }
         self.observers: dict[str, Observer] = {
-            name: Observer(
-                name,
-                self.keys[name],
-                random.Random(f"{seed}/observer/{name}"),
-                post_iff_winnable=config.post_iff_winnable,
-            )
+            name: Observer(name, self.keys[name], post_iff_winnable=config.post_iff_winnable)
             for name in config.observers
         }
+        # Each observer's uniform observation delays, built on first use:
+        # staggered observation never draws from them.
+        self._delay_rngs: dict[str, random.Random] = {}
         self._heap: list[tuple[float, int, tuple]] = []
+        # (fire_at, seq, chain_id) of each chain's next block, if scheduled.
+        self._blocks: list[tuple[float, int, int]] = []
         self._seq = 0
         self._now = 0.0
         self._horizon = float(config.duration)
-        self._block_scheduled: dict[int, bool] = {c.chain_id: False for c in self.chains}
+        self._block_scheduled = [False] * config.chains
         self._transfers: dict[bytes, _Transfer] = {}
         self._poi_by_alpha: dict[bytes, ProofOfIntent] = {}
         self._fv_scheduled: set[tuple[str, tuple[bytes, bytes]]] = set()
@@ -187,6 +192,8 @@ class Ecosystem:
     # -- scheduling ---------------------------------------------------------
 
     def _push(self, fire_at: float, payload: tuple) -> None:
+        if fire_at < self._now:
+            raise RuntimeError(f"{payload[0]} event scheduled at {fire_at}, before now ({self._now})")
         heapq.heappush(self._heap, (fire_at, self._seq, payload))
         self._seq += 1
 
@@ -205,10 +212,18 @@ class Ecosystem:
             self._ensure_blocks()
 
     def _ensure_blocks(self) -> None:
+        """Queue the next block of every unscheduled chain within the horizon.
+        Needed only when the horizon extends: a chain left unscheduled had its
+        next block past the horizon when it was last checked."""
         for chain in self.chains:
-            if not self._block_scheduled[chain.chain_id] and chain.next_block_time <= self._horizon:
-                self._push(chain.next_block_time, ("block", chain.chain_id))
-                self._block_scheduled[chain.chain_id] = True
+            if not self._block_scheduled[chain.chain_id]:
+                self._queue_block(chain)
+
+    def _queue_block(self, chain: SimChain) -> None:
+        if chain.next_block_time <= self._horizon:
+            heapq.heappush(self._blocks, (chain.next_block_time, self._seq, chain.chain_id))
+            self._seq += 1
+            self._block_scheduled[chain.chain_id] = True
 
     def _handle_submit(self, chain_id: int, tx) -> None:
         self.chains[chain_id].submit(tx, self._now)
@@ -226,10 +241,28 @@ class Ecosystem:
                 self._schedule(leg.at, ("leg", a_idx, l_idx))
         self._ensure_blocks()
 
-        while self._heap:
-            fire_at, _, payload = heapq.heappop(self._heap)
-            self._now = fire_at
-            getattr(self, "_handle_" + payload[0])(*payload[1:])
+        heap, blocks, chains = self._heap, self._blocks, self.chains
+        while heap or blocks:
+            if blocks and (not heap or blocks[0] < heap[0]):
+                fire_at, _, chain_id = blocks[0]
+                self._now = fire_at
+                chain = chains[chain_id]
+                if chain.mempool:
+                    heapq.heappop(blocks)
+                    self._handle_block(chain)
+                    continue
+                # Idle chain: its block drains nothing, so nothing to handle.
+                chain.produce_block(fire_at)
+                if chain.next_block_time <= self._horizon:
+                    heapq.heapreplace(blocks, (chain.next_block_time, self._seq, chain_id))
+                    self._seq += 1
+                else:
+                    heapq.heappop(blocks)
+                    self._block_scheduled[chain_id] = False
+            else:
+                fire_at, _, payload = heapq.heappop(heap)
+                self._now = fire_at
+                getattr(self, "_handle_" + payload[0])(*payload[1:])
 
         for chain in self.chains:
             chain.state.audit()
@@ -237,8 +270,10 @@ class Ecosystem:
 
     # -- handlers -----------------------------------------------------------
 
-    def _handle_block(self, chain_id: int) -> None:
-        chain = self.chains[chain_id]
+    def _handle_block(self, chain: SimChain) -> None:
+        """Produce a block that drains transactions, act on what it applied,
+        then requeue its chain (still marked scheduled until then, so no
+        horizon extension in between queues it twice)."""
         block = chain.produce_block(self._now)
         for applied in block.results:
             tx = applied.tx
@@ -251,8 +286,8 @@ class Ecosystem:
                 self._expose_poi(tx.conflicting_poi)
             elif isinstance(tx, Finalize) and tx.alpha in self._transfers:
                 self._transfers[tx.alpha].finalize_results += 1
-        self._block_scheduled[chain_id] = False
-        self._ensure_blocks()
+        self._block_scheduled[chain.chain_id] = False
+        self._queue_block(chain)
 
     def _expose_poi(self, poi: ProofOfIntent) -> None:
         """First confirmation of a proof anywhere makes it observable; schedule
@@ -273,7 +308,10 @@ class Ecosystem:
                 )
         else:
             for name in names:
-                delay = self.observers[name].rng.uniform(policy.low, policy.high)
+                rng = self._delay_rngs.get(name)
+                if rng is None:
+                    rng = self._delay_rngs[name] = random.Random(f"{self.config.seed}/observer/{name}")
+                delay = rng.uniform(policy.low, policy.high)
                 self._schedule(self._now + delay, ("observe", name, poi.alpha_id))
 
     def _note_claim_result(self, poi: ProofOfIntent, ok: bool) -> None:
@@ -369,11 +407,15 @@ class Ecosystem:
         for chain_id, tx in reaction.contests + reaction.vetoes:
             self._handle_submit(chain_id, tx)
         interval = self.config.block_interval
+        # A conflict can surface after its veto deadline (a back-dated
+        # window); then the check waits until the vetoes just submitted can
+        # have landed.
+        landed = self._now + interval * (1 + self.config.jitter)
         for a, b, deadline in reaction.conflicts_found:
             key = (name, _pair_key(a, b))
             if key not in self._fv_scheduled:
                 self._fv_scheduled.add(key)
-                self._schedule(deadline + interval, ("fvcheck", name, _pair_key(a, b)))
+                self._schedule(max(deadline, landed) + interval, ("fvcheck", name, _pair_key(a, b)))
 
     def _handle_fvcheck(self, name: str, pair: tuple[bytes, bytes]) -> None:
         observer = self.observers[name]

@@ -116,7 +116,7 @@ def observer_fixture(post_iff_winnable=True):
             )
         )
     poi = make_poi(sender, recipient, amount=20, t0=1, t1=61)
-    observer = Observer("watch", keypair("watch"), random.Random(0), post_iff_winnable)
+    observer = Observer("watch", keypair("watch"), post_iff_winnable)
     return observer, poi, chains, sender
 
 
@@ -216,7 +216,7 @@ def _proof_specs(senders: int):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 3).flatmap(_proof_specs))
 def test_sender_index_finds_what_a_full_scan_finds(specs):
-    observer = Observer("watch", keypair("watch"), random.Random(0))
+    observer = Observer("watch", keypair("watch"))
     earlier = []
     for s, r, t0, length in specs:
         poi = make_poi(PROP_SENDERS[s], PROP_RECIPIENTS[r], amount=2, t0=t0, t1=t0 + length)
@@ -238,7 +238,7 @@ def test_observer_checks_a_proof_only_against_its_senders_proofs(monkeypatch):
         return conflicts(a, b)
 
     monkeypatch.setattr(agents, "conflicts", counting)
-    observer = Observer("watch", keypair("watch"), random.Random(0))
+    observer = Observer("watch", keypair("watch"))
     recipient = keypair("guard-recipient")
     senders = [keypair(f"guard-sender-{i}") for i in range(50)]
     for sender in senders:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from panchain.chain import Block, ChainConfig, SimChain, block_log_entry
+from panchain.chain import AppliedTx, Block, ChainConfig, SimChain, block_log_entry
 from panchain.contract import ChainState
 from panchain.crypto import contest_order_key
 from panchain.protocol import make_claim, make_contest, make_finalize, make_poi
@@ -90,6 +90,20 @@ def test_empty_mempool_empty_block():
     block = chain.produce_block(13.0)
     assert block.transactions == ()
     assert chain.state.snapshot() == before
+
+
+@pytest.mark.parametrize("field", ["height", "timestamp", "transactions", "results"])
+def test_produced_blocks_are_immutable_and_field_exact(field):
+    chain = new_chain()
+    empty = chain.produce_block(13.0)
+    claim = make_claim(make_poi(S, D, amount=20, t0=1, t1=61))
+    chain.submit(claim, now=14.0)
+    full = chain.produce_block(26.0)
+    assert empty == Block(height=1, timestamp=13.0, transactions=(), results=())
+    assert full == Block(height=2, timestamp=26.0, transactions=(claim,), results=(AppliedTx(tx=claim, ok=True),))
+    for block in (empty, full):
+        with pytest.raises(AttributeError):
+            setattr(block, field, getattr(block, field))
 
 
 def test_block_time_governs_validity():

@@ -253,6 +253,7 @@ def _one_leg_script(**fields):
         ("veto-demo", {"ecosystem": []}, []),
         ("contest-scaling", {"scaling": {"n_values": [4, -1]}}, []),
         ("sweep-validity", {"sweep": {"validity_points": [10, 0]}}, []),
+        ("run", _one_leg_script(at=-1.0), []),
     ],
     ids=[
         "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
@@ -263,7 +264,7 @@ def _one_leg_script(**fields):
         "misspelt-section", "infinite-duration", "negative-client-count", "negative-observer-count",
         "veto-demo-string-chain-count", "contest-scaling-string-chain-count",
         "cost-report-string-chain-count", "ecosystem-list", "negative-scaling-observer-count",
-        "zero-validity-point",
+        "zero-validity-point", "negative-leg-time",
     ],
 )
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv):

@@ -15,7 +15,7 @@ from panchain.configs import (
     veto_demo_boundary,
     worked_example,
 )
-from panchain.contract import ChainState
+from panchain.contract import FINALIZED, ChainState
 from panchain.crypto import contest_order_key, sign
 from panchain.ecosystem import (
     Ecosystem,
@@ -259,3 +259,33 @@ def test_config_echo_allows_reconstruction():
 def test_config_echo_reads_back_as_the_same_config(preset):
     config = preset()
     assert config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.3])
+def test_conflict_found_after_its_veto_deadline_is_still_finalized(jitter):
+    # The second leg is signed at 200 with a window back-dated into the
+    # first's, so its conflict surfaces after the veto deadline (131). The
+    # finalize-veto check used to be scheduled at 131 + 1 block while the
+    # clock stood near 208: it ran before the vetoes landed, and the veto
+    # contest stayed open on every chain with its escrow never paid.
+    config = config_from_dict({
+        "chains": 3, "wallets": {"ds": 100, "a": 0, "b": 0}, "observers": 3,
+        "duration": 300.0, "seed": 0, "jitter": jitter,
+        "script": [{"kind": "double_spend", "sender": "ds", "legs": [
+            {"at": 1, "recipient": "a", "amount": 20, "t0": 2, "t1": 60, "chain": 0},
+            {"at": 200, "recipient": "b", "amount": 20, "t0": 10, "t1": 50, "chain": 1},
+        ]}],
+    })
+    report = run(config)
+    (row,) = report.vetoes
+    assert sorted(row["chains"]) == ["0", "1", "2"]
+    assert {info["status"] for info in row["chains"].values()} == {FINALIZED}
+    assert row["consistent_winner"]
+    assert None not in {info["winner"] for info in row["chains"].values()}
+
+
+def test_scheduling_into_the_past_is_refused():
+    eco = Ecosystem(worked_example(seed=0))
+    eco._now = 10.0
+    with pytest.raises(RuntimeError, match="before now"):
+        eco._push(9.5, ("detect", b""))

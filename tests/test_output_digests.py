@@ -44,12 +44,29 @@ CUSTOM = {
     "block_log": True,
 }
 
+# Events that fire at the same instant run in the order they were scheduled:
+# 1 s blocks, 1 s staggered observation and whole-second client windows put
+# observes, submits and blocks on the same times, and one transaction per
+# block keeps mempools busy across them. The preset contest-scaling runs add
+# observes at k * 2.5 s on 1 s blocks.
+TIES = {
+    "ecosystem": {
+        "chains": 3, "block_interval": 1, "max_txs_per_block": 1, "clients": 5, "observers": 4,
+        "validity_length": 12, "think_time": [1, 3], "duration": 60,
+        "observation": {"mode": "staggered", "spacing": 1.0},
+    },
+    "sweep": {"validity_points": [6, 12, 30]},
+    "scaling": {"n_values": [1, 4, 9], "runs": 2},
+    "block_log": True,
+}
+
 # case -> (config, argv, modular-power engine); "pow" forces the fallback
 # that runs without libcrypto, which must write the same bytes.
 CASES = {
     "default": ({}, ["--seeds", "0"], "libcrypto"),
     "custom": (CUSTOM, ["--seeds", "0,1", "--jitter", "0.25"], "libcrypto"),
     "custom-pow": (CUSTOM, ["--seeds", "0,1", "--jitter", "0.25"], "pow"),
+    "ties": (TIES, ["--seeds", "0,1"], "libcrypto"),
 }
 
 
@@ -111,6 +128,25 @@ CAMPAIGN_DIGESTS = {
         "sweep-validity/sweep-validity-summary.csv":
             "0221fa914a4f316d8550707132287ec7a5aaf5d3d2a77c2b26db47f748c94d5f",
         "veto-demo/veto-demo-0.json": "507ab72aadd8a75b274fefcbc248d382df630d9cd5a8188835e0093d0dba4af7",
+    },
+    "ties": {
+        "contest-scaling/contest-scaling-0.csv": "0b4ce9d1e001c3944edb9454cfffa09a332fb2b7a9a75e96102695b4919802a4",
+        "cost-report/cost-report.json": "f59028f7439cbf73c15cee57bc0f8a3c574eb435405642429cf08d2983d3d391",
+        "cost-report/cost-report.txt": "e13b268b49b2f093524267ed89b1be68b152019c03b561aacdaf2fa32ca13474",
+        "run/run-0.blocks.jsonl": "83ac786d829849ebfae8fb24abc2bf10cdaf83379c0cb1e55744065d6befd10f",
+        "run/run-0.chains.json": "3a0c980e07361a64480682f44e66c8bb1b35859d95db29e686d4aa3ef4f43cab",
+        "run/run-0.csv": "a1344462ed9e73f08154c295947301dd486b1eedc650ed421abff46a70e1aa26",
+        "run/run-0.json": "de7d089cc9c8e2ab4737fcc30bf53415bfcfefd645298c0b44c374a9e177e616",
+        "run/run-1.blocks.jsonl": "de901e1f20898d817959b1910c02a31e23127821770fa872d25824f4d4822530",
+        "run/run-1.chains.json": "7c2ad398bcfc6496c0f326be0f765759bde3f348dff54a90fc0dc9c3e88d12d7",
+        "run/run-1.csv": "3838e5a7a0ec0e1a0168c196932b284c1b5b3cefad919b02c56f4fc121321169",
+        "run/run-1.json": "5ec46dcdbc0b18e8bed666c80d8feb49df7feb7aca844e631fbc108531ca4f20",
+        "sweep-validity/sweep-validity-0.csv": "728accf9db3c0a9af304793da50b4dea8b4b3e7800c90515a27c5a7e76db5739",
+        "sweep-validity/sweep-validity-1.csv": "b1fb415688f82ac8a94786a1d533de23e2e0efd427c3cfe54f98ceda990474da",
+        "sweep-validity/sweep-validity-summary.csv":
+            "4bc182b6495c69b806c569158eaa09cf51cf5e236ce9f5cc6f07b839459644d3",
+        "veto-demo/veto-demo-0.json": "507ab72aadd8a75b274fefcbc248d382df630d9cd5a8188835e0093d0dba4af7",
+        "veto-demo/veto-demo-1.json": "66fc786af6cf393e3934deb11adf21de807fe4a85d101e763e92018a7625dd75",
     },
 }
 
