@@ -33,7 +33,7 @@ from .configs import (
 )
 from .chain import block_log_entry
 from .costmodel import GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
-from .ecosystem import Ecosystem, RunReport, run, wallet_keypair
+from .ecosystem import Ecosystem, RunReport, dumps, run, wallet_keypair
 
 CAMPAIGNS = ("run", "sweep-validity", "contest-scaling", "cost-report", "veto-demo")
 
@@ -74,6 +74,18 @@ class CostSection:
     def __post_init__(self) -> None:
         if min(self.m, self.n, self.reward) < 1:
             raise ConfigError("m, n and reward must be >= 1")
+        # Every figure the campaign writes must be a finite number.
+        try:
+            cost = transfer_cost(self.m, self.n, self.gas, self.price)
+            figures = [cost.receiver_kgas, cost.observer_kgas, cost.receiver_usd, cost.observer_usd]
+            figures += [
+                min_viable_price(n, self.m, self.reward, self.gas, self.price, rounded)
+                for n in self.n_grid if n >= 2 for rounded in (False, True)
+            ]
+        except OverflowError:
+            figures = [math.inf]
+        if not all(map(math.isfinite, figures)):
+            raise ConfigError("counts or prices so large that a cost overflows")
 
 
 @dataclass(frozen=True)
@@ -133,24 +145,33 @@ def _ecosystem_config(spec: ExperimentSpec, preset: EcosystemConfig) -> Ecosyste
     return cfg
 
 
+def _campaign_dir(path: Path) -> Path:
+    """Make a campaign's output directory before any of its points runs."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out: cannot make {path}: {err}") from err
+    return path
+
+
 def _write(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
 def cmd_run(spec: ExperimentSpec) -> dict:
     """Single-ecosystem runs: report JSON, ledger CSV, and per-chain snapshots
     per seed; optionally a JSONL block log (one line per block)."""
-    out = spec.out_dir / "run"
+    out = _campaign_dir(spec.out_dir / "run")
     base = _ecosystem_config(spec, worked_example())
     outputs, errors = [], []
     for seed in spec.seeds:
         eco = Ecosystem(replace(base, seed=seed))
         report = eco.run()
-        outputs.append(str(_write(out / f"run-{seed}.json", report.to_json())))
+        # The snapshots are encoded once, for their own file and the report.
+        snapshots = dumps(report.chains)
+        outputs.append(str(_write(out / f"run-{seed}.json", report.to_json(snapshots))))
         outputs.append(str(_write(out / f"run-{seed}.csv", report.ledger_csv())))
-        snapshots = json.dumps(report.chains, sort_keys=True, indent=2) + "\n"
         outputs.append(str(_write(out / f"run-{seed}.chains.json", snapshots)))
         if spec.sections.block_log:
             lines = [
@@ -175,7 +196,7 @@ def _sweep_point(point: tuple) -> tuple:
 def cmd_sweep_validity(spec: ExperimentSpec) -> dict:
     """Corrupted-transfer counts over the validity-period grid, one CSV per
     seed plus an aggregated summary."""
-    out = spec.out_dir / "sweep-validity"
+    out = _campaign_dir(spec.out_dir / "sweep-validity")
     points = spec.sections.sweep.validity_points
     base = _ecosystem_config(spec, sweep_config())
     jobs = [(base, validity, seed) for seed in spec.seeds for validity in points]
@@ -220,7 +241,7 @@ def _scaling_point(point: tuple) -> tuple:
 def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     """Confirmed contests per chain for each observer count, against the
     harmonic-number expectation and the log2 bound."""
-    out = spec.out_dir / "contest-scaling"
+    out = _campaign_dir(spec.out_dir / "contest-scaling")
     n_values = spec.sections.scaling.n_values
     runs = spec.sections.scaling.runs or max(len(spec.seeds), spec.reps)
     base_seed = spec.seeds[0]
@@ -250,7 +271,7 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
 def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
     """Analytical per-role costs and token-price thresholds; joins in empirical
     counts when a run report is supplied."""
-    out = spec.out_dir / "cost-report"
+    out = _campaign_dir(spec.out_dir / "cost-report")
     conf = spec.sections.cost
     errors: list[dict] = []
 
@@ -286,9 +307,16 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
             raise ConfigError(f"{conf.run_report}: not a run report (needs tx_counts and stats objects)")
         for key, value in [*counts.items(), ("transfers_executed", stats.get("transfers_executed", 0))]:
             natural(value, f"{conf.run_report}: {key}")
-        payload["simulated"] = simulated_cost_report(run_data, conf.gas, conf.price)
+        try:
+            simulated = simulated_cost_report(run_data, conf.gas, conf.price)
+            figures = [v for part in simulated.values() if isinstance(part, dict) for v in part.values()]
+        except OverflowError:
+            figures = [math.inf]
+        if not all(map(math.isfinite, figures)):
+            raise ConfigError(f"{conf.run_report}: counts so large that a cost overflows")
+        payload["simulated"] = simulated
 
-    outputs = [str(_write(out / "cost-report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"))]
+    outputs = [str(_write(out / "cost-report.json", dumps(payload)))]
     table = [
         f"{'role':<10} {'kGas':>10} {'USD':>10}",
         f"{'receiver':<10} {cost.receiver_kgas:>10.1f} {cost.receiver_usd:>10.2f}",
@@ -306,7 +334,7 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
 def cmd_veto_demo(spec: ExperimentSpec) -> dict:
     """Scripted double-spend scenarios: standard, partial-finalization
     boundary, and a conflict-free control."""
-    out = spec.out_dir / "veto-demo"
+    out = _campaign_dir(spec.out_dir / "veto-demo")
     scenarios = {"double_spend": veto_demo(), "boundary": veto_demo_boundary(), "control": worked_example()}
     outputs, errors = [], []
     for seed in spec.seeds:
@@ -316,9 +344,7 @@ def cmd_veto_demo(spec: ExperimentSpec) -> dict:
             payload[label] = _veto_summary(report)
             for issue in _veto_assertions(label, report):
                 errors.append({"seed": seed, "scenario": label, "error": issue})
-        outputs.append(
-            str(_write(out / f"veto-demo-{seed}.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"))
-        )
+        outputs.append(str(_write(out / f"veto-demo-{seed}.json", dumps(payload))))
     return {"campaign": "veto-demo", "outputs": outputs, "errors": errors}
 
 

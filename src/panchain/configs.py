@@ -245,11 +245,11 @@ def config_from_dict(data: dict) -> EcosystemConfig:
 
 
 def load_experiment_file(path: str | Path) -> dict:
-    """Parse an experiment JSON file; syntax errors carry line:column."""
+    """Parse a UTF-8 experiment JSON file; syntax errors carry line:column."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as err:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: {err}") from err
     try:
         data = json.loads(text)

@@ -22,10 +22,11 @@ import csv
 import hashlib
 import heapq
 import io
-import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .agents import Client, Observer
@@ -71,6 +72,49 @@ class _Transfer:
     resynced: bool = False
 
 
+def dumps(obj) -> str:
+    """The canonical JSON text of every indented output: byte for byte
+    ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, which runs the
+    pure-Python generator encoder because of ``indent``; this builds it from
+    joined strings instead. NaN and infinities are a ValueError, and a key
+    that is not a str a TypeError, instead of being written."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """``value``'s text, its inner lines indented one step past ``newline``;
+    types are tried in the order json's encoder tries them."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_encode(item, inner) for item in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _encode(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @dataclass
 class RunReport:
     """Deterministic, JSON-serializable outcome of one ecosystem run."""
@@ -90,8 +134,15 @@ class RunReport:
     def corrupted_count(self) -> int:
         return sum(1 for t in self.transfers if t["corrupted"])
 
-    def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
+    def to_json(self, chains: Optional[str] = None) -> str:
+        """The report's canonical JSON. ``chains``, if given, is
+        ``dumps(self.chains)`` already made (the run campaign writes it out
+        too); it is spliced in one level deeper, which is exact because JSON
+        text holds no raw newline inside a string and "chains" sorts first."""
+        if chains is None:
+            chains = dumps(self.chains)
+        rest = dumps({key: value for key, value in vars(self).items() if key != "chains"})
+        return '{\n  "chains": ' + chains[:-1].replace("\n", "\n  ") + "," + rest[1:]
 
     def ledger_csv(self) -> str:
         """One row per transfer: ids, window, winner, per-chain contest counts,

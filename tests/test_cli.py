@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from panchain.cli import (
 from panchain.configs import ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def spec_for(campaign, out_dir, config=None, seeds=(0,), reps=1, **kw):
@@ -254,6 +258,10 @@ def _one_leg_script(**fields):
         ("contest-scaling", {"scaling": {"n_values": [4, -1]}}, []),
         ("sweep-validity", {"sweep": {"validity_points": [10, 0]}}, []),
         ("run", _one_leg_script(at=-1.0), []),
+        ("cost-report", {"cost": {"m": 10**310}}, []),
+        ("cost-report", {"cost": {"n_grid": [10, 10**400]}}, []),
+        ("cost-report", {"cost": {"price": {"gas_price_gwei": 1e308, "ether_usd": 1e308}}}, []),
+        *((campaign, {}, ["--out", "bad.json"]) for campaign in cli.CAMPAIGNS),
     ],
     ids=[
         "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
@@ -264,12 +272,14 @@ def _one_leg_script(**fields):
         "misspelt-section", "infinite-duration", "negative-client-count", "negative-observer-count",
         "veto-demo-string-chain-count", "contest-scaling-string-chain-count",
         "cost-report-string-chain-count", "ecosystem-list", "negative-scaling-observer-count",
-        "zero-validity-point", "negative-leg-time",
+        "zero-validity-point", "negative-leg-time", "overflowing-cost-chains",
+        "overflowing-cost-grid", "overflowing-cost-price", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
     ],
 )
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv):
-    # A malformed value in any section the campaign reads is one JSON error
-    # line and exit code 2 before anything is simulated, never a traceback.
+    # A malformed value in any section the campaign reads, or an --out that
+    # cannot hold the campaign's directory, is one JSON error line and exit
+    # code 2 before anything is simulated, never a traceback.
     monkeypatch.chdir(tmp_path)
     runs = []
     monkeypatch.setattr(cli, "run", lambda config: runs.append(config))
@@ -280,6 +290,42 @@ def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["status"] == "error"
+
+
+def test_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_bytes(b'{"ecosystem": {"wallets": {"\xff": 10}}}')
+    rc = main(["--campaign", "run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert str(config) in json.loads(capsys.readouterr().err)["error"]
+    report = tmp_path / "run-0.json"
+    report.write_bytes(b'{"tx_counts": {"\xff": 1}}')
+    config.write_text(json.dumps({"cost": {"run_report": str(report)}}))
+    rc = main(["--campaign", "cost-report", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert str(report) in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_outputs_are_utf8_whatever_the_locale(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps({"ecosystem": {"wallets": {"bj\u00f6rn": 30, "b": 0}, "observers": 1, "duration": 100.0,
+                                  "script": [{"sender": "bj\u00f6rn", "legs": [_leg()]}]}}, ensure_ascii=False),
+        encoding="utf-8",
+    )
+    produced = {}
+    for locale, utf8 in (("C.UTF-8", "1"), ("C", "0")):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "LC_ALL": locale,
+               "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": utf8}
+        out = tmp_path / locale
+        result = subprocess.run(
+            [sys.executable, "-m", "panchain", "--campaign", "run", "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        produced[locale] = {p.name: p.read_bytes() for p in (out / "run").iterdir()}
+    assert produced["C"] == produced["C.UTF-8"]
+    assert "bj\u00f6rn".encode() in produced["C"]["run-0.csv"]
 
 
 def test_garbled_run_report_exits_2_at_its_position(tmp_path, capsys):
@@ -301,8 +347,11 @@ def test_garbled_run_report_exits_2_at_its_position(tmp_path, capsys):
         {"tx_counts": ["claim"]},
         {"tx_counts": {"claim": 1}, "stats": {"transfers_executed": 1.5}},
         {"tx_counts": {"claim": 1}, "stats": []},
+        {"tx_counts": {"claim": 10**400}},
+        {"tx_counts": {"claim": 10**305}},
     ],
-    ids=["string-count", "negative-count", "boolean-count", "list-counts", "float-executed", "list-stats"],
+    ids=["string-count", "negative-count", "boolean-count", "list-counts", "float-executed", "list-stats",
+         "count-beyond-a-float", "count-whose-cost-overflows"],
 )
 def test_run_report_with_bad_counts_exits_2_naming_it(tmp_path, capsys, report):
     path = tmp_path / "run-0.json"

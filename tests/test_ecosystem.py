@@ -1,7 +1,10 @@
 import json
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panchain.configs import (
     EcosystemConfig,
@@ -19,7 +22,9 @@ from panchain.contract import FINALIZED, ChainState
 from panchain.crypto import contest_order_key, sign
 from panchain.ecosystem import (
     Ecosystem,
+    RunReport,
     check_consistency,
+    dumps,
     run,
     wallet_keypair,
 )
@@ -289,3 +294,50 @@ def test_scheduling_into_the_past_is_refused():
     eco._now = 10.0
     with pytest.raises(RuntimeError, match="before now"):
         eco._push(9.5, ("detect", b""))
+
+
+# Text with non-ASCII, quote, backslash and control characters.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()), max_size=6)
+_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), _TEXT,
+        st.integers(), st.integers(-(10**40), 10**40), st.sampled_from([2**63, -(2**64), 10**300]),
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 0.0, 1e-7, 1e16, 1.5e300]),
+        st.just([]), st.just({}), st.just(()), st.just([[], {}]),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(_TEXT, st.integers(), max_size=4).map(Counter),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_dumps_is_json_dumps_sorted_and_indented(value):
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{(1, 2): 0}]], ids=["int", "none", "tuple"])
+def test_dumps_refuses_a_key_that_is_not_a_string(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
+def test_dumps_refuses_a_float_json_cannot_hold(number):
+    with pytest.raises(ValueError):
+        dumps({"cost": [1.0, number]})
+
+
+@pytest.mark.parametrize("preset", [worked_example, veto_demo], ids=["worked_example", "veto_demo"])
+def test_report_json_splices_the_chain_snapshots(preset):
+    report = run(preset(seed=1))
+    expected = json.dumps(vars(report), sort_keys=True, indent=2) + "\n"
+    assert report.to_json() == report.to_json(dumps(report.chains)) == expected
+    assert json.loads(report.to_json()).keys() == {f.name for f in fields(RunReport)}
+    empty = replace(report, chains=[])
+    assert empty.to_json() == json.dumps(vars(empty), sort_keys=True, indent=2) + "\n"
