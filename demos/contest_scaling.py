@@ -6,7 +6,8 @@ with serialized looks at the chain the posting count follows the record
 process over n uniform values: mean H_n = 1 + 1/2 + ... + 1/n, which stays
 under the log2(n) halving bound for n >= 2.
 
-Full campaign equivalent: panchain --campaign contest-scaling --reps 200
+Full campaign equivalent: panchain --campaign contest-scaling --config c.json,
+with c.json holding {"scaling": {"runs": 200}}
 """
 
 import math

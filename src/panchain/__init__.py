@@ -36,7 +36,7 @@ from .contract import (
     VetoedPoi,
 )
 from .costmodel import GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
-from .crypto import KeyPair, Signature, generate_keypair, omega_less, sign, verify
+from .crypto import KeyPair, generate_keypair, sign, verify
 from .ecosystem import RunReport, check_consistency, run, wallet_keypair
 from .protocol import (
     Claim,
@@ -48,7 +48,6 @@ from .protocol import (
     TransferIntent,
     Veto,
     conflicts,
-    encode,
     encode_intent,
     encode_poi,
     encode_veto_payload,

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .chain import SimChain
 from .contract import PENDING
-from .crypto import KeyPair, Signature, contest_winner, sign
+from .crypto import KeyPair, contest_winner, sign
 from .protocol import (
     Contest,
     ProofOfIntent,
@@ -123,24 +123,24 @@ class Observer:
         self.seen: dict[bytes, ProofOfIntent] = {}
         self._by_sender: dict[bytes, list[ProofOfIntent]] = {}
 
-    def omega_for(self, poi: ProofOfIntent) -> Signature:
+    def omega_for(self, poi: ProofOfIntent) -> bytes:
         return sign(self.key, encode_poi(poi))
 
     def handle_new_poi(self, poi: ProofOfIntent, chains: Sequence[SimChain], now: float) -> ObserverReaction:
         """First sight of a proof: veto it if it conflicts with anything in
         memory, otherwise consider joining the witness contest."""
         reaction = ObserverReaction()
-        if poi.alpha_id in self.seen:
+        if poi.alpha in self.seen:
             return reaction
         earlier = self._by_sender.setdefault(poi.sender, [])
         conflicting = [p for p in earlier if conflicts(poi, p)]
         earlier.append(poi)
-        self.seen[poi.alpha_id] = poi
+        self.seen[poi.alpha] = poi
         if conflicting:
             for other in conflicting:
                 reaction.vetoes.extend(self.make_vetoes(other, poi, chains))
                 reaction.conflicts_found.append(
-                    (other.alpha_id, poi.alpha_id, veto_deadline(other, poi))
+                    (other.alpha, poi.alpha, veto_deadline(other, poi))
                 )
             return reaction
         reaction.contests = self.contest_submissions(poi, chains, now)
@@ -157,7 +157,7 @@ class Observer:
         me = self.key.public_key
         submissions = []
         for chain in chains:
-            record = chain.state.poi_records.get(poi.alpha_id)
+            record = chain.state.poi_records.get(poi.alpha)
             if record is not None:
                 if record.status != PENDING:
                     continue
@@ -180,6 +180,6 @@ class Observer:
         """
         submissions = []
         for chain in chains:
-            submissions.append((chain.chain_id, make_veto(self.key, a.alpha_id, b)))
-            submissions.append((chain.chain_id, make_veto(self.key, b.alpha_id, a)))
+            submissions.append((chain.chain_id, make_veto(self.key, a.alpha, b)))
+            submissions.append((chain.chain_id, make_veto(self.key, b.alpha, a)))
         return submissions

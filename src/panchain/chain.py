@@ -118,10 +118,8 @@ def block_log_entry(chain_id: int, block: Block) -> dict:
     def tx_summary(applied: AppliedTx) -> dict:
         tx = applied.tx
         entry: dict = {"kind": tx.kind, "poster": tx.poster.hex()[:16]}
-        if hasattr(tx, "poi"):
-            entry["alpha"] = tx.poi.alpha.hex()[:16]
-        elif hasattr(tx, "alpha"):
-            entry["alpha"] = tx.alpha.hex()[:16]
+        # Claims and contests carry the proof; the other kinds name it by alpha.
+        entry["alpha"] = getattr(tx, "poi", tx).alpha.hex()[:16]
         entry["ok"] = applied.ok
         if applied.error:
             entry["error"] = applied.error

@@ -52,7 +52,7 @@ class SweepSection:
 @dataclass(frozen=True)
 class ScalingSection:
     n_values: tuple[int, ...] = (4, 16, 64)
-    runs: Optional[int] = None  # None: as many as seeds or --reps, whichever is more
+    runs: Optional[int] = None  # None: one run per seed
 
     def __post_init__(self) -> None:
         if self.runs is not None and self.runs < 1:
@@ -106,7 +106,6 @@ class ExperimentSpec:
     config: dict  # the experiment file's JSON object
     out_dir: Path
     seeds: tuple[int, ...]
-    reps: int
     jitter: Optional[float] = None
     round_observer_cost: bool = True
     jobs: int = 1
@@ -115,8 +114,6 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.campaign not in CAMPAIGNS:
             raise ConfigError(f"unknown campaign {self.campaign!r}; choose from {CAMPAIGNS}")
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if self.jobs < 1:
@@ -132,7 +129,7 @@ def _map_points(fn, points: list, jobs: int) -> Iterable:
     come back in point order either way, so outputs stay byte-reproducible."""
     if jobs == 1 or len(points) <= 1:
         return [fn(p) for p in points]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
         return list(pool.map(fn, points))
 
 
@@ -243,7 +240,7 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     harmonic-number expectation and the log2 bound."""
     out = _campaign_dir(spec.out_dir / "contest-scaling")
     n_values = spec.sections.scaling.n_values
-    runs = spec.sections.scaling.runs or max(len(spec.seeds), spec.reps)
+    runs = spec.sections.scaling.runs or len(spec.seeds)
     base_seed = spec.seeds[0]
     bases = {n: contest_scaling_config(n) for n in n_values}
     points = [(n, bases[n], base_seed + k) for n in n_values for k in range(runs)]
@@ -428,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None, help="experiment JSON file")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seeds", type=_parse_seeds, default=(0,), help="comma-separated seed list")
-    parser.add_argument("--reps", type=int, default=1, help="repetitions per campaign point")
     parser.add_argument("--jobs", type=int, default=1, help="campaign-point worker pool size")
     parser.add_argument("--jitter", type=float, default=None, help="block-time jitter fraction override")
     parser.add_argument(
@@ -451,7 +447,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             config=config,
             out_dir=args.out,
             seeds=args.seeds,
-            reps=args.reps,
             jitter=args.jitter,
             round_observer_cost=args.round_observer_cost,
             jobs=args.jobs,

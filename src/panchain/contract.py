@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .crypto import Signature, contest_winner, verify
+from .crypto import contest_winner, verify
 from .protocol import (
     Claim,
     Contest,
@@ -109,7 +109,7 @@ class PoiRecord:
     """
 
     poi: ProofOfIntent
-    contestants: dict[WalletId, Signature] = field(default_factory=dict)
+    contestants: dict[WalletId, bytes] = field(default_factory=dict)
     status: str = PENDING
     winner: Optional[WalletId] = None
 
@@ -120,7 +120,7 @@ class VetoRecord:
 
     alpha_pair: tuple[bytes, bytes]
     deadline: int
-    contestants: dict[WalletId, Signature] = field(default_factory=dict)
+    contestants: dict[WalletId, bytes] = field(default_factory=dict)
     status: str = OPEN
     winner: Optional[WalletId] = None
     # What the vetoes for this pair actually burned; the winner's reward is
@@ -165,15 +165,15 @@ class ChainState:
 
     def _insert_pending(self, poi: ProofOfIntent) -> PoiRecord:
         record = PoiRecord(poi=poi)
-        self.poi_records[poi.alpha_id] = record
-        self._pending_by_sender.setdefault(poi.sender, set()).add(poi.alpha_id)
+        self.poi_records[poi.alpha] = record
+        self._pending_by_sender.setdefault(poi.sender, set()).add(poi.alpha)
         return record
 
     def _conclude(self, record: PoiRecord, status: str) -> None:
         record.status = status
         pending = self._pending_by_sender.get(record.poi.sender)
         if pending is not None:
-            pending.discard(record.poi.alpha_id)
+            pending.discard(record.poi.alpha)
 
     def _check_new_poi(self, poi: ProofOfIntent, now: float) -> None:
         if not verify_poi(poi):
@@ -207,7 +207,7 @@ class ChainState:
     def apply_claim(self, tx: Claim, now: float) -> None:
         """Record a proof as pending; balances stay untouched until finalize."""
         # A claim for an already-pending proof is a harmless re-publication.
-        if self._known_record(tx.poi.alpha_id) is None:
+        if self._known_record(tx.poi.alpha) is None:
             self._check_new_poi(tx.poi, now)
             self._insert_pending(tx.poi)
 
@@ -216,7 +216,7 @@ class ChainState:
         know it yet (contests are the cross-chain propagation mechanism)."""
         if not verify(tx.contestant, encode_poi(tx.poi), tx.omega):
             raise BadSignature("contest omega does not verify")
-        record = self._known_record(tx.poi.alpha_id)
+        record = self._known_record(tx.poi.alpha)
         if record is None:
             self._check_new_poi(tx.poi, now)
             record = self._insert_pending(tx.poi)
@@ -265,16 +265,16 @@ class ChainState:
             raise BadSignature("conflicting proof's signatures do not verify")
         if not conflicts(known, other):
             raise NotConflicting("cited proofs do not conflict")
-        if not verify(tx.vetoer, encode_veto_payload(tx.alpha, other.alpha_id), tx.omega):
+        if not verify(tx.vetoer, encode_veto_payload(tx.alpha, other.alpha), tx.omega):
             raise BadSignature("veto omega does not verify")
 
-        pair = _pair_key(known.alpha_id, other.alpha_id)
+        pair = _pair_key(known.alpha, other.alpha)
         veto_record = self.veto_records.get(pair)
         if veto_record is not None and veto_record.status != OPEN:
             raise AlreadyConcluded("veto contest already finalized")
 
         sender = known.sender
-        if other.alpha_id not in self.poi_records:
+        if other.alpha not in self.poi_records:
             # The veto itself teaches this chain the second proof.
             self._insert_pending(other)
         if veto_record is None:

@@ -1,4 +1,4 @@
-"""Deterministic wallet keys, signatures, and the total order on signature values.
+"""Deterministic wallet keys and signatures.
 
 Signing is nonce-free: sign(key, m) = H(m)^d mod P over the fixed prime
 P = 2**256 - 189, with the public exponent e = d^-1 mod P-1 acting as the
@@ -12,6 +12,9 @@ a party willing to factor 64-bit exponent inverses.
 The modular powers run in OpenSSL's BN_mod_exp when libcrypto loads, and in
 Python's pow otherwise; both give the same integers, so signatures do not
 depend on which one ran.
+
+A signature is its value as 32 big-endian bytes, so comparing two signatures
+as bytes compares their values.
 """
 
 from __future__ import annotations
@@ -28,24 +31,6 @@ SIGNATURE_BYTES = 32
 SEED_BYTES = 32
 
 
-@dataclass(frozen=True, order=False)
-class Signature:
-    """Fixed-width 32-byte signature; compares by big-endian unsigned value."""
-
-    data: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.data) != SIGNATURE_BYTES:
-            raise ValueError(f"signature must be {SIGNATURE_BYTES} bytes, got {len(self.data)}")
-
-    @property
-    def value(self) -> int:
-        return int.from_bytes(self.data, "big")
-
-    def hex(self) -> str:
-        return self.data.hex()
-
-
 @dataclass(frozen=True)
 class KeyPair:
     """A wallet: 32-byte private seed and the public exponent it derives.
@@ -56,10 +41,6 @@ class KeyPair:
 
     private_key: bytes
     public_key: bytes
-
-    @property
-    def address(self) -> bytes:
-        return self.public_key
 
 
 @lru_cache(maxsize=1 << 14)
@@ -145,42 +126,32 @@ def _message_residue(message: bytes) -> int:
     return int.from_bytes(hashlib.sha256(message).digest(), "big") % PRIME
 
 
-def sign(key: KeyPair, message: bytes) -> Signature:
+def sign(key: KeyPair, message: bytes) -> bytes:
     """Deterministically sign a message; same (key, message) always yields the same bytes."""
     _, d = _derive_exponents(key.private_key)
-    value = _powmod(_message_residue(message), d)
-    return Signature(value.to_bytes(32, "big"))
+    return _powmod(_message_residue(message), d).to_bytes(SIGNATURE_BYTES, "big")
 
 
 @lru_cache(maxsize=1 << 16)
-def _verify_cached(public_key: bytes, message: bytes, sig_data: bytes) -> bool:
-    if len(public_key) != 32:
+def _verify_cached(public_key: bytes, message: bytes, sig: bytes) -> bool:
+    # int.from_bytes ignores leading zero bytes, so only the width check keeps
+    # a signature with its leading 0x00 dropped from verifying (and then
+    # ranking out of value order as bytes).
+    if len(public_key) != 32 or len(sig) != SIGNATURE_BYTES:
         return False
     e = int.from_bytes(public_key[24:], "big")
     if e <= 0:
         return False
-    return _powmod(int.from_bytes(sig_data, "big"), e) == _message_residue(message)
+    return _powmod(int.from_bytes(sig, "big"), e) == _message_residue(message)
 
 
-def verify(public_key: bytes, message: bytes, sig: Signature) -> bool:
+def verify(public_key: bytes, message: bytes, sig: bytes) -> bool:
     """True iff sig was produced over message by the private key matching public_key."""
-    return _verify_cached(public_key, message, sig.data)
+    return _verify_cached(public_key, message, sig)
 
 
-def omega_less(a: Signature, b: Signature) -> bool:
-    """Strict big-endian unsigned comparison: True iff a ranks before (beats) b.
-
-    For equal-width byte strings this is exactly the lexicographic order.
-    """
-    return a.data < b.data
-
-
-def contest_order_key(omega: Signature, wallet: bytes) -> tuple[bytes, bytes]:
-    """Sort key for picking a contest winner: lowest omega wins, wallet bytes break ties."""
-    return (omega.data, wallet)
-
-
-def contest_winner(contestants: dict[bytes, Signature]) -> bytes:
+def contest_winner(contestants: dict[bytes, bytes]) -> bytes:
     """The contest rule every chain applies on its own: the wallet with the
-    lowest omega wins, so chains that saw the same contestants agree."""
-    return min(contestants, key=lambda w: contest_order_key(contestants[w], w))
+    lowest omega wins, the lower wallet bytes at an equal omega, so chains
+    that saw the same contestants agree."""
+    return min(contestants, key=lambda w: (contestants[w], w))

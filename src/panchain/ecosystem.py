@@ -343,9 +343,9 @@ class Ecosystem:
     def _expose_poi(self, poi: ProofOfIntent) -> None:
         """First confirmation of a proof anywhere makes it observable; schedule
         each observer's (delayed) look at it."""
-        if poi.alpha_id in self._poi_by_alpha:
+        if poi.alpha in self._poi_by_alpha:
             return
-        self._poi_by_alpha[poi.alpha_id] = poi
+        self._poi_by_alpha[poi.alpha] = poi
         policy = self.config.observation
         names = list(self.observers)
         if not names:
@@ -355,7 +355,7 @@ class Ecosystem:
             order.shuffle(names)
             for idx, name in enumerate(names):
                 self._schedule(
-                    self._now + (idx + 1) * policy.spacing, ("observe", name, poi.alpha_id)
+                    self._now + (idx + 1) * policy.spacing, ("observe", name, poi.alpha)
                 )
         else:
             for name in names:
@@ -363,21 +363,21 @@ class Ecosystem:
                 if rng is None:
                     rng = self._delay_rngs[name] = random.Random(f"{self.config.seed}/observer/{name}")
                 delay = rng.uniform(policy.low, policy.high)
-                self._schedule(self._now + delay, ("observe", name, poi.alpha_id))
+                self._schedule(self._now + delay, ("observe", name, poi.alpha))
 
     def _note_claim_result(self, poi: ProofOfIntent, ok: bool) -> None:
-        tracker = self._transfers.get(poi.alpha_id)
+        tracker = self._transfers.get(poi.alpha)
         if tracker is None or tracker.claim_ok is not None:
             return
         tracker.claim_ok = ok
         interval = self.config.block_interval
         if ok:
             recipient_key = self.keys[tracker.recipient_name]
-            finalize = make_finalize(recipient_key, poi.alpha_id)
+            finalize = make_finalize(recipient_key, poi.alpha)
             for chain in self.chains:
                 self._schedule(poi.t1 + interval, ("submit", chain.chain_id, finalize))
             detect_at = poi.t1 + 2 * interval * (1 + self.config.jitter) + 1
-            self._schedule(detect_at, ("detect", poi.alpha_id))
+            self._schedule(detect_at, ("detect", poi.alpha))
         else:
             tracker.failed = True
             self._finish_transfer(tracker)
@@ -442,7 +442,7 @@ class Ecosystem:
         claim_chain: int,
         client_driven: bool,
     ) -> None:
-        self._transfers[poi.alpha_id] = _Transfer(
+        self._transfers[poi.alpha] = _Transfer(
             poi=poi,
             sender_name=sender_name,
             recipient_name=recipient_name,

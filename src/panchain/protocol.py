@@ -2,8 +2,9 @@
 conflict detection between intents, and veto-contest timing.
 
 Everything here is chain-independent. The canonical byte encoding defined by
-``encode`` is the only signing/wire format; it is injective (kind tag plus
-length-prefixed fields, integers big-endian fixed width) and stable.
+``encode_intent`` and ``encode_poi`` is the only signing/wire format; it is
+injective (kind tag plus length-prefixed fields, integers big-endian fixed
+width) and stable.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .crypto import KeyPair, Signature, sign, verify
+from .crypto import KeyPair, sign, verify
 
 WalletId = bytes
 
@@ -57,12 +58,8 @@ class ProofOfIntent:
     the proof throughout the ecosystem."""
 
     intent: TransferIntent
-    alpha: Signature
-    beta: Signature
-
-    @property
-    def alpha_id(self) -> bytes:
-        return self.alpha.data
+    alpha: bytes
+    beta: bytes
 
     @property
     def sender(self) -> WalletId:
@@ -110,7 +107,7 @@ def encode_intent(intent: TransferIntent) -> bytes:
 def encode_poi(poi: ProofOfIntent) -> bytes:
     encoded = poi.__dict__.get("_encoded")
     if encoded is None:
-        encoded = b"POI" + encode_intent(poi.intent)[3:] + _lp(poi.alpha.data) + _lp(poi.beta.data)
+        encoded = b"POI" + encode_intent(poi.intent)[3:] + _lp(poi.alpha) + _lp(poi.beta)
         object.__setattr__(poi, "_encoded", encoded)
     return encoded
 
@@ -128,14 +125,6 @@ def encode_veto_payload(alpha: bytes, conflicting_alpha: bytes) -> bytes:
     """
     lo, hi = sorted((alpha, conflicting_alpha))
     return b"VET" + _lp(lo) + _lp(hi)
-
-
-def encode(obj: Union[TransferIntent, ProofOfIntent]) -> bytes:
-    if isinstance(obj, TransferIntent):
-        return encode_intent(obj)
-    if isinstance(obj, ProofOfIntent):
-        return encode_poi(obj)
-    raise TypeError(f"cannot encode {type(obj).__name__}")
 
 
 def make_poi(
@@ -161,7 +150,7 @@ def make_poi(
         t1=t1,
     )
     alpha = sign(sender_key, encode_intent(intent))
-    beta = sign(recipient_key, encode_intent(intent) + alpha.data)
+    beta = sign(recipient_key, encode_intent(intent) + alpha)
     return ProofOfIntent(intent=intent, alpha=alpha, beta=beta)
 
 
@@ -169,7 +158,7 @@ def verify_poi(poi: ProofOfIntent) -> bool:
     """Check both signatures: alpha over the intent, beta over intent plus alpha."""
     message = encode_intent(poi.intent)
     return verify(poi.sender, message, poi.alpha) and verify(
-        poi.recipient, message + poi.alpha.data, poi.beta
+        poi.recipient, message + poi.alpha, poi.beta
     )
 
 
@@ -178,7 +167,7 @@ def conflicts(a: ProofOfIntent, b: ProofOfIntent) -> bool:
     validity windows conflict, regardless of destination or amount."""
     return (
         a.sender == b.sender
-        and a.alpha_id != b.alpha_id
+        and a.alpha != b.alpha
         and a.t0 <= b.t1
         and b.t0 <= a.t1
     )
@@ -216,7 +205,7 @@ class Contest:
 
     poi: ProofOfIntent
     contestant: WalletId
-    omega: Signature
+    omega: bytes
 
     kind = "contest"
 
@@ -246,7 +235,7 @@ class Veto:
     alpha: bytes
     conflicting_poi: ProofOfIntent
     vetoer: WalletId
-    omega: Signature
+    omega: bytes
 
     kind = "veto"
 
@@ -284,7 +273,7 @@ def make_finalize(poster_key: KeyPair, alpha: bytes) -> Finalize:
 
 
 def make_veto(vetoer_key: KeyPair, alpha: bytes, conflicting_poi: ProofOfIntent) -> Veto:
-    omega = sign(vetoer_key, encode_veto_payload(alpha, conflicting_poi.alpha_id))
+    omega = sign(vetoer_key, encode_veto_payload(alpha, conflicting_poi.alpha))
     return Veto(
         alpha=alpha,
         conflicting_poi=conflicting_poi,

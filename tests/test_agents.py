@@ -14,7 +14,6 @@ from panchain.agents import Client, Observer
 from panchain.chain import ChainConfig, SimChain
 from panchain.configs import contest_scaling_config, sweep_config
 from panchain.contract import FINALIZED, ChainState
-from panchain.crypto import contest_order_key
 from panchain.ecosystem import run
 from panchain.protocol import (
     Contest,
@@ -133,11 +132,11 @@ def test_observer_abstains_where_it_cannot_win():
     own = observer.omega_for(poi)
     rivals = [keypair(f"rival-{i}") for i in range(40)]
     rival_contests = [make_contest(kp, poi) for kp in rivals]
-    best = min(rival_contests, key=lambda c: contest_order_key(c.omega, c.contestant))
-    worst = max(rival_contests, key=lambda c: contest_order_key(c.omega, c.contestant))
+    best = min(rival_contests, key=lambda c: (c.omega, c.contestant))
+    worst = max(rival_contests, key=lambda c: (c.omega, c.contestant))
     # chain 0 holds a stronger (lower) contest than ours, chain 1 a weaker one
-    beat_us = best if best.omega.data < own.data else None
-    lose_to_us = worst if worst.omega.data > own.data else None
+    beat_us = best if best.omega < own else None
+    lose_to_us = worst if worst.omega > own else None
     if beat_us is None or lose_to_us is None:
         pytest.skip("rival sample did not straddle the observer's omega")
     chains[0].state.apply_contest(beat_us, now=2)
@@ -156,7 +155,7 @@ def test_observer_posts_everywhere_with_filter_off():
     posted = {cid for cid, _ in reaction.contests}
     assert posted == {0, 1, 2} or (
         # unless the rival actually loses to us, chain 0 must still be posted
-        rival.omega.data > observer.omega_for(poi).data
+        rival.omega > observer.omega_for(poi)
     )
 
 
@@ -176,7 +175,7 @@ def test_observer_detects_conflict_and_vetoes_both_orientations():
     assert len(second.vetoes) == 6  # both orientations on all three chains
     assert len(second.conflicts_found) == 1
     a, b, deadline = second.conflicts_found[0]
-    assert {a, b} == {poi.alpha_id, other.alpha_id}
+    assert {a, b} == {poi.alpha, other.alpha}
     assert deadline == 65 + 60
 
 
@@ -194,12 +193,12 @@ def test_backdated_proof_conflicting_with_a_finalized_one_is_vetoed():
     observer, poi, chains, sender = observer_fixture()
     chains[0].state.apply_claim(make_claim(poi), now=1)
     observer.handle_new_poi(poi, chains, now=2.0)
-    chains[0].state.apply_finalize(make_finalize(sender, poi.alpha_id), now=62)
-    assert chains[0].state.poi_records[poi.alpha_id].status == FINALIZED
+    chains[0].state.apply_finalize(make_finalize(sender, poi.alpha), now=62)
+    assert chains[0].state.poi_records[poi.alpha].status == FINALIZED
     backdated = make_poi(sender, keypair("late-recipient"), amount=20, t0=50, t1=300)
     reaction = observer.handle_new_poi(backdated, chains, now=200.0)
     assert len(reaction.vetoes) == 6
-    assert [(a, b) for a, b, _ in reaction.conflicts_found] == [(poi.alpha_id, backdated.alpha_id)]
+    assert [(a, b) for a, b, _ in reaction.conflicts_found] == [(poi.alpha, backdated.alpha)]
 
 
 PROP_SENDERS = [keypair(f"prop-sender-{i}") for i in range(3)]
@@ -225,7 +224,7 @@ def test_sender_index_finds_what_a_full_scan_finds(specs):
         if poi in earlier:
             expected = []
         else:
-            expected = [(p.alpha_id, poi.alpha_id) for p in earlier if conflicts(poi, p)]
+            expected = [(p.alpha, poi.alpha) for p in earlier if conflicts(poi, p)]
             earlier.append(poi)
         assert [(a, b) for a, b, _ in reaction.conflicts_found] == expected
 
@@ -276,7 +275,7 @@ def test_confirmed_contests_strictly_decreasing_under_staggering():
             for block in chain.blocks:
                 for applied in block.results:
                     if applied.ok and isinstance(applied.tx, Contest):
-                        omegas.append(applied.tx.omega.value)
+                        omegas.append(int.from_bytes(applied.tx.omega, "big"))
             assert omegas == sorted(omegas, reverse=True)
             assert len(omegas) >= 1
 

@@ -4,7 +4,6 @@ import pytest
 
 from panchain.chain import AppliedTx, Block, ChainConfig, SimChain, block_log_entry
 from panchain.contract import ChainState
-from panchain.crypto import contest_order_key
 from panchain.protocol import make_claim, make_contest, make_finalize, make_poi
 
 from conftest import keypair
@@ -56,7 +55,7 @@ def test_submitted_tx_lands_in_next_block():
     block = chain.produce_block(13.0)
     assert len(block.transactions) == 1
     assert block.results[0].ok
-    assert poi.alpha_id in chain.state.poi_records
+    assert poi.alpha in chain.state.poi_records
 
 
 def test_capacity_rolls_over_to_next_block():
@@ -68,7 +67,7 @@ def test_capacity_rolls_over_to_next_block():
     assert len(first.transactions) == 3
     second = chain.produce_block(26.0)
     assert len(second.transactions) == 1
-    assert second.transactions[0].poi.alpha_id == pois[3].alpha_id
+    assert second.transactions[0].poi.alpha == pois[3].alpha
 
 
 def test_duplicate_contest_included_twice_second_noop():
@@ -81,7 +80,7 @@ def test_duplicate_contest_included_twice_second_noop():
     block = chain.produce_block(13.0)
     assert len(block.transactions) == 3
     assert all(applied.ok for applied in block.results)
-    assert chain.state.poi_records[poi.alpha_id].contestants == {U.public_key: contest.omega}
+    assert chain.state.poi_records[poi.alpha].contestants == {U.public_key: contest.omega}
 
 
 def test_empty_mempool_empty_block():
@@ -113,7 +112,7 @@ def test_block_time_governs_validity():
     poi = make_poi(S, D, amount=20, t0=1, t1=20)
     chain.submit(make_claim(poi), now=1.0)
     chain.produce_block(13.0)
-    chain.submit(make_finalize(D, poi.alpha_id), now=14.0)  # before t1=20
+    chain.submit(make_finalize(D, poi.alpha), now=14.0)  # before t1=20
     block = chain.produce_block(26.0)  # block timestamp 26 > 20
     assert block.results[0].ok
     assert chain.state.balance(D.public_key) == 19
@@ -126,7 +125,7 @@ def test_expired_tx_rejected_at_inclusion_and_reported():
     block = chain.produce_block(13.0)  # included past t1
     assert not block.results[0].ok
     assert block.results[0].error == "expired-poi"
-    assert poi.alpha_id not in chain.state.poi_records
+    assert poi.alpha not in chain.state.poi_records
 
 
 def test_worked_example_across_blocks():
@@ -142,9 +141,9 @@ def test_worked_example_across_blocks():
     chain.produce_block(26.0)
     for ts in (39.0, 52.0):
         chain.produce_block(ts)
-    chain.submit(make_finalize(D, poi.alpha_id), now=62.0)
+    chain.submit(make_finalize(D, poi.alpha), now=62.0)
     chain.produce_block(65.0)
-    winner = min(contests, key=lambda c: contest_order_key(c.omega, c.contestant)).contestant
+    winner = min(contests, key=lambda c: (c.omega, c.contestant)).contestant
     assert chain.state.balance(S.public_key) == 60
     assert chain.state.balance(D.public_key) == 19
     assert chain.state.balance(winner) == 1
@@ -171,8 +170,8 @@ def test_fifo_order_preserved():
     for poi in pois:
         chain.submit(make_claim(poi), now=1.0)
     block = chain.produce_block(13.0)
-    included = [tx.poi.alpha_id for tx in block.transactions]
-    assert included == [poi.alpha_id for poi in pois]
+    included = [tx.poi.alpha for tx in block.transactions]
+    assert included == [poi.alpha for poi in pois]
 
 
 def test_jitter_perturbs_timestamps_deterministically():

@@ -24,10 +24,9 @@ GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def spec_for(campaign, out_dir, config=None, seeds=(0,), reps=1, **kw):
+def spec_for(campaign, out_dir, config=None, seeds=(0,), **kw):
     return ExperimentSpec(
-        campaign=campaign, config=config or {}, out_dir=Path(out_dir), seeds=tuple(seeds),
-        reps=reps, **kw,
+        campaign=campaign, config=config or {}, out_dir=Path(out_dir), seeds=tuple(seeds), **kw,
     )
 
 
@@ -100,6 +99,31 @@ def test_sweep_worker_pool_outputs_identical(tmp_path):
     seq, par = ((tmp_path / name / "contest-scaling" / "contest-scaling-0.csv").read_bytes()
                 for name in ("scaling-seq", "scaling-par"))
     assert seq == par
+
+
+def test_worker_pool_is_no_larger_than_the_campaign(tmp_path, monkeypatch):
+    # A real pool forks every worker up front, so this fake only records the
+    # size asked for and maps in-process.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"scaling": {"n_values": [1, 3], "runs": 2}}))
+    argv = ["--campaign", "contest-scaling", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--jobs", "64"]) == 0
+    assert sizes == [4]
 
 
 def test_cmd_contest_scaling_csv_shape(tmp_path):

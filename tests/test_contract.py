@@ -21,7 +21,6 @@ from panchain.contract import (
     UnknownVeto,
     VetoedPoi,
 )
-from panchain.crypto import Signature, contest_order_key
 from panchain.protocol import (
     Claim,
     make_claim,
@@ -58,7 +57,7 @@ def table_poi(amount=20, t0=1, t1=61, sender=S, recipient=D):
 
 def expected_winner(contest_txs):
     # independent argmin oracle over (omega bytes, wallet bytes)
-    return min(contest_txs, key=lambda c: contest_order_key(c.omega, c.contestant)).contestant
+    return min(contest_txs, key=lambda c: (c.omega, c.contestant)).contestant
 
 
 # --- claim -------------------------------------------------------------
@@ -70,7 +69,7 @@ def test_claim_records_poi_balances_unchanged():
     state = fresh_state()
     poi = table_poi()
     state.apply_claim(make_claim(poi), now=1)
-    record = state.poi_records[poi.alpha_id]
+    record = state.poi_records[poi.alpha]
     assert record.status == PENDING and record.contestants == {}
     assert state.balance(S.public_key) == 80
     assert state.balance(D.public_key) == 0
@@ -96,8 +95,7 @@ def test_claim_insufficient_balance():
 def test_claim_bad_signature():
     state = fresh_state()
     poi = table_poi()
-    forged = Claim(poi=poi.__class__(intent=poi.intent, alpha=poi.alpha,
-                                     beta=Signature(b"\x01" * 32)))
+    forged = Claim(poi=poi.__class__(intent=poi.intent, alpha=poi.alpha, beta=b"\x01" * 32))
     with pytest.raises(BadSignature):
         state.apply_claim(forged, now=1)
 
@@ -113,7 +111,7 @@ def test_claim_amount_must_exceed_reward():
         sender=S.public_key, recipient=D.public_key, amount=1, t0=1, t1=61
     )
     alpha = sign(S, encode_intent(intent))
-    beta = sign(D, encode_intent(intent) + alpha.data)
+    beta = sign(D, encode_intent(intent) + alpha)
     poi = ProofOfIntent(intent=intent, alpha=alpha, beta=beta)
     with pytest.raises(InvalidAmount):
         state.apply_claim(make_claim(poi), now=1)
@@ -126,8 +124,8 @@ def test_claim_conflicting_pending_rejected_with_both_proofs():
     state.apply_claim(make_claim(first), now=1)
     with pytest.raises(ConflictingPoi) as exc:
         state.apply_claim(make_claim(second), now=31)
-    assert exc.value.incoming.alpha_id == second.alpha_id
-    assert exc.value.stored.alpha_id == first.alpha_id
+    assert exc.value.incoming.alpha == second.alpha
+    assert exc.value.stored.alpha == first.alpha
 
 
 def test_claim_idempotent_republication():
@@ -147,7 +145,7 @@ def test_contest_propagates_unknown_poi():
     poi = table_poi()
     contest = make_contest(U, poi)
     state.apply_contest(contest, now=2)
-    record = state.poi_records[poi.alpha_id]
+    record = state.poi_records[poi.alpha]
     assert record.status == PENDING
     assert record.contestants == {U.public_key: contest.omega}
 
@@ -169,7 +167,7 @@ def test_three_contestants_recorded():
     poi = table_poi()
     for kp in OBSERVERS:
         state.apply_contest(make_contest(kp, poi), now=2)
-    record = state.poi_records[poi.alpha_id]
+    record = state.poi_records[poi.alpha]
     assert set(record.contestants) == {U.public_key, V.public_key, W.public_key}
 
 
@@ -211,45 +209,45 @@ def test_finalize_executes_transfer_and_pays_lowest_omega(poster):
     # final state of the worked example: sender 60, recipient 19, winner 1;
     # a finalize is unsigned, so anyone may post it with the same outcome
     state, poi, contests = _contested_state()
-    state.apply_finalize(make_finalize(poster, poi.alpha_id), now=62)
+    state.apply_finalize(make_finalize(poster, poi.alpha), now=62)
     winner = expected_winner(contests)
     assert state.balance(S.public_key) == 60
     assert state.balance(D.public_key) == 19
     assert state.balance(winner) == 1
     losers = {U.public_key, V.public_key, W.public_key} - {winner}
     assert all(state.balance(w) == 0 for w in losers)
-    assert state.poi_records[poi.alpha_id].status == FINALIZED
-    assert state.poi_records[poi.alpha_id].winner == winner
+    assert state.poi_records[poi.alpha].status == FINALIZED
+    assert state.poi_records[poi.alpha].winner == winner
     assert state.audit() == (80, 0, 80)
     by_recipient, _, _ = _contested_state()
-    by_recipient.apply_finalize(make_finalize(D, poi.alpha_id), now=62)
+    by_recipient.apply_finalize(make_finalize(D, poi.alpha), now=62)
     assert state.snapshot() == by_recipient.snapshot()
 
 
 def test_finalize_at_t1_is_premature():
     state, poi, _ = _contested_state()
     with pytest.raises(PrematureFinalize):
-        state.apply_finalize(make_finalize(D, poi.alpha_id), now=61)
+        state.apply_finalize(make_finalize(D, poi.alpha), now=61)
 
 
 def test_finalize_unknown_poi():
     state = fresh_state()
     with pytest.raises(UnknownPoi):
-        state.apply_finalize(make_finalize(D, table_poi().alpha_id), now=62)
+        state.apply_finalize(make_finalize(D, table_poi().alpha), now=62)
 
 
 def test_finalize_twice_rejected():
     state, poi, _ = _contested_state()
-    state.apply_finalize(make_finalize(D, poi.alpha_id), now=62)
+    state.apply_finalize(make_finalize(D, poi.alpha), now=62)
     with pytest.raises(AlreadyConcluded):
-        state.apply_finalize(make_finalize(D, poi.alpha_id), now=63)
+        state.apply_finalize(make_finalize(D, poi.alpha), now=63)
 
 
 def test_finalize_without_contestants_burns_reward():
     state = fresh_state()
     poi = table_poi()
     state.apply_claim(make_claim(poi), now=1)
-    state.apply_finalize(make_finalize(D, poi.alpha_id), now=62)
+    state.apply_finalize(make_finalize(D, poi.alpha), now=62)
     assert state.balance(S.public_key) == 60
     assert state.balance(D.public_key) == 19
     assert state.burned == 1
@@ -261,9 +259,9 @@ def test_finalize_of_vetoed_poi_rejected():
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    state.apply_veto(make_veto(U, a.alpha_id, b), now=10)
+    state.apply_veto(make_veto(U, a.alpha, b), now=10)
     with pytest.raises(VetoedPoi):
-        state.apply_finalize(make_finalize(D, a.alpha_id), now=62)
+        state.apply_finalize(make_finalize(D, a.alpha), now=62)
 
 
 # --- veto / finalize-veto ----------------------------------------------
@@ -275,11 +273,11 @@ def test_veto_zeroes_sender_and_cancels_pending():
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    state.apply_veto(make_veto(U, a.alpha_id, b), now=10)
+    state.apply_veto(make_veto(U, a.alpha, b), now=10)
     assert state.balance(S.public_key) == 0
     assert state.burned == 10
-    assert state.poi_records[a.alpha_id].status == VETOED
-    assert state.poi_records[b.alpha_id].status == VETOED
+    assert state.poi_records[a.alpha].status == VETOED
+    assert state.poi_records[b.alpha].status == VETOED
     assert state.audit() == (0, 10, 10)
 
 
@@ -289,7 +287,7 @@ def test_veto_requires_conflict():
     b = table_poi(t0=62, t1=120, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
     with pytest.raises(NotConflicting):
-        state.apply_veto(make_veto(U, a.alpha_id, b), now=10)
+        state.apply_veto(make_veto(U, a.alpha, b), now=10)
 
 
 def test_veto_unknown_alpha():
@@ -297,7 +295,7 @@ def test_veto_unknown_alpha():
     a = table_poi(t0=1, t1=61)
     b = table_poi(t0=5, t1=65, recipient=keypair("elsewhere"))
     with pytest.raises(UnknownPoi):
-        state.apply_veto(make_veto(U, a.alpha_id, b), now=10)
+        state.apply_veto(make_veto(U, a.alpha, b), now=10)
 
 
 def test_veto_bad_conflicting_signature():
@@ -305,9 +303,9 @@ def test_veto_bad_conflicting_signature():
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    broken = b.__class__(intent=b.intent, alpha=b.alpha, beta=Signature(b"\x02" * 32))
+    broken = b.__class__(intent=b.intent, alpha=b.alpha, beta=b"\x02" * 32)
     with pytest.raises(BadSignature):
-        state.apply_veto(make_veto(U, a.alpha_id, broken), now=10)
+        state.apply_veto(make_veto(U, a.alpha, broken), now=10)
 
 
 def test_veto_discovery_order_independent():
@@ -318,13 +316,13 @@ def test_veto_discovery_order_independent():
 
     chain1 = fresh_state(chain_id=0, sender_balance=10)
     chain1.apply_claim(make_claim(a), now=1)
-    chain1.apply_veto(make_veto(U, a.alpha_id, b), now=10)
-    chain1.apply_veto(make_veto(V, b.alpha_id, a), now=11)
+    chain1.apply_veto(make_veto(U, a.alpha, b), now=10)
+    chain1.apply_veto(make_veto(V, b.alpha, a), now=11)
 
     chain2 = fresh_state(chain_id=0, sender_balance=10)
     chain2.apply_claim(make_claim(b), now=1)
-    chain2.apply_veto(make_veto(V, b.alpha_id, a), now=10)
-    chain2.apply_veto(make_veto(U, a.alpha_id, b), now=11)
+    chain2.apply_veto(make_veto(V, b.alpha, a), now=10)
+    chain2.apply_veto(make_veto(U, a.alpha, b), now=11)
 
     snap1, snap2 = chain1.snapshot(), chain2.snapshot()
     # claim path differs only in which proof carries pending-vs-vetoed timing;
@@ -342,22 +340,20 @@ def test_finalize_veto_pays_lowest_omega_from_burned():
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    vetoes = [make_veto(kp, a.alpha_id, b) for kp in (U, V)]
+    vetoes = [make_veto(kp, a.alpha, b) for kp in (U, V)]
     for veto in vetoes:
         state.apply_veto(veto, now=10)
     pair = state.veto_records[next(iter(state.veto_records))]
     assert pair.deadline == 65 + 60
-    winner = min(
-        pair.contestants, key=lambda w: contest_order_key(pair.contestants[w], w)
-    )
+    winner = min(pair.contestants, key=lambda w: (pair.contestants[w], w))
     with pytest.raises(PrematureFinalizeVeto):
-        state.apply_finalize_veto(make_finalize_veto(U, a.alpha_id, b.alpha_id), now=125)
-    state.apply_finalize_veto(make_finalize_veto(U, a.alpha_id, b.alpha_id), now=126)
+        state.apply_finalize_veto(make_finalize_veto(U, a.alpha, b.alpha), now=125)
+    state.apply_finalize_veto(make_finalize_veto(U, a.alpha, b.alpha), now=126)
     assert state.balance(winner) == 1
     assert state.burned == 9
     assert state.audit() == (1, 9, 10)
     with pytest.raises(AlreadyConcluded):
-        state.apply_finalize_veto(make_finalize_veto(U, a.alpha_id, b.alpha_id), now=127)
+        state.apply_finalize_veto(make_finalize_veto(U, a.alpha, b.alpha), now=127)
 
 
 def test_finalize_veto_pays_only_what_the_pair_burned():
@@ -367,10 +363,10 @@ def test_finalize_veto_pays_only_what_the_pair_burned():
     a = table_poi(amount=10, t0=1, t1=61)
     b = table_poi(amount=8, t0=50, t1=120, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    state.apply_finalize(make_finalize(D, a.alpha_id), now=62)
+    state.apply_finalize(make_finalize(D, a.alpha), now=62)
     assert state.burned == 1
-    state.apply_veto(make_veto(U, a.alpha_id, b), now=70)
-    state.apply_finalize_veto(make_finalize_veto(U, a.alpha_id, b.alpha_id), now=200)
+    state.apply_veto(make_veto(U, a.alpha, b), now=70)
+    state.apply_finalize_veto(make_finalize_veto(U, a.alpha, b.alpha), now=200)
     assert state.balance(U.public_key) == 0
     assert state.audit() == (9, 1, 10)
 
@@ -395,10 +391,10 @@ def test_repeated_veto_only_appends_contestants():
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    state.apply_veto(make_veto(U, a.alpha_id, b), now=10)
+    state.apply_veto(make_veto(U, a.alpha, b), now=10)
     burned_after_first = state.burned
-    state.apply_veto(make_veto(V, b.alpha_id, a), now=11)
-    state.apply_veto(make_veto(V, b.alpha_id, a), now=12)
+    state.apply_veto(make_veto(V, b.alpha, a), now=11)
+    state.apply_veto(make_veto(V, b.alpha, a), now=12)
     assert len(state.veto_records) == 1
     record = next(iter(state.veto_records.values()))
     assert set(record.contestants) == {U.public_key, V.public_key}
@@ -451,7 +447,7 @@ def _random_tx_set(rng):
             for observer in observers:
                 if rng.random() < 0.7:
                     contests.append(make_contest(observer, poi))
-            finalizes.append(make_finalize(recipients[0], poi.alpha_id))
+            finalizes.append(make_finalize(recipients[0], poi.alpha))
     return balances, claims, contests, finalizes
 
 

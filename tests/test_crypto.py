@@ -10,10 +10,8 @@ from panchain import crypto
 from panchain.crypto import (
     PRIME,
     KeyPair,
-    Signature,
-    contest_order_key,
+    contest_winner,
     generate_keypair,
-    omega_less,
     sign,
     verify,
 )
@@ -60,7 +58,7 @@ def test_sign_deterministic(sender_key):
 def test_sign_verify_roundtrip(sender_key):
     m = b"hello ledger"
     sig = sign(sender_key, m)
-    assert len(sig.data) == 32
+    assert len(sig) == 32
     assert verify(sender_key.public_key, m, sig)
 
 
@@ -86,34 +84,49 @@ def test_signature_values_uniform_leading_byte():
     n = 10_000
     for _ in range(n):
         sig = sign(key, rng.randbytes(32))
-        bins[sig.data[0] >> 4] += 1
+        bins[sig[0] >> 4] += 1
     expected = n / 16
     stat = sum((count - expected) ** 2 / expected for count in bins)
     assert stat < CHI2_15_Q999, f"chi-square {stat:.2f} over bins {bins}"
 
 
-def _sig_from_int(value: int) -> Signature:
-    return Signature(value.to_bytes(32, "big"))
+def _sig_from_int(value: int) -> bytes:
+    return value.to_bytes(32, "big")
 
 
-def test_omega_less_matches_paper_example():
+# Wallets for the order tests; LOW_WALLET sorts first, so where it loses,
+# the omega decided.
+LOW_WALLET, HIGH_WALLET = b"\x01" * 32, b"\x02" * 32
+
+
+def _beats(a: int, b: int) -> bool:
+    """True iff omega value a wins a two-way contest against omega value b,
+    whichever wallet holds which."""
+    return all(
+        contest_winner({wa: _sig_from_int(a), wb: _sig_from_int(b)}) == wa
+        for wa, wb in ((LOW_WALLET, HIGH_WALLET), (HIGH_WALLET, LOW_WALLET))
+    )
+
+
+def test_contest_winner_matches_paper_example():
     # 0xC1 beats 0xC2: the lowest signature value wins the contest.
-    assert omega_less(_sig_from_int(0xC1), _sig_from_int(0xC2))
-    assert not omega_less(_sig_from_int(0xC2), _sig_from_int(0xC1))
+    assert _beats(0xC1, 0xC2)
+    assert not _beats(0xC2, 0xC1)
 
 
-def test_omega_less_irreflexive():
-    sig = _sig_from_int(0xC1)
-    assert not omega_less(sig, sig)
+def test_contest_winner_equal_omegas_rank_equal():
+    # An omega does not beat itself: at an equal value the wallet decides.
+    assert not _beats(0xC1, 0xC1)
 
 
-def test_omega_less_agrees_with_integer_comparison_sampled():
+def test_contest_winner_agrees_with_integer_comparison_sampled():
     # brute force over two-byte signature values, sampled down to 10^6 pairs
     rng = random.Random(4242)
     for _ in range(1_000_000):
         a = rng.getrandbits(16)
         b = rng.getrandbits(16)
-        assert omega_less(_sig_from_int(a), _sig_from_int(b)) == (a < b)
+        winner = contest_winner({HIGH_WALLET: _sig_from_int(a), LOW_WALLET: _sig_from_int(b)})
+        assert (winner == HIGH_WALLET) == (a < b)
 
 
 @given(
@@ -121,16 +134,19 @@ def test_omega_less_agrees_with_integer_comparison_sampled():
     b=st.integers(min_value=0, max_value=2**256 - 1),
     c=st.integers(min_value=0, max_value=2**256 - 1),
 )
-def test_omega_less_strict_total_order(a, b, c):
-    sa, sb, sc = _sig_from_int(a), _sig_from_int(b), _sig_from_int(c)
+def test_contest_winner_strict_total_order(a, b, c):
     # antisymmetry plus totality on distinct values
     if a != b:
-        assert omega_less(sa, sb) != omega_less(sb, sa)
+        assert _beats(a, b) != _beats(b, a)
     else:
-        assert not omega_less(sa, sb) and not omega_less(sb, sa)
+        assert not _beats(a, b) and not _beats(b, a)
     # transitivity
-    if omega_less(sa, sb) and omega_less(sb, sc):
-        assert omega_less(sa, sc)
+    if _beats(a, b) and _beats(b, c):
+        assert _beats(a, c)
+    # the three-way winner holds the least value
+    wallets = [bytes([i]) * 32 for i in (3, 2, 1)]
+    winner = contest_winner(dict(zip(wallets, map(_sig_from_int, (a, b, c)))))
+    assert min((v, w) for v, w in zip((a, b, c), wallets))[1] == winner
 
 
 @settings(max_examples=25)
@@ -139,23 +155,28 @@ def test_sign_verify_property(message, seed_int):
     key = generate_keypair(hashlib.sha256(seed_int.to_bytes(8, "big")).digest())
     sig = sign(key, message)
     assert verify(key.public_key, message, sig)
-    assert sig.value < PRIME
+    assert int.from_bytes(sig, "big") < PRIME
 
 
-def test_contest_order_key_breaks_ties_by_wallet():
+def test_contest_winner_breaks_ties_by_wallet():
     sig = _sig_from_int(7)
-    assert contest_order_key(sig, b"\x01" * 32) < contest_order_key(sig, b"\x02" * 32)
+    for contestants in ({LOW_WALLET: sig, HIGH_WALLET: sig}, {HIGH_WALLET: sig, LOW_WALLET: sig}):
+        assert contest_winner(contestants) == LOW_WALLET
 
 
-def test_signature_width_enforced():
-    with pytest.raises(ValueError):
-        Signature(b"\x00" * 31)
+def test_verify_refuses_a_signature_of_the_wrong_width(sender_key):
+    # int.from_bytes reads b"\x00" + x and x[1:] as the same value as x, so
+    # only the width check refuses them.
+    message = next(m for m in (b"%d" % i for i in range(100_000)) if sign(sender_key, m)[0] == 0)
+    sig = sign(sender_key, message)
+    assert verify(sender_key.public_key, message, sig)
+    assert not verify(sender_key.public_key, message, sig[1:])
+    assert not verify(sender_key.public_key, message, b"\x00" + sig)
 
 
 def test_keypair_address_is_public_key():
     key = generate_keypair(seed_bytes(5))
     assert isinstance(key, KeyPair)
-    assert key.address == key.public_key
     assert len(key.public_key) == 32
 
 

@@ -19,7 +19,7 @@ from panchain.configs import (
     worked_example,
 )
 from panchain.contract import FINALIZED, ChainState
-from panchain.crypto import contest_order_key, sign
+from panchain.crypto import sign
 from panchain.ecosystem import (
     Ecosystem,
     RunReport,
@@ -41,7 +41,7 @@ def test_worked_example_reaches_published_final_state():
         name: sign(eco.keys[name], encode_poi(poi))
         for name in ("ursula", "victor", "wanda")
     }
-    winner = min(omegas, key=lambda n: contest_order_key(omegas[n], eco.keys[n].public_key))
+    winner = min(omegas, key=lambda n: (omegas[n], eco.keys[n].public_key))
     expected = {"sender": 60, "recipient": 19, winner: 1}
     for name in ("ursula", "victor", "wanda"):
         expected.setdefault(name, 0)
@@ -160,7 +160,7 @@ def test_missing_finalize_names_involved_wallets():
         state.apply(make_claim(poi), now=1)
         state.apply(make_contest(u, poi), now=2)
     for state in states[:2]:
-        state.apply(make_finalize(d, poi.alpha_id), now=62)
+        state.apply(make_finalize(d, poi.alpha), now=62)
     rows = check_consistency(states)
     divergent = {row["wallet"] for row in rows}
     assert divergent == {s.public_key.hex(), d.public_key.hex(), u.public_key.hex()}

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from panchain.protocol import (
     ProofOfIntent,
     TransferIntent,
     conflicts,
-    encode,
     encode_intent,
     encode_poi,
     encode_veto_payload,
@@ -32,9 +32,7 @@ def test_make_poi_worked_example(sender_key, recipient_key):
     poi = _poi(sender_key, recipient_key)
     assert poi.amount == 20 and (poi.t0, poi.t1) == (1, 61)
     assert verify(sender_key.public_key, encode_intent(poi.intent), poi.alpha)
-    assert verify(
-        recipient_key.public_key, encode_intent(poi.intent) + poi.alpha.data, poi.beta
-    )
+    assert verify(recipient_key.public_key, encode_intent(poi.intent) + poi.alpha, poi.beta)
     assert verify_poi(poi)
 
 
@@ -55,14 +53,14 @@ def test_make_poi_small_transfer_verifies(sender_key, recipient_key):
 
 def test_encode_deterministic(sender_key, recipient_key):
     intent = _poi(sender_key, recipient_key).intent
-    assert encode(intent) == encode(intent)
+    assert encode_intent(replace(intent)) == encode_intent(intent)
 
 
 def test_encode_distinguishes_amounts(sender_key, recipient_key):
     base = dict(sender=sender_key.public_key, recipient=recipient_key.public_key, t0=0, t1=9)
     a = TransferIntent(amount=0, **base)
     b = TransferIntent(amount=1, **base)
-    assert encode(a) != encode(b)
+    assert encode_intent(a) != encode_intent(b)
 
 
 def test_encode_injective_sampled():
@@ -90,12 +88,7 @@ def test_encode_kinds_disjoint(sender_key, recipient_key):
     poi = _poi(sender_key, recipient_key)
     assert encode_intent(poi.intent) != encode_poi(poi)
     assert encode_poi(poi)[:3] == b"POI"
-    assert encode_veto_payload(poi.alpha_id, b"\x01" * 32)[:3] == b"VET"
-
-
-def test_encode_rejects_unknown_type():
-    with pytest.raises(TypeError):
-        encode(b"raw bytes")
+    assert encode_veto_payload(poi.alpha, b"\x01" * 32)[:3] == b"VET"
 
 
 def test_conflicts_same_sender_overlapping(sender_key, recipient_key):
@@ -167,11 +160,11 @@ def test_contest_and_veto_signatures_verify(sender_key, recipient_key, observer_
     contest = make_contest(observer_keys[0], poi)
     assert verify(contest.contestant, encode_poi(poi), contest.omega)
     other = _poi(sender_key, keypair("r2"), t0=5, t1=65)
-    veto = make_veto(observer_keys[1], poi.alpha_id, other)
-    assert verify(veto.vetoer, encode_veto_payload(poi.alpha_id, other.alpha_id), veto.omega)
+    veto = make_veto(observer_keys[1], poi.alpha, other)
+    assert verify(veto.vetoer, encode_veto_payload(poi.alpha, other.alpha), veto.omega)
     # orientation-independent: the swapped pair yields the same payload
-    assert encode_veto_payload(other.alpha_id, poi.alpha_id) == encode_veto_payload(
-        poi.alpha_id, other.alpha_id
+    assert encode_veto_payload(other.alpha, poi.alpha) == encode_veto_payload(
+        poi.alpha, other.alpha
     )
 
 
