@@ -10,7 +10,7 @@ event loop; they hold no timers of their own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .chain import SimChain
@@ -176,10 +176,10 @@ class Observer:
         A chain accepts a veto only if the cited alpha is already known to it,
         and which of the two proofs a given chain learned first cannot be
         known here, so both orderings are posted; the contract's unordered
-        veto-record keying collapses them into one contest.
+        veto-record keying collapses them into one contest. Both orientations
+        share one omega, since the vetoer signs the unordered pair, so it is
+        signed once and the same two vetoes go to every chain.
         """
-        submissions = []
-        for chain in chains:
-            submissions.append((chain.chain_id, make_veto(self.key, a.alpha, b)))
-            submissions.append((chain.chain_id, make_veto(self.key, b.alpha, a)))
-        return submissions
+        ab = make_veto(self.key, a.alpha, b)
+        ba = replace(ab, alpha=b.alpha, conflicting_poi=a)
+        return [(chain.chain_id, veto) for chain in chains for veto in (ab, ba)]

@@ -9,9 +9,10 @@ deliberately toy-grade: it is deterministic, publicly verifiable, and
 uniform, which is all the witness contest needs. It is not secure against
 a party willing to factor 64-bit exponent inverses.
 
-The modular powers run in OpenSSL's BN_mod_exp when libcrypto loads, and in
-Python's pow otherwise; both give the same integers, so signatures do not
-depend on which one ran.
+The modular powers run in OpenSSL's BN_mod_exp_mont, with one Montgomery
+context for P per process, when libcrypto loads, and in Python's pow
+otherwise; both give the same integers, so signatures do not depend on which
+one ran.
 
 A signature is its value as 32 big-endian bytes, so comparing two signatures
 as bytes compares their values.
@@ -74,8 +75,9 @@ def _pow(base: int, exp: int) -> int:
 
 
 def _load_powmod():
-    """_pow evaluated by libcrypto's BN_mod_exp, falling back to _pow itself
-    when libcrypto cannot be loaded or a call fails."""
+    """_pow evaluated by libcrypto's BN_mod_exp_mont with one Montgomery
+    context for PRIME, falling back to _pow itself when libcrypto cannot be
+    loaded, the context cannot be set up, or a call fails."""
     import ctypes
     import ctypes.util
 
@@ -84,24 +86,28 @@ def _load_powmod():
         return _pow
     try:
         lib = ctypes.CDLL(name)
-        bin2bn, bn2bin, mod_exp, ctx_new = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp, lib.BN_CTX_new
+        bin2bn, bn2bin, mod_exp = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp_mont
+        ctx_new, mont_new, mont_set = lib.BN_CTX_new, lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_set
     except (OSError, AttributeError):
         return _pow
     ptr = ctypes.c_void_p
     bin2bn.argtypes, bin2bn.restype = [ctypes.c_char_p, ctypes.c_int, ptr], ptr
     bn2bin.argtypes, bn2bin.restype = [ptr, ctypes.c_char_p, ctypes.c_int], ctypes.c_int
-    mod_exp.argtypes, mod_exp.restype = [ptr] * 5, ctypes.c_int
+    mod_exp.argtypes, mod_exp.restype = [ptr] * 6, ctypes.c_int
     ctx_new.argtypes, ctx_new.restype = [], ptr
-    ctx, modulus, r, a, p = ctx_new(), *(bin2bn(PRIME.to_bytes(32, "big"), 32, None) for _ in range(4))
+    mont_new.argtypes, mont_new.restype = [], ptr
+    mont_set.argtypes, mont_set.restype = [ptr] * 3, ctypes.c_int
+    ctx, mont = ctx_new(), mont_new()
+    modulus, r, a, p = (bin2bn(PRIME.to_bytes(32, "big"), 32, None) for _ in range(4))
     out = ctypes.create_string_buffer(32)
-    if not all((ctx, modulus, r, a, p)):
+    if not all((ctx, mont, modulus, r, a, p)) or not mont_set(mont, modulus, ctx):
         return _pow
 
     def powmod(base: int, exp: int) -> int:
         if (
             bin2bn(base.to_bytes(32, "big"), 32, a)
             and bin2bn(exp.to_bytes(32, "big"), 32, p)
-            and mod_exp(r, a, p, modulus, ctx)
+            and mod_exp(r, a, p, modulus, ctx, mont)
             and bn2bin(r, out, 32) == 32
         ):
             return int.from_bytes(out.raw, "big")
@@ -110,7 +116,8 @@ def _load_powmod():
     return powmod
 
 
-# One engine per process id, so pool workers never share a BN_CTX.
+# One engine per process id, so pool workers never share a BN_CTX or a
+# Montgomery context.
 _ENGINES: dict = {}
 
 
@@ -136,13 +143,14 @@ def sign(key: KeyPair, message: bytes) -> bytes:
 def _verify_cached(public_key: bytes, message: bytes, sig: bytes) -> bool:
     # int.from_bytes ignores leading zero bytes, so only the width check keeps
     # a signature with its leading 0x00 dropped from verifying (and then
-    # ranking out of value order as bytes).
+    # ranking out of value order as bytes). Likewise s + PRIME would verify as
+    # an alias of s and rank above it, so only values below PRIME are signatures.
     if len(public_key) != 32 or len(sig) != SIGNATURE_BYTES:
         return False
-    e = int.from_bytes(public_key[24:], "big")
-    if e <= 0:
+    e, value = int.from_bytes(public_key[24:], "big"), int.from_bytes(sig, "big")
+    if e <= 0 or value >= PRIME:
         return False
-    return _powmod(int.from_bytes(sig, "big"), e) == _message_residue(message)
+    return _powmod(value, e) == _message_residue(message)
 
 
 def verify(public_key: bytes, message: bytes, sig: bytes) -> bool:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panchain import agents
+from panchain import agents, crypto, protocol
 from panchain.agents import Client, Observer
 from panchain.chain import ChainConfig, SimChain
 from panchain.configs import contest_scaling_config, sweep_config
@@ -19,10 +19,12 @@ from panchain.protocol import (
     Contest,
     conflicts,
     encode_poi,
+    encode_veto_payload,
     make_claim,
     make_contest,
     make_finalize,
     make_poi,
+    make_veto,
 )
 
 from conftest import keypair
@@ -177,6 +179,29 @@ def test_observer_detects_conflict_and_vetoes_both_orientations():
     a, b, deadline = second.conflicts_found[0]
     assert {a, b} == {poi.alpha, other.alpha}
     assert deadline == 65 + 60
+
+
+def test_make_vetoes_signs_the_pair_once_and_both_orientations_verify(monkeypatch):
+    observer, poi, chains, sender = observer_fixture()
+    other = make_poi(sender, keypair("second-recipient"), amount=20, t0=5, t1=65)
+    calls = []
+
+    def counting_sign(key, message):
+        calls.append(message)
+        return crypto.sign(key, message)
+
+    monkeypatch.setattr(agents, "sign", counting_sign)
+    monkeypatch.setattr(protocol, "sign", counting_sign)
+    submissions = observer.make_vetoes(poi, other, chains)
+    assert len(calls) == 1
+    assert [cid for cid, _ in submissions] == [0, 0, 1, 1, 2, 2]
+    for i, (_, veto) in enumerate(submissions):
+        known, cited = (poi, other) if i % 2 == 0 else (other, poi)
+        assert (veto.alpha, veto.conflicting_poi) == (known.alpha, cited)
+        # The same value the per-orientation signing produced.
+        assert veto == make_veto(observer.key, known.alpha, cited)
+        payload = encode_veto_payload(veto.alpha, veto.conflicting_poi.alpha)
+        assert crypto.verify(observer.key.public_key, payload, veto.omega)
 
 
 def test_watchdog_no_action_without_conflict():

@@ -1,3 +1,5 @@
+import ctypes
+import ctypes.util
 import hashlib
 import os
 import random
@@ -174,6 +176,21 @@ def test_verify_refuses_a_signature_of_the_wrong_width(sender_key):
     assert not verify(sender_key.public_key, message, b"\x00" + sig)
 
 
+def test_verify_refuses_a_signature_value_at_or_above_prime(monkeypatch, sender_key):
+    # s and s + PRIME are the same residue, so without the range check both
+    # would verify; the residue is stood in so that s = 5 is the signature.
+    message = b"aliased signature"
+    e = int.from_bytes(sender_key.public_key[24:], "big")
+    residue = crypto._message_residue
+    monkeypatch.setattr(crypto, "_message_residue", lambda m: pow(5, e, PRIME) if m == message else residue(m))
+    crypto._verify_cached.cache_clear()
+    try:
+        assert verify(sender_key.public_key, message, (5).to_bytes(32, "big"))
+        assert not verify(sender_key.public_key, message, (5 + PRIME).to_bytes(32, "big"))
+    finally:
+        crypto._verify_cached.cache_clear()
+
+
 def test_keypair_address_is_public_key():
     key = generate_keypair(seed_bytes(5))
     assert isinstance(key, KeyPair)
@@ -193,10 +210,47 @@ def test_powmod_matches_pow(base, exp):
     assert crypto._powmod(base, exp) == pow(base, exp, PRIME)
 
 
-@pytest.mark.parametrize("base", [0, 1, PRIME - 1])
-@pytest.mark.parametrize("exp", [0, 1, PRIME - 2])
+# Bases from PRIME up are unreduced; BN_mod_exp_mont must reduce them itself.
+@pytest.mark.parametrize("base", [0, 1, PRIME - 1, PRIME, PRIME + 1, 2**256 - 1])
+@pytest.mark.parametrize("exp", [0, 1, 2**64 - 1, PRIME - 2, 2**256 - 1])
 def test_powmod_edge_cases(base, exp):
     assert crypto._powmod(base, exp) == pow(base, exp, PRIME)
+
+
+class _Libcrypto:
+    """The real libcrypto with some symbols hidden or replaced."""
+
+    def __init__(self, lib, hidden=(), replaced=None):
+        self._lib, self._hidden, self._replaced = lib, hidden, replaced or {}
+
+    def __getattr__(self, name):
+        if name in self._hidden:
+            raise AttributeError(name)
+        return self._replaced.get(name) or getattr(self._lib, name)
+
+
+def _load_with(monkeypatch, **proxy):
+    real = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _Libcrypto(real(name), **proxy))
+    return crypto._load_powmod()
+
+
+def test_libcrypto_engine_loads_when_every_symbol_is_there(monkeypatch):
+    engine = _load_with(monkeypatch)
+    assert (engine is crypto._pow) == (ctypes.util.find_library("crypto") is None)
+    assert engine(PRIME + 1, 2**64 - 1) == pow(PRIME + 1, 2**64 - 1, PRIME)
+
+
+@pytest.mark.parametrize("symbol", ["BN_mod_exp_mont", "BN_MONT_CTX_new", "BN_MONT_CTX_set"])
+def test_engine_falls_back_to_pow_without_a_montgomery_symbol(monkeypatch, symbol):
+    assert _load_with(monkeypatch, hidden=(symbol,)) is crypto._pow
+
+
+def test_engine_falls_back_to_pow_when_the_montgomery_context_cannot_be_set(monkeypatch):
+    def failing_set(*args):
+        return 0
+
+    assert _load_with(monkeypatch, replaced={"BN_MONT_CTX_set": failing_set}) is crypto._pow
 
 
 def test_pow_fallback_signs_and_verifies(request, sender_key, recipient_key):
