@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .chain import SimChain
 from .contract import PENDING
-from .crypto import KeyPair, contest_winner, sign
+from .crypto import KeyPair, contest_leader, sign
 from .protocol import (
     Contest,
     ProofOfIntent,
@@ -109,11 +109,14 @@ class ObserverReaction:
 class Observer:
     """Contest observer and conflict watchdog with its own proof memory.
 
-    ``seen`` holds every proof this observer has ever seen; ``_by_sender``
-    holds the same proofs grouped by sender, in the order they were seen.
-    Only proofs from one sender can conflict, so a new proof is checked
-    against its sender's list alone. Memory is never pruned by time: a
-    back-dated window can conflict with a proof long since finalized.
+    ``seen`` holds every proof this observer has ever seen. ``_by_sender``
+    maps each sender to the latest window close (largest ``t1``) among its
+    proofs and the list of those proofs, in the order they were seen. Only
+    proofs from one sender can conflict, so a new proof is checked against
+    its sender's list alone, and only if it opens no later than that close:
+    a window opening after every earlier one has closed overlaps none of
+    them. Memory is never pruned by time: a back-dated window can conflict
+    with a proof long since finalized.
     """
 
     def __init__(self, name: str, key: KeyPair, post_iff_winnable: bool = True):
@@ -121,7 +124,7 @@ class Observer:
         self.key = key
         self.post_iff_winnable = post_iff_winnable
         self.seen: dict[bytes, ProofOfIntent] = {}
-        self._by_sender: dict[bytes, list[ProofOfIntent]] = {}
+        self._by_sender: dict[bytes, tuple[int, list[ProofOfIntent]]] = {}
 
     def omega_for(self, poi: ProofOfIntent) -> bytes:
         return sign(self.key, encode_poi(poi))
@@ -132,9 +135,10 @@ class Observer:
         reaction = ObserverReaction()
         if poi.alpha in self.seen:
             return reaction
-        earlier = self._by_sender.setdefault(poi.sender, [])
-        conflicting = [p for p in earlier if conflicts(poi, p)]
+        last_close, earlier = self._by_sender.get(poi.sender, (-1, []))
+        conflicting = [p for p in earlier if conflicts(poi, p)] if poi.t0 <= last_close else []
         earlier.append(poi)
+        self._by_sender[poi.sender] = (max(last_close, poi.t1), earlier)
         self.seen[poi.alpha] = poi
         if conflicting:
             for other in conflicting:
@@ -155,17 +159,19 @@ class Observer:
             return []
         omega = self.omega_for(poi)
         me = self.key.public_key
+        contest = Contest(poi=poi, contestant=me, omega=omega)
         submissions = []
         for chain in chains:
             record = chain.state.poi_records.get(poi.alpha)
             if record is not None:
-                if record.status != PENDING:
+                contestants = record.contestants
+                if record.status != PENDING or me in contestants:
                     continue
-                if me in record.contestants:
+                # This observer is not among the contestants yet, so it would
+                # win iff it beats their leader.
+                if self.post_iff_winnable and contestants and contest_leader(contestants) < (omega, me):
                     continue
-                if self.post_iff_winnable and contest_winner({**record.contestants, me: omega}) != me:
-                    continue
-            submissions.append((chain.chain_id, Contest(poi=poi, contestant=me, omega=omega)))
+            submissions.append((chain.chain_id, contest))
         return submissions
 
     def make_vetoes(

@@ -37,8 +37,7 @@ class ChainConfig:
             raise ValueError("jitter must be in [0, 1)")
 
 
-@dataclass(frozen=True)
-class AppliedTx:
+class AppliedTx(NamedTuple):
     tx: Transaction
     ok: bool
     error: Optional[str] = None  # TxError code when not ok
@@ -101,9 +100,9 @@ class SimChain:
                 drained.append(tx)
                 try:
                     self.state.apply(tx, now)
-                    results.append(AppliedTx(tx=tx, ok=True))
+                    results.append(AppliedTx(tx, True))
                 except TxError as err:
-                    results.append(AppliedTx(tx=tx, ok=False, error=err.code))
+                    results.append(AppliedTx(tx, False, err.code))
             block = Block(len(self.blocks), now, tuple(drained), tuple(results))
         else:  # an idle chain's block: nothing to drain or apply
             block = Block(len(self.blocks), now, (), ())

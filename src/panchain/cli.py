@@ -38,6 +38,12 @@ from .ecosystem import Ecosystem, RunReport, dumps, run, wallet_keypair
 CAMPAIGNS = ("run", "sweep-validity", "contest-scaling", "cost-report", "veto-demo")
 
 
+def _no_duplicates(values: tuple, name: str) -> None:
+    # A repeated point would run twice and its summary row would count it twice.
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name} lists a value more than once: {list(values)}")
+
+
 @dataclass(frozen=True)
 class SweepSection:
     validity_points: tuple[int, ...] = tuple(range(10, 71, 5))
@@ -47,18 +53,20 @@ class SweepSection:
         # the point only when the sweep reaches it.
         if not all(1 <= v < 2**63 for v in self.validity_points):
             raise ConfigError("validity_points must be at least 1 second and below 2^63")
+        _no_duplicates(self.validity_points, "validity_points")
 
 
 @dataclass(frozen=True)
 class ScalingSection:
     n_values: tuple[int, ...] = (4, 16, 64)
-    runs: Optional[int] = None  # None: one run per seed
+    runs: Optional[int] = None  # None: one run per seed; else seeds[0] + k for k < runs
 
     def __post_init__(self) -> None:
         if self.runs is not None and self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if min(self.n_values, default=0) < 0:
             raise ConfigError("n_values must be non-negative observer counts")
+        _no_duplicates(self.n_values, "n_values")
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,7 @@ class ExperimentSpec:
             raise ConfigError(f"unknown campaign {self.campaign!r}; choose from {CAMPAIGNS}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        _no_duplicates(self.seeds, "--seeds")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         raw = dict(self.config)
@@ -240,10 +249,11 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     harmonic-number expectation and the log2 bound."""
     out = _campaign_dir(spec.out_dir / "contest-scaling")
     n_values = spec.sections.scaling.n_values
-    runs = spec.sections.scaling.runs or len(spec.seeds)
+    runs = spec.sections.scaling.runs
     base_seed = spec.seeds[0]
+    seeds = spec.seeds if runs is None else [base_seed + k for k in range(runs)]
     bases = {n: contest_scaling_config(n) for n in n_values}
-    points = [(n, bases[n], base_seed + k) for n in n_values for k in range(runs)]
+    points = [(n, bases[n], seed) for n in n_values for seed in seeds]
     results = _map_points(_scaling_point, points, spec.jobs)
 
     outputs, errors = [], []
@@ -258,7 +268,7 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
         se = statistics.stdev(counts[n]) / math.sqrt(len(counts[n])) if len(counts[n]) > 1 else 0.0
         harmonic = sum(1 / k for k in range(1, n + 1))
         log2n = math.log2(n) if n > 1 else 0.0
-        lines.append(f"{n},{runs},{mean:.6f},{se:.6f},{harmonic:.6f},{log2n:.6f}")
+        lines.append(f"{n},{len(seeds)},{mean:.6f},{se:.6f},{harmonic:.6f},{log2n:.6f}")
     outputs.append(
         str(_write(out / f"contest-scaling-{base_seed}.csv", "\n".join(lines) + "\n"))
     )

@@ -158,8 +158,13 @@ def verify(public_key: bytes, message: bytes, sig: bytes) -> bool:
     return _verify_cached(public_key, message, sig)
 
 
+def contest_leader(contestants: dict[bytes, bytes]) -> tuple[bytes, bytes]:
+    """The contest rule every chain applies on its own: the lowest
+    (omega, wallet) pair leads, so the lowest omega wins and the lower wallet
+    bytes break a tie, and chains that saw the same contestants agree."""
+    return min(zip(contestants.values(), contestants))
+
+
 def contest_winner(contestants: dict[bytes, bytes]) -> bytes:
-    """The contest rule every chain applies on its own: the wallet with the
-    lowest omega wins, the lower wallet bytes at an equal omega, so chains
-    that saw the same contestants agree."""
-    return min(contestants, key=lambda w: (contestants[w], w))
+    """The wallet that wins under contest_leader."""
+    return contest_leader(contestants)[1]

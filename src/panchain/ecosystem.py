@@ -221,6 +221,12 @@ class Ecosystem:
             )
             for name in config.clients
         }
+        # Each client's recipients: every other client, in config order, since
+        # a transfer's recipient is drawn by index into this list.
+        pairs = [(name, self.keys[name]) for name in self.clients]
+        self._recipients: dict[str, list[tuple[str, KeyPair]]] = {
+            name: [pair for pair in pairs if pair[0] != name] for name in self.clients
+        }
         self.observers: dict[str, Observer] = {
             name: Observer(name, self.keys[name], post_iff_winnable=config.post_iff_winnable)
             for name in config.observers
@@ -403,13 +409,10 @@ class Ecosystem:
         client = self.clients[name]
         if client.busy:
             return
-        recipients = [
-            (other, self.keys[other]) for other in self.clients if other != name
-        ]
         chain_balances = [
             chain.state.balance(client.key.public_key) for chain in self.chains
         ]
-        plan = client.plan_transfer(self._now, chain_balances, recipients)
+        plan = client.plan_transfer(self._now, chain_balances, self._recipients[name])
         if plan is None:
             next_at = self._now + client.think_delay()
             if next_at <= self.config.duration:

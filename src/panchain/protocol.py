@@ -61,25 +61,18 @@ class ProofOfIntent:
     alpha: bytes
     beta: bytes
 
-    @property
-    def sender(self) -> WalletId:
-        return self.intent.sender
-
-    @property
-    def recipient(self) -> WalletId:
-        return self.intent.recipient
-
-    @property
-    def amount(self) -> int:
-        return self.intent.amount
-
-    @property
-    def t0(self) -> int:
-        return self.intent.t0
-
-    @property
-    def t1(self) -> int:
-        return self.intent.t1
+    def __post_init__(self) -> None:
+        # The intent's fields, copied once: contract and observer checks read
+        # them on every transaction. Like the ``_encoded`` memo below, they
+        # sit outside the dataclass fields, so equality and hashing ignore them.
+        intent = self.intent
+        self.__dict__.update(
+            sender=intent.sender,
+            recipient=intent.recipient,
+            amount=intent.amount,
+            t0=intent.t0,
+            t1=intent.t1,
+        )
 
 
 # Both encoders memoise their result on the frozen value as ``_encoded``:

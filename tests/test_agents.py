@@ -13,7 +13,7 @@ from panchain import agents, crypto, protocol
 from panchain.agents import Client, Observer
 from panchain.chain import ChainConfig, SimChain
 from panchain.configs import contest_scaling_config, sweep_config
-from panchain.contract import FINALIZED, ChainState
+from panchain.contract import FINALIZED, ChainState, PoiRecord
 from panchain.ecosystem import run
 from panchain.protocol import (
     Contest,
@@ -268,8 +268,70 @@ def test_observer_checks_a_proof_only_against_its_senders_proofs(monkeypatch):
     for sender in senders:
         observer.handle_new_poi(make_poi(sender, recipient, amount=2, t0=1, t1=61), [], now=100.0)
     assert calls == []
-    observer.handle_new_poi(make_poi(senders[7], recipient, amount=2, t0=70, t1=130), [], now=200.0)
+    # Opens before sender 7's first window closes, so that one proof is scanned.
+    observer.handle_new_poi(make_poi(senders[7], recipient, amount=2, t0=50, t1=130), [], now=200.0)
     assert len(calls) == 1
+
+
+def test_a_proof_opening_after_its_senders_last_close_is_not_scanned(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return conflicts(a, b)
+
+    monkeypatch.setattr(agents, "conflicts", counting)
+    observer = Observer("watch", keypair("watch"))
+    sender, recipient = keypair("screen-sender"), keypair("screen-recipient")
+    # The second window closes before the first; the latest close stays 61.
+    for t0, t1 in ((1, 61), (10, 20)):
+        observer.handle_new_poi(make_poi(sender, recipient, amount=2, t0=t0, t1=t1), [], now=100.0)
+    calls.clear()
+    reaction = observer.handle_new_poi(make_poi(sender, recipient, amount=2, t0=62, t1=90), [], now=100.0)
+    assert calls == [] and not reaction.vetoes and not reaction.conflicts_found
+
+
+def test_a_backdated_proof_is_still_scanned_and_vetoed(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return conflicts(a, b)
+
+    monkeypatch.setattr(agents, "conflicts", counting)
+    observer, poi, chains, sender = observer_fixture()
+    later = make_poi(sender, keypair("r2"), amount=20, t0=100, t1=160)
+    observer.handle_new_poi(poi, chains, now=2.0)
+    observer.handle_new_poi(later, chains, now=101.0)
+    assert calls == []
+    # Opens after the first window but before the latest close (160).
+    backdated = make_poi(sender, keypair("r3"), amount=20, t0=70, t1=110)
+    reaction = observer.handle_new_poi(backdated, chains, now=101.0)
+    assert [(a.alpha, b.alpha) for a, b in calls] == [(backdated.alpha, poi.alpha), (backdated.alpha, later.alpha)]
+    assert len(reaction.vetoes) == 6
+    assert [(a, b) for a, b, _ in reaction.conflicts_found] == [(later.alpha, backdated.alpha)]
+
+
+# Few distinct short values, so equal omegas and wallet ties come up often.
+_SMALL_BYTES = st.binary(min_size=1, max_size=1).map(lambda b: bytes([b[0] % 4]))
+_WALLETS = st.binary(min_size=1, max_size=2)
+
+
+@given(st.dictionaries(_WALLETS, _SMALL_BYTES, min_size=1, max_size=6))
+def test_contest_winner_is_the_lowest_omega_then_the_lowest_wallet(contestants):
+    assert crypto.contest_winner(contestants) == min(contestants, key=lambda w: (contestants[w], w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_WALLETS, _SMALL_BYTES, max_size=6), _WALLETS, _SMALL_BYTES)
+def test_observer_posts_iff_it_would_win_the_contest(contestants, me, omega):
+    observer, poi, chains, _ = observer_fixture()
+    observer.key = dataclasses.replace(observer.key, public_key=me)
+    observer.omega_for = lambda _poi: omega
+    chains[0].state.poi_records[poi.alpha] = PoiRecord(poi=poi, contestants=dict(contestants))
+    reaction = observer.handle_new_poi(poi, chains[:1], now=2.0)
+    expected = me not in contestants and crypto.contest_winner({**contestants, me: omega}) == me
+    assert [cid for cid, _ in reaction.contests] == ([0] if expected else [])
 
 
 def test_encode_poi_bytes_are_memoised_per_proof():

@@ -138,6 +138,26 @@ def test_cmd_contest_scaling_csv_shape(tmp_path):
     assert n4[0] == "4" and 1.0 <= float(n4[2]) <= 4.0
 
 
+def test_contest_scaling_runs_exactly_the_given_seeds_when_runs_is_unset(tmp_path):
+    def mean_contests(name, seeds):
+        cmd_contest_scaling(spec_for("contest-scaling", tmp_path / name, config=config, seeds=seeds))
+        csv = (tmp_path / name / "contest-scaling" / f"contest-scaling-{seeds[0]}.csv").read_text()
+        row = csv.splitlines()[1].split(",")
+        return csv, int(row[1]), float(row[2])
+
+    config = {"scaling": {"n_values": [6]}}
+    csv_37, runs_37, mean_37 = mean_contests("3-7", (3, 7))
+    csv_34, _, _ = mean_contests("3-4", (3, 4))
+    _, _, mean_3 = mean_contests("3", (3,))
+    _, _, mean_7 = mean_contests("7", (7,))
+    assert csv_37 != csv_34
+    assert runs_37 == 2
+    assert mean_37 == pytest.approx((mean_3 + mean_7) / 2, abs=1e-6)
+    # With runs set, the seeds run on from the first one given.
+    config = {"scaling": {"n_values": [6], "runs": 2}}
+    assert mean_contests("3-7-runs", (3, 7))[0] == mean_contests("3-4-runs", (3, 4))[0] == csv_34
+
+
 def test_cmd_cost_report_values(tmp_path):
     result = cmd_cost_and_incentive(spec_for("cost-report", tmp_path))
     assert result["errors"] == []
@@ -285,6 +305,9 @@ def _one_leg_script(**fields):
         ("cost-report", {"cost": {"m": 10**310}}, []),
         ("cost-report", {"cost": {"n_grid": [10, 10**400]}}, []),
         ("cost-report", {"cost": {"price": {"gas_price_gwei": 1e308, "ether_usd": 1e308}}}, []),
+        ("sweep-validity", {"sweep": {"validity_points": [30, 30]}}, []),
+        ("contest-scaling", {"scaling": {"n_values": [2, 2], "runs": 3}}, []),
+        ("contest-scaling", {}, ["--seeds", "3,7,3"]),
         *((campaign, {}, ["--out", "bad.json"]) for campaign in cli.CAMPAIGNS),
     ],
     ids=[
@@ -297,7 +320,8 @@ def _one_leg_script(**fields):
         "veto-demo-string-chain-count", "contest-scaling-string-chain-count",
         "cost-report-string-chain-count", "ecosystem-list", "negative-scaling-observer-count",
         "zero-validity-point", "negative-leg-time", "overflowing-cost-chains",
-        "overflowing-cost-grid", "overflowing-cost-price", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
+        "overflowing-cost-grid", "overflowing-cost-price", "duplicate-validity-point",
+        "duplicate-scaling-observer-count", "duplicate-seed", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
     ],
 )
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv):
