@@ -10,31 +10,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .contract import ChainState, TxError
 from .protocol import Transaction
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    chain_id: int
-    block_interval: float = 13.0
-    # Capacity stands in for the block gas limit; the reference chain's
-    # 8 MGas divided by the costliest transaction is on the order of 100.
-    max_txs_per_block: int = 100
-    # Fraction of the interval for uniform timing noise; 0 keeps timestamps
-    # at exactly height * block_interval.
-    jitter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.block_interval <= 0:
-            raise ValueError("block_interval must be positive")
-        if self.max_txs_per_block <= 0:
-            raise ValueError("max_txs_per_block must be positive")
-        if not 0 <= self.jitter < 1:
-            raise ValueError("jitter must be in [0, 1)")
 
 
 class AppliedTx(NamedTuple):
@@ -51,33 +30,38 @@ class Block(NamedTuple):
 
 
 class SimChain:
-    """One chain: config, contract state, mempool, and the produced blocks."""
+    """One chain: block parameters, contract state, mempool, and the produced
+    blocks. ``EcosystemConfig`` checks the parameters."""
 
     def __init__(
         self,
-        config: ChainConfig,
+        chain_id: int,
         state: ChainState,
+        *,
+        block_interval: float,
+        max_txs_per_block: int,
+        jitter: float,
         rng: Optional[random.Random] = None,
     ):
-        self.config = config
+        self.chain_id = chain_id
         self.state = state
+        self.block_interval = block_interval
+        self.max_txs_per_block = max_txs_per_block
+        self.jitter = jitter
         self._rng = rng or random.Random(0)
         self.mempool: deque[Transaction] = deque()
         genesis = Block(height=0, timestamp=0, transactions=(), results=())
         self.blocks: list[Block] = [genesis]
-        self.next_block_time = self._draw_interval()
+        self.next_block_time = self._next_after(genesis.timestamp)
 
-    @property
-    def chain_id(self) -> int:
-        return self.config.chain_id
-
-    def _draw_interval(self) -> float:
-        base = self.config.block_interval
-        if self.config.jitter:
-            return self.blocks[-1].timestamp + base * (
-                1 + self._rng.uniform(-self.config.jitter, self.config.jitter)
+    def _next_after(self, timestamp: float) -> float:
+        """When the block after one stamped ``timestamp`` is due: one
+        interval later, perturbed uniformly by up to ``jitter`` of it."""
+        if self.jitter:
+            return timestamp + self.block_interval * (
+                1 + self._rng.uniform(-self.jitter, self.jitter)
             )
-        return self.blocks[-1].timestamp + base
+        return timestamp + self.block_interval
 
     def submit(self, tx: Transaction, now: float) -> None:
         """Queue a transaction submitted at ``now``. The chain does not use
@@ -95,7 +79,7 @@ class SimChain:
         if self.mempool:
             drained: list[Transaction] = []
             results: list[AppliedTx] = []
-            while self.mempool and len(drained) < self.config.max_txs_per_block:
+            while self.mempool and len(drained) < self.max_txs_per_block:
                 tx = self.mempool.popleft()
                 drained.append(tx)
                 try:
@@ -107,7 +91,7 @@ class SimChain:
         else:  # an idle chain's block: nothing to drain or apply
             block = Block(len(self.blocks), now, (), ())
         self.blocks.append(block)
-        self.next_block_time = self._draw_interval()
+        self.next_block_time = self._next_after(now)
         return block
 
 

@@ -77,8 +77,10 @@ class ScriptedAction:
 class EcosystemConfig:
     chains: int = 3
     block_interval: float = 13.0
+    # Capacity stands in for the block gas limit: the reference chain's
+    # 8 MGas over the costliest transaction is on the order of 100.
     max_txs_per_block: int = 100
-    jitter: float = 0.0
+    jitter: float = 0.0  # fraction of the interval for uniform timing noise
     wallets: tuple[WalletSpec, ...] = ()
     clients: tuple[str, ...] = ()
     observers: tuple[str, ...] = ()
@@ -229,9 +231,7 @@ def config_from_dict(data: dict) -> EcosystemConfig:
     for name, balance in wallets.items():
         natural(balance, f"ecosystem.wallets.{name}")
 
-    client_balance = data.pop("client_balance", 100)
-    if not _is(client_balance, int):
-        raise ConfigError(f"client_balance must be an integer, got {client_balance!r}")
+    client_balance = natural(data.pop("client_balance", 100), "ecosystem.client_balance")
     for key, prefix, balance in (("clients", "client", client_balance), ("observers", "obs", 0)):
         if _is(data.get(key), int):
             data[key] = [f"{prefix}-{i:02d}" for i in range(natural(data[key], f"ecosystem.{key}"))]

@@ -7,8 +7,9 @@ at scheduling time, so identical (config, seed) pairs replay identically.
 Block events wait in their own queue, at most one per chain, beside the queue
 of every other event; both draw from the one sequence counter, and the loop
 takes whichever head is earlier, so the merged order is that of a single
-queue. A block on a chain with an empty mempool changes nothing but that
-chain, so the loop produces it and requeues the chain without a handler.
+queue. A chain's entry stays queued while its block is made, and the loop
+requeues it afterwards in one place. A block on a chain with an empty mempool
+changes nothing but that chain, so the loop produces it without a handler.
 After the client-initiation window (``duration``) closes, the loop keeps
 producing blocks until every proof and veto contest is past its deadline plus
 two block intervals, then reports. A transfer's outcome is judged only once
@@ -30,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .agents import Client, Observer
-from .chain import ChainConfig, SimChain
+from .chain import SimChain
 from .configs import EcosystemConfig, ScriptedAction
 from .contract import FINALIZED, OPEN, VETOED, ChainState, _pair_key
 from .crypto import KeyPair, contest_winner, generate_keypair
@@ -199,13 +200,11 @@ class Ecosystem:
         balances = {self.keys[w.name].public_key: w.balance for w in config.wallets}
         self.chains: list[SimChain] = [
             SimChain(
-                ChainConfig(
-                    chain_id=i,
-                    block_interval=config.block_interval,
-                    max_txs_per_block=config.max_txs_per_block,
-                    jitter=config.jitter,
-                ),
+                i,
                 ChainState(i, dict(balances), reward=config.reward),
+                block_interval=config.block_interval,
+                max_txs_per_block=config.max_txs_per_block,
+                jitter=config.jitter,
                 rng=random.Random(f"{seed}/chain/{i}"),
             )
             for i in range(config.chains)
@@ -235,12 +234,11 @@ class Ecosystem:
         # staggered observation never draws from them.
         self._delay_rngs: dict[str, random.Random] = {}
         self._heap: list[tuple[float, int, tuple]] = []
-        # (fire_at, seq, chain_id) of each chain's next block, if scheduled.
+        # (fire_at, seq, chain_id) of each chain's next block, if within the horizon.
         self._blocks: list[tuple[float, int, int]] = []
         self._seq = 0
         self._now = 0.0
         self._horizon = float(config.duration)
-        self._block_scheduled = [False] * config.chains
         self._transfers: dict[bytes, _Transfer] = {}
         self._poi_by_alpha: dict[bytes, ProofOfIntent] = {}
         self._fv_scheduled: set[tuple[str, tuple[bytes, bytes]]] = set()
@@ -269,18 +267,14 @@ class Ecosystem:
             self._ensure_blocks()
 
     def _ensure_blocks(self) -> None:
-        """Queue the next block of every unscheduled chain within the horizon.
-        Needed only when the horizon extends: a chain left unscheduled had its
-        next block past the horizon when it was last checked."""
+        """Queue the next block, if within the horizon, of every chain without
+        an entry. Needed only when the horizon extends: a chain without one had
+        its next block past the horizon when it was last requeued."""
+        queued = {entry[2] for entry in self._blocks}
         for chain in self.chains:
-            if not self._block_scheduled[chain.chain_id]:
-                self._queue_block(chain)
-
-    def _queue_block(self, chain: SimChain) -> None:
-        if chain.next_block_time <= self._horizon:
-            heapq.heappush(self._blocks, (chain.next_block_time, self._seq, chain.chain_id))
-            self._seq += 1
-            self._block_scheduled[chain.chain_id] = True
+            if chain.chain_id not in queued and chain.next_block_time <= self._horizon:
+                heapq.heappush(self._blocks, (chain.next_block_time, self._seq, chain.chain_id))
+                self._seq += 1
 
     def _handle_submit(self, chain_id: int, tx) -> None:
         self.chains[chain_id].submit(tx, self._now)
@@ -301,21 +295,20 @@ class Ecosystem:
         heap, blocks, chains = self._heap, self._blocks, self.chains
         while heap or blocks:
             if blocks and (not heap or blocks[0] < heap[0]):
+                # The chain's entry stays on top until it is requeued: whatever
+                # the block queues meanwhile fires later or has a larger seq.
                 fire_at, _, chain_id = blocks[0]
                 self._now = fire_at
                 chain = chains[chain_id]
                 if chain.mempool:
-                    heapq.heappop(blocks)
                     self._handle_block(chain)
-                    continue
-                # Idle chain: its block drains nothing, so nothing to handle.
-                chain.produce_block(fire_at)
+                else:  # idle chain: its block drains nothing, so nothing to handle
+                    chain.produce_block(fire_at)
                 if chain.next_block_time <= self._horizon:
                     heapq.heapreplace(blocks, (chain.next_block_time, self._seq, chain_id))
                     self._seq += 1
                 else:
                     heapq.heappop(blocks)
-                    self._block_scheduled[chain_id] = False
             else:
                 fire_at, _, payload = heapq.heappop(heap)
                 self._now = fire_at
@@ -328,9 +321,8 @@ class Ecosystem:
     # -- handlers -----------------------------------------------------------
 
     def _handle_block(self, chain: SimChain) -> None:
-        """Produce a block that drains transactions, act on what it applied,
-        then requeue its chain (still marked scheduled until then, so no
-        horizon extension in between queues it twice)."""
+        """Produce a block that drains transactions and act on what it
+        applied; the run loop requeues the chain."""
         block = chain.produce_block(self._now)
         for applied in block.results:
             tx = applied.tx
@@ -343,8 +335,6 @@ class Ecosystem:
                 self._expose_poi(tx.conflicting_poi)
             elif isinstance(tx, Finalize) and tx.alpha in self._transfers:
                 self._transfers[tx.alpha].finalize_results += 1
-        self._block_scheduled[chain.chain_id] = False
-        self._queue_block(chain)
 
     def _expose_poi(self, poi: ProofOfIntent) -> None:
         """First confirmation of a proof anywhere makes it observable; schedule

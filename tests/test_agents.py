@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from panchain import agents, crypto, protocol
 from panchain.agents import Client, Observer
-from panchain.chain import ChainConfig, SimChain
+from panchain.chain import SimChain
 from panchain.configs import contest_scaling_config, sweep_config
 from panchain.contract import FINALIZED, ChainState, PoiRecord
 from panchain.ecosystem import run
@@ -111,8 +111,11 @@ def observer_fixture(post_iff_winnable=True):
         balances = {sender.public_key: 100, recipient.public_key: 0}
         chains.append(
             SimChain(
-                ChainConfig(chain_id=cid),
+                cid,
                 ChainState(cid, balances, reward=1),
+                block_interval=13.0,
+                max_txs_per_block=100,
+                jitter=0.0,
                 rng=random.Random(cid),
             )
         )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from panchain.chain import AppliedTx, Block, ChainConfig, SimChain, block_log_entry
+from panchain.chain import AppliedTx, Block, SimChain, block_log_entry
 from panchain.contract import ChainState
 from panchain.protocol import make_claim, make_contest, make_finalize, make_poi
 
@@ -20,8 +20,11 @@ def new_chain(chain_id=0, interval=13.0, cap=100, balance=80):
     balances = {S.public_key: balance, D.public_key: 0,
                 U.public_key: 0, V.public_key: 0, W.public_key: 0}
     return SimChain(
-        ChainConfig(chain_id=chain_id, block_interval=interval, max_txs_per_block=cap),
+        chain_id,
         ChainState(chain_id, balances, reward=1),
+        block_interval=interval,
+        max_txs_per_block=cap,
+        jitter=0.0,
         rng=random.Random(chain_id),
     )
 
@@ -175,12 +178,12 @@ def test_fifo_order_preserved():
 
 
 def test_jitter_perturbs_timestamps_deterministically():
-    cfg = ChainConfig(chain_id=0, block_interval=13.0, jitter=0.2)
+    params = dict(block_interval=13.0, max_txs_per_block=100, jitter=0.2)
     state = ChainState(0, {S.public_key: 80}, reward=1)
-    chain = SimChain(cfg, state, rng=random.Random(42))
+    chain = SimChain(0, state, **params, rng=random.Random(42))
     t1 = chain.next_block_time
     assert 13.0 * 0.8 <= t1 <= 13.0 * 1.2
-    chain2 = SimChain(cfg, ChainState(0, {S.public_key: 80}, reward=1), rng=random.Random(42))
+    chain2 = SimChain(0, ChainState(0, {S.public_key: 80}, reward=1), **params, rng=random.Random(42))
     assert chain2.next_block_time == t1
 
 

@@ -308,6 +308,8 @@ def _one_leg_script(**fields):
         ("sweep-validity", {"sweep": {"validity_points": [30, 30]}}, []),
         ("contest-scaling", {"scaling": {"n_values": [2, 2], "runs": 3}}, []),
         ("contest-scaling", {}, ["--seeds", "3,7,3"]),
+        *((campaign, {"ecosystem": {"clients": 2, "client_balance": -5, "observers": 1, "duration": 50}}, [])
+          for campaign in ("run", "veto-demo")),
         *((campaign, {}, ["--out", "bad.json"]) for campaign in cli.CAMPAIGNS),
     ],
     ids=[
@@ -321,7 +323,8 @@ def _one_leg_script(**fields):
         "cost-report-string-chain-count", "ecosystem-list", "negative-scaling-observer-count",
         "zero-validity-point", "negative-leg-time", "overflowing-cost-chains",
         "overflowing-cost-grid", "overflowing-cost-price", "duplicate-validity-point",
-        "duplicate-scaling-observer-count", "duplicate-seed", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
+        "duplicate-scaling-observer-count", "duplicate-seed", "negative-client-balance",
+        "veto-demo-negative-client-balance", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
     ],
 )
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv):
