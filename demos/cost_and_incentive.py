@@ -25,7 +25,7 @@ for n in (10, 100, 1000):
     print(f"  n={n:>5}: {min_viable_price(n):6.2f} USD")
 
 report = run(worked_example(seed=0))
-sim = simulated_cost_report(report)
+sim = simulated_cost_report(report.tx_counts, report.stats["transfers_executed"])
 print("\nempirical (worked example, 3 chains, 3 contests per chain):")
 for role, usd in sorted(sim["usd_by_role"].items()):
     print(f"  {role:<9} {usd:.4f} USD")

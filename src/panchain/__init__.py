@@ -37,7 +37,7 @@ from .contract import (
 )
 from .costmodel import GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
 from .crypto import KeyPair, generate_keypair, sign, verify
-from .ecosystem import RunReport, check_consistency, run, wallet_keypair
+from .ecosystem import run, wallet_keypair
 from .protocol import (
     Claim,
     Contest,
@@ -60,5 +60,6 @@ from .protocol import (
     verify_poi,
     veto_deadline,
 )
+from .report import RunReport, check_consistency
 
 __version__ = "0.1.0"

@@ -33,7 +33,8 @@ from .configs import (
 )
 from .chain import block_log_entry
 from .costmodel import GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
-from .ecosystem import Ecosystem, RunReport, dumps, run, wallet_keypair
+from .ecosystem import Ecosystem, run
+from .report import RunReport, dumps
 
 CAMPAIGNS = ("run", "sweep-validity", "contest-scaling", "cost-report", "veto-demo")
 
@@ -312,10 +313,11 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
         counts, stats = run_data.get("tx_counts"), run_data.get("stats", {})
         if not isinstance(counts, dict) or not isinstance(stats, dict):
             raise ConfigError(f"{conf.run_report}: not a run report (needs tx_counts and stats objects)")
-        for key, value in [*counts.items(), ("transfers_executed", stats.get("transfers_executed", 0))]:
+        executed = stats.get("transfers_executed", 0)
+        for key, value in [*counts.items(), ("transfers_executed", executed)]:
             natural(value, f"{conf.run_report}: {key}")
         try:
-            simulated = simulated_cost_report(run_data, conf.gas, conf.price)
+            simulated = simulated_cost_report(counts, executed, conf.gas, conf.price)
             figures = [v for part in simulated.values() if isinstance(part, dict) for v in part.values()]
         except OverflowError:
             figures = [math.inf]
@@ -347,19 +349,17 @@ def cmd_veto_demo(spec: ExperimentSpec) -> dict:
     for seed in spec.seeds:
         payload = {}
         for label, config in scenarios.items():
-            report = run(replace(config, seed=seed))
-            payload[label] = _veto_summary(report)
+            eco = Ecosystem(replace(config, seed=seed))
+            report = eco.run()
+            payload[label] = _veto_summary(report, eco.names)
             for issue in _veto_assertions(label, report):
                 errors.append({"seed": seed, "scenario": label, "error": issue})
         outputs.append(str(_write(out / f"veto-demo-{seed}.json", dumps(payload))))
     return {"campaign": "veto-demo", "outputs": outputs, "errors": errors}
 
 
-def _veto_summary(report: RunReport) -> dict:
-    addr_to_name = {
-        wallet_keypair(report.seed, name).public_key.hex(): name
-        for name in report.config["wallets"]
-    }
+def _veto_summary(report: RunReport, names: dict[bytes, str]) -> dict:
+    addr_to_name = {wallet.hex(): name for wallet, name in names.items()}
     balances_by_name: dict[str, list[int]] = {}
     for snap in report.chains:
         for addr, value in snap["balances"].items():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -123,21 +124,17 @@ def min_viable_price(
 
 
 def simulated_cost_report(
-    run,
+    tx_counts: Mapping[str, int],
+    transfers_executed: int,
     gas: GasTable = GasTable(),
     price: PriceModel = PriceModel(),
 ) -> dict:
-    """Empirical cost breakdown for a completed run, using the transactions the
-    chains actually included (gas is spent whether or not a transaction was
-    accepted at apply time).
-
-    ``run`` is a RunReport or anything exposing ``tx_counts`` (included
-    transactions by kind) and ``stats``.
-    """
-    counts: dict = run.tx_counts if hasattr(run, "tx_counts") else run["tx_counts"]
-    stats: dict = run.stats if hasattr(run, "stats") else run.get("stats", {})
+    """Empirical cost breakdown for a completed run, from the transactions the
+    chains actually included, by kind (a run report's ``tx_counts``; gas is
+    spent whether or not a transaction was accepted at apply time), and the
+    number of transfers executed on every chain."""
     kinds = ("claim", "contest", "finalize", "veto", "finalize_veto")
-    kgas = {kind: counts.get(kind, 0) * gas.mean(kind) for kind in kinds}
+    kgas = {kind: tx_counts.get(kind, 0) * gas.mean(kind) for kind in kinds}
     role_kgas = {
         "receiver": kgas["claim"] + kgas["finalize"],
         "observer": kgas["contest"],
@@ -145,15 +142,14 @@ def simulated_cost_report(
         "sender": 0.0,
     }
     report = {
-        "tx_counts": {kind: counts.get(kind, 0) for kind in kinds},
+        "tx_counts": {kind: tx_counts.get(kind, 0) for kind in kinds},
         "kgas_by_kind": kgas,
         "kgas_by_role": role_kgas,
         "usd_by_role": {role: price.usd(v) for role, v in role_kgas.items()},
-        "transfers_executed": stats.get("transfers_executed", 0),
+        "transfers_executed": transfers_executed,
     }
-    executed = report["transfers_executed"]
-    if executed:
+    if transfers_executed:
         report["per_transfer_usd"] = {
-            role: price.usd(v) / executed for role, v in role_kgas.items()
+            role: price.usd(v) / transfers_executed for role, v in role_kgas.items()
         }
     return report

@@ -1,6 +1,6 @@
 """Discrete-event ecosystem: all chains and agents under one deterministic
-clock, plus cross-chain consistency checking and corrupted-transfer
-accounting.
+clock, plus corrupted-transfer detection and resync. The run's report is
+built by ``report.build_report`` once the run has ended.
 
 Events execute in (fire_at, sequence) order; the sequence counter is assigned
 at scheduling time, so identical (config, seed) pairs replay identically.
@@ -19,16 +19,11 @@ check is retried one block interval later.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import heapq
-import io
-import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Optional
 
 from .agents import Client, Observer
 from .chain import SimChain
@@ -46,6 +41,7 @@ from .protocol import (
     make_finalize_veto,
     make_poi,
 )
+from .report import RunReport, build_report, wallet_name
 
 
 def wallet_keypair(seed: int, name: str) -> KeyPair:
@@ -71,122 +67,6 @@ class _Transfer:
     corrupted: bool = False
     failed: bool = False
     resynced: bool = False
-
-
-def dumps(obj) -> str:
-    """The canonical JSON text of every indented output: byte for byte
-    ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, which runs the
-    pure-Python generator encoder because of ``indent``; this builds it from
-    joined strings instead. NaN and infinities are a ValueError, and a key
-    that is not a str a TypeError, instead of being written."""
-    return _encode(obj, "\n") + "\n"
-
-
-def _encode(value, newline: str) -> str:
-    """``value``'s text, its inner lines indented one step past ``newline``;
-    types are tried in the order json's encoder tries them."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_encode(item, inner) for item in value]) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _encode(item, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-@dataclass
-class RunReport:
-    """Deterministic, JSON-serializable outcome of one ecosystem run."""
-
-    config: dict
-    seed: int
-    chains: list[dict]
-    transfers: list[dict]
-    vetoes: list[dict]
-    consistency: list[dict]
-    resync_events: list[dict]
-    tx_counts: dict
-    tx_counts_ok: dict
-    stats: dict
-
-    @property
-    def corrupted_count(self) -> int:
-        return sum(1 for t in self.transfers if t["corrupted"])
-
-    def to_json(self, chains: Optional[str] = None) -> str:
-        """The report's canonical JSON. ``chains``, if given, is
-        ``dumps(self.chains)`` already made (the run campaign writes it out
-        too); it is spliced in one level deeper, which is exact because JSON
-        text holds no raw newline inside a string and "chains" sorts first."""
-        if chains is None:
-            chains = dumps(self.chains)
-        rest = dumps({key: value for key, value in vars(self).items() if key != "chains"})
-        return '{\n  "chains": ' + chains[:-1].replace("\n", "\n  ") + "," + rest[1:]
-
-    def ledger_csv(self) -> str:
-        """One row per transfer: ids, window, winner, per-chain contest counts,
-        corrupted flag."""
-        chain_ids = [c["chain_id"] for c in self.chains]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["alpha", "sender", "recipient", "amount", "t0", "t1", "winner"]
-            + [f"contests_chain_{cid}" for cid in chain_ids]
-            + ["corrupted"]
-        )
-        for row in self.transfers:
-            writer.writerow(
-                [
-                    row["alpha"],
-                    row["sender"],
-                    row["recipient"],
-                    row["amount"],
-                    row["t0"],
-                    row["t1"],
-                    row["winner"] or "",
-                ]
-                + [row["contest_counts"].get(str(cid), 0) for cid in chain_ids]
-                + [int(row["corrupted"])]
-            )
-        return buf.getvalue()
-
-
-def check_consistency(states: Sequence[ChainState]) -> list[dict]:
-    """Empty iff every wallet's balance is identical on every chain; otherwise
-    one entry per divergent wallet with the per-chain values."""
-    wallets: set[bytes] = set()
-    for state in states:
-        wallets.update(state.balances)
-    rows = []
-    for wallet in sorted(wallets):
-        values = {state.chain_id: state.balance(wallet) for state in states}
-        if len(set(values.values())) > 1:
-            rows.append(
-                {"wallet": wallet.hex(), "balances": {str(c): v for c, v in values.items()}}
-            )
-    return rows
 
 
 class Ecosystem:
@@ -241,7 +121,6 @@ class Ecosystem:
         self._horizon = float(config.duration)
         self._transfers: dict[bytes, _Transfer] = {}
         self._poi_by_alpha: dict[bytes, ProofOfIntent] = {}
-        self._fv_scheduled: set[tuple[str, tuple[bytes, bytes]]] = set()
         self._resync_events: list[dict] = []
 
     # -- scheduling ---------------------------------------------------------
@@ -316,7 +195,9 @@ class Ecosystem:
 
         for chain in self.chains:
             chain.state.audit()
-        return self._build_report()
+        return build_report(
+            self.config, self.chains, self._transfers.values(), self._resync_events, self.names
+        )
 
     # -- handlers -----------------------------------------------------------
 
@@ -455,11 +336,10 @@ class Ecosystem:
         # window); then the check waits until the vetoes just submitted can
         # have landed.
         landed = self._now + interval * (1 + self.config.jitter)
+        # An observer finds each conflicting pair once, on seeing its later
+        # proof, so each (observer, pair) check is scheduled once.
         for a, b, deadline in reaction.conflicts_found:
-            key = (name, _pair_key(a, b))
-            if key not in self._fv_scheduled:
-                self._fv_scheduled.add(key)
-                self._schedule(max(deadline, landed) + interval, ("fvcheck", name, _pair_key(a, b)))
+            self._schedule(max(deadline, landed) + interval, ("fvcheck", name, _pair_key(a, b)))
 
     def _handle_fvcheck(self, name: str, pair: tuple[bytes, bytes]) -> None:
         observer = self.observers[name]
@@ -529,135 +409,8 @@ class Ecosystem:
                 "alpha": tracker.poi.alpha.hex(),
                 "majority_chains": sorted(majority),
                 "reset_chains": reset_chains,
-                "wallets": sorted(self.names.get(w, w.hex()) for w in involved),
+                "wallets": sorted(wallet_name(self.names, w) for w in involved),
             }
-        )
-
-    # -- reporting ----------------------------------------------------------
-
-    def _build_report(self) -> RunReport:
-        results = [
-            applied for chain in self.chains for block in chain.blocks for applied in block.results
-        ]
-        tx_counts = Counter(applied.tx.kind for applied in results)
-        tx_counts_ok = Counter(applied.tx.kind for applied in results if applied.ok)
-
-        m = len(self.chains)
-        transfer_rows = []
-        executed_full = 0
-        for tracker in self._transfers.values():
-            executed = tracker.executed
-            consistent = len(executed) == m and len(set(executed.values())) == 1
-            if consistent and not tracker.corrupted:
-                executed_full += 1
-            winner_name = None
-            if executed:
-                counts: dict[Optional[bytes], int] = {}
-                for w in executed.values():
-                    counts[w] = counts.get(w, 0) + 1
-                top = max(counts.items(), key=lambda kv: kv[1])[0]
-                if top is not None:
-                    winner_name = self.names.get(top, top.hex())
-            transfer_rows.append(
-                {
-                    "alpha": tracker.poi.alpha.hex(),
-                    "sender": tracker.sender_name,
-                    "recipient": tracker.recipient_name,
-                    "amount": tracker.poi.amount,
-                    "t0": tracker.poi.t0,
-                    "t1": tracker.poi.t1,
-                    "claim_chain": tracker.claim_chain,
-                    "claim_ok": tracker.claim_ok,
-                    "executed_chains": sorted(executed),
-                    "winner": winner_name,
-                    "winners_by_chain": {
-                        str(cid): (self.names.get(w, w.hex()) if w else None)
-                        for cid, w in sorted(executed.items())
-                    },
-                    "contest_counts": {
-                        str(cid): n for cid, n in sorted(tracker.contest_counts.items())
-                    },
-                    "vetoed_chains": tracker.vetoed_chains,
-                    "corrupted": tracker.corrupted,
-                    "failed": tracker.failed,
-                    "resynced": tracker.resynced,
-                    "scripted": not tracker.client_driven,
-                    "self_transfer": tracker.sender_name == tracker.recipient_name,
-                }
-            )
-
-        veto_rows = []
-        pairs: set[tuple[bytes, bytes]] = set()
-        for chain in self.chains:
-            pairs.update(chain.state.veto_records)
-        for pair in sorted(pairs):
-            per_chain = {}
-            for chain in self.chains:
-                record = chain.state.veto_records.get(pair)
-                if record is None:
-                    continue
-                per_chain[str(chain.chain_id)] = {
-                    "status": record.status,
-                    "deadline": record.deadline,
-                    "winner": self.names.get(record.winner, record.winner.hex())
-                    if record.winner
-                    else None,
-                    "contestants": len(record.contestants),
-                }
-            winners = {info["winner"] for info in per_chain.values()}
-            veto_rows.append(
-                {
-                    "alpha": pair[0].hex(),
-                    "alpha_prime": pair[1].hex(),
-                    "chains": per_chain,
-                    "consistent_winner": len(winners) == 1 and len(per_chain) == m,
-                }
-            )
-
-        attempts = len(self._transfers)
-        claims_ok = sum(1 for t in self._transfers.values() if t.claim_ok)
-        corrupted = sum(1 for t in self._transfers.values() if t.corrupted)
-        failed = sum(1 for t in self._transfers.values() if t.failed)
-        vetoed = sum(1 for t in self._transfers.values() if t.vetoed_chains)
-        contest_totals = [
-            sum(t.contest_counts.values()) / m
-            for t in self._transfers.values()
-            if t.claim_ok
-        ]
-        mean_contests = (
-            sum(contest_totals) / len(contest_totals) if contest_totals else 0.0
-        )
-        consistency = check_consistency([chain.state for chain in self.chains])
-        named_consistency = []
-        for row in consistency:
-            wallet = bytes.fromhex(row["wallet"])
-            named_consistency.append(
-                {**row, "name": self.names.get(wallet, row["wallet"])}
-            )
-
-        stats = {
-            "transfers_attempted": attempts,
-            "transfers_claimed": claims_ok,
-            "transfers_executed": executed_full,
-            "transfers_failed": failed,
-            "transfers_corrupted": corrupted,
-            "transfers_vetoed": vetoed,
-            "mean_contests_per_chain": mean_contests,
-            "blocks_per_chain": {
-                str(chain.chain_id): len(chain.blocks) - 1 for chain in self.chains
-            },
-        }
-        return RunReport(
-            config=self.config.to_dict(),
-            seed=self.config.seed,
-            chains=[chain.state.snapshot() for chain in self.chains],
-            transfers=transfer_rows,
-            vetoes=veto_rows,
-            consistency=named_consistency,
-            resync_events=self._resync_events,
-            tx_counts=tx_counts,
-            tx_counts_ok=tx_counts_ok,
-            stats=stats,
         )
 
 

@@ -1,0 +1,215 @@
+"""The run report, built in one pass once a run has ended, with its
+cross-chain consistency check; ``wallet_name``, the one rule that names a
+wallet in it; and ``dumps``, the canonical writer of every indented JSON
+output."""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from collections import Counter
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+
+from .chain import SimChain
+from .configs import EcosystemConfig
+from .contract import ChainState
+
+if TYPE_CHECKING:
+    from .ecosystem import _Transfer
+
+
+def dumps(obj) -> str:
+    """The canonical JSON text of every indented output: byte for byte
+    ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, which runs the
+    pure-Python generator encoder because of ``indent``; this builds it from
+    joined strings instead. NaN and infinities are a ValueError, and a key
+    that is not a str a TypeError, instead of being written."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """``value``'s text, its inner lines indented one step past ``newline``;
+    types are tried in the order json's encoder tries them."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_encode(item, inner) for item in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _encode(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def wallet_name(names: Mapping[bytes, str], wallet: bytes) -> str:
+    """A wallet's configured name, or its hex id when it has none."""
+    return names.get(wallet, wallet.hex())
+
+
+@dataclass
+class RunReport:
+    """Deterministic, JSON-serializable outcome of one ecosystem run."""
+
+    config: dict
+    seed: int
+    chains: list[dict]
+    transfers: list[dict]
+    vetoes: list[dict]
+    consistency: list[dict]
+    resync_events: list[dict]
+    tx_counts: dict
+    tx_counts_ok: dict
+    stats: dict
+
+    def to_json(self, chains: Optional[str] = None) -> str:
+        """The report's canonical JSON. ``chains``, if given, is
+        ``dumps(self.chains)`` already made (the run campaign writes it out
+        too); it is spliced in one level deeper, which is exact because JSON
+        text holds no raw newline inside a string and "chains" sorts first."""
+        if chains is None:
+            chains = dumps(self.chains)
+        rest = dumps({key: value for key, value in vars(self).items() if key != "chains"})
+        return '{\n  "chains": ' + chains[:-1].replace("\n", "\n  ") + "," + rest[1:]
+
+    def ledger_csv(self) -> str:
+        """One row per transfer: ids, window, winner, per-chain contest counts,
+        corrupted flag."""
+        chain_ids = [str(c["chain_id"]) for c in self.chains]
+        head = ["alpha", "sender", "recipient", "amount", "t0", "t1"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(head + ["winner"] + [f"contests_chain_{cid}" for cid in chain_ids] + ["corrupted"])
+        for row in self.transfers:
+            writer.writerow(
+                [row[key] for key in head] + [row["winner"] or ""]
+                + [row["contest_counts"].get(cid, 0) for cid in chain_ids] + [int(row["corrupted"])]
+            )
+        return buf.getvalue()
+
+
+def check_consistency(states: Sequence[ChainState], names: Mapping[bytes, str]) -> list[dict]:
+    """Empty iff every wallet's balance is identical on every chain; otherwise
+    one row per divergent wallet, named, with the per-chain values."""
+    wallets: set[bytes] = set()
+    for state in states:
+        wallets.update(state.balances)
+    rows = []
+    for wallet in sorted(wallets):
+        values = {state.chain_id: state.balance(wallet) for state in states}
+        if len(set(values.values())) > 1:
+            balances = {str(c): v for c, v in values.items()}
+            rows.append({"wallet": wallet.hex(), "name": wallet_name(names, wallet), "balances": balances})
+    return rows
+
+
+def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers: Iterable[_Transfer],
+                 resync_events: list[dict], names: Mapping[bytes, str]) -> RunReport:
+    """The report of a finished run. ``transfers`` are its trackers in the
+    order they were registered, ``names`` every configured wallet's name."""
+    results = [applied for chain in chains for block in chain.blocks for applied in block.results]
+    tx_counts = Counter(applied.tx.kind for applied in results)
+    tx_counts_ok = Counter(applied.tx.kind for applied in results if applied.ok)
+
+    m = len(chains)
+    transfer_rows = []
+    executed_full = failed = corrupted = vetoed = 0
+    contests: list[float] = []  # per chain, one entry per claimed transfer
+    for tracker in transfers:
+        executed = tracker.executed
+        # One winner on all m chains; such a transfer is never corrupted.
+        executed_full += len(executed) == m and len(set(executed.values())) == 1
+        if tracker.claim_ok:
+            contests.append(sum(tracker.contest_counts.values()) / m)
+        failed += tracker.failed
+        corrupted += tracker.corrupted
+        vetoed += tracker.vetoed_chains > 0
+        # The majority winner; on a tie, the first chain's in chain order.
+        top = Counter(executed.values()).most_common(1)
+        winner = top[0][0] if top else None
+        transfer_rows.append(
+            {
+                "alpha": tracker.poi.alpha.hex(),
+                "sender": tracker.sender_name,
+                "recipient": tracker.recipient_name,
+                "amount": tracker.poi.amount, "t0": tracker.poi.t0, "t1": tracker.poi.t1,
+                "claim_chain": tracker.claim_chain,
+                "claim_ok": tracker.claim_ok,
+                "executed_chains": sorted(executed),
+                "winner": wallet_name(names, winner) if winner else None,
+                "winners_by_chain": {
+                    str(cid): wallet_name(names, w) if w else None for cid, w in sorted(executed.items())
+                },
+                "contest_counts": {str(cid): n for cid, n in sorted(tracker.contest_counts.items())},
+                "vetoed_chains": tracker.vetoed_chains,
+                "corrupted": tracker.corrupted,
+                "failed": tracker.failed,
+                "resynced": tracker.resynced,
+                "scripted": not tracker.client_driven,
+                "self_transfer": tracker.sender_name == tracker.recipient_name,
+            }
+        )
+
+    veto_rows = []
+    for pair in sorted({pair for chain in chains for pair in chain.state.veto_records}):
+        per_chain = {}
+        for chain in chains:
+            record = chain.state.veto_records.get(pair)
+            if record is None:
+                continue
+            per_chain[str(chain.chain_id)] = {
+                "status": record.status,
+                "deadline": record.deadline,
+                "winner": wallet_name(names, record.winner) if record.winner else None,
+                "contestants": len(record.contestants),
+            }
+        winners = {info["winner"] for info in per_chain.values()}
+        veto_rows.append({
+            "alpha": pair[0].hex(), "alpha_prime": pair[1].hex(), "chains": per_chain,
+            "consistent_winner": len(winners) == 1 and len(per_chain) == m,
+        })
+
+    stats = {
+        "transfers_attempted": len(transfer_rows),
+        "transfers_claimed": len(contests),
+        "transfers_executed": executed_full,
+        "transfers_failed": failed,
+        "transfers_corrupted": corrupted,
+        "transfers_vetoed": vetoed,
+        "mean_contests_per_chain": sum(contests) / len(contests) if contests else 0.0,
+        "blocks_per_chain": {str(chain.chain_id): len(chain.blocks) - 1 for chain in chains},
+    }
+    return RunReport(
+        config=config.to_dict(),
+        seed=config.seed,
+        chains=[chain.state.snapshot() for chain in chains],
+        transfers=transfer_rows,
+        vetoes=veto_rows,
+        consistency=check_consistency([chain.state for chain in chains], names),
+        resync_events=resync_events,
+        tx_counts=tx_counts,
+        tx_counts_ok=tx_counts_ok,
+        stats=stats,
+    )

@@ -98,8 +98,7 @@ def test_gas_cost_validation():
 
 
 def test_simulated_cost_report_zero_runs():
-    empty = {"tx_counts": {}, "stats": {"transfers_executed": 0}}
-    report = simulated_cost_report(empty)
+    report = simulated_cost_report({}, 0)
     assert report["usd_by_role"] == {"receiver": 0.0, "observer": 0.0, "watchdog": 0.0, "sender": 0.0}
     assert "per_transfer_usd" not in report
 
@@ -110,7 +109,7 @@ def test_simulated_cost_report_worked_example():
     from panchain.configs import worked_example
 
     run_report = run(worked_example(seed=0))
-    report = simulated_cost_report(run_report)
+    report = simulated_cost_report(run_report.tx_counts, run_report.stats["transfers_executed"])
     gas = GasTable()
     expected_receiver = gas.claim.mean_kgas + 3 * gas.finalize.mean_kgas
     assert report["kgas_by_role"]["receiver"] == pytest.approx(expected_receiver)
@@ -126,7 +125,7 @@ def test_empirical_observer_cost_near_analytical_prediction():
     per_run = []
     for seed in range(20):
         report = run(contest_scaling_config(n, seed=seed, chains=m))
-        sim = simulated_cost_report(report, gas, price)
+        sim = simulated_cost_report(report.tx_counts, report.stats["transfers_executed"], gas, price)
         per_run.append(sim["usd_by_role"]["observer"])
     empirical = statistics.mean(per_run)
     analytical = transfer_cost(m=m, n=n, gas=gas, price=price)

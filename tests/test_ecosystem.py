@@ -20,15 +20,9 @@ from panchain.configs import (
 )
 from panchain.contract import FINALIZED, ChainState
 from panchain.crypto import sign
-from panchain.ecosystem import (
-    Ecosystem,
-    RunReport,
-    check_consistency,
-    dumps,
-    run,
-    wallet_keypair,
-)
+from panchain.ecosystem import Ecosystem, run, wallet_keypair
 from panchain.protocol import encode_poi
+from panchain.report import RunReport, check_consistency, dumps
 
 
 def test_worked_example_reaches_published_final_state():
@@ -96,21 +90,21 @@ def test_different_seeds_differ():
 def test_check_consistency_empty_for_equal_states():
     w = wallet_keypair(0, "x").public_key
     states = [ChainState(i, {w: 42}) for i in range(3)]
-    assert check_consistency(states) == []
+    assert check_consistency(states, {w: "x"}) == []
 
 
 def test_check_consistency_reports_divergence():
     w = wallet_keypair(0, "x").public_key
     states = [ChainState(0, {w: 42}), ChainState(1, {w: 41})]
-    rows = check_consistency(states)
-    assert len(rows) == 1
-    assert rows[0]["wallet"] == w.hex()
-    assert rows[0]["balances"] == {"0": 42, "1": 41}
+    rows = check_consistency(states, {w: "x"})
+    assert rows == [{"wallet": w.hex(), "name": "x", "balances": {"0": 42, "1": 41}}]
+    # A wallet without a configured name goes by its hex id.
+    assert [row["name"] for row in check_consistency(states, {})] == [w.hex()]
 
 
 def test_count_corrupted_zero_when_consistent():
     report = run(worked_example(seed=0))
-    assert report.corrupted_count == 0
+    assert report.stats["transfers_corrupted"] == 0
 
 
 def test_short_validity_produces_partial_execution():
@@ -138,7 +132,7 @@ def test_short_validity_produces_partial_execution():
         ),
     )
     report = run(config)
-    assert report.corrupted_count == 1
+    assert report.stats["transfers_corrupted"] == 1
     row = report.transfers[0]
     assert row["executed_chains"] == [0]
     assert row["corrupted"] and row["resynced"]
@@ -161,9 +155,12 @@ def test_missing_finalize_names_involved_wallets():
         state.apply(make_contest(u, poi), now=2)
     for state in states[:2]:
         state.apply(make_finalize(d, poi.alpha), now=62)
-    rows = check_consistency(states)
-    divergent = {row["wallet"] for row in rows}
-    assert divergent == {s.public_key.hex(), d.public_key.hex(), u.public_key.hex()}
+    names = {s.public_key: "cc-s", d.public_key: "cc-d", u.public_key: "cc-u"}
+    rows = check_consistency(states, names)
+    divergent = {row["wallet"]: row["name"] for row in rows}
+    assert divergent == {
+        s.public_key.hex(): "cc-s", d.public_key.hex(): "cc-d", u.public_key.hex(): "cc-u"
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -341,3 +338,80 @@ def test_report_json_splices_the_chain_snapshots(preset):
     assert json.loads(report.to_json()).keys() == {f.name for f in fields(RunReport)}
     empty = replace(report, chains=[])
     assert empty.to_json() == json.dumps(vars(empty), sort_keys=True, indent=2) + "\n"
+
+
+def _stress_config(seed: int) -> EcosystemConfig:
+    # Two transactions per block: corrupted and resynced transfers on every seed.
+    return config_from_dict({
+        "chains": 3, "clients": 6, "observers": 3, "max_txs_per_block": 2,
+        "duration": 400.0, "seed": seed,
+    })
+
+
+def _congested_double_spends() -> EcosystemConfig:
+    # Four wallets each sign two overlapping proofs, claimed 5 s apart on
+    # different chains, amid four clients at two transactions per block.
+    clients = [f"client-{i:02d}" for i in range(4)]
+    script = []
+    for i in range(4):
+        at = 10.0 + 50 * i
+        legs = [
+            {"at": at + 5 * k, "recipient": clients[(i + k) % 4], "amount": 20,
+             "t0": int(at) + 2, "t1": int(at) + 60, "chain": (i + k) % 3}
+            for k in range(2)
+        ]
+        script.append({"kind": "double_spend", "sender": f"ds-{i:02d}", "legs": legs})
+    return config_from_dict({
+        "chains": 3, "clients": 4, "observers": 3, "max_txs_per_block": 2,
+        "duration": 300.0, "seed": 0, "wallets": {f"ds-{i:02d}": 100 for i in range(4)},
+        "script": script,
+    })
+
+
+@pytest.mark.parametrize(
+    "preset, pairs",
+    [(veto_demo, 1), (veto_demo_boundary, 1), (_congested_double_spends, 4)],
+    ids=["veto_demo", "veto_demo_boundary", "congested"],
+)
+def test_each_observer_schedules_each_finalize_veto_check_once(preset, pairs):
+    eco = Ecosystem(preset())
+    scheduled = []
+    schedule = eco._schedule
+
+    def record(fire_at, payload):
+        if payload[0] == "fvcheck":
+            scheduled.append(payload[1:])
+        schedule(fire_at, payload)
+
+    eco._schedule = record
+    eco.run()
+    found = {pair for _, pair in scheduled}
+    assert len(found) == pairs
+    assert sorted(scheduled) == sorted((name, pair) for name in eco.observers for pair in found)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [*(_stress_config(seed) for seed in range(4)), veto_demo(), veto_demo_boundary(), sweep_config(15)],
+    ids=[*(f"stress-{seed}" for seed in range(4)), "veto_demo", "veto_demo_boundary", "sweep_config-15"],
+)
+def test_stats_are_the_counts_of_the_transfer_rows(config):
+    report = run(config)
+    rows, m = report.transfers, len(report.chains)
+    executed = [
+        row for row in rows
+        if len(row["executed_chains"]) == m and len(set(row["winners_by_chain"].values())) == 1
+    ]
+    assert not any(row["corrupted"] for row in executed)
+    contests = [sum(row["contest_counts"].values()) / m for row in rows if row["claim_ok"]]
+    counts = {
+        "transfers_attempted": len(rows),
+        "transfers_claimed": len(contests),
+        "transfers_executed": len(executed),
+        "transfers_failed": sum(1 for row in rows if row["failed"]),
+        "transfers_corrupted": sum(1 for row in rows if row["corrupted"]),
+        "transfers_vetoed": sum(1 for row in rows if row["vetoed_chains"]),
+    }
+    assert {key: report.stats[key] for key in counts} == counts
+    assert all(type(report.stats[key]) is int for key in counts)
+    assert report.stats["mean_contests_per_chain"] == (sum(contests) / len(contests) if contests else 0.0)
