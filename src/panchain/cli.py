@@ -143,13 +143,15 @@ def _map_points(fn, points: list, jobs: int) -> Iterable:
         return list(pool.map(fn, points))
 
 
+def _jittered(spec: ExperimentSpec, cfg: EcosystemConfig) -> EcosystemConfig:
+    """cfg with the --jitter override applied; EcosystemConfig checks its value."""
+    return cfg if spec.jitter is None else replace(cfg, jitter=spec.jitter)
+
+
 def _ecosystem_config(spec: ExperimentSpec, preset: EcosystemConfig) -> EcosystemConfig:
     """The file's ecosystem section, or else the campaign's preset, with the
     --jitter override applied."""
-    cfg = spec.sections.ecosystem or preset
-    if spec.jitter is not None:
-        cfg = replace(cfg, jitter=spec.jitter)
-    return cfg
+    return _jittered(spec, spec.sections.ecosystem or preset)
 
 
 def _campaign_dir(path: Path) -> Path:
@@ -253,7 +255,7 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     runs = spec.sections.scaling.runs
     base_seed = spec.seeds[0]
     seeds = spec.seeds if runs is None else [base_seed + k for k in range(runs)]
-    bases = {n: contest_scaling_config(n) for n in n_values}
+    bases = {n: _jittered(spec, contest_scaling_config(n)) for n in n_values}
     points = [(n, bases[n], seed) for n in n_values for seed in seeds]
     results = _map_points(_scaling_point, points, spec.jobs)
 
@@ -279,6 +281,8 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
 def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
     """Analytical per-role costs and token-price thresholds; joins in empirical
     counts when a run report is supplied."""
+    if spec.jitter is not None:
+        raise ConfigError("--jitter: cost-report simulates nothing, so it takes no jitter")
     out = _campaign_dir(spec.out_dir / "cost-report")
     conf = spec.sections.cost
     errors: list[dict] = []
@@ -343,8 +347,9 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
 def cmd_veto_demo(spec: ExperimentSpec) -> dict:
     """Scripted double-spend scenarios: standard, partial-finalization
     boundary, and a conflict-free control."""
+    presets = {"double_spend": veto_demo(), "boundary": veto_demo_boundary(), "control": worked_example()}
+    scenarios = {label: _jittered(spec, config) for label, config in presets.items()}
     out = _campaign_dir(spec.out_dir / "veto-demo")
-    scenarios = {"double_spend": veto_demo(), "boundary": veto_demo_boundary(), "control": worked_example()}
     outputs, errors = [], []
     for seed in spec.seeds:
         payload = {}

@@ -4,8 +4,10 @@ storage.
 
 A ChainState is owned by exactly one simulated chain; operations mutate it in
 place and are atomic per transaction (they validate fully before touching
-state). Rejections are raised as TxError subclasses carrying a stable ``code``
-string so block producers can log machine-readable outcomes.
+state). Signatures are checked after every state check, so a transaction the
+state refuses costs no verification. Rejections are raised as TxError
+subclasses carrying a stable ``code`` string so block producers can log
+machine-readable outcomes.
 """
 
 from __future__ import annotations
@@ -176,8 +178,6 @@ class ChainState:
             pending.discard(record.poi.alpha)
 
     def _check_new_poi(self, poi: ProofOfIntent, now: float) -> None:
-        if not verify_poi(poi):
-            raise BadSignature("alpha or beta does not verify")
         if poi.amount <= self.reward:
             raise InvalidAmount(
                 f"amount {poi.amount} does not exceed the witness reward {self.reward}"
@@ -191,6 +191,8 @@ class ChainState:
         for record in self.pending_proofs(poi.sender):
             if conflicts(poi, record.poi):
                 raise ConflictingPoi(incoming=poi, stored=record.poi)
+        if not verify_poi(poi):
+            raise BadSignature("alpha or beta does not verify")
 
     def _known_record(self, alpha: bytes) -> Optional[PoiRecord]:
         record = self.poi_records.get(alpha)
@@ -214,17 +216,18 @@ class ChainState:
     def apply_contest(self, tx: Contest, now: float) -> None:
         """Register a contestant; also records the proof if this chain did not
         know it yet (contests are the cross-chain propagation mechanism)."""
-        if not verify(tx.contestant, encode_poi(tx.poi), tx.omega):
-            raise BadSignature("contest omega does not verify")
         record = self._known_record(tx.poi.alpha)
         if record is None:
             self._check_new_poi(tx.poi, now)
-            record = self._insert_pending(tx.poi)
         else:
             if now >= tx.poi.t1:
                 raise ExpiredPoi(f"validity ended at {tx.poi.t1}, now {now}")
             if self.balance(tx.poi.sender) < tx.poi.amount:
                 raise InsufficientBalance("sender balance dropped below amount")
+        if not verify(tx.contestant, encode_poi(tx.poi), tx.omega):
+            raise BadSignature("contest omega does not verify")
+        if record is None:
+            record = self._insert_pending(tx.poi)
         record.contestants.setdefault(tx.contestant, tx.omega)
 
     def apply_finalize(self, tx: Finalize, now: float) -> None:
@@ -261,17 +264,16 @@ class ChainState:
             raise UnknownPoi("cited alpha is not known to this chain")
         known = record.poi
         other = tx.conflicting_poi
-        if not verify_poi(other):
-            raise BadSignature("conflicting proof's signatures do not verify")
         if not conflicts(known, other):
             raise NotConflicting("cited proofs do not conflict")
-        if not verify(tx.vetoer, encode_veto_payload(tx.alpha, other.alpha), tx.omega):
-            raise BadSignature("veto omega does not verify")
-
         pair = _pair_key(known.alpha, other.alpha)
         veto_record = self.veto_records.get(pair)
         if veto_record is not None and veto_record.status != OPEN:
             raise AlreadyConcluded("veto contest already finalized")
+        if not verify_poi(other):
+            raise BadSignature("conflicting proof's signatures do not verify")
+        if not verify(tx.vetoer, encode_veto_payload(tx.alpha, other.alpha), tx.omega):
+            raise BadSignature("veto omega does not verify")
 
         sender = known.sender
         if other.alpha not in self.poi_records:

@@ -9,8 +9,8 @@ deliberately toy-grade: it is deterministic, publicly verifiable, and
 uniform, which is all the witness contest needs. It is not secure against
 a party willing to factor 64-bit exponent inverses.
 
-The modular powers run in OpenSSL's BN_mod_exp_mont, with one Montgomery
-context for P per process, when libcrypto loads, and in Python's pow
+The modular powers run in GMP's mpz_powm, one foreign call per power on
+operands made once per process, when libgmp loads, and in Python's pow
 otherwise; both give the same integers, so signatures do not depend on which
 one ran.
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,49 +76,60 @@ def _pow(base: int, exp: int) -> int:
 
 
 def _load_powmod():
-    """_pow evaluated by libcrypto's BN_mod_exp_mont with one Montgomery
-    context for PRIME, falling back to _pow itself when libcrypto cannot be
-    loaded, the context cannot be set up, or a call fails."""
+    """_pow evaluated by GMP's mpz_powm, one foreign call per power, falling
+    back to _pow itself when libgmp or a symbol is missing, its limbs are not
+    64-bit little-endian words, or GMP ever moves the result's limbs.
+
+    The four operands are mpz_t structs (the public __mpz_struct layout) made
+    once, each with room for 512 bits so that GMP never reallocates them. A
+    base and an exponent are written straight into their limbs, least
+    significant first, and the result's limbs are read back the same way;
+    GMP is never handed memory it did not allocate."""
     import ctypes
     import ctypes.util
 
-    name = ctypes.util.find_library("crypto")
-    if name is None:
+    name = ctypes.util.find_library("gmp")
+    if name is None or sys.byteorder != "little":
         return _pow
     try:
         lib = ctypes.CDLL(name)
-        bin2bn, bn2bin, mod_exp = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp_mont
-        ctx_new, mont_new, mont_set = lib.BN_CTX_new, lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_set
+        init2, powm = lib.__gmpz_init2, lib.__gmpz_powm
+        # A data symbol: the int at its address.
+        limb_bits = ctypes.cast(lib.__gmp_bits_per_limb, ctypes.POINTER(ctypes.c_int))[0]
     except (OSError, AttributeError):
         return _pow
-    ptr = ctypes.c_void_p
-    bin2bn.argtypes, bin2bn.restype = [ctypes.c_char_p, ctypes.c_int, ptr], ptr
-    bn2bin.argtypes, bn2bin.restype = [ptr, ctypes.c_char_p, ctypes.c_int], ctypes.c_int
-    mod_exp.argtypes, mod_exp.restype = [ptr] * 6, ctypes.c_int
-    ctx_new.argtypes, ctx_new.restype = [], ptr
-    mont_new.argtypes, mont_new.restype = [], ptr
-    mont_set.argtypes, mont_set.restype = [ptr] * 3, ctypes.c_int
-    ctx, mont = ctx_new(), mont_new()
-    modulus, r, a, p = (bin2bn(PRIME.to_bytes(32, "big"), 32, None) for _ in range(4))
-    out = ctypes.create_string_buffer(32)
-    if not all((ctx, mont, modulus, r, a, p)) or not mont_set(mont, modulus, ctx):
+    if limb_bits != 64:
         return _pow
 
+    class Mpz(ctypes.Structure):
+        _fields_ = [("_mp_alloc", ctypes.c_int), ("_mp_size", ctypes.c_int), ("_mp_d", ctypes.c_void_p)]
+
+    init2.argtypes, init2.restype = [ctypes.POINTER(Mpz), ctypes.c_ulong], None
+    # powm's arguments are byref() objects, which ctypes passes as pointers
+    # as they are; declared argtypes would convert each one on every call.
+    powm.restype = None
+    operands = r, b, e, m = Mpz(), Mpz(), Mpz(), Mpz()
+    refs = r_ref, b_ref, e_ref, m_ref = [ctypes.byref(z) for z in operands]
+    for ref in refs:
+        init2(ref, 512)
+    r_limbs, b_limbs, e_limbs, m_limbs = (
+        memoryview((ctypes.c_char * 64).from_address(z._mp_d)).cast("B") for z in operands
+    )
+    m_limbs[:32], m._mp_size = PRIME.to_bytes(32, "little"), 4
+    r_d = r._mp_d
+
     def powmod(base: int, exp: int) -> int:
-        if (
-            bin2bn(base.to_bytes(32, "big"), 32, a)
-            and bin2bn(exp.to_bytes(32, "big"), 32, p)
-            and mod_exp(r, a, p, modulus, ctx, mont)
-            and bn2bin(r, out, 32) == 32
-        ):
-            return int.from_bytes(out.raw, "big")
+        b_limbs[:32], b._mp_size = base.to_bytes(32, "little"), (base.bit_length() + 63) >> 6
+        e_limbs[:32], e._mp_size = exp.to_bytes(32, "little"), (exp.bit_length() + 63) >> 6
+        powm(r_ref, b_ref, e_ref, m_ref)
+        if r._mp_d == r_d:
+            return int.from_bytes(r_limbs[: r._mp_size << 3], "little")
         return _pow(base, exp)
 
     return powmod
 
 
-# One engine per process id, so pool workers never share a BN_CTX or a
-# Montgomery context.
+# One engine per process id, so pool workers never share GMP operands.
 _ENGINES: dict = {}
 
 
@@ -139,7 +151,10 @@ def sign(key: KeyPair, message: bytes) -> bytes:
     return _powmod(_message_residue(message), d).to_bytes(SIGNATURE_BYTES, "big")
 
 
-@lru_cache(maxsize=1 << 16)
+# A verification repeats within a run: each chain checks the same proofs and
+# contests. 4096 entries keep every hit that 65536 did on the benchmark
+# workloads, so older runs' messages are not kept alive.
+@lru_cache(maxsize=1 << 12)
 def _verify_cached(public_key: bytes, message: bytes, sig: bytes) -> bool:
     # int.from_bytes ignores leading zero bytes, so only the width check keeps
     # a signature with its leading 0x00 dropped from verifying (and then

@@ -28,7 +28,7 @@ def observer_keys():
 
 @pytest.fixture
 def pow_engine(monkeypatch):
-    """Run every modular power in pow, as on a machine without libcrypto."""
+    """Run every modular power in pow, as on a machine without libgmp."""
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
     monkeypatch.setattr(crypto, "_ENGINES", {})
     crypto._verify_cached.cache_clear()

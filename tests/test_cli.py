@@ -209,6 +209,24 @@ def test_cmd_veto_demo_assertions(tmp_path):
     assert control["stats"]["transfers_executed"] == 1
 
 
+def test_jitter_flag_reaches_every_preset_of_the_simulating_campaigns(tmp_path, monkeypatch):
+    configs = []
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda config: configs.append(config) or real_run(config))
+    argv = ["--config", str(tmp_path / "cfg.json"), "--jitter", "0.5"]
+    (tmp_path / "cfg.json").write_text(json.dumps({"scaling": {"n_values": [1, 4], "runs": 2}}))
+    assert main(["--campaign", "contest-scaling", "--out", str(tmp_path), *argv]) == 0
+    assert len(configs) == 4 and {c.jitter for c in configs} == {0.5}
+
+    def veto_demo_payload(*flags):
+        assert main(["--campaign", "veto-demo", "--out", str(tmp_path / "v"), *flags]) == 0
+        return json.loads((tmp_path / "v" / "veto-demo" / "veto-demo-0.json").read_text())
+
+    plain, jittered = veto_demo_payload(), veto_demo_payload("--jitter", "0.5")
+    assert set(plain) == set(jittered) == {"double_spend", "boundary", "control"}
+    assert all(plain[label] != jittered[label] for label in plain)
+
+
 def test_main_exit_codes(tmp_path, capsys):
     rc = main(["--campaign", "cost-report", "--out", str(tmp_path)])
     assert rc == 0
@@ -308,6 +326,9 @@ def _one_leg_script(**fields):
         ("sweep-validity", {"sweep": {"validity_points": [30, 30]}}, []),
         ("contest-scaling", {"scaling": {"n_values": [2, 2], "runs": 3}}, []),
         ("contest-scaling", {}, ["--seeds", "3,7,3"]),
+        ("veto-demo", {}, ["--jitter", "5"]),
+        ("contest-scaling", {}, ["--jitter", "5"]),
+        ("cost-report", {}, ["--jitter", "0.5"]),
         *((campaign, {"ecosystem": {"clients": 2, "client_balance": -5, "observers": 1, "duration": 50}}, [])
           for campaign in ("run", "veto-demo")),
         *((campaign, {}, ["--out", "bad.json"]) for campaign in cli.CAMPAIGNS),
@@ -323,7 +344,8 @@ def _one_leg_script(**fields):
         "cost-report-string-chain-count", "ecosystem-list", "negative-scaling-observer-count",
         "zero-validity-point", "negative-leg-time", "overflowing-cost-chains",
         "overflowing-cost-grid", "overflowing-cost-price", "duplicate-validity-point",
-        "duplicate-scaling-observer-count", "duplicate-seed", "negative-client-balance",
+        "duplicate-scaling-observer-count", "duplicate-seed", "veto-demo-jitter-flag-above-one",
+        "contest-scaling-jitter-flag-above-one", "cost-report-jitter-flag", "negative-client-balance",
         "veto-demo-negative-client-balance", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
     ],
 )

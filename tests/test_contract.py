@@ -1,8 +1,10 @@
 import copy
 import random
+from dataclasses import replace
 
 import pytest
 
+from panchain import contract
 from panchain.contract import (
     FINALIZED,
     PENDING,
@@ -186,6 +188,99 @@ def test_contest_bad_omega():
     forged = good.__class__(poi=poi, contestant=V.public_key, omega=good.omega)
     with pytest.raises(BadSignature):
         state.apply_contest(forged, now=2)
+
+
+def _bad_omega_contest(poi):
+    return replace(make_contest(U, poi), contestant=V.public_key)
+
+
+def _bad_beta(poi):
+    return replace(poi, beta=b"\x01" * 32)
+
+
+def _veto_setup():
+    state = fresh_state(sender_balance=10)
+    a = table_poi(amount=8, t0=1, t1=61)
+    b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
+    state.apply_claim(make_claim(a), now=1)
+    return state, a, b
+
+
+def _claimed_state():
+    state = fresh_state()
+    state.apply_claim(make_claim(table_poi()), now=1)
+    return state
+
+
+def _veto_with_bad_beta():
+    state, a, b = _veto_setup()
+    return state, make_veto(U, a.alpha, _bad_beta(b))
+
+
+def _veto_with_bad_omega():
+    state, a, b = _veto_setup()
+    return state, replace(make_veto(U, a.alpha, b), vetoer=V.public_key)
+
+
+# Each tampered transaction passes every state check, so only a signature
+# check can refuse it: (state, transaction), applied at now=10.
+TAMPERED = {
+    "claim-bad-beta": lambda: (fresh_state(), make_claim(_bad_beta(table_poi()))),
+    "contest-new-proof-bad-beta": lambda: (fresh_state(), make_contest(U, _bad_beta(table_poi()))),
+    "contest-new-proof-bad-omega": lambda: (fresh_state(), _bad_omega_contest(table_poi())),
+    "contest-known-proof-bad-omega": lambda: (_claimed_state(), _bad_omega_contest(table_poi())),
+    "veto-bad-conflicting-beta": _veto_with_bad_beta,
+    "veto-bad-omega": _veto_with_bad_omega,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_tampered_transaction_passing_every_state_check_is_a_bad_signature(case):
+    state, tx = TAMPERED[case]()
+    before = copy.deepcopy(state.snapshot())
+    with pytest.raises(BadSignature):
+        state.apply(tx, now=10)
+    # No record, contestant, veto record or burn was written.
+    assert state.snapshot() == before
+
+
+def _finalized_state():
+    state = _claimed_state()
+    state.apply_finalize(make_finalize(U, table_poi().alpha), now=62)
+    return state
+
+
+def _vetoed_state():
+    state, a, b = _veto_setup()
+    state.apply_veto(make_veto(U, a.alpha, b), now=10)
+    return state
+
+
+# (state, transaction, now, expected rejection): each is refused by a state check.
+REFUSED_BY_STATE = {
+    "claim-expired": lambda: (fresh_state(), make_claim(table_poi()), 61, ExpiredPoi),
+    "contest-new-proof-expired": lambda: (fresh_state(), make_contest(U, table_poi()), 61, ExpiredPoi),
+    "contest-known-proof-expired": lambda: (_claimed_state(), make_contest(U, table_poi()), 61, ExpiredPoi),
+    "contest-over-balance": lambda: (fresh_state(), make_contest(U, table_poi(amount=100)), 2, InsufficientBalance),
+    "contest-finalized": lambda: (_finalized_state(), make_contest(U, table_poi()), 63, AlreadyConcluded),
+    "contest-vetoed": lambda: (
+        _vetoed_state(), make_contest(V, table_poi(amount=8, t0=1, t1=61)), 11, VetoedPoi),
+    "veto-not-conflicting": lambda: (
+        _claimed_state(),
+        make_veto(U, table_poi().alpha, table_poi(t0=62, t1=120, recipient=keypair("elsewhere"))),
+        10, NotConflicting),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_BY_STATE))
+def test_transaction_refused_by_a_state_check_verifies_no_signature(monkeypatch, case):
+    state, tx, now, error = REFUSED_BY_STATE[case]()
+    calls = []
+    monkeypatch.setattr(contract, "verify", lambda *args: calls.append(args) or True)
+    monkeypatch.setattr(contract, "verify_poi", lambda poi: calls.append(poi) or True)
+    with pytest.raises(error):
+        state.apply(tx, now=now)
+    assert calls == []
 
 
 # --- finalize ----------------------------------------------------------

@@ -3,6 +3,7 @@ import ctypes.util
 import hashlib
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -210,15 +211,15 @@ def test_powmod_matches_pow(base, exp):
     assert crypto._powmod(base, exp) == pow(base, exp, PRIME)
 
 
-# Bases from PRIME up are unreduced; BN_mod_exp_mont must reduce them itself.
+# Bases from PRIME up are unreduced; mpz_powm must reduce them itself.
 @pytest.mark.parametrize("base", [0, 1, PRIME - 1, PRIME, PRIME + 1, 2**256 - 1])
 @pytest.mark.parametrize("exp", [0, 1, 2**64 - 1, PRIME - 2, 2**256 - 1])
 def test_powmod_edge_cases(base, exp):
     assert crypto._powmod(base, exp) == pow(base, exp, PRIME)
 
 
-class _Libcrypto:
-    """The real libcrypto with some symbols hidden or replaced."""
+class _Libgmp:
+    """The real libgmp with some symbols hidden or replaced."""
 
     def __init__(self, lib, hidden=(), replaced=None):
         self._lib, self._hidden, self._replaced = lib, hidden, replaced or {}
@@ -231,30 +232,77 @@ class _Libcrypto:
 
 def _load_with(monkeypatch, **proxy):
     real = ctypes.CDLL
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: _Libcrypto(real(name), **proxy))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _Libgmp(real(name), **proxy))
     return crypto._load_powmod()
 
 
-def test_libcrypto_engine_loads_when_every_symbol_is_there(monkeypatch):
-    engine = _load_with(monkeypatch)
-    assert (engine is crypto._pow) == (ctypes.util.find_library("crypto") is None)
+def _gmp_with_64_bit_limbs() -> bool:
+    name = ctypes.util.find_library("gmp")
+    return name is not None and ctypes.c_int.in_dll(ctypes.CDLL(name), "__gmp_bits_per_limb").value == 64
+
+
+needs_gmp = pytest.mark.skipif(not _gmp_with_64_bit_limbs(), reason="needs libgmp with 64-bit limbs")
+
+
+def test_gmp_engine_loads_wherever_libgmp_has_64_bit_limbs():
+    # A silent fallback to pow would keep every output and cost several times
+    # the time, so it fails here rather than only in a benchmark.
+    engine = crypto._load_powmod()
+    assert (engine is not crypto._pow) == (_gmp_with_64_bit_limbs() and sys.byteorder == "little")
     assert engine(PRIME + 1, 2**64 - 1) == pow(PRIME + 1, 2**64 - 1, PRIME)
 
 
-@pytest.mark.parametrize("symbol", ["BN_mod_exp_mont", "BN_MONT_CTX_new", "BN_MONT_CTX_set"])
-def test_engine_falls_back_to_pow_without_a_montgomery_symbol(monkeypatch, symbol):
+@needs_gmp
+@pytest.mark.parametrize("symbol", ["__gmpz_powm", "__gmpz_init2", "__gmp_bits_per_limb"])
+def test_engine_falls_back_to_pow_without_a_gmp_symbol(monkeypatch, symbol):
     assert _load_with(monkeypatch, hidden=(symbol,)) is crypto._pow
 
 
-def test_engine_falls_back_to_pow_when_the_montgomery_context_cannot_be_set(monkeypatch):
-    def failing_set(*args):
-        return 0
+def test_engine_falls_back_to_pow_without_libgmp(monkeypatch):
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    assert crypto._load_powmod() is crypto._pow
 
-    assert _load_with(monkeypatch, replaced={"BN_MONT_CTX_set": failing_set}) is crypto._pow
+
+@needs_gmp
+def test_engine_falls_back_to_pow_when_limbs_are_not_64_bits(monkeypatch):
+    limb_bits = ctypes.pointer(ctypes.c_int(32))
+    assert _load_with(monkeypatch, replaced={"__gmp_bits_per_limb": limb_bits}) is crypto._pow
+
+
+class _Mpz(ctypes.Structure):
+    _fields_ = [("_mp_alloc", ctypes.c_int), ("_mp_size", ctypes.c_int), ("_mp_d", ctypes.c_void_p)]
+
+
+@needs_gmp
+def test_engine_returns_pow_when_gmp_moves_the_result(monkeypatch):
+    # A powm that, on its first call, swaps the result's limbs for other
+    # GMP-owned limbs holding 12345. From then on the limbs the engine set up
+    # go stale, so it must notice the move and answer with pow.
+    lib = ctypes.CDLL(ctypes.util.find_library("gmp"))
+    powm = lib.__gmpz_powm
+    powm.restype = None
+    other = _Mpz()
+    lib.__gmpz_init2(ctypes.byref(other), ctypes.c_ulong(512))
+    lib.__gmpz_set_ui(ctypes.byref(other), ctypes.c_ulong(12345))
+    calls = []
+
+    def moving_powm(r, b, e, m):
+        powm(r, b, e, m)
+        if not calls:
+            result = _Mpz.from_address(ctypes.cast(r, ctypes.c_void_p).value)
+            result._mp_d, other._mp_d = other._mp_d, result._mp_d
+            result._mp_size, other._mp_size = other._mp_size, result._mp_size
+        calls.append(r)
+
+    engine = _load_with(monkeypatch, replaced={"__gmpz_powm": moving_powm})
+    assert engine is not crypto._pow
+    for base, exp in [(3, 5), (PRIME - 1, 2**64 - 1), (2**256 - 1, PRIME - 2)]:
+        assert engine(base, exp) == pow(base, exp, PRIME)
+    assert len(calls) == 3
 
 
 def test_pow_fallback_signs_and_verifies(request, sender_key, recipient_key):
-    m = b"signed without libcrypto"
+    m = b"signed without libgmp"
     expected = sign(sender_key, m)
     request.getfixturevalue("pow_engine")
     sig = sign(sender_key, m)
