@@ -17,24 +17,7 @@ from .configs import (
     veto_demo_boundary,
     worked_example,
 )
-from .contract import (
-    AlreadyConcluded,
-    BadSignature,
-    ChainState,
-    ConflictingPoi,
-    ExpiredPoi,
-    InsufficientBalance,
-    InvalidAmount,
-    NotConflicting,
-    PoiRecord,
-    PrematureFinalize,
-    PrematureFinalizeVeto,
-    TxError,
-    UnknownPoi,
-    UnknownVeto,
-    VetoRecord,
-    VetoedPoi,
-)
+from .contract import ChainState, PoiRecord, TxError, VetoRecord
 from .costmodel import GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
 from .crypto import KeyPair, generate_keypair, sign, verify
 from .ecosystem import run, wallet_keypair

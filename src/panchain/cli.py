@@ -34,7 +34,7 @@ from .configs import (
 from .chain import block_log_entry
 from .costmodel import GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
 from .ecosystem import Ecosystem, run
-from .report import RunReport, dumps
+from .report import RunReport, dumps, wallet_name
 
 CAMPAIGNS = ("run", "sweep-validity", "contest-scaling", "cost-report", "veto-demo")
 
@@ -356,19 +356,18 @@ def cmd_veto_demo(spec: ExperimentSpec) -> dict:
         for label, config in scenarios.items():
             eco = Ecosystem(replace(config, seed=seed))
             report = eco.run()
-            payload[label] = _veto_summary(report, eco.names)
+            payload[label] = _veto_summary(report, eco)
             for issue in _veto_assertions(label, report):
                 errors.append({"seed": seed, "scenario": label, "error": issue})
         outputs.append(str(_write(out / f"veto-demo-{seed}.json", dumps(payload))))
     return {"campaign": "veto-demo", "outputs": outputs, "errors": errors}
 
 
-def _veto_summary(report: RunReport, names: dict[bytes, str]) -> dict:
-    addr_to_name = {wallet.hex(): name for wallet, name in names.items()}
+def _veto_summary(report: RunReport, eco: Ecosystem) -> dict:
     balances_by_name: dict[str, list[int]] = {}
-    for snap in report.chains:
-        for addr, value in snap["balances"].items():
-            balances_by_name.setdefault(addr_to_name.get(addr, addr), []).append(value)
+    for chain in eco.chains:
+        for wallet, value in sorted(chain.state.balances.items()):
+            balances_by_name.setdefault(wallet_name(eco.names, wallet), []).append(value)
     return {
         "balances": {name: values for name, values in sorted(balances_by_name.items())},
         "burned_per_chain": [snap["burned"] for snap in report.chains],

@@ -5,9 +5,13 @@ storage.
 A ChainState is owned by exactly one simulated chain; operations mutate it in
 place and are atomic per transaction (they validate fully before touching
 state). Signatures are checked after every state check, so a transaction the
-state refuses costs no verification. Rejections are raised as TxError
-subclasses carrying a stable ``code`` string so block producers can log
-machine-readable outcomes.
+state refuses costs no verification.
+
+Every refusal is one ``TxError`` whose ``code`` is a stable, machine-readable
+string that block producers log: ``invalid-amount``, ``insufficient-balance``,
+``expired-poi``, ``conflicting-poi``, ``bad-signature``, ``vetoed-poi``,
+``already-concluded``, ``unknown-poi``, ``premature-finalize``,
+``not-conflicting``, ``unknown-veto`` or ``premature-finalize-veto``.
 """
 
 from __future__ import annotations
@@ -39,67 +43,12 @@ OPEN = "open"
 
 
 class TxError(Exception):
-    """Base for transaction rejections; ``code`` is stable and machine-readable."""
+    """A refused transaction: ``TxError(code, reason)``. ``code`` is the
+    stable, machine-readable rejection string; ``reason`` is for people."""
 
-    code = "tx-error"
-
-
-class BadSignature(TxError):
-    code = "bad-signature"
-
-
-class InsufficientBalance(TxError):
-    code = "insufficient-balance"
-
-
-class InvalidAmount(TxError):
-    code = "invalid-amount"
-
-
-class ExpiredPoi(TxError):
-    code = "expired-poi"
-
-
-class ConflictingPoi(TxError):
-    """The incoming proof conflicts with a pending proof already stored.
-
-    Carries both proofs so an observer can escalate the conflict to a veto.
-    """
-
-    code = "conflicting-poi"
-
-    def __init__(self, incoming: ProofOfIntent, stored: ProofOfIntent):
-        super().__init__("proof conflicts with a pending proof from the same sender")
-        self.incoming = incoming
-        self.stored = stored
-
-
-class UnknownPoi(TxError):
-    code = "unknown-poi"
-
-
-class PrematureFinalize(TxError):
-    code = "premature-finalize"
-
-
-class AlreadyConcluded(TxError):
-    code = "already-concluded"
-
-
-class VetoedPoi(TxError):
-    code = "vetoed-poi"
-
-
-class NotConflicting(TxError):
-    code = "not-conflicting"
-
-
-class UnknownVeto(TxError):
-    code = "unknown-veto"
-
-
-class PrematureFinalizeVeto(TxError):
-    code = "premature-finalize-veto"
+    @property
+    def code(self) -> str:
+        return self.args[0]
 
 
 @dataclass
@@ -179,29 +128,29 @@ class ChainState:
 
     def _check_new_poi(self, poi: ProofOfIntent, now: float) -> None:
         if poi.amount <= self.reward:
-            raise InvalidAmount(
-                f"amount {poi.amount} does not exceed the witness reward {self.reward}"
+            raise TxError(
+                "invalid-amount", f"amount {poi.amount} does not exceed the witness reward {self.reward}"
             )
         if self.balance(poi.sender) < poi.amount:
-            raise InsufficientBalance(
-                f"sender balance {self.balance(poi.sender)} below amount {poi.amount}"
+            raise TxError(
+                "insufficient-balance", f"sender balance {self.balance(poi.sender)} below amount {poi.amount}"
             )
         if now >= poi.t1:
-            raise ExpiredPoi(f"validity ended at {poi.t1}, now {now}")
+            raise TxError("expired-poi", f"validity ended at {poi.t1}, now {now}")
         for record in self.pending_proofs(poi.sender):
             if conflicts(poi, record.poi):
-                raise ConflictingPoi(incoming=poi, stored=record.poi)
+                raise TxError("conflicting-poi", "proof conflicts with a pending proof from the same sender")
         if not verify_poi(poi):
-            raise BadSignature("alpha or beta does not verify")
+            raise TxError("bad-signature", "alpha or beta does not verify")
 
     def _known_record(self, alpha: bytes) -> Optional[PoiRecord]:
         record = self.poi_records.get(alpha)
         if record is None:
             return None
         if record.status == VETOED:
-            raise VetoedPoi("proof was cancelled by a veto")
+            raise TxError("vetoed-poi", "proof was cancelled by a veto")
         if record.status == FINALIZED:
-            raise AlreadyConcluded("contest already finalized")
+            raise TxError("already-concluded", "contest already finalized")
         return record
 
     # -- transaction application -----------------------------------------
@@ -221,11 +170,11 @@ class ChainState:
             self._check_new_poi(tx.poi, now)
         else:
             if now >= tx.poi.t1:
-                raise ExpiredPoi(f"validity ended at {tx.poi.t1}, now {now}")
+                raise TxError("expired-poi", f"validity ended at {tx.poi.t1}, now {now}")
             if self.balance(tx.poi.sender) < tx.poi.amount:
-                raise InsufficientBalance("sender balance dropped below amount")
+                raise TxError("insufficient-balance", "sender balance dropped below amount")
         if not verify(tx.contestant, encode_poi(tx.poi), tx.omega):
-            raise BadSignature("contest omega does not verify")
+            raise TxError("bad-signature", "contest omega does not verify")
         if record is None:
             record = self._insert_pending(tx.poi)
         record.contestants.setdefault(tx.contestant, tx.omega)
@@ -237,14 +186,14 @@ class ChainState:
         any wallet may post it."""
         record = self._known_record(tx.alpha)
         if record is None:
-            raise UnknownPoi("no proof with this alpha on this chain")
+            raise TxError("unknown-poi", "no proof with this alpha on this chain")
         poi = record.poi
         if now <= poi.t1:
-            raise PrematureFinalize(f"validity runs until {poi.t1}, now {now}")
+            raise TxError("premature-finalize", f"validity runs until {poi.t1}, now {now}")
         if self.balance(poi.sender) < poi.amount:
             # Can only happen to a sender gaming the one-pending-proof rule
             # with back-to-back windows; never to honest agents.
-            raise InsufficientBalance("sender balance no longer covers the transfer")
+            raise TxError("insufficient-balance", "sender balance no longer covers the transfer")
         winner = contest_winner(record.contestants) if record.contestants else None
         self.balances[poi.sender] = self.balance(poi.sender) - poi.amount
         self.balances[poi.recipient] = self.balance(poi.recipient) + poi.amount - self.reward
@@ -261,19 +210,19 @@ class ChainState:
         for the unordered pair of conflicting proofs."""
         record = self.poi_records.get(tx.alpha)
         if record is None:
-            raise UnknownPoi("cited alpha is not known to this chain")
+            raise TxError("unknown-poi", "cited alpha is not known to this chain")
         known = record.poi
         other = tx.conflicting_poi
         if not conflicts(known, other):
-            raise NotConflicting("cited proofs do not conflict")
+            raise TxError("not-conflicting", "cited proofs do not conflict")
         pair = _pair_key(known.alpha, other.alpha)
         veto_record = self.veto_records.get(pair)
         if veto_record is not None and veto_record.status != OPEN:
-            raise AlreadyConcluded("veto contest already finalized")
+            raise TxError("already-concluded", "veto contest already finalized")
         if not verify_poi(other):
-            raise BadSignature("conflicting proof's signatures do not verify")
+            raise TxError("bad-signature", "conflicting proof's signatures do not verify")
         if not verify(tx.vetoer, encode_veto_payload(tx.alpha, other.alpha), tx.omega):
-            raise BadSignature("veto omega does not verify")
+            raise TxError("bad-signature", "veto omega does not verify")
 
         sender = known.sender
         if other.alpha not in self.poi_records:
@@ -297,12 +246,12 @@ class ChainState:
         transfer is executed."""
         veto_record = self.veto_records.get(_pair_key(tx.alpha, tx.alpha_prime))
         if veto_record is None:
-            raise UnknownVeto("no veto contest for this pair")
+            raise TxError("unknown-veto", "no veto contest for this pair")
         if veto_record.status != OPEN:
-            raise AlreadyConcluded("veto contest already finalized")
+            raise TxError("already-concluded", "veto contest already finalized")
         if now <= veto_record.deadline:
-            raise PrematureFinalizeVeto(
-                f"veto contest runs until {veto_record.deadline}, now {now}"
+            raise TxError(
+                "premature-finalize-veto", f"veto contest runs until {veto_record.deadline}, now {now}"
             )
         winner = contest_winner(veto_record.contestants)
         payout = min(self.reward, veto_record.escrow)

@@ -65,8 +65,6 @@ class _Transfer:
     contest_counts: dict[int, int] = field(default_factory=dict)
     vetoed_chains: int = 0
     corrupted: bool = False
-    failed: bool = False
-    resynced: bool = False
 
 
 class Ecosystem:
@@ -256,7 +254,6 @@ class Ecosystem:
             detect_at = poi.t1 + 2 * interval * (1 + self.config.jitter) + 1
             self._schedule(detect_at, ("detect", poi.alpha))
         else:
-            tracker.failed = True
             self._finish_transfer(tracker)
 
     def _finish_transfer(self, tracker: _Transfer) -> None:
@@ -402,7 +399,6 @@ class Ecosystem:
                     changed = True
             if changed:
                 reset_chains.append(chain.chain_id)
-        tracker.resynced = True
         self._resync_events.append(
             {
                 "at": self._now,

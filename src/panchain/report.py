@@ -143,7 +143,8 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
         executed_full += len(executed) == m and len(set(executed.values())) == 1
         if tracker.claim_ok:
             contests.append(sum(tracker.contest_counts.values()) / m)
-        failed += tracker.failed
+        claim_failed = tracker.claim_ok is False
+        failed += claim_failed
         corrupted += tracker.corrupted
         vetoed += tracker.vetoed_chains > 0
         # The majority winner; on a tie, the first chain's in chain order.
@@ -165,8 +166,9 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
                 "contest_counts": {str(cid): n for cid, n in sorted(tracker.contest_counts.items())},
                 "vetoed_chains": tracker.vetoed_chains,
                 "corrupted": tracker.corrupted,
-                "failed": tracker.failed,
-                "resynced": tracker.resynced,
+                "failed": claim_failed,
+                # A transfer is resynced exactly when it is corrupted.
+                "resynced": tracker.corrupted,
                 "scripted": not tracker.client_driven,
                 "self_transfer": tracker.sender_name == tracker.recipient_name,
             }

@@ -4,7 +4,6 @@ import math
 import random
 import statistics
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,26 +27,6 @@ from panchain.protocol import (
 )
 
 from conftest import keypair
-
-
-def left_to_right_minima_oracle(n: int, permutations: int = 100_000, seed: int = 7):
-    """Monte-Carlo oracle for the expected number of record values when n
-    iid-uniform contest values arrive in random order."""
-    rng = np.random.default_rng(seed)
-    draws = rng.random((permutations, n))
-    running_min = np.minimum.accumulate(draws, axis=1)
-    is_record = np.empty_like(draws, dtype=bool)
-    is_record[:, 0] = True
-    is_record[:, 1:] = draws[:, 1:] <= running_min[:, :-1]
-    counts = is_record.sum(axis=1)
-    return counts.mean(), counts.std(ddof=1)
-
-
-def test_oracle_matches_harmonic_numbers():
-    for n in (2, 5, 16):
-        mean, sd = left_to_right_minima_oracle(n, permutations=200_000)
-        harmonic = sum(1 / k for k in range(1, n + 1))
-        assert abs(mean - harmonic) < 4 * sd / math.sqrt(200_000)
 
 
 # --- client -------------------------------------------------------------
@@ -378,8 +357,9 @@ def test_mean_contests_matches_record_oracle():
         counts.append(list(report.transfers[0]["contest_counts"].values())[0])
     empirical = statistics.mean(counts)
     se = statistics.stdev(counts) / math.sqrt(runs)
-    oracle_mean, _ = left_to_right_minima_oracle(n)
-    assert abs(empirical - oracle_mean) <= 3 * se
+    # The expected number of records in a random order of n values is H_n.
+    harmonic = sum(1 / k for k in range(1, n + 1))
+    assert abs(empirical - harmonic) <= 3 * se
     assert empirical <= math.log2(n) + 3 * se
 
 

@@ -1,28 +1,12 @@
 import copy
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
 from panchain import contract
-from panchain.contract import (
-    FINALIZED,
-    PENDING,
-    VETOED,
-    AlreadyConcluded,
-    BadSignature,
-    ChainState,
-    ConflictingPoi,
-    ExpiredPoi,
-    InsufficientBalance,
-    InvalidAmount,
-    NotConflicting,
-    PrematureFinalize,
-    PrematureFinalizeVeto,
-    UnknownPoi,
-    UnknownVeto,
-    VetoedPoi,
-)
+from panchain.contract import FINALIZED, PENDING, VETOED, ChainState, TxError
 from panchain.protocol import (
     Claim,
     make_claim,
@@ -62,6 +46,13 @@ def expected_winner(contest_txs):
     return min(contest_txs, key=lambda c: (c.omega, c.contestant)).contestant
 
 
+@contextmanager
+def rejected(code):
+    with pytest.raises(TxError) as exc:
+        yield
+    assert exc.value.code == code
+
+
 # --- claim -------------------------------------------------------------
 
 
@@ -81,16 +72,16 @@ def test_claim_records_poi_balances_unchanged():
 def test_claim_after_expiry_rejected():
     state = fresh_state()
     poi = table_poi()
-    with pytest.raises(ExpiredPoi):
+    with rejected("expired-poi"):
         state.apply_claim(make_claim(poi), now=62)
-    with pytest.raises(ExpiredPoi):
+    with rejected("expired-poi"):
         state.apply_claim(make_claim(poi), now=61)  # strict now < t1
 
 
 def test_claim_insufficient_balance():
     state = fresh_state()
     poi = table_poi(amount=100)
-    with pytest.raises(InsufficientBalance):
+    with rejected("insufficient-balance"):
         state.apply_claim(make_claim(poi), now=1)
 
 
@@ -98,7 +89,7 @@ def test_claim_bad_signature():
     state = fresh_state()
     poi = table_poi()
     forged = Claim(poi=poi.__class__(intent=poi.intent, alpha=poi.alpha, beta=b"\x01" * 32))
-    with pytest.raises(BadSignature):
+    with rejected("bad-signature"):
         state.apply_claim(forged, now=1)
 
 
@@ -115,19 +106,18 @@ def test_claim_amount_must_exceed_reward():
     alpha = sign(S, encode_intent(intent))
     beta = sign(D, encode_intent(intent) + alpha)
     poi = ProofOfIntent(intent=intent, alpha=alpha, beta=beta)
-    with pytest.raises(InvalidAmount):
+    with rejected("invalid-amount"):
         state.apply_claim(make_claim(poi), now=1)
 
 
-def test_claim_conflicting_pending_rejected_with_both_proofs():
+def test_claim_conflicting_pending_rejected():
     state = fresh_state(sender_balance=10)
     first = table_poi(amount=8, t0=1, t1=61)
     second = table_poi(amount=8, t0=30, t1=90, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(first), now=1)
-    with pytest.raises(ConflictingPoi) as exc:
+    with rejected("conflicting-poi"):
         state.apply_claim(make_claim(second), now=31)
-    assert exc.value.incoming.alpha == second.alpha
-    assert exc.value.stored.alpha == first.alpha
+    assert second.alpha not in state.poi_records
 
 
 def test_claim_idempotent_republication():
@@ -177,7 +167,7 @@ def test_contest_expired_rejected():
     state = fresh_state()
     poi = table_poi()
     state.apply_claim(make_claim(poi), now=1)
-    with pytest.raises(ExpiredPoi):
+    with rejected("expired-poi"):
         state.apply_contest(make_contest(U, poi), now=61)
 
 
@@ -186,7 +176,7 @@ def test_contest_bad_omega():
     poi = table_poi()
     good = make_contest(U, poi)
     forged = good.__class__(poi=poi, contestant=V.public_key, omega=good.omega)
-    with pytest.raises(BadSignature):
+    with rejected("bad-signature"):
         state.apply_contest(forged, now=2)
 
 
@@ -238,7 +228,7 @@ TAMPERED = {
 def test_tampered_transaction_passing_every_state_check_is_a_bad_signature(case):
     state, tx = TAMPERED[case]()
     before = copy.deepcopy(state.snapshot())
-    with pytest.raises(BadSignature):
+    with rejected("bad-signature"):
         state.apply(tx, now=10)
     # No record, contestant, veto record or burn was written.
     assert state.snapshot() == before
@@ -256,29 +246,50 @@ def _vetoed_state():
     return state
 
 
-# (state, transaction, now, expected rejection): each is refused by a state check.
+def _later_poi():
+    # The sender's next window, after table_poi()'s: the two do not conflict.
+    return table_poi(t0=62, t1=120, recipient=keypair("elsewhere"))
+
+
+def _contest_after_the_balance_dropped():
+    state = fresh_state(sender_balance=30)
+    for poi in (table_poi(), _later_poi()):
+        state.apply_claim(make_claim(poi), now=1)
+    state.apply_finalize(make_finalize(U, table_poi().alpha), now=62)
+    # The sender now holds 10, below the known later proof's 20.
+    return state, make_contest(U, _later_poi()), 63, "insufficient-balance"
+
+
+def _veto_after_its_contest_concluded():
+    state, a, b = _veto_setup()
+    state.apply_veto(make_veto(U, a.alpha, b), now=10)
+    state.apply_finalize_veto(make_finalize_veto(U, a.alpha, b.alpha), now=126)
+    return state, make_veto(V, b.alpha, a), 127, "already-concluded"
+
+
+# (state, transaction, now, expected code): each is refused by a state check.
 REFUSED_BY_STATE = {
-    "claim-expired": lambda: (fresh_state(), make_claim(table_poi()), 61, ExpiredPoi),
-    "contest-new-proof-expired": lambda: (fresh_state(), make_contest(U, table_poi()), 61, ExpiredPoi),
-    "contest-known-proof-expired": lambda: (_claimed_state(), make_contest(U, table_poi()), 61, ExpiredPoi),
-    "contest-over-balance": lambda: (fresh_state(), make_contest(U, table_poi(amount=100)), 2, InsufficientBalance),
-    "contest-finalized": lambda: (_finalized_state(), make_contest(U, table_poi()), 63, AlreadyConcluded),
+    "claim-expired": lambda: (fresh_state(), make_claim(table_poi()), 61, "expired-poi"),
+    "contest-new-proof-expired": lambda: (fresh_state(), make_contest(U, table_poi()), 61, "expired-poi"),
+    "contest-known-proof-expired": lambda: (_claimed_state(), make_contest(U, table_poi()), 61, "expired-poi"),
+    "contest-over-balance": lambda: (fresh_state(), make_contest(U, table_poi(amount=100)), 2, "insufficient-balance"),
+    "contest-finalized": lambda: (_finalized_state(), make_contest(U, table_poi()), 63, "already-concluded"),
     "contest-vetoed": lambda: (
-        _vetoed_state(), make_contest(V, table_poi(amount=8, t0=1, t1=61)), 11, VetoedPoi),
+        _vetoed_state(), make_contest(V, table_poi(amount=8, t0=1, t1=61)), 11, "vetoed-poi"),
+    "contest-known-proof-over-balance": _contest_after_the_balance_dropped,
     "veto-not-conflicting": lambda: (
-        _claimed_state(),
-        make_veto(U, table_poi().alpha, table_poi(t0=62, t1=120, recipient=keypair("elsewhere"))),
-        10, NotConflicting),
+        _claimed_state(), make_veto(U, table_poi().alpha, _later_poi()), 10, "not-conflicting"),
+    "veto-concluded": _veto_after_its_contest_concluded,
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_BY_STATE))
 def test_transaction_refused_by_a_state_check_verifies_no_signature(monkeypatch, case):
-    state, tx, now, error = REFUSED_BY_STATE[case]()
+    state, tx, now, code = REFUSED_BY_STATE[case]()
     calls = []
     monkeypatch.setattr(contract, "verify", lambda *args: calls.append(args) or True)
     monkeypatch.setattr(contract, "verify_poi", lambda poi: calls.append(poi) or True)
-    with pytest.raises(error):
+    with rejected(code):
         state.apply(tx, now=now)
     assert calls == []
 
@@ -321,20 +332,20 @@ def test_finalize_executes_transfer_and_pays_lowest_omega(poster):
 
 def test_finalize_at_t1_is_premature():
     state, poi, _ = _contested_state()
-    with pytest.raises(PrematureFinalize):
+    with rejected("premature-finalize"):
         state.apply_finalize(make_finalize(D, poi.alpha), now=61)
 
 
 def test_finalize_unknown_poi():
     state = fresh_state()
-    with pytest.raises(UnknownPoi):
+    with rejected("unknown-poi"):
         state.apply_finalize(make_finalize(D, table_poi().alpha), now=62)
 
 
 def test_finalize_twice_rejected():
     state, poi, _ = _contested_state()
     state.apply_finalize(make_finalize(D, poi.alpha), now=62)
-    with pytest.raises(AlreadyConcluded):
+    with rejected("already-concluded"):
         state.apply_finalize(make_finalize(D, poi.alpha), now=63)
 
 
@@ -355,7 +366,7 @@ def test_finalize_of_vetoed_poi_rejected():
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
     state.apply_veto(make_veto(U, a.alpha, b), now=10)
-    with pytest.raises(VetoedPoi):
+    with rejected("vetoed-poi"):
         state.apply_finalize(make_finalize(D, a.alpha), now=62)
 
 
@@ -381,7 +392,7 @@ def test_veto_requires_conflict():
     a = table_poi(t0=1, t1=61)
     b = table_poi(t0=62, t1=120, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    with pytest.raises(NotConflicting):
+    with rejected("not-conflicting"):
         state.apply_veto(make_veto(U, a.alpha, b), now=10)
 
 
@@ -389,7 +400,7 @@ def test_veto_unknown_alpha():
     state = fresh_state()
     a = table_poi(t0=1, t1=61)
     b = table_poi(t0=5, t1=65, recipient=keypair("elsewhere"))
-    with pytest.raises(UnknownPoi):
+    with rejected("unknown-poi"):
         state.apply_veto(make_veto(U, a.alpha, b), now=10)
 
 
@@ -399,7 +410,7 @@ def test_veto_bad_conflicting_signature():
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
     broken = b.__class__(intent=b.intent, alpha=b.alpha, beta=b"\x02" * 32)
-    with pytest.raises(BadSignature):
+    with rejected("bad-signature"):
         state.apply_veto(make_veto(U, a.alpha, broken), now=10)
 
 
@@ -441,13 +452,13 @@ def test_finalize_veto_pays_lowest_omega_from_burned():
     pair = state.veto_records[next(iter(state.veto_records))]
     assert pair.deadline == 65 + 60
     winner = min(pair.contestants, key=lambda w: (pair.contestants[w], w))
-    with pytest.raises(PrematureFinalizeVeto):
+    with rejected("premature-finalize-veto"):
         state.apply_finalize_veto(make_finalize_veto(U, a.alpha, b.alpha), now=125)
     state.apply_finalize_veto(make_finalize_veto(U, a.alpha, b.alpha), now=126)
     assert state.balance(winner) == 1
     assert state.burned == 9
     assert state.audit() == (1, 9, 10)
-    with pytest.raises(AlreadyConcluded):
+    with rejected("already-concluded"):
         state.apply_finalize_veto(make_finalize_veto(U, a.alpha, b.alpha), now=127)
 
 
@@ -477,7 +488,7 @@ def test_audit_rejects_minted_supply():
 
 def test_finalize_veto_unknown_pair():
     state = fresh_state()
-    with pytest.raises(UnknownVeto):
+    with rejected("unknown-veto"):
         state.apply_finalize_veto(make_finalize_veto(U, b"\x00" * 32, b"\x01" * 32), now=200)
 
 
