@@ -5,7 +5,8 @@ storage.
 A ChainState is owned by exactly one simulated chain; operations mutate it in
 place and are atomic per transaction (they validate fully before touching
 state). Signatures are checked after every state check, so a transaction the
-state refuses costs no verification.
+state refuses costs no verification. ``settle`` is the one rule that moves a
+transfer's tokens.
 
 Every refusal is one ``TxError`` whose ``code`` is a stable, machine-readable
 string that block producers log: ``invalid-amount``, ``insufficient-balance``,
@@ -100,9 +101,6 @@ class ChainState:
         self.veto_records: dict[tuple[bytes, bytes], VetoRecord] = {}
         self.burned = 0
         self.initial_supply = sum(balances.values())
-        # Bookkeeping for experiment-level balance resets after corrupted
-        # transfers; zero in any run without corruption.
-        self.resync_adjustment = 0
         self._pending_by_sender: dict[WalletId, set[bytes]] = {}
 
     # -- helpers ---------------------------------------------------------
@@ -195,12 +193,7 @@ class ChainState:
             # with back-to-back windows; never to honest agents.
             raise TxError("insufficient-balance", "sender balance no longer covers the transfer")
         winner = contest_winner(record.contestants) if record.contestants else None
-        self.balances[poi.sender] = self.balance(poi.sender) - poi.amount
-        self.balances[poi.recipient] = self.balance(poi.recipient) + poi.amount - self.reward
-        if winner is None:
-            self.burned += self.reward
-        else:
-            self.balances[winner] = self.balance(winner) + self.reward
+        self.settle(poi, winner)
         self._conclude(record, FINALIZED)
         record.winner = winner
 
@@ -260,6 +253,23 @@ class ChainState:
         veto_record.status = FINALIZED
         veto_record.winner = winner
 
+    def settle(self, poi: ProofOfIntent, winner: Optional[WalletId], sign: int = 1) -> None:
+        """Move a concluded transfer's tokens, the one rule that does: the
+        sender loses ``amount``, the recipient gains ``amount - reward``, and
+        ``winner`` gains ``reward``, or ``burned`` does when there is none.
+        ``sign=-1`` moves them back. Raises, changing nothing, rather than
+        leave a balance or ``burned`` negative."""
+        moves = {poi.sender: -poi.amount}
+        moves[poi.recipient] = moves.get(poi.recipient, 0) + poi.amount - self.reward
+        moves[winner] = moves.get(winner, 0) + self.reward  # the key None is ``burned``
+        burned = self.burned + sign * moves.pop(None, 0)
+        settled = {w: self.balances.get(w, 0) + sign * d for w, d in moves.items()}
+        if burned < 0 or min(settled.values()) < 0:
+            raise RuntimeError(f"settling {poi.alpha.hex()[:12]} with sign {sign} on chain "
+                               f"{self.chain_id} would leave a balance or burned negative")
+        self.balances.update(settled)
+        self.burned = burned
+
     def apply(self, tx: Transaction, now: float) -> None:
         # Looked up on the instance at each call, so wrappers installed on
         # the class later still see every application.
@@ -270,31 +280,22 @@ class ChainState:
     def audit(self) -> tuple[int, int, int]:
         """Supply report (total balance, burned, initial supply).
 
-        Raises if token conservation is violated or tokens were minted;
-        resync_adjustment accounts for experiment-level balance resets and is
-        zero otherwise.
+        Raises unless tokens are exactly conserved (balances plus ``burned``
+        equal the initial supply) and no balance and not ``burned`` is
+        negative: a negative value mints what the others hold beyond supply.
         """
         total = sum(self.balances.values())
-        expected = self.initial_supply + self.resync_adjustment
-        if total + self.burned != expected:
+        if total + self.burned != self.initial_supply:
             raise RuntimeError(
                 f"supply violation on chain {self.chain_id}: "
-                f"{total} + {self.burned} != {expected}"
+                f"{total} + {self.burned} != {self.initial_supply}"
             )
-        if self.burned < 0 or total > expected:
+        lowest = min(self.balances.values(), default=0)
+        if lowest < 0 or self.burned < 0:
             raise RuntimeError(
-                f"minted supply on chain {self.chain_id}: "
-                f"{total} in circulation from {expected}, burned {self.burned}"
+                f"minted supply on chain {self.chain_id}: lowest balance {lowest}, burned {self.burned}"
             )
         return total, self.burned, self.initial_supply
-
-    def override_balance(self, wallet: WalletId, value: int) -> None:
-        """Force a wallet balance (corrupted-transfer resync); the delta is
-        booked into resync_adjustment so audits stay exact."""
-        if value < 0:
-            raise ValueError("cannot force a negative balance")
-        self.resync_adjustment += value - self.balance(wallet)
-        self.balances[wallet] = value
 
     def snapshot(self) -> dict:
         """Canonical JSON-ready view: hex ids, sorted-key friendly, integer amounts."""
@@ -315,7 +316,9 @@ class ChainState:
             "reward": self.reward,
             "burned": self.burned,
             "initial_supply": self.initial_supply,
-            "resync_adjustment": self.resync_adjustment,
+            # Always 0 since a resync only settles transfers; kept so every
+            # snapshot (the goldens too) keeps its shape for existing readers.
+            "resync_adjustment": 0,
             "balances": {w.hex(): v for w, v in sorted(self.balances.items())},
             "poi_records": {
                 alpha.hex(): {

@@ -1,6 +1,8 @@
 """Discrete-event ecosystem: all chains and agents under one deterministic
-clock, plus corrupted-transfer detection and resync. The run's report is
-built by ``report.build_report`` once the run has ended.
+clock, plus corrupted-transfer detection and resync, which finalizes a
+corrupted transfer on every chain. Each chain's supply is audited after every
+busy block and every resync that changes it. The run's report is built by
+``report.build_report`` once the run has ended.
 
 Events execute in (fire_at, sequence) order; the sequence counter is assigned
 at scheduling time, so identical (config, seed) pairs replay identically.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,6 +68,13 @@ class _Transfer:
     contest_counts: dict[int, int] = field(default_factory=dict)
     vetoed_chains: int = 0
     corrupted: bool = False
+
+    @property
+    def winner(self) -> Optional[bytes]:
+        """The winner most executing chains chose, the first chain's on a tie;
+        None when no chain executed the transfer or no contestant won it."""
+        top = Counter(self.executed.values()).most_common(1)
+        return top[0][0] if top else None
 
 
 class Ecosystem:
@@ -179,6 +189,7 @@ class Ecosystem:
                 chain = chains[chain_id]
                 if chain.mempool:
                     self._handle_block(chain)
+                    self._audit(chain)
                 else:  # idle chain: its block drains nothing, so nothing to handle
                     chain.produce_block(fire_at)
                 if chain.next_block_time <= self._horizon:
@@ -191,11 +202,16 @@ class Ecosystem:
                 self._now = fire_at
                 getattr(self, "_handle_" + payload[0])(*payload[1:])
 
-        for chain in self.chains:
-            chain.state.audit()
+        # Busy blocks and resyncs, the only state changes, were each audited.
         return build_report(
             self.config, self.chains, self._transfers.values(), self._resync_events, self.names
         )
+
+    def _audit(self, chain: SimChain) -> None:
+        try:
+            chain.state.audit()
+        except RuntimeError as err:
+            raise RuntimeError(f"{err} (at t={self._now})") from err
 
     # -- handlers -----------------------------------------------------------
 
@@ -372,42 +388,26 @@ class Ecosystem:
         self._finish_transfer(tracker)
 
     def _resync(self, tracker: _Transfer) -> None:
-        """Reset the involved wallets' balances to the majority outcome so the
-        workload can keep running after a corrupted transfer."""
-        groups: dict[tuple, list[int]] = {}
+        """Finalize a corrupted transfer on every chain with its majority
+        ``winner``, so the workload can keep running. A chain that did not
+        execute it settles it; one that chose another winner moves its own
+        settlement back first. Only this transfer's tokens move, so transfers
+        still in flight keep theirs. Each chain's proof record keeps what that
+        chain concluded."""
+        poi, executed, winner = tracker.poi, tracker.executed, tracker.winner
+        settled = []
         for chain in self.chains:
-            cid = chain.chain_id
-            if cid in tracker.executed:
-                label = ("executed", tracker.executed[cid] or b"")
-            else:
-                label = ("not-executed", b"")
-            groups.setdefault(label, []).append(cid)
-        majority = sorted(groups.values(), key=lambda cids: (-len(cids), min(cids)))[0]
-        ref = self.chains[min(majority)]
-        involved = {tracker.poi.sender, tracker.poi.recipient}
-        involved.update(w for w in tracker.executed.values() if w)
-        # Force the involved wallets to the reference values on every chain,
-        # majority members included: concurrent corrupted transfers can leave
-        # same-outcome chains disagreeing with each other.
-        reset_chains = []
-        for chain in self.chains:
-            changed = False
-            for wallet in sorted(involved):
-                value = ref.state.balance(wallet)
-                if chain.state.balance(wallet) != value:
-                    chain.state.override_balance(wallet, value)
-                    changed = True
-            if changed:
-                reset_chains.append(chain.chain_id)
-        self._resync_events.append(
-            {
-                "at": self._now,
-                "alpha": tracker.poi.alpha.hex(),
-                "majority_chains": sorted(majority),
-                "reset_chains": reset_chains,
-                "wallets": sorted(wallet_name(self.names, w) for w in involved),
-            }
-        )
+            if chain.chain_id in executed:
+                if executed[chain.chain_id] == winner:
+                    continue
+                chain.state.settle(poi, executed[chain.chain_id], -1)
+            chain.state.settle(poi, winner)
+            self._audit(chain)
+            settled.append(chain.chain_id)
+        self._resync_events.append({
+            "at": self._now, "alpha": poi.alpha.hex(), "settled_chains": settled,
+            "winner": wallet_name(self.names, winner) if winner else None,
+        })
 
 
 def run(config: EcosystemConfig) -> RunReport:

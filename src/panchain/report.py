@@ -147,9 +147,7 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
         failed += claim_failed
         corrupted += tracker.corrupted
         vetoed += tracker.vetoed_chains > 0
-        # The majority winner; on a tie, the first chain's in chain order.
-        top = Counter(executed.values()).most_common(1)
-        winner = top[0][0] if top else None
+        winner = tracker.winner
         transfer_rows.append(
             {
                 "alpha": tracker.poi.alpha.hex(),
@@ -167,8 +165,6 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
                 "vetoed_chains": tracker.vetoed_chains,
                 "corrupted": tracker.corrupted,
                 "failed": claim_failed,
-                # A transfer is resynced exactly when it is corrupted.
-                "resynced": tracker.corrupted,
                 "scripted": not tracker.client_driven,
                 "self_transfer": tracker.sender_name == tracker.recipient_name,
             }

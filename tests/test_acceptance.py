@@ -236,9 +236,7 @@ def test_criterion_6_double_spend_suite():
         for snap in report.chains:
             if snap["balances"].get(mallory, 0) != 0:
                 issues.append(f"sender not zeroed on chain {snap['chain_id']}")
-            if sum(snap["balances"].values()) + snap["burned"] != snap[
-                "initial_supply"
-            ] + snap["resync_adjustment"]:
+            if sum(snap["balances"].values()) + snap["burned"] != snap["initial_supply"]:
                 issues.append(f"supply broken on chain {snap['chain_id']}")
         for row in report.transfers:
             if row["executed_chains"]:

@@ -77,6 +77,19 @@ def test_cmd_sweep_zero_clients_all_zero(tmp_path):
     assert [r.split(",")[1] for r in rows] == ["0", "0", "0"]
 
 
+def test_jittered_sweep_ends_consistent_at_its_corrupting_points(tmp_path, capsys):
+    # At jitter 0.3 these points corrupt transfers; each run must still end
+    # with the chains agreeing, or the campaign exits 1.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sweep": {"validity_points": [15, 20, 22, 25]}}))
+    argv = ["--campaign", "sweep-validity", "--config", str(config), "--out", str(tmp_path),
+            "--seeds", "0,1,2,3", "--jitter", "0.3"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["errors"] == []
+    summary = (tmp_path / "sweep-validity" / "sweep-validity-summary.csv").read_text().splitlines()
+    assert all(int(row.split(",")[2]) > 0 for row in summary[1:3])  # 15 and 20 s corrupt
+
+
 def test_sweep_worker_pool_outputs_identical(tmp_path):
     config = {
         "ecosystem": {"chains": 3, "wallets": {"a": 100}, "clients": 2, "observers": 2,

@@ -515,11 +515,53 @@ def test_audit_fresh_state():
     assert state.audit() == (80, 0, 80)
 
 
-def test_override_balance_keeps_audit_exact():
+@pytest.mark.parametrize("winner", [U, None], ids=["winner", "burned"])
+def test_settle_moves_a_transfer_and_its_reversal_moves_it_back(winner):
     state = fresh_state()
-    state.override_balance(D.public_key, 25)
-    total, burned, initial = state.audit()
-    assert total == 105 and state.resync_adjustment == 25 and initial == 80
+    poi = table_poi(amount=20)
+    before = (dict(state.balances), state.burned)
+    state.settle(poi, winner.public_key if winner else None)
+    assert state.balance(S.public_key) == 60 and state.balance(D.public_key) == 19
+    assert (state.balance(U.public_key), state.burned) == ((1, 0) if winner else (0, 1))
+    assert state.audit() == (80 - state.burned, state.burned, 80)
+    state.settle(poi, winner.public_key if winner else None, -1)
+    assert (state.balances, state.burned) == before
+
+
+def test_settle_nets_the_moves_of_a_wallet_in_two_roles():
+    # The sender is its own recipient and wins its own contest: it ends where
+    # it began, and the reversal needs no more than it holds.
+    state = fresh_state(sender_balance=20)
+    poi = table_poi(amount=20, recipient=S)
+    state.settle(poi, S.public_key)
+    assert state.balance(S.public_key) == 20
+    state.settle(poi, S.public_key, -1)
+    assert state.balance(S.public_key) == 20 and state.audit() == (20, 0, 20)
+
+
+@pytest.mark.parametrize(
+    "sender_balance, winner, sign",
+    [(80, U, -1), (80, None, -1), (10, U, 1)],
+    ids=["reversal-winner", "reversal-burned", "overdraw"],
+)
+def test_settle_that_would_go_negative_raises_and_changes_nothing(sender_balance, winner, sign):
+    # Moving back what was never settled takes what the recipient and the
+    # winner (or burned) never got; settling 20 takes more than a sender of
+    # 10 holds.
+    state = fresh_state(sender_balance=sender_balance)
+    before = (dict(state.balances), state.burned)
+    with pytest.raises(RuntimeError, match="negative"):
+        state.settle(table_poi(amount=20), winner.public_key if winner else None, sign)
+    assert (state.balances, state.burned) == before
+
+
+def test_audit_rejects_a_negative_balance():
+    # Conserved in sum and burned is 0, yet a wallet holds -1.
+    state = fresh_state(sender_balance=10)
+    state.balances[S.public_key] = 11
+    state.balances[D.public_key] = -1
+    with pytest.raises(RuntimeError, match="minted"):
+        state.audit()
 
 
 # --- order independence (acceptance criterion groundwork) ----------------

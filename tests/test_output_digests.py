@@ -108,11 +108,11 @@ CAMPAIGN_DIGESTS = {
         "run/run-0.blocks.jsonl": "113dc453a985f7b5b4a9cac4803101559242416087213338b60772f86961ade9",
         "run/run-0.chains.json": "3a60f3aefa69c6dea1e39d7d9a7b65e5d10e67643cdcfc6a0d10ce336d838fdb",
         "run/run-0.csv": "25921fb830ae7580d2c9e01545196cfc21912e92b4610c5fc5b546ba01693554",
-        "run/run-0.json": "40b82e25c7646149603f3176f02e8cae28688b389f3fb519de99cc84f2324709",
+        "run/run-0.json": "684b85bb27153d12adf0d1d820fb2cdeb8257ea6fa9699a64a4681647abbb3d5",
         "run/run-1.blocks.jsonl": "48db448648eabd46759c1ba4e5f43e6598f4202f3ccfc303e12c45b1e8a09d73",
         "run/run-1.chains.json": "4bb54d25f3cd3070bfd8b3298d7a647d147650a1c0fbce6f5537f3768c7dd31b",
         "run/run-1.csv": "a74004d19b8f2bf60e5640b5da2b51d5a889b5a2b93a42a8e4cee1f9b95920bf",
-        "run/run-1.json": "8c244a9e000bfdd083b05d4bc01474117e13a5c3f306b5fddadb89c690f07d54",
+        "run/run-1.json": "1f69c8e2b235ce4db7edf29b9a27a8d7b26691590b117ca72ae6462675e9955d",
         "sweep-validity/sweep-validity-0.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-1.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-summary.csv":
@@ -127,24 +127,24 @@ CAMPAIGN_DIGESTS = {
         "cost-report/cost-report.txt": "e13b268b49b2f093524267ed89b1be68b152019c03b561aacdaf2fa32ca13474",
         "run/run-0.chains.json": "4e296a92df563dfe7de457033bfd037cc63d0389d0f4513591c539dcf4d86c6b",
         "run/run-0.csv": "36d2df5d3d0b01aea0c83475a948446fdfb07e0cd84bd901e634fa0f8e5076b0",
-        "run/run-0.json": "f39837eaae678e7f96ccc4feb45a9ea819024df83a8c94390480ee85eded86c4",
-        "sweep-validity/sweep-validity-0.csv": "bce751bbf3ea4202e7feae7cdf628b5551cef5fec355cd85a7101f9c96c5cfde",
+        "run/run-0.json": "b5141777b295cbf8a902e8542240ce20df738bc7efa39146ba15255f78ae9c67",
+        "sweep-validity/sweep-validity-0.csv": "06a86a80c13c8cbbb025435122f52e1931c83976e1d7a158a44e0509ef224aa3",
         "sweep-validity/sweep-validity-summary.csv":
-            "0221fa914a4f316d8550707132287ec7a5aaf5d3d2a77c2b26db47f748c94d5f",
+            "1c6d0ceac49704f141296d9b20bc62221db0cd6702590357e8cb7d39122c71d5",
         "veto-demo/veto-demo-0.json": "507ab72aadd8a75b274fefcbc248d382df630d9cd5a8188835e0093d0dba4af7",
     },
     "ties": {
         "contest-scaling/contest-scaling-0.csv": "0b4ce9d1e001c3944edb9454cfffa09a332fb2b7a9a75e96102695b4919802a4",
         "cost-report/cost-report.json": "f59028f7439cbf73c15cee57bc0f8a3c574eb435405642429cf08d2983d3d391",
         "cost-report/cost-report.txt": "e13b268b49b2f093524267ed89b1be68b152019c03b561aacdaf2fa32ca13474",
-        "run/run-0.blocks.jsonl": "83ac786d829849ebfae8fb24abc2bf10cdaf83379c0cb1e55744065d6befd10f",
-        "run/run-0.chains.json": "3a0c980e07361a64480682f44e66c8bb1b35859d95db29e686d4aa3ef4f43cab",
+        "run/run-0.blocks.jsonl": "bec5acae383450ce1747f535aaa06ec05fd2427b2d2678f2216374757c0d117d",
+        "run/run-0.chains.json": "98630ee064658d183e6d760a96fdc383707c6a955a0f86a8eefba5678102a89c",
         "run/run-0.csv": "a1344462ed9e73f08154c295947301dd486b1eedc650ed421abff46a70e1aa26",
-        "run/run-0.json": "de7d089cc9c8e2ab4737fcc30bf53415bfcfefd645298c0b44c374a9e177e616",
-        "run/run-1.blocks.jsonl": "de901e1f20898d817959b1910c02a31e23127821770fa872d25824f4d4822530",
-        "run/run-1.chains.json": "7c2ad398bcfc6496c0f326be0f765759bde3f348dff54a90fc0dc9c3e88d12d7",
-        "run/run-1.csv": "3838e5a7a0ec0e1a0168c196932b284c1b5b3cefad919b02c56f4fc121321169",
-        "run/run-1.json": "5ec46dcdbc0b18e8bed666c80d8feb49df7feb7aca844e631fbc108531ca4f20",
+        "run/run-0.json": "f04b4028be880ec8cd07552197fef1a20c8d7703539725b8b550ef9f02b29214",
+        "run/run-1.blocks.jsonl": "6cde3eab1e0b2e127b9578d50218a107785dbad71091370363217d94ce3c9a05",
+        "run/run-1.chains.json": "9023cc6ad72397aec8e87aade1c38d0e079b00ce539fd0b94915602cadac2cc7",
+        "run/run-1.csv": "6f292982669f00c3eb9c8af96a577160cdbd8830e19543cc20663f58e3f747f0",
+        "run/run-1.json": "dacaa1d5d9df424e1475e536282c225a39858e389d39adb9d72d54d33e0d6232",
         "sweep-validity/sweep-validity-0.csv": "728accf9db3c0a9af304793da50b4dea8b4b3e7800c90515a27c5a7e76db5739",
         "sweep-validity/sweep-validity-1.csv": "b1fb415688f82ac8a94786a1d533de23e2e0efd427c3cfe54f98ceda990474da",
         "sweep-validity/sweep-validity-summary.csv":
