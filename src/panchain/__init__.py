@@ -28,7 +28,6 @@ from .protocol import (
     FinalizeVeto,
     ProofOfIntent,
     Transaction,
-    TransferIntent,
     Veto,
     conflicts,
     encode_intent,

@@ -32,15 +32,16 @@ from .protocol import (
 class TransferPlan:
     poi: ProofOfIntent
     claim_chain: int
-    recipient_name: str
 
 
 class Client:
     """A wallet that keeps transferring random amounts to random peers.
 
     At most one outgoing transfer is in flight at any time (the protocol
-    forbids overlapping outgoing proofs); the ecosystem flips ``busy`` when a
-    transfer concludes and schedules the next attempt a think-time later.
+    forbids overlapping outgoing proofs). The ecosystem's event chain
+    guarantees it: a client's next look is queued only after a look that
+    planned nothing, or once its transfer has concluded and then no sooner
+    than ``t1 + 1`` of the window it signed.
     """
 
     # The signed window is dated slightly ahead of signing time so the lag
@@ -62,7 +63,6 @@ class Client:
         self.reward = reward
         self.validity_length = validity_length
         self.think_time = think_time
-        self.busy = False
 
     def think_delay(self) -> float:
         return self.rng.uniform(*self.think_time)
@@ -71,17 +71,17 @@ class Client:
         self,
         now: float,
         chain_balances: Sequence[int],
-        recipients: Sequence[tuple[str, KeyPair]],
+        recipients: Sequence[KeyPair],
     ) -> Optional[TransferPlan]:
         """Pick chain, peer, and amount for a new transfer, or None when the
         balance cannot cover more than the witness reward (wait for funds)."""
-        if self.busy or not recipients:
+        if not recipients:
             return None
         claim_chain = self.rng.randrange(len(chain_balances))
         balance = chain_balances[claim_chain]
         if balance <= self.reward:
             return None
-        recipient_name, recipient_key = recipients[self.rng.randrange(len(recipients))]
+        recipient_key = recipients[self.rng.randrange(len(recipients))]
         amount = self.rng.randint(self.reward + 1, balance)
         t0 = int(now) + self.WINDOW_LEAD
         poi = make_poi(
@@ -92,7 +92,7 @@ class Client:
             t1=t0 + self.validity_length,
             reward=self.reward,
         )
-        return TransferPlan(poi=poi, claim_chain=claim_chain, recipient_name=recipient_name)
+        return TransferPlan(poi=poi, claim_chain=claim_chain)
 
 
 @dataclass

@@ -68,9 +68,9 @@ class PoiRecord:
 
 @dataclass
 class VetoRecord:
-    """A veto contest for an unordered pair of conflicting proof ids."""
+    """A veto contest for an unordered pair of conflicting proof ids; the
+    pair is the record's key in ``ChainState.veto_records``."""
 
-    alpha_pair: tuple[bytes, bytes]
     deadline: int
     contestants: dict[WalletId, bytes] = field(default_factory=dict)
     status: str = OPEN
@@ -222,7 +222,7 @@ class ChainState:
             # The veto itself teaches this chain the second proof.
             self._insert_pending(other)
         if veto_record is None:
-            veto_record = VetoRecord(alpha_pair=pair, deadline=veto_deadline(known, other))
+            veto_record = VetoRecord(deadline=veto_deadline(known, other))
             self.veto_records[pair] = veto_record
         burn = self.balance(sender)
         self.burned += burn

@@ -75,9 +75,11 @@ def transfer_cost(
 ) -> TransferCost:
     """Expected cost of one conflict-free transfer.
 
-    The receiver pays one claim plus one finalize per chain; each of the
-    roughly log2(n) posting observers pays one contest per chain; the sender
-    pays nothing.
+    The receiver pays one claim plus one finalize per chain; each posting
+    observer pays one contest per chain; the sender pays nothing.
+    ``expected_posting_observers`` is log2(n), the paper's assumption, kept
+    for its published figures. The simulated mean under staggered observation
+    is H_n ~ ln n + 0.577 (7.49 against 9.97 at n = 1000).
     """
     if m < 1:
         raise ValueError("need at least one chain")
@@ -108,9 +110,12 @@ def min_viable_price(
 ) -> float:
     """Token price (USD) above which posting contests has positive expected value.
 
-    A posting observer invests the cost of m contests and wins the reward with
-    likelihood log2(n)/n, so the break-even token price is
-    cost * n / (log2(n) * reward). With round_observer_cost the investment is
+    A posting observer invests the cost of m contests. The paper assumes it
+    wins the reward with likelihood log2(n)/n, so the break-even token price
+    is cost * n / (log2(n) * reward); the formula is kept for the paper's
+    published thresholds. The simulated mean number of posting observers
+    under staggered observation is H_n ~ ln n + 0.577, not log2(n) (7.49
+    against 9.97 at n = 1000). With round_observer_cost the investment is
     first rounded to whole cents, matching the published thresholds.
     """
     if n < 2:

@@ -57,8 +57,6 @@ class _Transfer:
     """Lifecycle tracker for one attempted transfer (one proof of intent)."""
 
     poi: ProofOfIntent
-    sender_name: str
-    recipient_name: str
     claim_chain: int
     client_driven: bool
     claim_ok: Optional[bool] = None
@@ -108,11 +106,11 @@ class Ecosystem:
             )
             for name in config.clients
         }
-        # Each client's recipients: every other client, in config order, since
-        # a transfer's recipient is drawn by index into this list.
-        pairs = [(name, self.keys[name]) for name in self.clients]
-        self._recipients: dict[str, list[tuple[str, KeyPair]]] = {
-            name: [pair for pair in pairs if pair[0] != name] for name in self.clients
+        # Each client's recipients: every other client's key, in config order,
+        # since a transfer's recipient is drawn by index into this list.
+        self._recipients: dict[str, list[KeyPair]] = {
+            name: [self.keys[peer] for peer in self.clients if peer != name]
+            for name in self.clients
         }
         self.observers: dict[str, Observer] = {
             name: Observer(name, self.keys[name], post_iff_winnable=config.post_iff_winnable)
@@ -133,22 +131,16 @@ class Ecosystem:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _push(self, fire_at: float, payload: tuple) -> None:
+    def _schedule(self, fire_at: float, payload: tuple) -> None:
+        """Schedule a non-block event and keep chains producing blocks until
+        two (jittered) block intervals and one second past it, long enough to
+        include whatever it may submit. Every submission happens inside such
+        an event, so this is the one place the horizon grows."""
         if fire_at < self._now:
             raise RuntimeError(f"{payload[0]} event scheduled at {fire_at}, before now ({self._now})")
         heapq.heappush(self._heap, (fire_at, self._seq, payload))
         self._seq += 1
-
-    def _schedule(self, fire_at: float, payload: tuple) -> None:
-        """Schedule a non-block event and keep chains producing long enough to
-        include whatever it may submit."""
-        self._push(fire_at, payload)
-        self._extend_horizon(fire_at)
-
-    def _extend_horizon(self, at: float) -> None:
-        """Keep producing blocks until two (jittered) block intervals and one
-        second past ``at``."""
-        end = at + 2 * self.config.block_interval * (1 + self.config.jitter) + 1
+        end = fire_at + 2 * self.config.block_interval * (1 + self.config.jitter) + 1
         if end > self._horizon:
             self._horizon = end
             self._ensure_blocks()
@@ -165,7 +157,6 @@ class Ecosystem:
 
     def _handle_submit(self, chain_id: int, tx) -> None:
         self.chains[chain_id].submit(tx, self._now)
-        self._extend_horizon(self._now)
 
     # -- run loop -----------------------------------------------------------
 
@@ -263,7 +254,7 @@ class Ecosystem:
         tracker.claim_ok = ok
         interval = self.config.block_interval
         if ok:
-            recipient_key = self.keys[tracker.recipient_name]
+            recipient_key = self.keys[self.names[poi.recipient]]
             finalize = make_finalize(recipient_key, poi.alpha)
             for chain in self.chains:
                 self._schedule(poi.t1 + interval, ("submit", chain.chain_id, finalize))
@@ -281,18 +272,13 @@ class Ecosystem:
         """
         if not tracker.client_driven:
             return
-        client = self.clients[tracker.sender_name]
-        client.busy = False
+        client = self.clients[self.names[tracker.poi.sender]]
         next_at = max(self._now + client.think_delay(), tracker.poi.t1 + 1.0)
         if next_at <= self.config.duration:
             self._schedule(next_at, ("client", client.name))
 
     def _handle_client(self, name: str) -> None:
-        if self._now > self.config.duration:
-            return
         client = self.clients[name]
-        if client.busy:
-            return
         chain_balances = [
             chain.state.balance(client.key.public_key) for chain in self.chains
         ]
@@ -302,9 +288,7 @@ class Ecosystem:
             if next_at <= self.config.duration:
                 self._schedule(next_at, ("client", name))
             return
-        client.busy = True
-        self._register_transfer(plan.poi, name, plan.recipient_name, plan.claim_chain,
-                                client_driven=True)
+        self._register_transfer(plan.poi, plan.claim_chain, client_driven=True)
 
     def _handle_leg(self, action_idx: int, leg_idx: int) -> None:
         action: ScriptedAction = self.config.script[action_idx]
@@ -318,23 +302,11 @@ class Ecosystem:
             t1=leg.t1,
             reward=self.config.reward,
         )
-        self._register_transfer(poi, action.sender, leg.recipient, leg.chain,
-                                client_driven=False)
+        self._register_transfer(poi, leg.chain, client_driven=False)
 
-    def _register_transfer(
-        self,
-        poi: ProofOfIntent,
-        sender_name: str,
-        recipient_name: str,
-        claim_chain: int,
-        client_driven: bool,
-    ) -> None:
+    def _register_transfer(self, poi: ProofOfIntent, claim_chain: int, client_driven: bool) -> None:
         self._transfers[poi.alpha] = _Transfer(
-            poi=poi,
-            sender_name=sender_name,
-            recipient_name=recipient_name,
-            claim_chain=claim_chain,
-            client_driven=client_driven,
+            poi=poi, claim_chain=claim_chain, client_driven=client_driven
         )
         self._handle_submit(claim_chain, make_claim(poi))
 

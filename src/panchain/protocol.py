@@ -32,76 +32,48 @@ def _u64(value: int, name: str) -> bytes:
     return value.to_bytes(8, "big")
 
 
+def encode_intent(sender: WalletId, recipient: WalletId, amount: int, t0: int, t1: int) -> bytes:
+    """The canonical bytes of a transfer intent, which alpha signs: ``amount``
+    token units from sender to recipient, valid during the closed window
+    [t0, t1] (integer seconds). A non-int or bool amount or time is a
+    TypeError; one outside u64, or a window with t0 >= t1, a ValueError."""
+    numbers = (_u64(amount, "amount"), _u64(t0, "t0"), _u64(t1, "t1"))
+    if t0 >= t1:
+        raise ValueError(f"invalid validity window: t0={t0} >= t1={t1}")
+    return b"".join((b"INT", _lp(sender), _lp(recipient), *map(_lp, numbers)))
+
+
 @dataclass(frozen=True)
-class TransferIntent:
-    """A signed-off transfer of ``amount`` token units from sender to recipient,
-    valid during the closed window [t0, t1] (integer seconds)."""
+class ProofOfIntent:
+    """A transfer intent signed by the sender (alpha) and counter-signed by
+    the recipient (beta, over the intent plus alpha). alpha uniquely
+    identifies the proof throughout the ecosystem.
+
+    Building one checks its fields through ``encode_intent`` and keeps the
+    intent bytes as ``_intent``; ``encode_poi`` memoises the proof's own bytes
+    as ``_encoded``. Neither is a dataclass field, so equality and hashing
+    ignore them; both stay valid because the fields never change.
+    """
 
     sender: WalletId
     recipient: WalletId
     amount: int
     t0: int
     t1: int
-
-    def __post_init__(self) -> None:
-        _u64(self.amount, "amount")
-        _u64(self.t0, "t0")
-        _u64(self.t1, "t1")
-        if self.t0 >= self.t1:
-            raise ValueError(f"invalid validity window: t0={self.t0} >= t1={self.t1}")
-
-
-@dataclass(frozen=True)
-class ProofOfIntent:
-    """Transfer intent signed by the sender (alpha) and counter-signed by the
-    recipient (beta, over the intent plus alpha). alpha uniquely identifies
-    the proof throughout the ecosystem."""
-
-    intent: TransferIntent
     alpha: bytes
     beta: bytes
 
     def __post_init__(self) -> None:
-        # The intent's fields, copied once: contract and observer checks read
-        # them on every transaction. Like the ``_encoded`` memo below, they
-        # sit outside the dataclass fields, so equality and hashing ignore them.
-        intent = self.intent
-        self.__dict__.update(
-            sender=intent.sender,
-            recipient=intent.recipient,
-            amount=intent.amount,
-            t0=intent.t0,
-            t1=intent.t1,
+        self.__dict__["_intent"] = encode_intent(
+            self.sender, self.recipient, self.amount, self.t0, self.t1
         )
-
-
-# Both encoders memoise their result on the frozen value as ``_encoded``:
-# the fields never change, so neither do the bytes, and the same proof is
-# encoded again and again by verification, contests and observers.
-
-
-def encode_intent(intent: TransferIntent) -> bytes:
-    encoded = intent.__dict__.get("_encoded")
-    if encoded is None:
-        encoded = b"".join(
-            (
-                b"INT",
-                _lp(intent.sender),
-                _lp(intent.recipient),
-                _lp(_u64(intent.amount, "amount")),
-                _lp(_u64(intent.t0, "t0")),
-                _lp(_u64(intent.t1, "t1")),
-            )
-        )
-        object.__setattr__(intent, "_encoded", encoded)
-    return encoded
 
 
 def encode_poi(poi: ProofOfIntent) -> bytes:
     encoded = poi.__dict__.get("_encoded")
     if encoded is None:
-        encoded = b"POI" + encode_intent(poi.intent)[3:] + _lp(poi.alpha) + _lp(poi.beta)
-        object.__setattr__(poi, "_encoded", encoded)
+        encoded = b"POI" + poi._intent[3:] + _lp(poi.alpha) + _lp(poi.beta)
+        poi.__dict__["_encoded"] = encoded
     return encoded
 
 
@@ -135,21 +107,16 @@ def make_poi(
     """
     if amount <= reward:
         raise ValueError(f"amount {amount} must exceed the witness reward {reward}")
-    intent = TransferIntent(
-        sender=sender_key.public_key,
-        recipient=recipient_key.public_key,
-        amount=amount,
-        t0=t0,
-        t1=t1,
-    )
-    alpha = sign(sender_key, encode_intent(intent))
-    beta = sign(recipient_key, encode_intent(intent) + alpha)
-    return ProofOfIntent(intent=intent, alpha=alpha, beta=beta)
+    sender, recipient = sender_key.public_key, recipient_key.public_key
+    message = encode_intent(sender, recipient, amount, t0, t1)
+    alpha = sign(sender_key, message)
+    beta = sign(recipient_key, message + alpha)
+    return ProofOfIntent(sender, recipient, amount, t0, t1, alpha, beta)
 
 
 def verify_poi(poi: ProofOfIntent) -> bool:
     """Check both signatures: alpha over the intent, beta over intent plus alpha."""
-    message = encode_intent(poi.intent)
+    message = poi._intent
     return verify(poi.sender, message, poi.alpha) and verify(
         poi.recipient, message + poi.alpha, poi.beta
     )

@@ -147,13 +147,13 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
         failed += claim_failed
         corrupted += tracker.corrupted
         vetoed += tracker.vetoed_chains > 0
-        winner = tracker.winner
+        winner, poi = tracker.winner, tracker.poi
         transfer_rows.append(
             {
-                "alpha": tracker.poi.alpha.hex(),
-                "sender": tracker.sender_name,
-                "recipient": tracker.recipient_name,
-                "amount": tracker.poi.amount, "t0": tracker.poi.t0, "t1": tracker.poi.t1,
+                "alpha": poi.alpha.hex(),
+                "sender": wallet_name(names, poi.sender),
+                "recipient": wallet_name(names, poi.recipient),
+                "amount": poi.amount, "t0": poi.t0, "t1": poi.t1,
                 "claim_chain": tracker.claim_chain,
                 "claim_ok": tracker.claim_ok,
                 "executed_chains": sorted(executed),
@@ -166,7 +166,7 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
                 "corrupted": tracker.corrupted,
                 "failed": claim_failed,
                 "scripted": not tracker.client_driven,
-                "self_transfer": tracker.sender_name == tracker.recipient_name,
+                "self_transfer": poi.sender == poi.recipient,
             }
         )
 

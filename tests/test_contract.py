@@ -88,7 +88,7 @@ def test_claim_insufficient_balance():
 def test_claim_bad_signature():
     state = fresh_state()
     poi = table_poi()
-    forged = Claim(poi=poi.__class__(intent=poi.intent, alpha=poi.alpha, beta=b"\x01" * 32))
+    forged = Claim(poi=replace(poi, beta=b"\x01" * 32))
     with rejected("bad-signature"):
         state.apply_claim(forged, now=1)
 
@@ -97,15 +97,13 @@ def test_claim_amount_must_exceed_reward():
     # crafted proof that bypasses the constructor's own check: amount equals
     # the reward, which would credit the recipient nothing
     from panchain.crypto import sign
-    from panchain.protocol import ProofOfIntent, TransferIntent, encode_intent
+    from panchain.protocol import ProofOfIntent, encode_intent
 
     state = fresh_state()
-    intent = TransferIntent(
-        sender=S.public_key, recipient=D.public_key, amount=1, t0=1, t1=61
-    )
-    alpha = sign(S, encode_intent(intent))
-    beta = sign(D, encode_intent(intent) + alpha)
-    poi = ProofOfIntent(intent=intent, alpha=alpha, beta=beta)
+    intent = (S.public_key, D.public_key, 1, 1, 61)
+    alpha = sign(S, encode_intent(*intent))
+    beta = sign(D, encode_intent(*intent) + alpha)
+    poi = ProofOfIntent(*intent, alpha=alpha, beta=beta)
     with rejected("invalid-amount"):
         state.apply_claim(make_claim(poi), now=1)
 
@@ -409,7 +407,7 @@ def test_veto_bad_conflicting_signature():
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    broken = b.__class__(intent=b.intent, alpha=b.alpha, beta=b"\x02" * 32)
+    broken = replace(b, beta=b"\x02" * 32)
     with rejected("bad-signature"):
         state.apply_veto(make_veto(U, a.alpha, broken), now=10)
 

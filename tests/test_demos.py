@@ -1,8 +1,4 @@
-"""Smoke runs of the scripts in demos/: each exits 0 and prints something.
-
-validity_sweep.py is left out: its text still places the corruption
-threshold at four block times, which the simulated sweep does not show.
-"""
+"""Smoke runs of the scripts in demos/: each exits 0 and prints something."""
 
 import os
 import subprocess
@@ -14,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["worked_example", "double_spend_veto", "contest_scaling", "cost_and_incentive"])
+@pytest.mark.parametrize("demo", [
+    "worked_example", "double_spend_veto", "contest_scaling", "cost_and_incentive", "validity_sweep",
+])
 def test_demo_runs(tmp_path, demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(

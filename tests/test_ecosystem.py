@@ -295,7 +295,7 @@ def test_scheduling_into_the_past_is_refused():
     eco = Ecosystem(worked_example(seed=0))
     eco._now = 10.0
     with pytest.raises(RuntimeError, match="before now"):
-        eco._push(9.5, ("detect", b""))
+        eco._schedule(9.5, ("detect", b""))
 
 
 # Text with non-ASCII, quote, backslash and control characters.

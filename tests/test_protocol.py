@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from panchain.crypto import verify
 from panchain.protocol import (
     ProofOfIntent,
-    TransferIntent,
     conflicts,
     encode_intent,
     encode_poi,
@@ -31,8 +30,9 @@ def test_make_poi_worked_example(sender_key, recipient_key):
     # the 20-unit transfer with a one-minute window from the worked example
     poi = _poi(sender_key, recipient_key)
     assert poi.amount == 20 and (poi.t0, poi.t1) == (1, 61)
-    assert verify(sender_key.public_key, encode_intent(poi.intent), poi.alpha)
-    assert verify(recipient_key.public_key, encode_intent(poi.intent) + poi.alpha, poi.beta)
+    intent = encode_intent(poi.sender, poi.recipient, poi.amount, poi.t0, poi.t1)
+    assert verify(sender_key.public_key, intent, poi.alpha)
+    assert verify(recipient_key.public_key, intent + poi.alpha, poi.beta)
     assert verify_poi(poi)
 
 
@@ -52,15 +52,13 @@ def test_make_poi_small_transfer_verifies(sender_key, recipient_key):
 
 
 def test_encode_deterministic(sender_key, recipient_key):
-    intent = _poi(sender_key, recipient_key).intent
-    assert encode_intent(replace(intent)) == encode_intent(intent)
+    poi = _poi(sender_key, recipient_key)
+    assert encode_poi(replace(poi)) == encode_poi(poi)
 
 
 def test_encode_distinguishes_amounts(sender_key, recipient_key):
     base = dict(sender=sender_key.public_key, recipient=recipient_key.public_key, t0=0, t1=9)
-    a = TransferIntent(amount=0, **base)
-    b = TransferIntent(amount=1, **base)
-    assert encode_intent(a) != encode_intent(b)
+    assert encode_intent(amount=0, **base) != encode_intent(amount=1, **base)
 
 
 def test_encode_injective_sampled():
@@ -70,14 +68,14 @@ def test_encode_injective_sampled():
     seen = {}
     for _ in range(100_000):
         t0 = rng.randrange(0, 1000)
-        intent = TransferIntent(
-            sender=wallets[rng.randrange(8)],
-            recipient=wallets[rng.randrange(8)],
-            amount=rng.randrange(0, 500),
-            t0=t0,
-            t1=t0 + 1 + rng.randrange(0, 120),
+        intent = (
+            wallets[rng.randrange(8)],
+            wallets[rng.randrange(8)],
+            rng.randrange(0, 500),
+            t0,
+            t0 + 1 + rng.randrange(0, 120),
         )
-        blob = encode_intent(intent)
+        blob = encode_intent(*intent)
         if blob in seen:
             assert seen[blob] == intent
         else:
@@ -86,7 +84,7 @@ def test_encode_injective_sampled():
 
 def test_encode_kinds_disjoint(sender_key, recipient_key):
     poi = _poi(sender_key, recipient_key)
-    assert encode_intent(poi.intent) != encode_poi(poi)
+    assert encode_intent(poi.sender, poi.recipient, poi.amount, poi.t0, poi.t1) != encode_poi(poi)
     assert encode_poi(poi)[:3] == b"POI"
     assert encode_veto_payload(poi.alpha, b"\x01" * 32)[:3] == b"VET"
 
@@ -170,7 +168,7 @@ def test_contest_and_veto_signatures_verify(sender_key, recipient_key, observer_
 
 def test_poi_roundtrips_encode_and_verify(sender_key, recipient_key):
     poi = _poi(sender_key, recipient_key)
-    clone = ProofOfIntent(intent=poi.intent, alpha=poi.alpha, beta=poi.beta)
+    clone = ProofOfIntent(poi.sender, poi.recipient, poi.amount, poi.t0, poi.t1, poi.alpha, poi.beta)
     assert encode_poi(clone) == encode_poi(poi)
     assert verify_poi(clone)
 
@@ -178,6 +176,6 @@ def test_poi_roundtrips_encode_and_verify(sender_key, recipient_key):
 def test_intent_validation():
     w = keypair("w").public_key
     with pytest.raises(ValueError):
-        TransferIntent(sender=w, recipient=w, amount=-1, t0=0, t1=1)
+        ProofOfIntent(sender=w, recipient=w, amount=-1, t0=0, t1=1, alpha=b"", beta=b"")
     with pytest.raises(TypeError):
-        TransferIntent(sender=w, recipient=w, amount=1.5, t0=0, t1=1)
+        ProofOfIntent(sender=w, recipient=w, amount=1.5, t0=0, t1=1, alpha=b"", beta=b"")
