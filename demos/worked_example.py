@@ -21,8 +21,6 @@ names = {kp.public_key.hex(): name for name, kp in eco.keys.items()}
 print("block-by-block:")
 for chain in eco.chains:
     for block in chain.blocks:
-        if not block.transactions:
-            continue
         entry = block_log_entry(chain.chain_id, block)
         for tx in entry["txs"]:
             flag = "ok" if tx["ok"] else f"rejected ({tx['error']})"

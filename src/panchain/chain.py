@@ -4,13 +4,14 @@ Transactions are queued unconditionally and judged only at inclusion time,
 with the block timestamp as the contract's notion of "now". Every drained
 transaction appears in its block together with its apply outcome, so agents
 can observe rejections (they are on-chain data) without any mempool access.
+A block that drains nothing is kept only as its timestamp.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .contract import ChainState, TxError
 from .protocol import Transaction
@@ -30,8 +31,10 @@ class Block(NamedTuple):
 
 
 class SimChain:
-    """One chain: block parameters, contract state, mempool, and the produced
-    blocks. ``EcosystemConfig`` checks the parameters."""
+    """One chain: block parameters, contract state, mempool, every block's
+    timestamp by height (``block_times``, genesis first) and the blocks that
+    drained transactions (``blocks``, each with its true height). An empty
+    block is only its timestamp. ``EcosystemConfig`` checks the parameters."""
 
     def __init__(
         self,
@@ -50,9 +53,10 @@ class SimChain:
         self.jitter = jitter
         self._rng = rng or random.Random(0)
         self.mempool: deque[Transaction] = deque()
-        genesis = Block(height=0, timestamp=0, transactions=(), results=())
-        self.blocks: list[Block] = [genesis]
-        self.next_block_time = self._next_after(genesis.timestamp)
+        # The genesis block's timestamp is the int 0, as the block log writes it.
+        self.block_times: list[float] = [0]
+        self.blocks: list[Block] = []
+        self.next_block_time = self._next_after(0)
 
     def _next_after(self, timestamp: float) -> float:
         """When the block after one stamped ``timestamp`` is due: one
@@ -69,29 +73,35 @@ class SimChain:
         measure inclusion latency."""
         self.mempool.append(tx)
 
-    def produce_block(self, now: float) -> Block:
-        """Drain up to the capacity cap in FIFO order and apply each
-        transaction with this block's timestamp."""
+    def produce_empty_block(self, now: float) -> None:
+        """Produce a block with nothing to drain, which is only its timestamp;
+        every block starts as one."""
         if now != self.next_block_time:
             raise ValueError(
                 f"chain {self.chain_id} expected block at {self.next_block_time}, got {now}"
             )
-        if self.mempool:
-            drained: list[Transaction] = []
-            results: list[AppliedTx] = []
-            while self.mempool and len(drained) < self.max_txs_per_block:
-                tx = self.mempool.popleft()
-                drained.append(tx)
-                try:
-                    self.state.apply(tx, now)
-                    results.append(AppliedTx(tx, True))
-                except TxError as err:
-                    results.append(AppliedTx(tx, False, err.code))
-            block = Block(len(self.blocks), now, tuple(drained), tuple(results))
-        else:  # an idle chain's block: nothing to drain or apply
-            block = Block(len(self.blocks), now, (), ())
-        self.blocks.append(block)
+        self.block_times.append(now)
         self.next_block_time = self._next_after(now)
+
+    def produce_block(self, now: float) -> Block:
+        """Drain up to the capacity cap in FIFO order and apply each
+        transaction with this block's timestamp. Only a block that drained
+        something is kept in ``blocks``."""
+        height = len(self.block_times)
+        self.produce_empty_block(now)
+        drained: list[Transaction] = []
+        results: list[AppliedTx] = []
+        while self.mempool and len(drained) < self.max_txs_per_block:
+            tx = self.mempool.popleft()
+            drained.append(tx)
+            try:
+                self.state.apply(tx, now)
+                results.append(AppliedTx(tx, True))
+            except TxError as err:
+                results.append(AppliedTx(tx, False, err.code))
+        block = Block(height, now, tuple(drained), tuple(results))
+        if drained:
+            self.blocks.append(block)
         return block
 
 
@@ -114,3 +124,11 @@ def block_log_entry(chain_id: int, block: Block) -> dict:
         "timestamp": block.timestamp,
         "txs": [tx_summary(applied) for applied in block.results],
     }
+
+
+def block_log(chain: SimChain) -> Iterator[dict]:
+    """Every block's log entry by height, genesis first; a height with no
+    kept block is an empty block at its timestamp."""
+    kept = {block.height: block for block in chain.blocks}
+    for height, timestamp in enumerate(chain.block_times):
+        yield block_log_entry(chain.chain_id, kept.get(height) or Block(height, timestamp, (), ()))

@@ -31,7 +31,7 @@ from .configs import (
     veto_demo_boundary,
     worked_example,
 )
-from .chain import block_log_entry
+from .chain import block_log
 from .costmodel import GasTable, PriceModel, min_viable_price, simulated_cost_report, transfer_cost
 from .ecosystem import Ecosystem, run
 from .report import RunReport, dumps, wallet_name
@@ -184,9 +184,7 @@ def cmd_run(spec: ExperimentSpec) -> dict:
         outputs.append(str(_write(out / f"run-{seed}.chains.json", snapshots)))
         if spec.sections.block_log:
             lines = [
-                json.dumps(block_log_entry(chain.chain_id, block), sort_keys=True)
-                for chain in eco.chains
-                for block in chain.blocks
+                json.dumps(entry, sort_keys=True) for chain in eco.chains for entry in block_log(chain)
             ]
             outputs.append(str(_write(out / f"run-{seed}.blocks.jsonl", "\n".join(lines) + "\n")))
         if report.consistency:

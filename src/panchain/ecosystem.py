@@ -11,7 +11,8 @@ of every other event; both draw from the one sequence counter, and the loop
 takes whichever head is earlier, so the merged order is that of a single
 queue. A chain's entry stays queued while its block is made, and the loop
 requeues it afterwards in one place. A block on a chain with an empty mempool
-changes nothing but that chain, so the loop produces it without a handler.
+is only its timestamp, so the loop stamps it without a handler and builds no
+``Block``.
 After the client-initiation window (``duration``) closes, the loop keeps
 producing blocks until every proof and veto contest is past its deadline plus
 two block intervals, then reports. A transfer's outcome is judged only once
@@ -181,8 +182,8 @@ class Ecosystem:
                 if chain.mempool:
                     self._handle_block(chain)
                     self._audit(chain)
-                else:  # idle chain: its block drains nothing, so nothing to handle
-                    chain.produce_block(fire_at)
+                else:  # idle chain: its block is only its timestamp
+                    chain.produce_empty_block(fire_at)
                 if chain.next_block_time <= self._horizon:
                     heapq.heapreplace(blocks, (chain.next_block_time, self._seq, chain_id))
                     self._seq += 1

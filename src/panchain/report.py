@@ -113,6 +113,8 @@ class RunReport:
 def check_consistency(states: Sequence[ChainState], names: Mapping[bytes, str]) -> list[dict]:
     """Empty iff every wallet's balance is identical on every chain; otherwise
     one row per divergent wallet, named, with the per-chain values."""
+    if all(state.balances == states[0].balances for state in states):
+        return []  # equal dicts: no wallet can diverge
     wallets: set[bytes] = set()
     for state in states:
         wallets.update(state.balances)
@@ -197,7 +199,7 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
         "transfers_corrupted": corrupted,
         "transfers_vetoed": vetoed,
         "mean_contests_per_chain": sum(contests) / len(contests) if contests else 0.0,
-        "blocks_per_chain": {str(chain.chain_id): len(chain.blocks) - 1 for chain in chains},
+        "blocks_per_chain": {str(chain.chain_id): len(chain.block_times) - 1 for chain in chains},
     }
     return RunReport(
         config=config.to_dict(),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from panchain.chain import AppliedTx, Block, SimChain, block_log_entry
+from panchain.chain import AppliedTx, Block, SimChain, block_log, block_log_entry
 from panchain.contract import ChainState
 from panchain.protocol import make_claim, make_contest, make_finalize, make_poi
 
@@ -31,7 +31,8 @@ def new_chain(chain_id=0, interval=13.0, cap=100, balance=80):
 
 def test_genesis_block_and_cadence():
     chain = new_chain()
-    assert chain.blocks[0] == Block(height=0, timestamp=0, transactions=(), results=())
+    assert chain.block_times == [0] and type(chain.block_times[0]) is int
+    assert chain.blocks == []
     assert chain.next_block_time == 13.0
     block = chain.produce_block(13.0)
     assert block.height == 1 and block.timestamp == 13.0
@@ -42,6 +43,58 @@ def test_produce_at_wrong_time_rejected():
     chain = new_chain()
     with pytest.raises(ValueError):
         chain.produce_block(12.0)
+
+
+def test_empty_block_at_wrong_time_rejected():
+    chain = new_chain()
+    with pytest.raises(ValueError):
+        chain.produce_empty_block(12.0)
+    assert chain.block_times == [0] and chain.next_block_time == 13.0
+
+
+def test_empty_block_is_only_its_timestamp():
+    chain = new_chain()
+    chain.produce_empty_block(13.0)
+    claim = make_claim(make_poi(S, D, amount=20, t0=1, t1=61))
+    chain.submit(claim, now=14.0)
+    busy = chain.produce_block(26.0)
+    assert busy.height == 2
+    assert chain.block_times == [0, 13.0, 26.0]
+    assert chain.blocks == [busy]
+
+
+def test_empty_block_path_logs_what_produce_block_logs_under_jitter():
+    senders = (S, U, V, W)
+
+    def jittered():
+        state = ChainState(0, {kp.public_key: 100 for kp in senders + (D,)}, reward=1)
+        return SimChain(0, state, block_interval=13.0, max_txs_per_block=2, jitter=0.2,
+                        rng=random.Random(7))
+
+    every, twin = jittered(), jittered()
+    # Three claims before block 5 exceed the cap of two and spill into block 6.
+    claims = {2: senders[:1], 5: senders[1:]}
+    for height in range(1, 12):
+        for kp in claims.get(height, ()):
+            claim = make_claim(make_poi(kp, D, amount=5, t0=1, t1=300))
+            every.submit(claim, now=every.next_block_time - 1)
+            twin.submit(claim, now=twin.next_block_time - 1)
+        every.produce_block(every.next_block_time)
+        if twin.mempool:
+            twin.produce_block(twin.next_block_time)
+        else:
+            twin.produce_empty_block(twin.next_block_time)
+    log = list(block_log(every))
+    assert log == list(block_log(twin))
+    assert [entry["height"] for entry in log] == list(range(12))
+    assert [len(entry["txs"]) for entry in log] == [0, 0, 1, 0, 0, 2, 1, 0, 0, 0, 0, 0]
+    assert all(tx["ok"] for entry in log for tx in entry["txs"])
+    assert [block.height for block in twin.blocks] == [2, 5, 6]
+    # Each block, empty or not, draws the next block's jitter once, in order.
+    rng, times = random.Random(7), [0]
+    for _ in range(12):
+        times.append(times[-1] + 13.0 * (1 + rng.uniform(-0.2, 0.2)))
+    assert twin.block_times == times[:12] and twin.next_block_time == times[12]
 
 
 def test_timestamps_are_height_times_interval():
@@ -92,6 +145,7 @@ def test_empty_mempool_empty_block():
     block = chain.produce_block(13.0)
     assert block.transactions == ()
     assert chain.state.snapshot() == before
+    assert chain.blocks == [] and chain.block_times == [0, 13.0]
 
 
 @pytest.mark.parametrize("field", ["height", "timestamp", "transactions", "results"])

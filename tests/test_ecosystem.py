@@ -93,6 +93,15 @@ def test_check_consistency_empty_for_equal_states():
     assert check_consistency(states, {w: "x"}) == []
 
 
+def test_check_consistency_treats_an_absent_wallet_as_zero():
+    # Unequal balance dicts take the full scan, which reads a missing wallet as 0.
+    w, v = wallet_keypair(0, "x").public_key, wallet_keypair(0, "y").public_key
+    states = [ChainState(0, {w: 42, v: 0}), ChainState(1, {w: 42})]
+    assert check_consistency(states, {w: "x", v: "y"}) == []
+    states.append(ChainState(2, {w: 41}))
+    assert [row["name"] for row in check_consistency(states, {w: "x", v: "y"})] == ["x"]
+
+
 def test_check_consistency_reports_divergence():
     w = wallet_keypair(0, "x").public_key
     states = [ChainState(0, {w: 42}), ChainState(1, {w: 41})]
@@ -429,6 +438,21 @@ def test_resync_keeps_the_chains_in_agreement_under_congestion(seed):
     report = run(_stress_config(seed))
     assert report.resync_events
     assert report.consistency == []
+
+
+@pytest.mark.parametrize(
+    "config",
+    [contest_scaling_config(16), replace(worked_example(), jitter=0.25)],
+    ids=["contest_scaling_config-16", "worked_example-jitter"],
+)
+def test_only_blocks_that_drained_transactions_are_built(config):
+    eco = Ecosystem(config)
+    report = eco.run()
+    for chain in eco.chains:
+        assert chain.blocks and all(block.transactions for block in chain.blocks)
+        assert all(chain.block_times[block.height] == block.timestamp for block in chain.blocks)
+        assert report.stats["blocks_per_chain"][str(chain.chain_id)] == len(chain.block_times) - 1
+        assert len(chain.block_times) - 1 > len(chain.blocks)
 
 
 def test_in_run_audit_names_the_chain_and_the_block_time():
