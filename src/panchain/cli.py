@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, TextIO
 
 from .configs import (
     ConfigError,
@@ -163,8 +163,18 @@ def _campaign_dir(path: Path) -> Path:
     return path
 
 
+def _open_output(path: Path) -> TextIO:
+    """Open one output file for writing as UTF-8; one that cannot be opened
+    (say, a directory stands at its path) is a ConfigError naming it."""
+    try:
+        return path.open("w", encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"--out: cannot write {path}: {err}") from err
+
+
 def _write(path: Path, text: str) -> Path:
-    path.write_text(text, encoding="utf-8")
+    with _open_output(path) as file:
+        file.write(text)
     return path
 
 
@@ -177,16 +187,18 @@ def cmd_run(spec: ExperimentSpec) -> dict:
     for seed in spec.seeds:
         eco = Ecosystem(replace(base, seed=seed))
         report = eco.run()
-        # The snapshots are encoded once, for their own file and the report.
-        snapshots = dumps(report.chains)
-        outputs.append(str(_write(out / f"run-{seed}.json", report.to_json(snapshots))))
-        outputs.append(str(_write(out / f"run-{seed}.csv", report.ledger_csv())))
-        outputs.append(str(_write(out / f"run-{seed}.chains.json", snapshots)))
+        report_path, chains_path = out / f"run-{seed}.json", out / f"run-{seed}.chains.json"
+        with _open_output(report_path) as report_file, _open_output(chains_path) as chains_file:
+            report.to_json(report_file, chains_file)
+        ledger_path = _write(out / f"run-{seed}.csv", report.ledger_csv())
+        outputs += [str(report_path), str(ledger_path), str(chains_path)]
         if spec.sections.block_log:
-            lines = [
-                json.dumps(entry, sort_keys=True) for chain in eco.chains for entry in block_log(chain)
-            ]
-            outputs.append(str(_write(out / f"run-{seed}.blocks.jsonl", "\n".join(lines) + "\n")))
+            log_path = out / f"run-{seed}.blocks.jsonl"
+            with _open_output(log_path) as file:
+                for chain in eco.chains:
+                    for entry in block_log(chain):
+                        file.write(json.dumps(entry, sort_keys=True) + "\n")
+            outputs.append(str(log_path))
         if report.consistency:
             errors.append(
                 {"seed": seed, "error": "inconsistent final balances", "detail": report.consistency}

@@ -297,19 +297,42 @@ class ChainState:
             )
         return total, self.burned, self.initial_supply
 
-    def snapshot(self) -> dict:
-        """Canonical JSON-ready view: hex ids, sorted-key friendly, integer amounts."""
+    def snapshot(self, memo: Optional[dict] = None) -> dict:
+        """Canonical JSON-ready view: hex ids, sorted-key friendly, integer
+        amounts. Snapshots taken with one ``memo`` share each hex string,
+        veto key and proof's ``poi`` dict, made once per value; without one
+        the view is equal, only not shared."""
+        memo = {} if memo is None else memo
+
+        def shared(key, make):
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = make(key)
+            return value
+
+        def hexed(value: bytes) -> str:
+            # ``shared`` written out: this runs for every id in the snapshot.
+            text = memo.get(value)
+            if text is None:
+                text = memo[value] = value.hex()
+            return text
 
         def poi_dict(poi: ProofOfIntent) -> dict:
             return {
-                "sender": poi.sender.hex(),
-                "recipient": poi.recipient.hex(),
+                "sender": hexed(poi.sender),
+                "recipient": hexed(poi.recipient),
                 "amount": poi.amount,
                 "t0": poi.t0,
                 "t1": poi.t1,
-                "alpha": poi.alpha.hex(),
-                "beta": poi.beta.hex(),
+                "alpha": hexed(poi.alpha),
+                "beta": hexed(poi.beta),
             }
+
+        def pair_text(pair: tuple[bytes, bytes]) -> str:
+            return f"{hexed(pair[0])}:{hexed(pair[1])}"
+
+        def contestants(record: PoiRecord | VetoRecord) -> dict:
+            return {hexed(w): hexed(record.contestants[w]) for w in sorted(record.contestants)}
 
         return {
             "chain_id": self.chain_id,
@@ -319,26 +342,22 @@ class ChainState:
             # Always 0 since a resync only settles transfers; kept so every
             # snapshot (the goldens too) keeps its shape for existing readers.
             "resync_adjustment": 0,
-            "balances": {w.hex(): v for w, v in sorted(self.balances.items())},
+            "balances": {hexed(w): v for w, v in sorted(self.balances.items())},
             "poi_records": {
-                alpha.hex(): {
-                    "poi": poi_dict(rec.poi),
+                hexed(alpha): {
+                    "poi": shared(rec.poi, poi_dict),
                     "status": rec.status,
-                    "winner": rec.winner.hex() if rec.winner else None,
-                    "contestants": {
-                        w.hex(): rec.contestants[w].hex() for w in sorted(rec.contestants)
-                    },
+                    "winner": hexed(rec.winner) if rec.winner else None,
+                    "contestants": contestants(rec),
                 }
                 for alpha, rec in sorted(self.poi_records.items())
             },
             "veto_records": {
-                f"{pair[0].hex()}:{pair[1].hex()}": {
+                shared(pair, pair_text): {
                     "deadline": rec.deadline,
                     "status": rec.status,
-                    "winner": rec.winner.hex() if rec.winner else None,
-                    "contestants": {
-                        w.hex(): rec.contestants[w].hex() for w in sorted(rec.contestants)
-                    },
+                    "winner": hexed(rec.winner) if rec.winner else None,
+                    "contestants": contestants(rec),
                 }
                 for pair, rec in sorted(self.veto_records.items())
             },

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, TextIO
 
 from .chain import SimChain
 from .configs import EcosystemConfig
@@ -84,15 +84,41 @@ class RunReport:
     tx_counts_ok: dict
     stats: dict
 
-    def to_json(self, chains: Optional[str] = None) -> str:
-        """The report's canonical JSON. ``chains``, if given, is
-        ``dumps(self.chains)`` already made (the run campaign writes it out
-        too); it is spliced in one level deeper, which is exact because JSON
-        text holds no raw newline inside a string and "chains" sorts first."""
-        if chains is None:
-            chains = dumps(self.chains)
-        rest = dumps({key: value for key, value in vars(self).items() if key != "chains"})
-        return '{\n  "chains": ' + chains[:-1].replace("\n", "\n  ") + "," + rest[1:]
+    def to_json(self, out: Optional[TextIO] = None, chains_out: Optional[TextIO] = None) -> Optional[str]:
+        """Write the report's canonical JSON, ``dumps(vars(self))``, to
+        ``out``, one chain snapshot or one top-level key per write, and
+        ``dumps(self.chains)`` to ``chains_out`` if given; with no ``out``,
+        return the report's text instead. No whole file is ever one string."""
+        if out is None:
+            buffer = io.StringIO()
+            self.to_json(buffer, chains_out)
+            return buffer.getvalue()
+        separator = "{"
+        for key, value in sorted(vars(self).items()):
+            out.write(f"{separator}\n  {encode_basestring_ascii(key)}: ")
+            separator = ","
+            if key == "chains":
+                self._write_chains(out, chains_out)
+            else:
+                out.write(_encode(value, "\n  "))
+        out.write("\n}\n")
+        return None
+
+    def _write_chains(self, out: TextIO, chains_out: Optional[TextIO]) -> None:
+        """Encode each snapshot once, as ``dumps(self.chains)`` holds it, for
+        ``chains_out``, and write the same text one level deeper to ``out``;
+        that is exact because JSON text holds no raw newline inside a string."""
+
+        def write(piece: str) -> None:
+            if chains_out is not None:
+                chains_out.write(piece)
+            out.write(piece.replace("\n", "\n  "))
+
+        for index, snapshot in enumerate(self.chains):
+            write(("," if index else "[") + "\n  " + _encode(snapshot, "\n  "))
+        write("\n]" if self.chains else "[]")
+        if chains_out is not None:
+            chains_out.write("\n")
 
     def ledger_csv(self) -> str:
         """One row per transfer: ids, window, winner, per-chain contest counts,
@@ -201,10 +227,11 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
         "mean_contests_per_chain": sum(contests) / len(contests) if contests else 0.0,
         "blocks_per_chain": {str(chain.chain_id): len(chain.block_times) - 1 for chain in chains},
     }
+    memo: dict = {}  # every chain's snapshot shares one hex string per value and one dict per proof
     return RunReport(
         config=config.to_dict(),
         seed=config.seed,
-        chains=[chain.state.snapshot() for chain in chains],
+        chains=[chain.state.snapshot(memo) for chain in chains],
         transfers=transfer_rows,
         vetoes=veto_rows,
         consistency=check_consistency([chain.state for chain in chains], names),

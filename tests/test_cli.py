@@ -392,6 +392,29 @@ def test_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     assert str(report) in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize(
+    "campaign, config, blocked",
+    [
+        ("run", {}, "run/run-0.json"),
+        ("run", {}, "run/run-0.chains.json"),
+        ("run", {"block_log": True}, "run/run-0.blocks.jsonl"),
+        ("contest-scaling", {"scaling": {"n_values": [4]}}, "contest-scaling/contest-scaling-0.csv"),
+    ],
+    ids=["run-report", "run-chains", "run-block-log", "contest-scaling-csv"],
+)
+def test_output_that_cannot_be_opened_exits_2_naming_it(tmp_path, capsys, campaign, config, blocked):
+    # A directory stands where the campaign writes one of its files.
+    blocked_path = tmp_path / "out" / blocked
+    blocked_path.mkdir(parents=True)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = main(["--campaign", campaign, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert str(blocked_path) in json.loads(err[0])["error"]
+
+
 def test_outputs_are_utf8_whatever_the_locale(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(

@@ -1,4 +1,6 @@
+import io
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -347,11 +349,67 @@ def test_dumps_refuses_a_float_json_cannot_hold(number):
 @pytest.mark.parametrize("preset", [worked_example, veto_demo], ids=["worked_example", "veto_demo"])
 def test_report_json_splices_the_chain_snapshots(preset):
     report = run(preset(seed=1))
-    expected = json.dumps(vars(report), sort_keys=True, indent=2) + "\n"
-    assert report.to_json() == report.to_json(dumps(report.chains)) == expected
+    for case in (report, replace(report, chains=[])):
+        out, chains_out = io.StringIO(), io.StringIO()
+        assert case.to_json(out, chains_out) is None
+        expected = json.dumps(vars(case), sort_keys=True, indent=2) + "\n"
+        assert out.getvalue() == case.to_json() == expected
+        assert chains_out.getvalue() == dumps(case.chains)
     assert json.loads(report.to_json()).keys() == {f.name for f in fields(RunReport)}
-    empty = replace(report, chains=[])
-    assert empty.to_json() == json.dumps(vars(empty), sort_keys=True, indent=2) + "\n"
+
+
+def _strings(value):
+    """Every str in a JSON-ready value, dict keys included."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+
+
+@pytest.mark.parametrize("preset", [worked_example, veto_demo], ids=["worked_example", "veto_demo"])
+def test_one_reports_snapshots_share_hex_strings_and_poi_dicts(preset):
+    eco = Ecosystem(preset(seed=1))
+    report = eco.run()
+    assert report.chains == [chain.state.snapshot() for chain in eco.chains]
+    first, *others = report.chains
+    by_text = {text: text for text in _strings(first)}
+    shared_pois = 0
+    for snapshot in others:
+        for text in _strings(snapshot):
+            assert by_text.setdefault(text, text) is text
+        for alpha, record in snapshot["poi_records"].items():
+            if alpha in first["poi_records"]:
+                assert record["poi"] is first["poi_records"][alpha]["poi"]
+                shared_pois += 1
+    assert shared_pois >= len(others)
+    if preset is veto_demo:
+        assert all(snapshot["veto_records"] for snapshot in report.chains)
+
+
+class _Discard:
+    def write(self, text: str) -> None:
+        pass
+
+
+def test_report_json_is_written_without_holding_its_text():
+    # Writing holds about one chain snapshot's text at a time; building the
+    # whole text before one write peaks at twice its length here.
+    report = run(config_from_dict({
+        "chains": 3, "clients": 20, "client_balance": 100, "observers": 5, "duration": 600.0,
+    }))
+    length = len(report.to_json())
+    tracemalloc.start()
+    try:
+        report.to_json(_Discard(), _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * length
 
 
 def _stress_config(seed: int) -> EcosystemConfig:
