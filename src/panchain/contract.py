@@ -253,20 +253,32 @@ class ChainState:
         veto_record.status = FINALIZED
         veto_record.winner = winner
 
-    def settle(self, poi: ProofOfIntent, winner: Optional[WalletId], sign: int = 1) -> None:
+    def settle(self, poi: ProofOfIntent, winner: Optional[WalletId]) -> None:
         """Move a concluded transfer's tokens, the one rule that does: the
         sender loses ``amount``, the recipient gains ``amount - reward``, and
         ``winner`` gains ``reward``, or ``burned`` does when there is none.
-        ``sign=-1`` moves them back. Raises, changing nothing, rather than
-        leave a balance or ``burned`` negative."""
+        Raises, changing nothing, rather than leave a balance or ``burned``
+        negative."""
         moves = {poi.sender: -poi.amount}
         moves[poi.recipient] = moves.get(poi.recipient, 0) + poi.amount - self.reward
         moves[winner] = moves.get(winner, 0) + self.reward  # the key None is ``burned``
-        burned = self.burned + sign * moves.pop(None, 0)
-        settled = {w: self.balances.get(w, 0) + sign * d for w, d in moves.items()}
+        self._move(poi, moves)
+
+    def reassign_reward(self, poi: ProofOfIntent, old: Optional[WalletId], new: Optional[WalletId]) -> None:
+        """Re-settle a transfer this chain settled with winner ``old`` as won
+        by ``new``: the net of moving the old settlement back and settling the
+        new one. Only the reward moves: the recipient, who may have spent
+        what it received, is not touched. Raises as ``settle`` does."""
+        moves = {old: -self.reward}
+        moves[new] = moves.get(new, 0) + self.reward
+        self._move(poi, moves)
+
+    def _move(self, poi: ProofOfIntent, moves: dict[Optional[WalletId], int]) -> None:
+        burned = self.burned + moves.pop(None, 0)
+        settled = {w: self.balances.get(w, 0) + d for w, d in moves.items()}
         if burned < 0 or min(settled.values()) < 0:
-            raise RuntimeError(f"settling {poi.alpha.hex()[:12]} with sign {sign} on chain "
-                               f"{self.chain_id} would leave a balance or burned negative")
+            raise RuntimeError(f"settling {poi.alpha.hex()[:12]} on chain {self.chain_id} "
+                               "would leave a balance or burned negative")
         self.balances.update(settled)
         self.burned = burned
 

@@ -16,6 +16,16 @@ one ran.
 
 A signature is its value as 32 big-endian bytes, so comparing two signatures
 as bytes compares their values.
+
+The simulator signs and verifies in one process, so nearly every signature a
+chain checks was made here shortly before. ``sign`` remembers each
+(public_key, message, signature) it makes for a key whose public exponent,
+the only part of the key ``verify`` reads, is the one its seed derives. Such a
+triple passes the full check: the key and the signature are 32 bytes, the
+signature's value is below P, and s**e = H(m)**(d*e) = H(m) mod P because
+e*d = 1 mod P-1. ``verify`` answers a remembered triple without a power and
+runs the full check on every other one, so its answers do not depend on the
+memo.
 """
 
 from __future__ import annotations
@@ -145,15 +155,30 @@ def _message_residue(message: bytes) -> int:
     return int.from_bytes(hashlib.sha256(message).digest(), "big") % PRIME
 
 
+# The signatures this process made that verify, in two generations of at most
+# _MEMO_GENERATION each: a full newer set becomes the older one.
+_MEMO_GENERATION = 1 << 10
+_signed: set = set()
+_signed_before: set = set()
+
+
 def sign(key: KeyPair, message: bytes) -> bytes:
     """Deterministically sign a message; same (key, message) always yields the same bytes."""
-    _, d = _derive_exponents(key.private_key)
-    return _powmod(_message_residue(message), d).to_bytes(SIGNATURE_BYTES, "big")
+    global _signed, _signed_before
+    e, d = _derive_exponents(key.private_key)
+    sig = _powmod(_message_residue(message), d).to_bytes(SIGNATURE_BYTES, "big")
+    # Only a bytes message is remembered: a bytearray is unhashable and could
+    # change after signing.
+    if type(message) is bytes and key.public_key[24:] == e.to_bytes(8, "big"):
+        if len(_signed) >= _MEMO_GENERATION:
+            _signed_before, _signed = _signed, set()
+        _signed.add((key.public_key, message, sig))
+    return sig
 
 
-# A verification repeats within a run: each chain checks the same proofs and
-# contests. 4096 entries keep every hit that 65536 did on the benchmark
-# workloads, so older runs' messages are not kept alive.
+# The full check, for a triple sign did not remember. Each chain checks the
+# same proofs and contests, so answers are cached; a bounded cache keeps older
+# runs' messages from being kept alive.
 @lru_cache(maxsize=1 << 12)
 def _verify_cached(public_key: bytes, message: bytes, sig: bytes) -> bool:
     # int.from_bytes ignores leading zero bytes, so only the width check keeps
@@ -170,7 +195,8 @@ def _verify_cached(public_key: bytes, message: bytes, sig: bytes) -> bool:
 
 def verify(public_key: bytes, message: bytes, sig: bytes) -> bool:
     """True iff sig was produced over message by the private key matching public_key."""
-    return _verify_cached(public_key, message, sig)
+    triple = (public_key, message, sig)
+    return triple in _signed or triple in _signed_before or _verify_cached(public_key, message, sig)
 
 
 def contest_leader(contestants: dict[bytes, bytes]) -> tuple[bytes, bytes]:

@@ -363,18 +363,19 @@ class Ecosystem:
     def _resync(self, tracker: _Transfer) -> None:
         """Finalize a corrupted transfer on every chain with its majority
         ``winner``, so the workload can keep running. A chain that did not
-        execute it settles it; one that chose another winner moves its own
-        settlement back first. Only this transfer's tokens move, so transfers
-        still in flight keep theirs. Each chain's proof record keeps what that
-        chain concluded."""
+        execute it settles it; on one that chose another winner only the
+        reward moves, to ``winner``. Only this transfer's tokens move, so
+        transfers still in flight keep theirs. Each chain's proof record keeps
+        what that chain concluded."""
         poi, executed, winner = tracker.poi, tracker.executed, tracker.winner
         settled = []
         for chain in self.chains:
-            if chain.chain_id in executed:
-                if executed[chain.chain_id] == winner:
-                    continue
-                chain.state.settle(poi, executed[chain.chain_id], -1)
-            chain.state.settle(poi, winner)
+            if chain.chain_id not in executed:
+                chain.state.settle(poi, winner)
+            elif executed[chain.chain_id] != winner:
+                chain.state.reassign_reward(poi, executed[chain.chain_id], winner)
+            else:
+                continue
             self._audit(chain)
             settled.append(chain.chain_id)
         self._resync_events.append({

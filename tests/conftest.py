@@ -26,9 +26,17 @@ def observer_keys():
     return [keypair(f"observer-{i}") for i in range(3)]
 
 
+def clear_verify_caches():
+    """Forget the signatures this process made and every cached verification,
+    so that the next verify of any signature runs the full check."""
+    crypto._signed.clear()
+    crypto._signed_before.clear()
+    crypto._verify_cached.cache_clear()
+
+
 @pytest.fixture
 def pow_engine(monkeypatch):
     """Run every modular power in pow, as on a machine without libgmp."""
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
     monkeypatch.setattr(crypto, "_ENGINES", {})
-    crypto._verify_cached.cache_clear()
+    clear_verify_caches()

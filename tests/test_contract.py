@@ -513,43 +513,65 @@ def test_audit_fresh_state():
     assert state.audit() == (80, 0, 80)
 
 
+def _key(kp):
+    return kp.public_key if kp else None
+
+
+def _spend(state, wallet, amount):
+    state.balances[wallet.public_key] -= amount
+    state.balances[W.public_key] += amount
+
+
 @pytest.mark.parametrize("winner", [U, None], ids=["winner", "burned"])
-def test_settle_moves_a_transfer_and_its_reversal_moves_it_back(winner):
+def test_settle_moves_a_transfer(winner):
     state = fresh_state()
-    poi = table_poi(amount=20)
-    before = (dict(state.balances), state.burned)
-    state.settle(poi, winner.public_key if winner else None)
+    state.settle(table_poi(amount=20), _key(winner))
     assert state.balance(S.public_key) == 60 and state.balance(D.public_key) == 19
     assert (state.balance(U.public_key), state.burned) == ((1, 0) if winner else (0, 1))
     assert state.audit() == (80 - state.burned, state.burned, 80)
-    state.settle(poi, winner.public_key if winner else None, -1)
-    assert (state.balances, state.burned) == before
 
 
 def test_settle_nets_the_moves_of_a_wallet_in_two_roles():
     # The sender is its own recipient and wins its own contest: it ends where
-    # it began, and the reversal needs no more than it holds.
+    # it began, and a later change of winner takes only the reward from it.
     state = fresh_state(sender_balance=20)
     poi = table_poi(amount=20, recipient=S)
     state.settle(poi, S.public_key)
     assert state.balance(S.public_key) == 20
-    state.settle(poi, S.public_key, -1)
-    assert state.balance(S.public_key) == 20 and state.audit() == (20, 0, 20)
+    state.reassign_reward(poi, S.public_key, U.public_key)
+    assert state.balance(S.public_key) == 19 and state.audit() == (20, 0, 20)
 
 
-@pytest.mark.parametrize(
-    "sender_balance, winner, sign",
-    [(80, U, -1), (80, None, -1), (10, U, 1)],
-    ids=["reversal-winner", "reversal-burned", "overdraw"],
-)
-def test_settle_that_would_go_negative_raises_and_changes_nothing(sender_balance, winner, sign):
-    # Moving back what was never settled takes what the recipient and the
-    # winner (or burned) never got; settling 20 takes more than a sender of
-    # 10 holds.
-    state = fresh_state(sender_balance=sender_balance)
+@pytest.mark.parametrize("old, new", [(U, V), (U, None), (None, U)], ids=["winner", "to-burned", "from-burned"])
+def test_reassign_reward_ends_where_settling_the_new_winner_does(old, new):
+    # The recipient spends 15 of its 19 first, so moving the whole old
+    # settlement back would take more than it holds; only the reward moves.
+    poi = table_poi(amount=20)
+    expected, state = fresh_state(), fresh_state()
+    expected.settle(poi, _key(new))
+    _spend(expected, D, 15)
+    state.settle(poi, _key(old))
+    _spend(state, D, 15)
+    state.reassign_reward(poi, _key(old), _key(new))
+    assert (state.balances, state.burned) == (expected.balances, expected.burned)
+
+
+def test_settle_that_would_go_negative_raises_and_changes_nothing():
+    # Settling 20 takes more than a sender of 10 holds.
+    state = fresh_state(sender_balance=10)
     before = (dict(state.balances), state.burned)
     with pytest.raises(RuntimeError, match="negative"):
-        state.settle(table_poi(amount=20), winner.public_key if winner else None, sign)
+        state.settle(table_poi(amount=20), U.public_key)
+    assert (state.balances, state.burned) == before
+
+
+@pytest.mark.parametrize("old", [U, None], ids=["from-winner", "from-burned"])
+def test_reassign_reward_that_would_go_negative_raises_and_changes_nothing(old):
+    # A reward that was never paid: the old winner (or burned) holds nothing.
+    state = fresh_state()
+    before = (dict(state.balances), state.burned)
+    with pytest.raises(RuntimeError, match="negative"):
+        state.reassign_reward(table_poi(amount=20), _key(old), V.public_key)
     assert (state.balances, state.burned) == before
 
 

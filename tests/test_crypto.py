@@ -18,6 +18,10 @@ from panchain.crypto import (
     sign,
     verify,
 )
+from panchain.configs import sweep_config
+from panchain.ecosystem import run
+
+from conftest import clear_verify_caches
 
 # 0.999 quantile of the chi-square distribution with 15 degrees of freedom
 # (scipy.stats.chi2.ppf(0.999, 15)).
@@ -184,12 +188,12 @@ def test_verify_refuses_a_signature_value_at_or_above_prime(monkeypatch, sender_
     e = int.from_bytes(sender_key.public_key[24:], "big")
     residue = crypto._message_residue
     monkeypatch.setattr(crypto, "_message_residue", lambda m: pow(5, e, PRIME) if m == message else residue(m))
-    crypto._verify_cached.cache_clear()
+    clear_verify_caches()
     try:
         assert verify(sender_key.public_key, message, (5).to_bytes(32, "big"))
         assert not verify(sender_key.public_key, message, (5 + PRIME).to_bytes(32, "big"))
     finally:
-        crypto._verify_cached.cache_clear()
+        clear_verify_caches()
 
 
 def test_keypair_address_is_public_key():
@@ -310,3 +314,82 @@ def test_pow_fallback_signs_and_verifies(request, sender_key, recipient_key):
     assert sig == expected
     assert verify(sender_key.public_key, m, sig)
     assert not verify(recipient_key.public_key, m, sig)
+
+
+# --- the memo of this process's own signatures ------------------------------
+
+
+def _remembered(public_key: bytes, message: bytes, sig: bytes) -> bool:
+    triple = (public_key, message, sig)
+    return triple in crypto._signed or triple in crypto._signed_before
+
+
+@settings(max_examples=25)
+@given(st.integers(min_value=0, max_value=2**31), st.binary(max_size=200))
+def test_a_remembered_signature_passes_the_full_check(seed_int, message):
+    key = generate_keypair(hashlib.sha256(seed_int.to_bytes(8, "big")).digest())
+    sig = sign(key, message)
+    assert _remembered(key.public_key, message, sig)
+    from_memo = verify(key.public_key, message, sig)
+    clear_verify_caches()
+    assert verify(key.public_key, message, sig) is from_memo is True
+    assert crypto._verify_cached.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("exponent_from", ["own", "other"])
+def test_only_a_key_whose_exponent_is_its_seeds_is_remembered(exponent_from):
+    # verify reads only the exponent, so a key with another tag but its own
+    # exponent signs as itself; with another seed's exponent it signs nothing
+    # that verifies.
+    seed, other = generate_keypair(seed_bytes(1)), generate_keypair(seed_bytes(2))
+    source = seed if exponent_from == "own" else other
+    key = KeyPair(private_key=seed.private_key, public_key=other.public_key[:24] + source.public_key[24:])
+    clear_verify_caches()
+    sig = sign(key, b"whose exponent")
+    assert _remembered(key.public_key, b"whose exponent", sig) == (exponent_from == "own")
+    full = crypto._verify_cached.__wrapped__(key.public_key, b"whose exponent", sig)
+    assert full == (exponent_from == "own")
+    assert verify(key.public_key, b"whose exponent", sig) == full
+
+
+def test_a_tampered_triple_misses_the_memo_and_fails(sender_key, recipient_key):
+    message = b"remembered"
+    sig = sign(sender_key, message)
+    flipped = bytes([sig[0] ^ 0x01]) + sig[1:]
+    for triple in [
+        (sender_key.public_key, message + b"!", sig),
+        (sender_key.public_key, message, flipped),
+        (recipient_key.public_key, message, sig),
+    ]:
+        assert not _remembered(*triple)
+        assert not verify(*triple)
+
+
+def test_the_memo_keeps_at_most_two_generations():
+    key = generate_keypair(seed_bytes(7))
+    clear_verify_caches()
+    generation = crypto._MEMO_GENERATION
+    triples = []
+    for i in range(2 * generation + 300):
+        message = b"%d" % i
+        triples.append((key.public_key, message, sign(key, message)))
+        assert len(crypto._signed) <= generation and len(crypto._signed_before) <= generation
+    assert all(_remembered(*triple) for triple in triples[-generation:])
+    assert not _remembered(*triples[0])
+
+
+def test_sign_accepts_a_bytearray_and_remembers_only_bytes(sender_key):
+    clear_verify_caches()
+    message = b"mutable message"
+    sig = sign(sender_key, bytearray(message))
+    assert not crypto._signed and not crypto._signed_before
+    assert sign(sender_key, message) == sig
+    assert crypto._signed == {(sender_key.public_key, message, sig)}
+
+
+def test_an_honest_run_verifies_every_signature_from_the_memo():
+    clear_verify_caches()
+    report = run(sweep_config(validity=65, seed=0))
+    assert report.transfers
+    info = crypto._verify_cached.cache_info()
+    assert (info.hits, info.misses) == (0, 0)

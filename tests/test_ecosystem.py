@@ -520,3 +520,63 @@ def test_in_run_audit_names_the_chain_and_the_block_time():
     eco.chains[1].state.balances[eco.keys["sender"].public_key] += 1
     with pytest.raises(RuntimeError, match=r"supply violation on chain 1: 81 \+ 0 != 80 \(at t=26\.0\)"):
         eco.run()
+
+
+# Small honest configs: no scripted double spends. A chain that executed a
+# transfer with another winner than the majority had its whole settlement
+# moved back by the resync, taking from a recipient who had spent part of it.
+_WINNER_SWAP_CRASHES = {
+    "586523": {
+        "chains": 3, "clients": 7, "observers": 4, "max_txs_per_block": 1, "jitter": 0.1,
+        "block_interval": 13.0, "validity_length": 16, "duration": 400.0, "seed": 586523,
+        "observation": {"mode": "staggered", "spacing": 0.5}, "post_iff_winnable": True,
+    },
+    "333210": {
+        "chains": 2, "clients": 9, "observers": 3, "max_txs_per_block": 3, "jitter": 0.1,
+        "block_interval": 20.0, "validity_length": 23, "duration": 400.0, "seed": 333210,
+        "observation": {"mode": "staggered", "spacing": 0.5}, "post_iff_winnable": True,
+    },
+}
+
+
+@pytest.mark.parametrize("seed", list(_WINNER_SWAP_CRASHES))
+def test_resync_moves_only_the_reward_when_a_chain_chose_another_winner(seed):
+    eco = Ecosystem(config_from_dict(_WINNER_SWAP_CRASHES[seed]))
+    report = eco.run()
+    assert report.consistency == []
+    # The resync re-settled at least one chain that had executed the
+    # transfer with another winner.
+    assert any(
+        len(set(t.executed.values())) > 1 for t in eco._transfers.values() if t.corrupted
+    )
+
+
+_HONEST_CONFIGS = st.fixed_dictionaries({
+    "chains": st.integers(1, 4),
+    "clients": st.integers(2, 10),
+    "observers": st.integers(0, 4),
+    "max_txs_per_block": st.sampled_from([1, 2, 3, 5, 100]),
+    "jitter": st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+    "validity_length": st.integers(5, 70),
+    "block_interval": st.sampled_from([2.0, 5.0, 13.0, 20.0]),
+    "duration": st.sampled_from([100.0, 200.0, 400.0]),
+    "observation": st.one_of(
+        st.just({"mode": "uniform"}),
+        st.builds(lambda spacing: {"mode": "staggered", "spacing": spacing}, st.sampled_from([0.5, 1.0, 2.0])),
+    ),
+    "post_iff_winnable": st.booleans(),
+    "seed": st.integers(0, 2**20),
+})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_HONEST_CONFIGS)
+def test_a_small_honest_run_ends_consistent_and_audited(data):
+    eco = Ecosystem(config_from_dict(data))
+    report = eco.run()
+    assert report.consistency == []
+    for chain in eco.chains:
+        chain.state.audit()
+        # Without an observer fewer events extend the run, and a backlog of
+        # claims can outlast it.
+        assert not chain.mempool or not eco.observers
