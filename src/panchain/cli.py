@@ -187,9 +187,10 @@ def cmd_run(spec: ExperimentSpec) -> dict:
     for seed in spec.seeds:
         eco = Ecosystem(replace(base, seed=seed))
         report = eco.run()
-        report_path, chains_path = out / f"run-{seed}.json", out / f"run-{seed}.chains.json"
-        with _open_output(report_path) as report_file, _open_output(chains_path) as chains_file:
-            report.to_json(report_file, chains_file)
+        report_path = _write(out / f"run-{seed}.json", report.to_json())
+        chains_path = out / f"run-{seed}.chains.json"
+        with _open_output(chains_path) as file:
+            report.chains_json(file)
         ledger_path = _write(out / f"run-{seed}.csv", report.ledger_csv())
         outputs += [str(report_path), str(ledger_path), str(chains_path)]
         if spec.sections.block_log:

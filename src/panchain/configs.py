@@ -115,6 +115,10 @@ class EcosystemConfig:
         names = [w.name for w in self.wallets]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate wallet names")
+        # A client's amount is at most its balance, and a balance, which grows
+        # by what it receives, at most the total supply.
+        if sum(w.balance for w in self.wallets) >= 2**64:
+            raise ConfigError("the wallets' total balance must be below 2^64")
         known = set(names)
         for name in (*self.clients, *self.observers):
             if name not in known:

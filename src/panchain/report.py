@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
 
 from .chain import SimChain
 from .configs import EcosystemConfig
@@ -74,7 +74,6 @@ class RunReport:
     """Deterministic, JSON-serializable outcome of one ecosystem run."""
 
     config: dict
-    seed: int
     chains: list[dict]
     transfers: list[dict]
     vetoes: list[dict]
@@ -84,41 +83,17 @@ class RunReport:
     tx_counts_ok: dict
     stats: dict
 
-    def to_json(self, out: Optional[TextIO] = None, chains_out: Optional[TextIO] = None) -> Optional[str]:
-        """Write the report's canonical JSON, ``dumps(vars(self))``, to
-        ``out``, one chain snapshot or one top-level key per write, and
-        ``dumps(self.chains)`` to ``chains_out`` if given; with no ``out``,
-        return the report's text instead. No whole file is ever one string."""
-        if out is None:
-            buffer = io.StringIO()
-            self.to_json(buffer, chains_out)
-            return buffer.getvalue()
-        separator = "{"
-        for key, value in sorted(vars(self).items()):
-            out.write(f"{separator}\n  {encode_basestring_ascii(key)}: ")
-            separator = ","
-            if key == "chains":
-                self._write_chains(out, chains_out)
-            else:
-                out.write(_encode(value, "\n  "))
-        out.write("\n}\n")
-        return None
+    def to_json(self) -> str:
+        """The report's canonical JSON: ``dumps`` of every field but ``chains``,
+        whose snapshots ``chains_json`` writes to their own file."""
+        return dumps({key: value for key, value in vars(self).items() if key != "chains"})
 
-    def _write_chains(self, out: TextIO, chains_out: Optional[TextIO]) -> None:
-        """Encode each snapshot once, as ``dumps(self.chains)`` holds it, for
-        ``chains_out``, and write the same text one level deeper to ``out``;
-        that is exact because JSON text holds no raw newline inside a string."""
-
-        def write(piece: str) -> None:
-            if chains_out is not None:
-                chains_out.write(piece)
-            out.write(piece.replace("\n", "\n  "))
-
+    def chains_json(self, out: TextIO) -> None:
+        """Write ``dumps(self.chains)`` to ``out`` one chain snapshot per write,
+        so the whole text is never one string."""
         for index, snapshot in enumerate(self.chains):
-            write(("," if index else "[") + "\n  " + _encode(snapshot, "\n  "))
-        write("\n]" if self.chains else "[]")
-        if chains_out is not None:
-            chains_out.write("\n")
+            out.write(("," if index else "[") + "\n  " + _encode(snapshot, "\n  "))
+        out.write("\n]\n" if self.chains else "[]\n")
 
     def ledger_csv(self) -> str:
         """One row per transfer: ids, window, winner, per-chain contest counts,
@@ -230,7 +205,6 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
     memo: dict = {}  # every chain's snapshot shares one hex string per value and one dict per proof
     return RunReport(
         config=config.to_dict(),
-        seed=config.seed,
         chains=[chain.state.snapshot(memo) for chain in chains],
         transfers=transfer_rows,
         vetoes=veto_rows,

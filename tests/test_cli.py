@@ -344,6 +344,7 @@ def _one_leg_script(**fields):
         ("cost-report", {}, ["--jitter", "0.5"]),
         *((campaign, {"ecosystem": {"clients": 2, "client_balance": -5, "observers": 1, "duration": 50}}, [])
           for campaign in ("run", "veto-demo")),
+        ("run", {"ecosystem": {"clients": 4, "client_balance": 2**63}}, []),
         *((campaign, {}, ["--out", "bad.json"]) for campaign in cli.CAMPAIGNS),
     ],
     ids=[
@@ -359,7 +360,7 @@ def _one_leg_script(**fields):
         "overflowing-cost-grid", "overflowing-cost-price", "duplicate-validity-point",
         "duplicate-scaling-observer-count", "duplicate-seed", "veto-demo-jitter-flag-above-one",
         "contest-scaling-jitter-flag-above-one", "cost-report-jitter-flag", "negative-client-balance",
-        "veto-demo-negative-client-balance", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
+        "veto-demo-negative-client-balance", "supply-of-2^65", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
     ],
 )
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv):

@@ -236,7 +236,10 @@ def test_report_roundtrips_through_json():
     report = run(worked_example(seed=0))
     parsed = json.loads(report.to_json())
     assert parsed["stats"]["transfers_executed"] == 1
-    assert len(parsed["chains"]) == 3
+    assert "chains" not in parsed and parsed["config"]["seed"] == 0
+    chains = io.StringIO()
+    report.chains_json(chains)
+    assert len(json.loads(chains.getvalue())) == 3
 
 
 def test_ledger_csv_columns():
@@ -347,15 +350,17 @@ def test_dumps_refuses_a_float_json_cannot_hold(number):
 
 
 @pytest.mark.parametrize("preset", [worked_example, veto_demo], ids=["worked_example", "veto_demo"])
-def test_report_json_splices_the_chain_snapshots(preset):
+def test_report_and_chains_files_split_the_report_with_no_key_in_both(preset):
     report = run(preset(seed=1))
     for case in (report, replace(report, chains=[])):
-        out, chains_out = io.StringIO(), io.StringIO()
-        assert case.to_json(out, chains_out) is None
-        expected = json.dumps(vars(case), sort_keys=True, indent=2) + "\n"
-        assert out.getvalue() == case.to_json() == expected
-        assert chains_out.getvalue() == dumps(case.chains)
-    assert json.loads(report.to_json()).keys() == {f.name for f in fields(RunReport)}
+        chains = io.StringIO()
+        case.chains_json(chains)
+        assert chains.getvalue() == dumps(case.chains)
+        parsed = json.loads(case.to_json())
+        assert "chains" not in parsed
+        assert {**parsed, "chains": json.loads(chains.getvalue())} == json.loads(json.dumps(vars(case)))
+        assert case.to_json() == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
+    assert json.loads(report.to_json()).keys() == {f.name for f in fields(RunReport)} - {"chains"}
 
 
 def _strings(value):
@@ -402,10 +407,10 @@ def test_report_json_is_written_without_holding_its_text():
     report = run(config_from_dict({
         "chains": 3, "clients": 20, "client_balance": 100, "observers": 5, "duration": 600.0,
     }))
-    length = len(report.to_json())
+    length = len(dumps(report.chains))
     tracemalloc.start()
     try:
-        report.to_json(_Discard(), _Discard())
+        report.chains_json(_Discard())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -551,6 +556,20 @@ def test_resync_moves_only_the_reward_when_a_chain_chose_another_winner(seed):
     )
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_a_supply_of_two_to_the_64_minus_one_runs_clean(seed):
+    # Each transfer's amount goes on chain as a u64; a recipient's balance
+    # grows past its start, so only the total bounds it.
+    eco = Ecosystem(config_from_dict({
+        "wallets": {"a": 2**63, "b": 2**63 - 1}, "clients": ["a", "b"], "observers": 2, "seed": seed,
+    }))
+    report = eco.run()
+    assert report.consistency == []
+    assert report.stats["transfers_executed"] == report.stats["transfers_attempted"] > 0
+    for chain in eco.chains:
+        chain.state.audit()
+
+
 _HONEST_CONFIGS = st.fixed_dictionaries({
     "chains": st.integers(1, 4),
     "clients": st.integers(2, 10),
@@ -580,3 +599,8 @@ def test_a_small_honest_run_ends_consistent_and_audited(data):
         # Without an observer fewer events extend the run, and a backlog of
         # claims can outlast it.
         assert not chain.mempool or not eco.observers
+    for tracker in eco._transfers.values():
+        assert tracker.claim_ok is not None or not eco.observers
+        if tracker.claim_ok:
+            # An accepted claim is judged on every chain.
+            assert len(tracker.contest_counts) == len(eco.chains)

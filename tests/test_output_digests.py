@@ -108,11 +108,11 @@ CAMPAIGN_DIGESTS = {
         "run/run-0.blocks.jsonl": "113dc453a985f7b5b4a9cac4803101559242416087213338b60772f86961ade9",
         "run/run-0.chains.json": "3a60f3aefa69c6dea1e39d7d9a7b65e5d10e67643cdcfc6a0d10ce336d838fdb",
         "run/run-0.csv": "25921fb830ae7580d2c9e01545196cfc21912e92b4610c5fc5b546ba01693554",
-        "run/run-0.json": "684b85bb27153d12adf0d1d820fb2cdeb8257ea6fa9699a64a4681647abbb3d5",
+        "run/run-0.json": "f61f0de8d9c80399bb8df731e91e0c4a4fca316a78d7c504f787bd3292e6f569",
         "run/run-1.blocks.jsonl": "48db448648eabd46759c1ba4e5f43e6598f4202f3ccfc303e12c45b1e8a09d73",
         "run/run-1.chains.json": "4bb54d25f3cd3070bfd8b3298d7a647d147650a1c0fbce6f5537f3768c7dd31b",
         "run/run-1.csv": "a74004d19b8f2bf60e5640b5da2b51d5a889b5a2b93a42a8e4cee1f9b95920bf",
-        "run/run-1.json": "1f69c8e2b235ce4db7edf29b9a27a8d7b26691590b117ca72ae6462675e9955d",
+        "run/run-1.json": "e52aa566457f63d0a2f7433507e851ce436432d7ea9537a43650be912664355b",
         "sweep-validity/sweep-validity-0.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-1.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-summary.csv":
@@ -127,7 +127,7 @@ CAMPAIGN_DIGESTS = {
         "cost-report/cost-report.txt": "e13b268b49b2f093524267ed89b1be68b152019c03b561aacdaf2fa32ca13474",
         "run/run-0.chains.json": "4e296a92df563dfe7de457033bfd037cc63d0389d0f4513591c539dcf4d86c6b",
         "run/run-0.csv": "36d2df5d3d0b01aea0c83475a948446fdfb07e0cd84bd901e634fa0f8e5076b0",
-        "run/run-0.json": "b5141777b295cbf8a902e8542240ce20df738bc7efa39146ba15255f78ae9c67",
+        "run/run-0.json": "91d8c67b0ccd6ce24bbb9e335dfd650fe9abc44c37d9c7e812893b762e80689c",
         "sweep-validity/sweep-validity-0.csv": "06a86a80c13c8cbbb025435122f52e1931c83976e1d7a158a44e0509ef224aa3",
         "sweep-validity/sweep-validity-summary.csv":
             "1c6d0ceac49704f141296d9b20bc62221db0cd6702590357e8cb7d39122c71d5",
@@ -140,11 +140,11 @@ CAMPAIGN_DIGESTS = {
         "run/run-0.blocks.jsonl": "bec5acae383450ce1747f535aaa06ec05fd2427b2d2678f2216374757c0d117d",
         "run/run-0.chains.json": "98630ee064658d183e6d760a96fdc383707c6a955a0f86a8eefba5678102a89c",
         "run/run-0.csv": "a1344462ed9e73f08154c295947301dd486b1eedc650ed421abff46a70e1aa26",
-        "run/run-0.json": "f04b4028be880ec8cd07552197fef1a20c8d7703539725b8b550ef9f02b29214",
+        "run/run-0.json": "b4ec62700b1916dd9965c3044ac3832efc7822eb8ce31dc21e1148a575480bed",
         "run/run-1.blocks.jsonl": "6cde3eab1e0b2e127b9578d50218a107785dbad71091370363217d94ce3c9a05",
         "run/run-1.chains.json": "9023cc6ad72397aec8e87aade1c38d0e079b00ce539fd0b94915602cadac2cc7",
         "run/run-1.csv": "6f292982669f00c3eb9c8af96a577160cdbd8830e19543cc20663f58e3f747f0",
-        "run/run-1.json": "dacaa1d5d9df424e1475e536282c225a39858e389d39adb9d72d54d33e0d6232",
+        "run/run-1.json": "96e8bcc0c32cc469cee4bd90969c7906cf1a1d4a5834ed73a1090e87d45ae4ea",
         "sweep-validity/sweep-validity-0.csv": "728accf9db3c0a9af304793da50b4dea8b4b3e7800c90515a27c5a7e76db5739",
         "sweep-validity/sweep-validity-1.csv": "b1fb415688f82ac8a94786a1d533de23e2e0efd427c3cfe54f98ceda990474da",
         "sweep-validity/sweep-validity-summary.csv":
