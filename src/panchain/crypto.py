@@ -176,8 +176,9 @@ def sign(key: KeyPair, message: bytes) -> bytes:
     return sig
 
 
-# The full check, for a triple sign did not remember; an honest run never
-# reaches it. The bounded cache stays because perfbench reads its cache_info().
+# The full check, for a triple sign did not remember or has since evicted
+# (more than _MEMO_GENERATION later signatures). Every chain checks the same
+# triple, so answers are cached; perfbench also reads cache_info().
 @lru_cache(maxsize=1 << 12)
 def _verify_cached(public_key: bytes, message: bytes, sig: bytes) -> bool:
     # int.from_bytes ignores leading zero bytes, so only the width check keeps
