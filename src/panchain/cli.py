@@ -36,8 +36,6 @@ from .costmodel import GasTable, PriceModel, min_viable_price, simulated_cost_re
 from .ecosystem import Ecosystem, run
 from .report import RunReport, dumps, wallet_name
 
-CAMPAIGNS = ("run", "sweep-validity", "contest-scaling", "cost-report", "veto-demo")
-
 
 def _no_duplicates(values: tuple, name: str) -> None:
     # A repeated point would run twice and its summary row would count it twice.
@@ -83,18 +81,6 @@ class CostSection:
     def __post_init__(self) -> None:
         if min(self.m, self.n, self.reward) < 1:
             raise ConfigError("m, n and reward must be >= 1")
-        # Every figure the campaign writes must be a finite number.
-        try:
-            cost = transfer_cost(self.m, self.n, self.gas, self.price)
-            figures = [cost.receiver_kgas, cost.observer_kgas, cost.receiver_usd, cost.observer_usd]
-            figures += [
-                min_viable_price(n, self.m, self.reward, self.gas, self.price, rounded)
-                for n in self.n_grid if n >= 2 for rounded in (False, True)
-            ]
-        except OverflowError:
-            figures = [math.inf]
-        if not all(map(math.isfinite, figures)):
-            raise ConfigError("counts or prices so large that a cost overflows")
 
 
 @dataclass(frozen=True)
@@ -116,7 +102,6 @@ class ExperimentSpec:
     out_dir: Path
     seeds: tuple[int, ...]
     jitter: Optional[float] = None
-    round_observer_cost: bool = True
     jobs: int = 1
     sections: ExperimentFile = field(init=False, repr=False)
 
@@ -291,38 +276,11 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
 
 def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
     """Analytical per-role costs and token-price thresholds; joins in empirical
-    counts when a run report is supplied."""
+    counts when a run report is supplied. Every figure is computed, and found
+    finite, before the campaign's directory is made."""
     if spec.jitter is not None:
         raise ConfigError("--jitter: cost-report simulates nothing, so it takes no jitter")
-    out = _campaign_dir(spec.out_dir / "cost-report")
     conf = spec.sections.cost
-    errors: list[dict] = []
-
-    cost = transfer_cost(conf.m, conf.n, conf.gas, conf.price)
-    thresholds = {}
-    for grid_n in conf.n_grid:
-        if grid_n < 2:
-            errors.append({"n": grid_n, "error": "incentive threshold needs n >= 2"})
-            continue
-        thresholds[str(grid_n)] = min_viable_price(
-            grid_n, m=conf.m, reward=conf.reward, gas=conf.gas, price=conf.price,
-            round_observer_cost=spec.round_observer_cost,
-        )
-    payload = {
-        "chains": conf.m,
-        "observers": conf.n,
-        "reward": conf.reward,
-        "round_observer_cost": spec.round_observer_cost,
-        "transfer_cost": {
-            "receiver_kgas": cost.receiver_kgas,
-            "receiver_usd": cost.receiver_usd,
-            "observer_kgas": cost.observer_kgas,
-            "observer_usd": cost.observer_usd,
-            "sender_usd": cost.sender_usd,
-            "expected_posting_observers": cost.expected_posting_observers,
-        },
-        "min_viable_price_usd": thresholds,
-    }
     if conf.run_report:
         run_data = load_experiment_file(conf.run_report)
         counts, stats = run_data.get("tx_counts"), run_data.get("stats", {})
@@ -331,16 +289,39 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
         executed = stats.get("transfers_executed", 0)
         for key, value in [*counts.items(), ("transfers_executed", executed)]:
             natural(value, f"{conf.run_report}: {key}")
-        try:
-            simulated = simulated_cost_report(counts, executed, conf.gas, conf.price)
-            figures = [v for part in simulated.values() if isinstance(part, dict) for v in part.values()]
-        except OverflowError:
-            figures = [math.inf]
-        if not all(map(math.isfinite, figures)):
-            raise ConfigError(f"{conf.run_report}: counts so large that a cost overflows")
-        payload["simulated"] = simulated
+    errors = [{"n": n, "error": "incentive threshold needs n >= 2"} for n in conf.n_grid if n < 2]
+    # Float arithmetic raises OverflowError on an integer too large to
+    # convert, and dumps a ValueError on an infinity or a NaN.
+    try:
+        cost = transfer_cost(conf.m, conf.n, conf.gas, conf.price)
+        thresholds = {
+            str(n): min_viable_price(n, conf.m, conf.reward, conf.gas, conf.price)
+            for n in conf.n_grid if n >= 2
+        }
+        payload = {
+            "chains": conf.m,
+            "observers": conf.n,
+            "reward": conf.reward,
+            "round_observer_cost": True,
+            "transfer_cost": {
+                "receiver_kgas": cost.receiver_kgas,
+                "receiver_usd": cost.receiver_usd,
+                "observer_kgas": cost.observer_kgas,
+                "observer_usd": cost.observer_usd,
+                "sender_usd": cost.sender_usd,
+                "expected_posting_observers": cost.expected_posting_observers,
+            },
+            "min_viable_price_usd": thresholds,
+        }
+        if conf.run_report:
+            payload["simulated"] = simulated_cost_report(counts, executed, conf.gas, conf.price)
+        text = dumps(payload)
+    except (OverflowError, ValueError) as err:
+        where = conf.run_report or "config.cost"
+        raise ConfigError(f"{where}: counts or prices so large that a cost overflows") from err
 
-    outputs = [str(_write(out / "cost-report.json", dumps(payload)))]
+    out = _campaign_dir(spec.out_dir / "cost-report")
+    outputs = [str(_write(out / "cost-report.json", text))]
     table = [
         f"{'role':<10} {'kGas':>10} {'USD':>10}",
         f"{'receiver':<10} {cost.receiver_kgas:>10.1f} {cost.receiver_usd:>10.2f}",
@@ -423,15 +404,7 @@ _HANDLERS = {
     "cost-report": cmd_cost_and_incentive,
     "veto-demo": cmd_veto_demo,
 }
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+CAMPAIGNS = tuple(_HANDLERS)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -452,13 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", type=_parse_seeds, default=(0,), help="comma-separated seed list")
     parser.add_argument("--jobs", type=int, default=1, help="campaign-point worker pool size")
     parser.add_argument("--jitter", type=float, default=None, help="block-time jitter fraction override")
-    parser.add_argument(
-        "--round-observer-cost",
-        type=_parse_bool,
-        default=True,
-        metavar="BOOL",
-        help="round the observer cost to cents before solving the incentive threshold",
-    )
     return parser
 
 
@@ -473,7 +439,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             out_dir=args.out,
             seeds=args.seeds,
             jitter=args.jitter,
-            round_observer_cost=args.round_observer_cost,
             jobs=args.jobs,
         )
         result = _HANDLERS[spec.campaign](spec)

@@ -106,7 +106,6 @@ def min_viable_price(
     reward: int = 1,
     gas: GasTable = GasTable(),
     price: PriceModel = PriceModel(),
-    round_observer_cost: bool = True,
 ) -> float:
     """Token price (USD) above which posting contests has positive expected value.
 
@@ -115,16 +114,14 @@ def min_viable_price(
     is cost * n / (log2(n) * reward); the formula is kept for the paper's
     published thresholds. The simulated mean number of posting observers
     under staggered observation is H_n ~ ln n + 0.577, not log2(n) (7.49
-    against 9.97 at n = 1000). With round_observer_cost the investment is
-    first rounded to whole cents, matching the published thresholds.
+    against 9.97 at n = 1000). The investment is first rounded to whole
+    cents, as the published thresholds are.
     """
     if n < 2:
         raise ValueError("incentive threshold needs n >= 2 observers")
     if reward <= 0:
         raise ValueError("reward must be positive")
-    observer_usd = transfer_cost(m, n, gas, price).observer_usd
-    if round_observer_cost:
-        observer_usd = round(observer_usd, 2)
+    observer_usd = round(transfer_cost(m, n, gas, price).observer_usd, 2)
     return observer_usd * n / (math.log2(n) * reward)
 
 

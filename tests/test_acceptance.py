@@ -168,7 +168,7 @@ def test_criterion_4_cost_reproduction():
 
 
 def test_criterion_5_incentive_thresholds():
-    values = {n: min_viable_price(n, round_observer_cost=True) for n in (10, 100, 1000)}
+    values = {n: min_viable_price(n) for n in (10, 100, 1000)}
     targets = {10: 2.83, 100: 14.15, 1000: 94.32}
     ok = all(abs(values[n] - targets[n]) <= 0.01 for n in targets)
     _report(

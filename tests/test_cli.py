@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,8 @@ from panchain.cli import (
     cmd_veto_demo,
     main,
 )
-from panchain.configs import ConfigError
+from panchain.configs import ConfigError, EcosystemConfig, WalletSpec
+from panchain.report import RunReport
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
@@ -263,12 +265,36 @@ def test_main_failure_summary_is_machine_readable(tmp_path, capsys):
     assert out["status"] == "failed" and out["errors"]
 
 
-def test_round_observer_cost_flag(tmp_path):
-    result = cmd_cost_and_incentive(
-        spec_for("cost-report", tmp_path, round_observer_cost=False)
-    )
-    payload = json.loads((tmp_path / "cost-report" / "cost-report.json").read_text())
-    assert payload["min_viable_price_usd"]["100"] == pytest.approx(14.19, abs=0.01)
+def _report(**fields):
+    # A minimal run report: no chains, transfers or vetoes unless given.
+    empty = dict(config={}, chains=[], transfers=[], vetoes=[], consistency=[], resync_events=[],
+                 tx_counts={}, tx_counts_ok={}, stats={"transfers_executed": 0})
+    return RunReport(**{**empty, **fields})
+
+
+@pytest.mark.parametrize(
+    "label, report, failure",
+    [
+        ("control", _report(consistency=[{"wallet": "00"}]), "final balances inconsistent across chains"),
+        ("double_spend", _report(), "no veto contest recorded"),
+        ("boundary", _report(vetoes=[{"consistent_winner": False}]), "veto winners differ across chains"),
+        ("control", _report(vetoes=[{"consistent_winner": True}]),
+         "control scenario unexpectedly triggered the veto path"),
+        ("control", _report(transfers=[{}]), "control transfer did not complete"),
+    ],
+    ids=["inconsistent", "no-veto", "split-veto-winners", "control-vetoed", "control-incomplete"],
+)
+def test_veto_assertions_name_each_failure(label, report, failure):
+    assert cli._veto_assertions(label, report) == [failure]
+
+
+def test_readme_documents_every_flag():
+    # The Flags paragraph names each option build_parser accepts, and no other.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Flags: "):].split("\n\n")[0]
+    documented = set(re.findall(r"`(--[a-z-]+)", paragraph))
+    options = {opt for action in cli.build_parser()._actions for opt in action.option_strings}
+    assert documented == options - {"-h", "--help"}
 
 
 def test_bad_campaign_rejected(tmp_path):
@@ -295,57 +321,83 @@ def _leg(**fields):
     return {"at": 1.0, "recipient": "b", "amount": 20, "t0": 1, "t1": 61, "chain": 0, **fields}
 
 
+def _script(**action):
+    # One scripted action by wallet a: a one-leg transfer to b unless overridden.
+    return {"ecosystem": {"wallets": {"a": 30, "b": 0}, "script": [{"sender": "a", "legs": [_leg()], **action}]}}
+
+
 def _one_leg_script(**fields):
-    return {"ecosystem": {"wallets": {"a": 30, "b": 0}, "script": [{"sender": "a", "legs": [_leg(**fields)]}]}}
+    return _script(legs=[_leg(**fields)])
+
+
+_OVERFLOW = "so large that a cost overflows"
 
 
 @pytest.mark.parametrize(
-    "campaign, config, argv",
+    "campaign, config, argv, message",
     [
-        ("run", {"ecosystem": {"observation": {"mode": "staggered", "bogus": 1}}}, []),
-        ("run", {"ecosystem": {"chains": "3"}}, []),
+        ("run", {"ecosystem": {"observation": {"mode": "staggered", "bogus": 1}}}, [], "fields: ['bogus']"),
+        ("run", {"ecosystem": {"chains": "3"}}, [], "chains must be an integer"),
         ("run", {"ecosystem": {"wallets": {"a": 10}, "script": [
-            {"kind": "double_spend", "sender": "a", "legs": [{"at": 1.0}]}]}}, []),
-        ("sweep-validity", {"sweep": {"validity_points": "x"}}, []),
-        ("cost-report", {"cost": {"gas": {"claim": {"std_kgas": 1.0}}}}, []),
-        ("cost-report", {"cost": {"gas": {"bribe": {"mean_kgas": 1.0}}}}, []),
-        ("cost-report", {"cost": {"price": {"gas_price_gwei": -1}}}, []),
-        ("cost-report", {"cost": {"m": 0}}, []),
-        ("cost-report", {"cost": {"run_report": "no-such-run.json"}}, []),
-        ("contest-scaling", {"scaling": {"runs": 0}}, []),
-        ("run", {"ecosystem": {"block_interval": 0}}, []),
-        ("run", {"ecosystem": {"max_txs_per_block": 0}}, []),
-        ("run", {"ecosystem": {"jitter": 1.5}}, []),
-        ("run", {}, ["--jitter", "1.5"]),
-        ("run", _one_leg_script(amount=1), []),
-        ("run", _one_leg_script(t0=61), []),
-        ("run", {"ecosystem": {"wallets": {"a": True}}}, []),
-        ("contest-scaling", {"scaling": {"runs": "2"}}, []),
-        ("run", {"block_log": "yes"}, []),
-        ("veto-demo", {"sweeep": {}}, []),
-        ("run", {"ecosystem": {"duration": float("inf")}}, []),
-        ("run", {"ecosystem": {"clients": -3}}, []),
-        ("sweep-validity", {"ecosystem": {"observers": -1}}, []),
-        ("veto-demo", {"ecosystem": {"chains": "3"}}, []),
-        ("contest-scaling", {"ecosystem": {"chains": "3"}}, []),
-        ("cost-report", {"ecosystem": {"chains": "3"}}, []),
-        ("veto-demo", {"ecosystem": []}, []),
-        ("contest-scaling", {"scaling": {"n_values": [4, -1]}}, []),
-        ("sweep-validity", {"sweep": {"validity_points": [10, 0]}}, []),
-        ("run", _one_leg_script(at=-1.0), []),
-        ("cost-report", {"cost": {"m": 10**310}}, []),
-        ("cost-report", {"cost": {"n_grid": [10, 10**400]}}, []),
-        ("cost-report", {"cost": {"price": {"gas_price_gwei": 1e308, "ether_usd": 1e308}}}, []),
-        ("sweep-validity", {"sweep": {"validity_points": [30, 30]}}, []),
-        ("contest-scaling", {"scaling": {"n_values": [2, 2], "runs": 3}}, []),
-        ("contest-scaling", {}, ["--seeds", "3,7,3"]),
-        ("veto-demo", {}, ["--jitter", "5"]),
-        ("contest-scaling", {}, ["--jitter", "5"]),
-        ("cost-report", {}, ["--jitter", "0.5"]),
-        *((campaign, {"ecosystem": {"clients": 2, "client_balance": -5, "observers": 1, "duration": 50}}, [])
-          for campaign in ("run", "veto-demo")),
-        ("run", {"ecosystem": {"clients": 4, "client_balance": 2**63}}, []),
-        *((campaign, {}, ["--out", "bad.json"]) for campaign in cli.CAMPAIGNS),
+            {"kind": "double_spend", "sender": "a", "legs": [{"at": 1.0}]}]}}, [], "legs[0] is missing fields"),
+        ("sweep-validity", {"sweep": {"validity_points": "x"}}, [], "validity_points must be a list"),
+        ("cost-report", {"cost": {"gas": {"claim": {"std_kgas": 1.0}}}}, [], "missing fields: ['mean_kgas']"),
+        ("cost-report", {"cost": {"gas": {"bribe": {"mean_kgas": 1.0}}}}, [], "fields: ['bribe']"),
+        ("cost-report", {"cost": {"price": {"gas_price_gwei": -1}}}, [], "prices must be non-negative"),
+        ("cost-report", {"cost": {"m": 0}}, [], "m, n and reward must be >= 1"),
+        ("cost-report", {"cost": {"run_report": "no-such-run.json"}}, [], "no-such-run.json: "),
+        ("contest-scaling", {"scaling": {"runs": 0}}, [], "runs must be >= 1"),
+        ("run", {"ecosystem": {"block_interval": 0}}, [], "block_interval must be positive"),
+        ("run", {"ecosystem": {"max_txs_per_block": 0}}, [], "max_txs_per_block must be at least 1"),
+        ("run", {"ecosystem": {"jitter": 1.5}}, [], "jitter must be in [0, 1)"),
+        ("run", {}, ["--jitter", "1.5"], "jitter must be in [0, 1)"),
+        ("run", _one_leg_script(amount=1), [], "must exceed the reward"),
+        ("run", _one_leg_script(t0=61), [], "got [61, 61]"),
+        ("run", {"ecosystem": {"wallets": {"a": True}}}, [], "wallets.a must be a non-negative integer"),
+        ("contest-scaling", {"scaling": {"runs": "2"}}, [], "runs must be an integer"),
+        ("run", {"block_log": "yes"}, [], "block_log must be true or false"),
+        ("veto-demo", {"sweeep": {}}, [], "fields: ['sweeep']"),
+        ("run", {"ecosystem": {"duration": float("inf")}}, [], "duration must be a number"),
+        ("run", {"ecosystem": {"clients": -3}}, [], "clients must be a non-negative integer"),
+        ("sweep-validity", {"ecosystem": {"observers": -1}}, [], "observers must be a non-negative integer"),
+        ("veto-demo", {"ecosystem": {"chains": "3"}}, [], "chains must be an integer"),
+        ("contest-scaling", {"ecosystem": {"chains": "3"}}, [], "chains must be an integer"),
+        ("cost-report", {"ecosystem": {"chains": "3"}}, [], "chains must be an integer"),
+        ("veto-demo", {"ecosystem": []}, [], "ecosystem config must be a JSON object"),
+        ("contest-scaling", {"scaling": {"n_values": [4, -1]}}, [], "n_values must be non-negative"),
+        ("sweep-validity", {"sweep": {"validity_points": [10, 0]}}, [], "validity_points must be at least 1"),
+        ("run", _one_leg_script(at=-1.0), [], "leg time must be non-negative"),
+        ("cost-report", {"cost": {"m": 10**310}}, [], _OVERFLOW),
+        ("cost-report", {"cost": {"n_grid": [10, 10**400]}}, [], _OVERFLOW),
+        ("cost-report", {"cost": {"price": {"gas_price_gwei": 1e308, "ether_usd": 1e308}}}, [], _OVERFLOW),
+        ("sweep-validity", {"sweep": {"validity_points": [30, 30]}}, [], "more than once: [30, 30]"),
+        ("contest-scaling", {"scaling": {"n_values": [2, 2], "runs": 3}}, [], "more than once: [2, 2]"),
+        ("contest-scaling", {}, ["--seeds", "3,7,3"], "more than once: [3, 7, 3]"),
+        ("veto-demo", {}, ["--jitter", "5"], "jitter must be in [0, 1)"),
+        ("contest-scaling", {}, ["--jitter", "5"], "jitter must be in [0, 1)"),
+        ("cost-report", {}, ["--jitter", "0.5"], "takes no jitter"),
+        *((campaign, {"ecosystem": {"clients": 2, "client_balance": -5, "observers": 1, "duration": 50}}, [],
+           "client_balance must be a non-negative integer") for campaign in ("run", "veto-demo")),
+        ("run", {"ecosystem": {"clients": 4, "client_balance": 2**63}}, [], "must be below 2^64"),
+        *((campaign, {}, ["--out", "bad.json"], f"cannot make bad.json/{campaign}") for campaign in cli.CAMPAIGNS),
+        ("run", {"ecosystem": {"observation": {"mode": "poisson"}}}, [], "unknown observation mode"),
+        ("run", {"ecosystem": {"observation": {"low": 3.0, "high": 1.0}}}, [], "0 <= low <= high"),
+        ("run", {"ecosystem": {"observation": {"mode": "staggered"}}}, [], "needs a positive spacing"),
+        ("run", _script(kind="steal"), [], "unknown scripted action kind: 'steal'"),
+        ("run", _script(legs=[_leg(), _leg()]), [], "a scripted transfer has exactly one leg"),
+        ("run", _script(kind="double_spend"), [], "a double spend needs at least two legs"),
+        ("run", {"ecosystem": {"duration": -1.0}}, [], "duration must be non-negative"),
+        ("run", {"ecosystem": {"validity_length": 0}}, [], "validity_length must be at least 1 second"),
+        ("run", {"ecosystem": {"reward": -1}}, [], "reward must be non-negative"),
+        ("run", {"ecosystem": {"think_time": [0, 5]}}, [], "think_time bounds must satisfy 0 < low"),
+        ("run", {"ecosystem": {"think_time": [1]}}, [], "think_time must be a list of 2"),
+        ("run", {"ecosystem": {"wallets": {"a": 10}, "clients": ["zed"]}}, [], "unknown wallet referenced: 'zed'"),
+        ("run", _script(sender="zed"), [], "scripted sender is not a wallet: 'zed'"),
+        ("run", _one_leg_script(recipient="zed"), [], "scripted recipient is not a wallet: 'zed'"),
+        ("run", _one_leg_script(chain=3), [], "scripted leg targets chain 3, have 3"),
+        ("run", [], [], "top level must be a JSON object"),
+        ("run", {}, ["--seeds", ","], "need at least one seed"),
+        ("run", {}, ["--jobs", "0"], "jobs must be >= 1"),
     ],
     ids=[
         "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
@@ -361,12 +413,18 @@ def _one_leg_script(**fields):
         "duplicate-scaling-observer-count", "duplicate-seed", "veto-demo-jitter-flag-above-one",
         "contest-scaling-jitter-flag-above-one", "cost-report-jitter-flag", "negative-client-balance",
         "veto-demo-negative-client-balance", "supply-of-2^65", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
+        "unknown-observation-mode", "observation-low-above-high", "staggered-without-spacing",
+        "unknown-action-kind", "two-leg-transfer", "one-leg-double-spend", "negative-duration",
+        "zero-validity", "negative-reward", "zero-think-time", "one-think-time-bound", "unknown-client-name",
+        "script-sender-not-a-wallet", "script-recipient-not-a-wallet", "leg-chain-out-of-range",
+        "top-level-list", "empty-seed-list", "zero-jobs",
     ],
 )
-def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv):
+def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv, message):
     # A malformed value in any section the campaign reads, or an --out that
     # cannot hold the campaign's directory, is one JSON error line and exit
-    # code 2 before anything is simulated, never a traceback.
+    # code 2 before anything is simulated (cost-report: written), never a
+    # traceback. Each case's message shows which rule refused it.
     monkeypatch.chdir(tmp_path)
     runs = []
     monkeypatch.setattr(cli, "run", lambda config: runs.append(config))
@@ -374,9 +432,27 @@ def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campa
     rc = main(["--campaign", campaign, "--config", "bad.json", "--out", "out", *argv])
     assert rc == 2
     assert runs == []
+    if campaign == "cost-report":
+        assert not Path("out").exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert json.loads(err[0])["status"] == "error"
+    error = json.loads(err[0])
+    assert error["status"] == "error"
+    assert message in error["error"]
+
+
+def test_duplicate_wallet_names_are_refused():
+    # A JSON object cannot repeat a key, so only a config built in code can.
+    with pytest.raises(ConfigError, match="duplicate wallet names"):
+        EcosystemConfig(wallets=(WalletSpec("a", 1), WalletSpec("a", 2)))
+
+
+def test_seed_list_that_is_not_integers_exits_2(capsys):
+    # argparse refuses it before any config is read.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--campaign", "run", "--seeds", "x"])
+    assert exit_info.value.code == 2
+    assert "bad seed list 'x'" in capsys.readouterr().err
 
 
 def test_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
@@ -470,6 +546,7 @@ def test_run_report_with_bad_counts_exits_2_naming_it(tmp_path, capsys, report):
     config.write_text(json.dumps({"cost": {"run_report": str(path)}}))
     rc = main(["--campaign", "cost-report", "--config", str(config), "--out", str(tmp_path / "out")])
     assert rc == 2
+    assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(path) in json.loads(err[0])["error"]
 

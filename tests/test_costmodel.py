@@ -65,11 +65,6 @@ def test_incentive_thresholds_published_values():
     assert min_viable_price(1000) == pytest.approx(94.32, abs=0.01)
 
 
-def test_incentive_threshold_unrounded():
-    # without the cent-rounding the n=100 threshold lands at 14.19
-    assert min_viable_price(100, round_observer_cost=False) == pytest.approx(14.19, abs=0.01)
-
-
 def test_incentive_requires_two_observers():
     with pytest.raises(ValueError):
         min_viable_price(1)
@@ -81,8 +76,8 @@ def test_incentive_linear_in_reward():
 
 def test_incentive_algebraic_inverse():
     for n in (2, 10, 64, 500):
-        p_star = min_viable_price(n, round_observer_cost=False)
-        observer_usd = transfer_cost(m=10, n=n).observer_usd
+        p_star = min_viable_price(n)
+        observer_usd = round(transfer_cost(m=10, n=n).observer_usd, 2)
         assert p_star * math.log2(n) / n * 1 == pytest.approx(observer_usd)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panchain.agents import Client
 from panchain.configs import (
     EcosystemConfig,
     config_from_dict,
@@ -66,6 +67,17 @@ def test_zero_clients_leaves_initial_state():
             wallet_keypair(5, "b").public_key.hex(): 30,
         }
     assert report.transfers == []
+
+
+def test_a_lone_client_has_no_one_to_pay(monkeypatch):
+    # Its planner is asked again after each think time, finds no recipient and
+    # plans nothing, so the run reports no transfer.
+    asked = []
+    plan = Client.plan_transfer
+    monkeypatch.setattr(Client, "plan_transfer", lambda self, *args: asked.append(args[2]) or plan(self, *args))
+    report = run(config_from_dict({"clients": 1, "observers": 1, "duration": 300.0}))
+    assert len(asked) > 1 and not any(asked)
+    assert report.transfers == [] and report.stats["transfers_attempted"] == 0
 
 
 def test_duration_zero_empty_ledger():
@@ -559,6 +571,41 @@ def test_resync_moves_only_the_reward_when_a_chain_chose_another_winner(seed):
     assert any(
         len(set(t.executed.values())) > 1 for t in eco._transfers.values() if t.corrupted
     )
+
+
+def _double_spend(sender, *legs):
+    keys = ("at", "recipient", "amount", "t0", "t1", "chain")
+    return {"kind": "double_spend", "sender": sender, "legs": [dict(zip(keys, leg)) for leg in legs]}
+
+
+# Valid double-spend configs whose resync must settle a leg that another chain
+# has already paid out of the sender: settle refuses to overdraw it and the run
+# dies. ROADMAP direction 2 owns the rule for such a transfer; direction 9 says
+# to keep the raise, not clamp it, until that rule exists.
+_DOUBLE_SPEND_CRASHES = {
+    # Each chain executes its own leg, and m cannot pay both.
+    "no-observers": {
+        "chains": 2, "observers": 0, "duration": 60.0, "seed": 0, "wallets": {"m": 100, "a": 0, "b": 0},
+        "script": [_double_spend("m", (1.0, "a", 71, 1, 30, 0), (1.0, "b", 83, 1, 30, 1))],
+    },
+    "three-observers": {
+        "chains": 4, "clients": 10, "observers": 3, "max_txs_per_block": 3, "block_interval": 2.0,
+        "observation": {"mode": "staggered", "spacing": 2.0}, "validity_length": 39, "duration": 292.0,
+        "think_time": [1, 1], "seed": 465164, "wallets": {f"ds-{i}": 100 for i in range(3)},
+        "script": [
+            _double_spend("ds-0", (64.0, "client-09", 5, 66, 75, 0), (73.0, "client-08", 65, 75, 119, 3)),
+            _double_spend("ds-1", (159.0, "client-09", 51, 161, 188, 1), (161.0, "client-03", 63, 163, 171, 2)),
+            _double_spend("ds-2", (145.0, "client-08", 69, 147, 153, 3), (145.0, "client-07", 66, 147, 155, 3)),
+        ],
+    },
+}
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError, reason="resync overdraws a double spender (ROADMAP 2, 9)")
+@pytest.mark.parametrize("name", list(_DOUBLE_SPEND_CRASHES))
+def test_a_valid_double_spend_config_runs_to_a_consistent_report(name):
+    report = run(config_from_dict(_DOUBLE_SPEND_CRASHES[name]))
+    assert report.consistency == []
 
 
 @pytest.mark.parametrize("seed", range(8))
