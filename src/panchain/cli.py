@@ -101,7 +101,6 @@ class ExperimentSpec:
     config: dict  # the experiment file's JSON object
     out_dir: Path
     seeds: tuple[int, ...]
-    jitter: Optional[float] = None
     jobs: int = 1
     sections: ExperimentFile = field(init=False, repr=False)
 
@@ -126,17 +125,6 @@ def _map_points(fn, points: list, jobs: int) -> Iterable:
         return [fn(p) for p in points]
     with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
         return list(pool.map(fn, points))
-
-
-def _jittered(spec: ExperimentSpec, cfg: EcosystemConfig) -> EcosystemConfig:
-    """cfg with the --jitter override applied; EcosystemConfig checks its value."""
-    return cfg if spec.jitter is None else replace(cfg, jitter=spec.jitter)
-
-
-def _ecosystem_config(spec: ExperimentSpec, preset: EcosystemConfig) -> EcosystemConfig:
-    """The file's ecosystem section, or else the campaign's preset, with the
-    --jitter override applied."""
-    return _jittered(spec, spec.sections.ecosystem or preset)
 
 
 def _campaign_dir(path: Path) -> Path:
@@ -167,7 +155,7 @@ def cmd_run(spec: ExperimentSpec) -> dict:
     """Single-ecosystem runs: report JSON, ledger CSV, and per-chain snapshots
     per seed; optionally a JSONL block log (one line per block)."""
     out = _campaign_dir(spec.out_dir / "run")
-    base = _ecosystem_config(spec, worked_example())
+    base = spec.sections.ecosystem or worked_example()
     outputs, errors = [], []
     for seed in spec.seeds:
         eco = Ecosystem(replace(base, seed=seed))
@@ -203,7 +191,7 @@ def cmd_sweep_validity(spec: ExperimentSpec) -> dict:
     seed plus an aggregated summary."""
     out = _campaign_dir(spec.out_dir / "sweep-validity")
     points = spec.sections.sweep.validity_points
-    base = _ecosystem_config(spec, sweep_config())
+    base = spec.sections.ecosystem or sweep_config()
     jobs = [(base, validity, seed) for seed in spec.seeds for validity in points]
     results = _map_points(_sweep_point, jobs, spec.jobs)
 
@@ -251,7 +239,7 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     runs = spec.sections.scaling.runs
     base_seed = spec.seeds[0]
     seeds = spec.seeds if runs is None else [base_seed + k for k in range(runs)]
-    bases = {n: _jittered(spec, contest_scaling_config(n)) for n in n_values}
+    bases = {n: contest_scaling_config(n) for n in n_values}
     points = [(n, bases[n], seed) for n in n_values for seed in seeds]
     results = _map_points(_scaling_point, points, spec.jobs)
 
@@ -278,8 +266,6 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
     """Analytical per-role costs and token-price thresholds; joins in empirical
     counts when a run report is supplied. Every figure is computed, and found
     finite, before the campaign's directory is made."""
-    if spec.jitter is not None:
-        raise ConfigError("--jitter: cost-report simulates nothing, so it takes no jitter")
     conf = spec.sections.cost
     if conf.run_report:
         run_data = load_experiment_file(conf.run_report)
@@ -339,8 +325,7 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
 def cmd_veto_demo(spec: ExperimentSpec) -> dict:
     """Scripted double-spend scenarios: standard, partial-finalization
     boundary, and a conflict-free control."""
-    presets = {"double_spend": veto_demo(), "boundary": veto_demo_boundary(), "control": worked_example()}
-    scenarios = {label: _jittered(spec, config) for label, config in presets.items()}
+    scenarios = {"double_spend": veto_demo(), "boundary": veto_demo_boundary(), "control": worked_example()}
     out = _campaign_dir(spec.out_dir / "veto-demo")
     outputs, errors = [], []
     for seed in spec.seeds:
@@ -424,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seeds", type=_parse_seeds, default=(0,), help="comma-separated seed list")
     parser.add_argument("--jobs", type=int, default=1, help="campaign-point worker pool size")
-    parser.add_argument("--jitter", type=float, default=None, help="block-time jitter fraction override")
     return parser
 
 
@@ -438,7 +422,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             config=config,
             out_dir=args.out,
             seeds=args.seeds,
-            jitter=args.jitter,
             jobs=args.jobs,
         )
         result = _HANDLERS[spec.campaign](spec)

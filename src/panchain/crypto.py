@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,16 +138,17 @@ def _load_powmod():
     return powmod
 
 
-# One engine per process id, so pool workers never share GMP operands.
-_ENGINES: dict = {}
+# Loaded on first use. A forked pool worker gets its own copy-on-write copy
+# of the GMP operands, and a spawned one re-imports this module.
+_ENGINE = None
 
 
 def _powmod(base: int, exp: int) -> int:
     """base**exp mod PRIME for base and exp below 2**256, identical to _pow."""
-    pid = os.getpid()
-    if pid not in _ENGINES:
-        _ENGINES[pid] = _load_powmod()
-    return _ENGINES[pid](base, exp)
+    global _ENGINE
+    if _ENGINE is None:
+        _ENGINE = _load_powmod()
+    return _ENGINE(base, exp)
 
 
 def _message_residue(message: bytes) -> int:

@@ -50,9 +50,9 @@ class ProofOfIntent:
     identifies the proof throughout the ecosystem.
 
     Building one checks its fields through ``encode_intent`` and keeps the
-    intent bytes as ``_intent``; ``encode_poi`` memoises the proof's own bytes
-    as ``_encoded``. Neither is a dataclass field, so equality and hashing
-    ignore them; both stay valid because the fields never change.
+    intent bytes as ``_intent`` and the proof's own bytes as ``_encoded``.
+    Neither is a dataclass field, so equality and hashing ignore them; both
+    stay valid because the fields never change.
     """
 
     sender: WalletId
@@ -64,17 +64,15 @@ class ProofOfIntent:
     beta: bytes
 
     def __post_init__(self) -> None:
-        self.__dict__["_intent"] = encode_intent(
-            self.sender, self.recipient, self.amount, self.t0, self.t1
-        )
+        intent = encode_intent(self.sender, self.recipient, self.amount, self.t0, self.t1)
+        self.__dict__["_intent"] = intent
+        self.__dict__["_encoded"] = b"POI" + intent[3:] + _lp(self.alpha) + _lp(self.beta)
 
 
 def encode_poi(poi: ProofOfIntent) -> bytes:
-    encoded = poi.__dict__.get("_encoded")
-    if encoded is None:
-        encoded = b"POI" + poi._intent[3:] + _lp(poi.alpha) + _lp(poi.beta)
-        poi.__dict__["_encoded"] = encoded
-    return encoded
+    """The proof's canonical bytes, which a contest's omega signs; made once,
+    when the proof is built."""
+    return poi._encoded
 
 
 def encode_veto_payload(alpha: bytes, conflicting_alpha: bytes) -> bytes:

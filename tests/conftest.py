@@ -38,5 +38,5 @@ def clear_verify_caches():
 def pow_engine(monkeypatch):
     """Run every modular power in pow, as on a machine without libgmp."""
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
-    monkeypatch.setattr(crypto, "_ENGINES", {})
+    monkeypatch.setattr(crypto, "_ENGINE", None)
     clear_verify_caches()

@@ -83,9 +83,12 @@ def test_jittered_sweep_ends_consistent_at_its_corrupting_points(tmp_path, capsy
     # At jitter 0.3 these points corrupt transfers; each run must still end
     # with the chains agreeing, or the campaign exits 1.
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"sweep": {"validity_points": [15, 20, 22, 25]}}))
+    config.write_text(json.dumps({
+        "ecosystem": {"clients": 10, "observers": 5, "jitter": 0.3},
+        "sweep": {"validity_points": [15, 20, 22, 25]},
+    }))
     argv = ["--campaign", "sweep-validity", "--config", str(config), "--out", str(tmp_path),
-            "--seeds", "0,1,2,3", "--jitter", "0.3"]
+            "--seeds", "0,1,2,3"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["errors"] == []
     summary = (tmp_path / "sweep-validity" / "sweep-validity-summary.csv").read_text().splitlines()
@@ -224,24 +227,6 @@ def test_cmd_veto_demo_assertions(tmp_path):
     assert control["stats"]["transfers_executed"] == 1
 
 
-def test_jitter_flag_reaches_every_preset_of_the_simulating_campaigns(tmp_path, monkeypatch):
-    configs = []
-    real_run = cli.run
-    monkeypatch.setattr(cli, "run", lambda config: configs.append(config) or real_run(config))
-    argv = ["--config", str(tmp_path / "cfg.json"), "--jitter", "0.5"]
-    (tmp_path / "cfg.json").write_text(json.dumps({"scaling": {"n_values": [1, 4], "runs": 2}}))
-    assert main(["--campaign", "contest-scaling", "--out", str(tmp_path), *argv]) == 0
-    assert len(configs) == 4 and {c.jitter for c in configs} == {0.5}
-
-    def veto_demo_payload(*flags):
-        assert main(["--campaign", "veto-demo", "--out", str(tmp_path / "v"), *flags]) == 0
-        return json.loads((tmp_path / "v" / "veto-demo" / "veto-demo-0.json").read_text())
-
-    plain, jittered = veto_demo_payload(), veto_demo_payload("--jitter", "0.5")
-    assert set(plain) == set(jittered) == {"double_spend", "boundary", "control"}
-    assert all(plain[label] != jittered[label] for label in plain)
-
-
 def test_main_exit_codes(tmp_path, capsys):
     rc = main(["--campaign", "cost-report", "--out", str(tmp_path)])
     assert rc == 0
@@ -350,7 +335,6 @@ _OVERFLOW = "so large that a cost overflows"
         ("run", {"ecosystem": {"block_interval": 0}}, [], "block_interval must be positive"),
         ("run", {"ecosystem": {"max_txs_per_block": 0}}, [], "max_txs_per_block must be at least 1"),
         ("run", {"ecosystem": {"jitter": 1.5}}, [], "jitter must be in [0, 1)"),
-        ("run", {}, ["--jitter", "1.5"], "jitter must be in [0, 1)"),
         ("run", _one_leg_script(amount=1), [], "must exceed the reward"),
         ("run", _one_leg_script(t0=61), [], "got [61, 61]"),
         ("run", {"ecosystem": {"wallets": {"a": True}}}, [], "wallets.a must be a non-negative integer"),
@@ -373,9 +357,6 @@ _OVERFLOW = "so large that a cost overflows"
         ("sweep-validity", {"sweep": {"validity_points": [30, 30]}}, [], "more than once: [30, 30]"),
         ("contest-scaling", {"scaling": {"n_values": [2, 2], "runs": 3}}, [], "more than once: [2, 2]"),
         ("contest-scaling", {}, ["--seeds", "3,7,3"], "more than once: [3, 7, 3]"),
-        ("veto-demo", {}, ["--jitter", "5"], "jitter must be in [0, 1)"),
-        ("contest-scaling", {}, ["--jitter", "5"], "jitter must be in [0, 1)"),
-        ("cost-report", {}, ["--jitter", "0.5"], "takes no jitter"),
         *((campaign, {"ecosystem": {"clients": 2, "client_balance": -5, "observers": 1, "duration": 50}}, [],
            "client_balance must be a non-negative integer") for campaign in ("run", "veto-demo")),
         ("run", {"ecosystem": {"clients": 4, "client_balance": 2**63}}, [], "must be below 2^64"),
@@ -403,15 +384,14 @@ _OVERFLOW = "so large that a cost overflows"
         "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
         "string-validity-points", "gas-without-mean", "unknown-gas-kind", "negative-gas-price",
         "zero-cost-chains", "missing-run-report", "zero-scaling-runs", "zero-block-interval",
-        "zero-block-capacity", "jitter-above-one", "jitter-flag-above-one", "leg-amount-at-reward",
+        "zero-block-capacity", "jitter-above-one", "leg-amount-at-reward",
         "leg-empty-window", "boolean-wallet-balance", "string-scaling-runs", "string-block-log",
         "misspelt-section", "infinite-duration", "negative-client-count", "negative-observer-count",
         "veto-demo-string-chain-count", "contest-scaling-string-chain-count",
         "cost-report-string-chain-count", "ecosystem-list", "negative-scaling-observer-count",
         "zero-validity-point", "negative-leg-time", "overflowing-cost-chains",
         "overflowing-cost-grid", "overflowing-cost-price", "duplicate-validity-point",
-        "duplicate-scaling-observer-count", "duplicate-seed", "veto-demo-jitter-flag-above-one",
-        "contest-scaling-jitter-flag-above-one", "cost-report-jitter-flag", "negative-client-balance",
+        "duplicate-scaling-observer-count", "duplicate-seed", "negative-client-balance",
         "veto-demo-negative-client-balance", "supply-of-2^65", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
         "unknown-observation-mode", "observation-low-above-high", "staggered-without-spacing",
         "unknown-action-kind", "two-leg-transfer", "one-leg-double-spend", "negative-duration",
@@ -423,8 +403,8 @@ _OVERFLOW = "so large that a cost overflows"
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv, message):
     # A malformed value in any section the campaign reads, or an --out that
     # cannot hold the campaign's directory, is one JSON error line and exit
-    # code 2 before anything is simulated (cost-report: written), never a
-    # traceback. Each case's message shows which rule refused it.
+    # code 2 before anything is simulated or written, never a traceback.
+    # Each case's message shows which rule refused it.
     monkeypatch.chdir(tmp_path)
     runs = []
     monkeypatch.setattr(cli, "run", lambda config: runs.append(config))
@@ -432,8 +412,7 @@ def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campa
     rc = main(["--campaign", campaign, "--config", "bad.json", "--out", "out", *argv])
     assert rc == 2
     assert runs == []
-    if campaign == "cost-report":
-        assert not Path("out").exists()
+    assert not Path("out").exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     error = json.loads(err[0])

@@ -32,7 +32,7 @@ def _leg(**fields):
 CUSTOM = {
     "ecosystem": {
         "chains": 2, "block_interval": 5.0, "wallets": {"a": 40, "b": 0, "c": 0}, "clients": 2,
-        "client_balance": 30, "observers": 2, "validity_length": 30, "duration": 120.0,
+        "client_balance": 30, "observers": 2, "validity_length": 30, "duration": 120.0, "jitter": 0.25,
         "script": [
             {"sender": "b", "legs": [_leg(at=80.0, recipient="c", amount=3, t0=80, t1=110)]},
             {"kind": "double_spend", "sender": "a", "legs": [_leg(), _leg(recipient="c", chain=1)]},
@@ -60,25 +60,23 @@ TIES = {
     "block_log": True,
 }
 
-# case -> (config, --seeds, --jitter, modular-power engine); "pow" forces the
+# case -> (config, --seeds, modular-power engine); "pow" forces the
 # fallback that runs without libgmp, which must write the same bytes.
 CASES = {
-    "default": ({}, "0", None, "gmp"),
-    "custom": (CUSTOM, "0,1", "0.25", "gmp"),
-    "custom-pow": (CUSTOM, "0,1", "0.25", "pow"),
-    "ties": (TIES, "0,1", None, "gmp"),
+    "default": ({}, "0", "gmp"),
+    "custom": (CUSTOM, "0,1", "gmp"),
+    "custom-pow": (CUSTOM, "0,1", "pow"),
+    "ties": (TIES, "0,1", "gmp"),
 }
 
 
-def campaign_digests(config: dict, seeds: str, jitter) -> dict:
+def campaign_digests(config: dict, seeds: str) -> dict:
     """Run every campaign on ``config`` in the current directory; the SHA-256
     of each file written under ``out``, by path."""
     with open("cfg.json", "w") as handle:
         json.dump(config, handle)
     for campaign in CAMPAIGNS:
-        # cost-report simulates nothing, so it refuses --jitter.
-        flags = ["--jitter", jitter] if jitter and campaign != "cost-report" else []
-        argv = ["--campaign", campaign, "--config", "cfg.json", "--out", "out", "--seeds", seeds, *flags]
+        argv = ["--campaign", campaign, "--config", "cfg.json", "--out", "out", "--seeds", seeds]
         assert main(argv) == 0
     return {
         path.relative_to("out").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -117,9 +115,8 @@ CAMPAIGN_DIGESTS = {
         "sweep-validity/sweep-validity-1.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-summary.csv":
             "694dbd19e7239f6d3c509007dab5a5e7658f661a4d9ec385c848fcb9f8a6d261",
-        # --jitter 0.25 reaches veto-demo's presets, so these differ from the other cases.
-        "veto-demo/veto-demo-0.json": "84553a7ed89836b474e5a82f7020905a18457704692a66ba6b8c293360bba8bd",
-        "veto-demo/veto-demo-1.json": "10e8a24c04380e5f9996a895a010f2d9c2a8bfd8557e97dfb31cf67cc6c81ca4",
+        "veto-demo/veto-demo-0.json": "507ab72aadd8a75b274fefcbc248d382df630d9cd5a8188835e0093d0dba4af7",
+        "veto-demo/veto-demo-1.json": "66fc786af6cf393e3934deb11adf21de807fe4a85d101e763e92018a7625dd75",
     },
     "default": {
         "contest-scaling/contest-scaling-0.csv": "0352f52191ca33527dfd5c4b42149347c1ca316d33ba3682e064566fe05ed185",
@@ -168,10 +165,10 @@ PRESET_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_campaign_outputs_are_byte_identical(request, tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)
-    config, seeds, jitter, engine = CASES[case]
+    config, seeds, engine = CASES[case]
     if engine == "pow":
         request.getfixturevalue("pow_engine")
-    assert campaign_digests(config, seeds, jitter) == CAMPAIGN_DIGESTS[case]
+    assert campaign_digests(config, seeds) == CAMPAIGN_DIGESTS[case]
     capsys.readouterr()
 
 
