@@ -434,6 +434,34 @@ def test_seed_list_that_is_not_integers_exits_2(capsys):
     assert "bad seed list 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("campaign", cli.CAMPAIGNS)
+def test_jitter_flag_is_an_unrecognised_argument(tmp_path, capsys, campaign):
+    # Jitter is set only by the ecosystem section; argparse refuses the flag
+    # before --out is touched.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--campaign", campaign, "--out", str(tmp_path / "out"), "--jitter", "0.3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jitter 0.3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_section_jitter_reaches_every_sweep_point_and_no_scaling_preset(tmp_path, monkeypatch):
+    configs = []
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda config: configs.append(config) or real_run(config))
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "ecosystem": {"clients": 4, "observers": 2, "duration": 80.0, "jitter": 0.3},
+        "sweep": {"validity_points": [20, 30]},
+        "scaling": {"n_values": [1, 4], "runs": 2},
+    }))
+    argv = ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path), "--seeds", "0,1"]
+    assert main(["--campaign", "sweep-validity", *argv]) == 0
+    assert len(configs) == 4 and {c.jitter for c in configs} == {0.3}
+    configs.clear()
+    assert main(["--campaign", "contest-scaling", *argv]) == 0
+    assert len(configs) == 4 and {c.jitter for c in configs} == {0.0}
+
+
 def test_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_bytes(b'{"ecosystem": {"wallets": {"\xff": 10}}}')
