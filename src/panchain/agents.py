@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .chain import SimChain
 from .contract import PENDING
-from .crypto import KeyPair, contest_leader, sign
+from .crypto import KeyPair, sign
 from .protocol import (
     Contest,
     ProofOfIntent,
@@ -164,12 +164,11 @@ class Observer:
         for chain in chains:
             record = chain.state.poi_records.get(poi.alpha)
             if record is not None:
-                contestants = record.contestants
-                if record.status != PENDING or me in contestants:
+                if record.status != PENDING or me in record.contestants:
                     continue
                 # This observer is not among the contestants yet, so it would
                 # win iff it beats their leader.
-                if self.post_iff_winnable and contestants and contest_leader(contestants) < (omega, me):
+                if self.post_iff_winnable and record.leader and record.leader < (omega, me):
                     continue
             submissions.append((chain.chain_id, contest))
         return submissions

@@ -34,7 +34,8 @@ class SimChain:
     """One chain: block parameters, contract state, mempool, every block's
     timestamp by height (``block_times``, genesis first) and the blocks that
     drained transactions (``blocks``, each with its true height). An empty
-    block is only its timestamp. ``EcosystemConfig`` checks the parameters."""
+    block is only its timestamp. ``EcosystemConfig`` checks the parameters;
+    a chain with jitter draws it from ``rng``, which it then needs."""
 
     def __init__(
         self,
@@ -50,8 +51,10 @@ class SimChain:
         self.state = state
         self.block_interval = block_interval
         self.max_txs_per_block = max_txs_per_block
+        if jitter and rng is None:
+            raise ValueError(f"chain {chain_id} has jitter {jitter} but no rng to draw it from")
         self.jitter = jitter
-        self._rng = rng or random.Random(0)
+        self._rng = rng
         self.mempool: deque[Transaction] = deque()
         # The genesis block's timestamp is the int 0, as the block log writes it.
         self.block_times: list[float] = [0]

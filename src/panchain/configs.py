@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -177,6 +178,13 @@ def natural(value, where: str) -> int:
     return value
 
 
+@cache
+def _hints(cls) -> dict:
+    """The field types of ``cls``, resolved once: under postponed annotations
+    every ``get_type_hints`` call compiles each annotation string again."""
+    return get_type_hints(cls)
+
+
 def read(cls, raw, where: str, **given):
     """Build the config dataclass ``cls`` from the JSON object ``raw``, reading
     each field by its type hint: a tuple from a list, a dataclass from an
@@ -185,7 +193,7 @@ def read(cls, raw, where: str, **given):
     rejects is a ConfigError naming ``where``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     unknown = set(raw) - hints.keys()
     if unknown:
         raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")

@@ -6,7 +6,9 @@ A ChainState is owned by exactly one simulated chain; operations mutate it in
 place and are atomic per transaction (they validate fully before touching
 state). Signatures are checked after every state check, so a transaction the
 state refuses costs no verification. ``settle`` is the one rule that moves a
-transfer's tokens.
+transfer's tokens. Each proof and veto record keeps its contest leader, the
+lowest (omega, wallet) pair, as contestants enter, so a finalize, and an
+observer deciding whether it can still win, reads it without a scan.
 
 Every refusal is one ``TxError`` whose ``code`` is a stable, machine-readable
 string that block producers log: ``invalid-amount``, ``insufficient-balance``,
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .crypto import contest_winner, verify
+from .crypto import contest_leader, verify
 from .protocol import (
     Claim,
     Contest,
@@ -52,8 +54,28 @@ class TxError(Exception):
         return self.args[0]
 
 
+class _ContestLedger:
+    """A record's witness contest: ``contestants`` maps each wallet to its
+    omega, and ``leader`` keeps the lowest (omega, wallet) pair among them,
+    ``crypto.contest_leader``'s rule, or None while there are none.
+    Contestants join through ``enter``, which keeps ``leader`` current; a
+    record built with contestants derives it."""
+
+    leader: Optional[tuple[bytes, WalletId]]
+
+    def __post_init__(self) -> None:
+        self.leader = contest_leader(self.contestants) if self.contestants else None
+
+    def enter(self, wallet: WalletId, omega: bytes) -> None:
+        """Register a contestant; a wallet already entered keeps its omega."""
+        if wallet not in self.contestants:
+            self.contestants[wallet] = omega
+            if self.leader is None or (omega, wallet) < self.leader:
+                self.leader = (omega, wallet)
+
+
 @dataclass
-class PoiRecord:
+class PoiRecord(_ContestLedger):
     """A proof known to this chain plus its contest ledger.
 
     Contestants are keyed by wallet, which makes repeated (contestant, alpha)
@@ -67,7 +89,7 @@ class PoiRecord:
 
 
 @dataclass
-class VetoRecord:
+class VetoRecord(_ContestLedger):
     """A veto contest for an unordered pair of conflicting proof ids; the
     pair is the record's key in ``ChainState.veto_records``."""
 
@@ -175,7 +197,7 @@ class ChainState:
             raise TxError("bad-signature", "contest omega does not verify")
         if record is None:
             record = self._insert_pending(tx.poi)
-        record.contestants.setdefault(tx.contestant, tx.omega)
+        record.enter(tx.contestant, tx.omega)
 
     def apply_finalize(self, tx: Finalize, now: float) -> None:
         """Conclude a contest: execute the transfer and pay the lowest-omega
@@ -192,7 +214,7 @@ class ChainState:
             # Can only happen to a sender gaming the one-pending-proof rule
             # with back-to-back windows; never to honest agents.
             raise TxError("insufficient-balance", "sender balance no longer covers the transfer")
-        winner = contest_winner(record.contestants) if record.contestants else None
+        winner = record.leader[1] if record.leader else None
         self.settle(poi, winner)
         self._conclude(record, FINALIZED)
         record.winner = winner
@@ -231,7 +253,7 @@ class ChainState:
         for rec in list(self.pending_proofs(sender)):
             if now < rec.poi.t1:
                 self._conclude(rec, VETOED)
-        veto_record.contestants.setdefault(tx.vetoer, tx.omega)
+        veto_record.enter(tx.vetoer, tx.omega)
 
     def apply_finalize_veto(self, tx: FinalizeVeto, now: float) -> None:
         """Conclude a veto contest: pay the lowest-omega vetoer the reward out
@@ -246,7 +268,7 @@ class ChainState:
             raise TxError(
                 "premature-finalize-veto", f"veto contest runs until {veto_record.deadline}, now {now}"
             )
-        winner = contest_winner(veto_record.contestants)
+        winner = veto_record.leader[1]
         payout = min(self.reward, veto_record.escrow)
         self.balances[winner] = self.balance(winner) + payout
         self.burned -= payout

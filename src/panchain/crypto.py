@@ -11,8 +11,9 @@ a party willing to factor 64-bit exponent inverses.
 
 The modular powers run in GMP's mpz_powm, one foreign call per power on
 operands made once per process, when libgmp loads, and in Python's pow
-otherwise; both give the same integers, so signatures do not depend on which
-one ran.
+otherwise; a wallet's private exponent is inverted the same way, by
+mpz_invert or pow(e, -1, P-1). Both give the same integers, so keys and
+signatures do not depend on which one ran.
 
 A signature is its value as 32 big-endian bytes, so comparing two signatures
 as bytes compares their values.
@@ -26,6 +27,9 @@ signature's value is below P, and s**e = H(m)**(d*e) = H(m) mod P because
 e*d = 1 mod P-1. ``verify`` answers a remembered triple without a power and
 runs the full check on every other one, so its answers do not depend on the
 memo.
+
+``contest_leader`` is the contest rule's reference; the contract's records
+keep its answer as each contestant enters.
 """
 
 from __future__ import annotations
@@ -62,8 +66,9 @@ def _derive_exponents(seed: bytes) -> tuple[int, int]:
     e = int.from_bytes(hashlib.sha256(seed + b"/exponent").digest()[:8], "big") | 1
     while math.gcd(e, PRIME - 1) != 1:
         e += 2
-    d = pow(e, -1, PRIME - 1)
-    return e, d
+    if _INVERT is None:
+        _load_engine()
+    return e, _INVERT(e)
 
 
 def generate_keypair(seed: bytes) -> KeyPair:
@@ -84,47 +89,56 @@ def _pow(base: int, exp: int) -> int:
     return pow(base, exp, PRIME)
 
 
-def _load_powmod():
-    """_pow evaluated by GMP's mpz_powm, one foreign call per power, falling
-    back to _pow itself when libgmp or a symbol is missing, its limbs are not
-    64-bit little-endian words, or GMP ever moves the result's limbs.
+def _invert(exp: int) -> int:
+    return pow(exp, -1, PRIME - 1)
 
-    The four operands are mpz_t structs (the public __mpz_struct layout) made
-    once, each with room for 512 bits so that GMP never reallocates them. A
-    base and an exponent are written straight into their limbs, least
-    significant first, and the result's limbs are read back the same way;
-    GMP is never handed memory it did not allocate."""
+
+def _load_gmp():
+    """(powmod, invert): _pow and _invert evaluated by GMP's mpz_powm and
+    mpz_invert, one foreign call each. Both fall back to (_pow, _invert) when
+    libgmp or a symbol is missing or its limbs are not 64-bit little-endian
+    words; a call answers with its fallback if GMP ever moves the result's
+    limbs, or finds no inverse.
+
+    The five operands are mpz_t structs (the public __mpz_struct layout) made
+    once, each with room for 512 bits so that GMP never reallocates them: the
+    result, a base, an exponent, PRIME and PRIME - 1. A base and an exponent
+    are written straight into their limbs, least significant first, and the
+    result's limbs are read back the same way; GMP is never handed memory it
+    did not allocate."""
     import ctypes
     import ctypes.util
 
     name = ctypes.util.find_library("gmp")
     if name is None or sys.byteorder != "little":
-        return _pow
+        return _pow, _invert
     try:
         lib = ctypes.CDLL(name)
-        init2, powm = lib.__gmpz_init2, lib.__gmpz_powm
+        init2, powm, inv = lib.__gmpz_init2, lib.__gmpz_powm, lib.__gmpz_invert
         # A data symbol: the int at its address.
         limb_bits = ctypes.cast(lib.__gmp_bits_per_limb, ctypes.POINTER(ctypes.c_int))[0]
     except (OSError, AttributeError):
-        return _pow
+        return _pow, _invert
     if limb_bits != 64:
-        return _pow
+        return _pow, _invert
 
     class Mpz(ctypes.Structure):
         _fields_ = [("_mp_alloc", ctypes.c_int), ("_mp_size", ctypes.c_int), ("_mp_d", ctypes.c_void_p)]
 
     init2.argtypes, init2.restype = [ctypes.POINTER(Mpz), ctypes.c_ulong], None
-    # powm's arguments are byref() objects, which ctypes passes as pointers
-    # as they are; declared argtypes would convert each one on every call.
-    powm.restype = None
-    operands = r, b, e, m = Mpz(), Mpz(), Mpz(), Mpz()
-    refs = r_ref, b_ref, e_ref, m_ref = [ctypes.byref(z) for z in operands]
+    # powm's and inv's arguments are byref() objects, which ctypes passes as
+    # pointers as they are; declared argtypes would convert each one on every
+    # call.
+    powm.restype, inv.restype = None, ctypes.c_int
+    operands = r, b, e, m, n = Mpz(), Mpz(), Mpz(), Mpz(), Mpz()
+    refs = r_ref, b_ref, e_ref, m_ref, n_ref = [ctypes.byref(z) for z in operands]
     for ref in refs:
         init2(ref, 512)
-    r_limbs, b_limbs, e_limbs, m_limbs = (
+    r_limbs, b_limbs, e_limbs, m_limbs, n_limbs = (
         memoryview((ctypes.c_char * 64).from_address(z._mp_d)).cast("B") for z in operands
     )
     m_limbs[:32], m._mp_size = PRIME.to_bytes(32, "little"), 4
+    n_limbs[:32], n._mp_size = (PRIME - 1).to_bytes(32, "little"), 4
     r_d = r._mp_d
 
     def powmod(base: int, exp: int) -> int:
@@ -135,19 +149,31 @@ def _load_powmod():
             return int.from_bytes(r_limbs[: r._mp_size << 3], "little")
         return _pow(base, exp)
 
-    return powmod
+    def invert(exp: int) -> int:
+        e_limbs[:32], e._mp_size = exp.to_bytes(32, "little"), (exp.bit_length() + 63) >> 6
+        if inv(r_ref, e_ref, n_ref) and r._mp_d == r_d:
+            return int.from_bytes(r_limbs[: r._mp_size << 3], "little")
+        return _invert(exp)
+
+    return powmod, invert
 
 
-# Loaded on first use. A forked pool worker gets its own copy-on-write copy
-# of the GMP operands, and a spawned one re-imports this module.
+# Both loaded together on first use, with one find_library per process. A
+# forked pool worker gets its own copy-on-write copy of the GMP operands, and
+# a spawned one re-imports this module.
 _ENGINE = None
+_INVERT = None
+
+
+def _load_engine() -> None:
+    global _ENGINE, _INVERT
+    _ENGINE, _INVERT = _load_gmp()
 
 
 def _powmod(base: int, exp: int) -> int:
     """base**exp mod PRIME for base and exp below 2**256, identical to _pow."""
-    global _ENGINE
     if _ENGINE is None:
-        _ENGINE = _load_powmod()
+        _load_engine()
     return _ENGINE(base, exp)
 
 

@@ -33,7 +33,7 @@ from .agents import Client, Observer
 from .chain import SimChain
 from .configs import EcosystemConfig, ScriptedAction
 from .contract import FINALIZED, OPEN, VETOED, ChainState, _pair_key
-from .crypto import KeyPair, contest_winner, generate_keypair
+from .crypto import KeyPair, generate_keypair
 from .protocol import (
     Claim,
     Contest,
@@ -92,7 +92,8 @@ class Ecosystem:
                 block_interval=config.block_interval,
                 max_txs_per_block=config.max_txs_per_block,
                 jitter=config.jitter,
-                rng=random.Random(f"{seed}/chain/{i}"),
+                # A chain without jitter never draws.
+                rng=random.Random(f"{seed}/chain/{i}") if config.jitter else None,
             )
             for i in range(config.chains)
         ]
@@ -331,9 +332,9 @@ class Ecosystem:
         observer = self.observers[name]
         for chain in self.chains:
             record = chain.state.veto_records.get(pair)
-            if record is None or record.status != OPEN or not record.contestants:
+            if record is None or record.status != OPEN or not record.leader:
                 continue
-            if contest_winner(record.contestants) == observer.key.public_key:
+            if record.leader[1] == observer.key.public_key:
                 self._handle_submit(chain.chain_id, make_finalize_veto(observer.key, pair[0], pair[1]))
 
     def _handle_detect(self, alpha: bytes) -> None:

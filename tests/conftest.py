@@ -36,7 +36,11 @@ def clear_verify_caches():
 
 @pytest.fixture
 def pow_engine(monkeypatch):
-    """Run every modular power in pow, as on a machine without libgmp."""
+    """Run every modular power and every exponent inverse in pow, as on a
+    machine without libgmp: the engine reloads without it, and no wallet's
+    exponents or signature's check come from a cache filled by GMP."""
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
     monkeypatch.setattr(crypto, "_ENGINE", None)
+    monkeypatch.setattr(crypto, "_INVERT", None)
+    crypto._derive_exponents.cache_clear()
     clear_verify_caches()

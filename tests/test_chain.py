@@ -241,6 +241,15 @@ def test_jitter_perturbs_timestamps_deterministically():
     assert chain2.next_block_time == t1
 
 
+def test_a_jittered_chain_needs_an_rng():
+    state = ChainState(0, {S.public_key: 80}, reward=1)
+    with pytest.raises(ValueError, match="no rng"):
+        SimChain(0, state, block_interval=13.0, max_txs_per_block=100, jitter=0.2)
+    # Without jitter nothing is drawn, so no rng is needed.
+    chain = SimChain(0, state, block_interval=13.0, max_txs_per_block=100, jitter=0.0)
+    assert chain.next_block_time == 13.0
+
+
 def test_block_log_entry_shape():
     chain = new_chain()
     poi = make_poi(S, D, amount=20, t0=1, t1=61)

@@ -4,9 +4,12 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from panchain import contract
 from panchain.contract import FINALIZED, PENDING, VETOED, ChainState, TxError
+from panchain.crypto import contest_leader
 from panchain.protocol import (
     Claim,
     make_claim,
@@ -503,6 +506,34 @@ def test_repeated_veto_only_appends_contestants():
     record = next(iter(state.veto_records.values()))
     assert set(record.contestants) == {U.public_key, V.public_key}
     assert state.burned == burned_after_first
+
+
+# --- the kept contest leader --------------------------------------------
+
+_RECORDS = {
+    "poi": (contract.PoiRecord, {"poi": table_poi()}),
+    "veto": (contract.VetoRecord, {"deadline": 61}),
+}
+# Few distinct short wallets and omegas, so re-entries and equal omegas (the
+# lower wallet bytes then lead) come up often.
+_ENTRIES = st.lists(st.tuples(st.sampled_from([b"\x00", b"\x01", b"\x01\x00", b"\x02"]),
+                              st.sampled_from([b"\x00", b"\x07", b"\x09"])), max_size=12)
+
+
+@pytest.mark.parametrize("kind", sorted(_RECORDS))
+@given(entries=_ENTRIES)
+def test_the_kept_leader_is_the_contest_leader_after_any_entries(kind, entries):
+    cls, required = _RECORDS[kind]
+    record = cls(**required)
+    entered = {}
+    for wallet, omega in entries:
+        record.enter(wallet, omega)
+        entered.setdefault(wallet, omega)  # a re-entry changes nothing
+        assert record.contestants == entered
+        assert record.leader == contest_leader(entered)
+    assert record.leader == (contest_leader(entered) if entered else None)
+    # A record built with its contestants derives the same leader.
+    assert cls(**required, contestants=dict(entered)).leader == record.leader
 
 
 # --- audit and conservation ---------------------------------------------

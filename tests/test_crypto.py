@@ -1,6 +1,8 @@
 import ctypes
 import ctypes.util
+import functools
 import hashlib
+import math
 import random
 import sys
 
@@ -236,7 +238,10 @@ class _Libgmp:
 def _load_with(monkeypatch, **proxy):
     real = ctypes.CDLL
     monkeypatch.setattr(ctypes, "CDLL", lambda name: _Libgmp(real(name), **proxy))
-    return crypto._load_powmod()
+    return crypto._load_gmp()
+
+
+_POW_ENGINE = (crypto._pow, crypto._invert)
 
 
 def _gmp_with_64_bit_limbs() -> bool:
@@ -250,57 +255,103 @@ needs_gmp = pytest.mark.skipif(not _gmp_with_64_bit_limbs(), reason="needs libgm
 def test_gmp_engine_loads_wherever_libgmp_has_64_bit_limbs():
     # A silent fallback to pow would keep every output and cost several times
     # the time, so it fails here rather than only in a benchmark.
-    engine = crypto._load_powmod()
-    assert (engine is not crypto._pow) == (_gmp_with_64_bit_limbs() and sys.byteorder == "little")
-    assert engine(PRIME + 1, 2**64 - 1) == pow(PRIME + 1, 2**64 - 1, PRIME)
+    powmod, invert = crypto._load_gmp()
+    gmp = _gmp_with_64_bit_limbs() and sys.byteorder == "little"
+    assert (powmod is not crypto._pow) == gmp and (invert is not crypto._invert) == gmp
+    assert powmod(PRIME + 1, 2**64 - 1) == pow(PRIME + 1, 2**64 - 1, PRIME)
+    assert invert(5) == pow(5, -1, PRIME - 1)
 
 
 @needs_gmp
-@pytest.mark.parametrize("symbol", ["__gmpz_powm", "__gmpz_init2", "__gmp_bits_per_limb"])
+@pytest.mark.parametrize("symbol", ["__gmpz_powm", "__gmpz_init2", "__gmp_bits_per_limb", "__gmpz_invert"])
 def test_engine_falls_back_to_pow_without_a_gmp_symbol(monkeypatch, symbol):
-    assert _load_with(monkeypatch, hidden=(symbol,)) is crypto._pow
+    assert _load_with(monkeypatch, hidden=(symbol,)) == _POW_ENGINE
 
 
 def test_engine_falls_back_to_pow_without_libgmp(monkeypatch):
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
-    assert crypto._load_powmod() is crypto._pow
+    assert crypto._load_gmp() == _POW_ENGINE
 
 
 @needs_gmp
 def test_engine_falls_back_to_pow_when_limbs_are_not_64_bits(monkeypatch):
     limb_bits = ctypes.pointer(ctypes.c_int(32))
-    assert _load_with(monkeypatch, replaced={"__gmp_bits_per_limb": limb_bits}) is crypto._pow
+    assert _load_with(monkeypatch, replaced={"__gmp_bits_per_limb": limb_bits}) == _POW_ENGINE
+
+
+# Loaded once for the module: every load allocates operands that live as long
+# as the process.
+_INVERSES = {"gmp": functools.cache(lambda: crypto._load_gmp()[1]), "pow": lambda: crypto._invert}
+
+# Odd, as every public exponent is, and coprime to PRIME - 1, so invertible.
+_INVERTIBLE = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=PRIME - 2)
+).map(lambda e: e | 1).filter(lambda e: math.gcd(e, PRIME - 1) == 1)
+
+
+@pytest.mark.parametrize("engine", sorted(_INVERSES))
+@given(e=_INVERTIBLE)
+def test_inverse_matches_pow(engine, e):
+    assert _INVERSES[engine]()(e) == pow(e, -1, PRIME - 1)
+
+
+@pytest.mark.parametrize("engine", sorted(_INVERSES))
+@pytest.mark.parametrize("e", [1, 5, 2**64 - 3, 2**64 - 59, PRIME - 2])
+def test_inverse_edge_cases(engine, e):
+    assert _INVERSES[engine]()(e) == pow(e, -1, PRIME - 1)
+
+
+@pytest.mark.parametrize("engine", sorted(_INVERSES))
+@pytest.mark.parametrize("e", [3, 2**64 - 1, PRIME - 1])
+def test_a_non_invertible_exponent_raises_as_pow_does(engine, e):
+    with pytest.raises(ValueError):
+        _INVERSES[engine]()(e)
 
 
 class _Mpz(ctypes.Structure):
     _fields_ = [("_mp_alloc", ctypes.c_int), ("_mp_size", ctypes.c_int), ("_mp_d", ctypes.c_void_p)]
 
 
-@needs_gmp
-def test_engine_returns_pow_when_gmp_moves_the_result(monkeypatch):
-    # A powm that, on its first call, swaps the result's limbs for other
-    # GMP-owned limbs holding 12345. From then on the limbs the engine set up
-    # go stale, so it must notice the move and answer with pow.
+def _moving(symbol: str, calls: list):
+    """The GMP function ``symbol`` (powm or invert, whose first argument is
+    the result), except that its first call swaps the result's limbs for
+    other GMP-owned limbs holding 12345. From then on the limbs the engine set
+    up go stale, so it must notice the move and answer with pow."""
     lib = ctypes.CDLL(ctypes.util.find_library("gmp"))
-    powm = lib.__gmpz_powm
-    powm.restype = None
+    real = getattr(lib, symbol)
     other = _Mpz()
     lib.__gmpz_init2(ctypes.byref(other), ctypes.c_ulong(512))
     lib.__gmpz_set_ui(ctypes.byref(other), ctypes.c_ulong(12345))
-    calls = []
 
-    def moving_powm(r, b, e, m):
-        powm(r, b, e, m)
+    def moving(r, *args):
+        answer = real(r, *args)
         if not calls:
             result = _Mpz.from_address(ctypes.cast(r, ctypes.c_void_p).value)
             result._mp_d, other._mp_d = other._mp_d, result._mp_d
             result._mp_size, other._mp_size = other._mp_size, result._mp_size
         calls.append(r)
+        return answer
 
-    engine = _load_with(monkeypatch, replaced={"__gmpz_powm": moving_powm})
+    return moving
+
+
+@needs_gmp
+def test_engine_returns_pow_when_gmp_moves_the_result(monkeypatch):
+    calls = []
+    engine, _ = _load_with(monkeypatch, replaced={"__gmpz_powm": _moving("__gmpz_powm", calls)})
     assert engine is not crypto._pow
     for base, exp in [(3, 5), (PRIME - 1, 2**64 - 1), (2**256 - 1, PRIME - 2)]:
         assert engine(base, exp) == pow(base, exp, PRIME)
+    assert len(calls) == 3
+
+
+@needs_gmp
+def test_engine_inverts_with_pow_when_gmp_moves_the_result(monkeypatch):
+    calls = []
+    _, invert = _load_with(monkeypatch, replaced={"__gmpz_invert": _moving("__gmpz_invert", calls)})
+    assert invert is not crypto._invert
+    for e in [5, 2**64 - 3, PRIME - 2]:
+        assert invert(e) == pow(e, -1, PRIME - 1)
     assert len(calls) == 3
 
 
@@ -308,6 +359,10 @@ def test_pow_fallback_signs_and_verifies(request, sender_key, recipient_key):
     m = b"signed without libgmp"
     expected = sign(sender_key, m)
     request.getfixturevalue("pow_engine")
+    # The key's exponents are derived before any power, so the inverse is
+    # what loads the engine.
+    assert generate_keypair(sender_key.private_key) == sender_key
+    assert crypto._INVERT is crypto._invert
     sig = sign(sender_key, m)
     assert crypto._ENGINE is crypto._pow
     assert sig == expected
