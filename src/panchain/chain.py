@@ -2,8 +2,9 @@
 
 Transactions are queued unconditionally and judged only at inclusion time,
 with the block timestamp as the contract's notion of "now". Every drained
-transaction appears in its block together with its apply outcome, so agents
-can observe rejections (they are on-chain data) without any mempool access.
+transaction appears in its block together with its apply outcome, the
+rejection code or None, so agents can observe rejections (they are on-chain
+data) without any mempool access.
 A block that drains nothing is kept only as its timestamp.
 """
 
@@ -17,17 +18,12 @@ from .contract import ChainState, TxError
 from .protocol import Transaction
 
 
-class AppliedTx(NamedTuple):
-    tx: Transaction
-    ok: bool
-    error: Optional[str] = None  # TxError code when not ok
-
-
 class Block(NamedTuple):
     height: int
     timestamp: float
     transactions: tuple[Transaction, ...]
-    results: tuple[AppliedTx, ...]
+    # By position in transactions: None where it applied, else its TxError code.
+    errors: tuple[Optional[str], ...]
 
 
 class SimChain:
@@ -93,16 +89,16 @@ class SimChain:
         height = len(self.block_times)
         self.produce_empty_block(now)
         drained: list[Transaction] = []
-        results: list[AppliedTx] = []
+        errors: list[Optional[str]] = []
         while self.mempool and len(drained) < self.max_txs_per_block:
             tx = self.mempool.popleft()
             drained.append(tx)
             try:
                 self.state.apply(tx, now)
-                results.append(AppliedTx(tx, True))
+                errors.append(None)
             except TxError as err:
-                results.append(AppliedTx(tx, False, err.code))
-        block = Block(height, now, tuple(drained), tuple(results))
+                errors.append(err.code)
+        block = Block(height, now, tuple(drained), tuple(errors))
         if drained:
             self.blocks.append(block)
         return block
@@ -111,21 +107,20 @@ class SimChain:
 def block_log_entry(chain_id: int, block: Block) -> dict:
     """JSON-ready one-line summary of a block and its apply outcomes."""
 
-    def tx_summary(applied: AppliedTx) -> dict:
-        tx = applied.tx
+    def tx_summary(tx: Transaction, error: Optional[str]) -> dict:
         entry: dict = {"kind": tx.kind, "poster": tx.poster.hex()[:16]}
         # Claims and contests carry the proof; the other kinds name it by alpha.
         entry["alpha"] = getattr(tx, "poi", tx).alpha.hex()[:16]
-        entry["ok"] = applied.ok
-        if applied.error:
-            entry["error"] = applied.error
+        entry["ok"] = error is None
+        if error is not None:
+            entry["error"] = error
         return entry
 
     return {
         "chain_id": chain_id,
         "height": block.height,
         "timestamp": block.timestamp,
-        "txs": [tx_summary(applied) for applied in block.results],
+        "txs": [tx_summary(tx, error) for tx, error in zip(block.transactions, block.errors)],
     }
 
 

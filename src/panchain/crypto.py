@@ -107,13 +107,21 @@ def _load_gmp():
     result's limbs are read back the same way; GMP is never handed memory it
     did not allocate."""
     import ctypes
-    import ctypes.util
 
-    name = ctypes.util.find_library("gmp")
-    if name is None or sys.byteorder != "little":
+    if sys.byteorder != "little":
         return _pow, _invert
     try:
-        lib = ctypes.CDLL(name)
+        try:
+            # By soname first: ctypes.util takes several milliseconds to
+            # import, and find_library runs ldconfig.
+            lib = ctypes.CDLL("libgmp.so.10")
+        except OSError:
+            import ctypes.util
+
+            name = ctypes.util.find_library("gmp")
+            if name is None:
+                return _pow, _invert
+            lib = ctypes.CDLL(name)
         init2, powm, inv = lib.__gmpz_init2, lib.__gmpz_powm, lib.__gmpz_invert
         # A data symbol: the int at its address.
         limb_bits = ctypes.cast(lib.__gmp_bits_per_limb, ctypes.POINTER(ctypes.c_int))[0]
@@ -158,7 +166,7 @@ def _load_gmp():
     return powmod, invert
 
 
-# Both loaded together on first use, with one find_library per process. A
+# Both loaded together on first use, with one library load per process. A
 # forked pool worker gets its own copy-on-write copy of the GMP operands, and
 # a spawned one re-imports this module.
 _ENGINE = None
@@ -230,8 +238,3 @@ def contest_leader(contestants: dict[bytes, bytes]) -> tuple[bytes, bytes]:
     (omega, wallet) pair leads, so the lowest omega wins and the lower wallet
     bytes break a tie, and chains that saw the same contestants agree."""
     return min(zip(contestants.values(), contestants))
-
-
-def contest_winner(contestants: dict[bytes, bytes]) -> bytes:
-    """The wallet that wins under contest_leader."""
-    return contest_leader(contestants)[1]

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,8 +71,8 @@ class _Transfer:
     def winner(self) -> Optional[bytes]:
         """The winner most executing chains chose, the first chain's on a tie;
         None when no chain executed the transfer or no contestant won it."""
-        top = Counter(self.executed.values()).most_common(1)
-        return top[0][0] if top else None
+        winners = list(self.executed.values())
+        return max(winners, key=winners.count, default=None)
 
 
 class Ecosystem:
@@ -212,10 +211,9 @@ class Ecosystem:
         """Produce a block that drains transactions and act on what it
         applied; the run loop requeues the chain."""
         block = chain.produce_block(self._now)
-        for applied in block.results:
-            tx = applied.tx
+        for tx, error in zip(block.transactions, block.errors):
             if isinstance(tx, Claim):
-                self._note_claim_result(tx.poi, applied.ok)
+                self._note_claim_result(tx.poi, error is None)
                 self._expose_poi(tx.poi)
             elif isinstance(tx, Contest):
                 self._expose_poi(tx.poi)

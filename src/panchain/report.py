@@ -10,6 +10,7 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
 
@@ -132,9 +133,10 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
                  resync_events: list[dict], names: Mapping[bytes, str]) -> RunReport:
     """The report of a finished run. ``transfers`` are its trackers in the
     order they were registered, ``names`` every configured wallet's name."""
-    results = [applied for chain in chains for block in chain.blocks for applied in block.results]
-    tx_counts = Counter(applied.tx.kind for applied in results)
-    tx_counts_ok = Counter(applied.tx.kind for applied in results if applied.ok)
+    blocks = [block for chain in chains for block in chain.blocks]
+    kinds = [tx.kind for block in blocks for tx in block.transactions]
+    tx_counts = Counter(kinds)
+    tx_counts_ok = Counter(compress(kinds, [error is None for block in blocks for error in block.errors]))
 
     m = len(chains)
     transfer_rows = []

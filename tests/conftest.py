@@ -1,3 +1,4 @@
+import ctypes
 import ctypes.util
 import hashlib
 
@@ -34,12 +35,27 @@ def clear_verify_caches():
     crypto._verify_cached.cache_clear()
 
 
+def hide_libgmp(monkeypatch):
+    """Make libgmp unloadable, as on a machine without it: ``ctypes.CDLL``
+    fails on its soname, and find_library finds nothing. Every other library
+    still loads."""
+    real = ctypes.CDLL
+
+    def cdll(name, *args, **kwargs):
+        if name == "libgmp.so.10":
+            raise OSError(f"{name}: cannot open shared object file")
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+
+
 @pytest.fixture
 def pow_engine(monkeypatch):
     """Run every modular power and every exponent inverse in pow, as on a
     machine without libgmp: the engine reloads without it, and no wallet's
     exponents or signature's check come from a cache filled by GMP."""
-    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    hide_libgmp(monkeypatch)
     monkeypatch.setattr(crypto, "_ENGINE", None)
     monkeypatch.setattr(crypto, "_INVERT", None)
     crypto._derive_exponents.cache_clear()

@@ -294,7 +294,7 @@ _WALLETS = st.binary(min_size=1, max_size=2)
 
 @given(st.dictionaries(_WALLETS, _SMALL_BYTES, min_size=1, max_size=6))
 def test_contest_winner_is_the_lowest_omega_then_the_lowest_wallet(contestants):
-    assert crypto.contest_winner(contestants) == min(contestants, key=lambda w: (contestants[w], w))
+    assert crypto.contest_leader(contestants)[1] == min(contestants, key=lambda w: (contestants[w], w))
 
 
 @settings(max_examples=200, deadline=None)
@@ -305,7 +305,7 @@ def test_observer_posts_iff_it_would_win_the_contest(contestants, me, omega):
     observer.omega_for = lambda _poi: omega
     chains[0].state.poi_records[poi.alpha] = PoiRecord(poi=poi, contestants=dict(contestants))
     reaction = observer.handle_new_poi(poi, chains[:1], now=2.0)
-    expected = me not in contestants and crypto.contest_winner({**contestants, me: omega}) == me
+    expected = me not in contestants and crypto.contest_leader({**contestants, me: omega})[1] == me
     assert [cid for cid, _ in reaction.contests] == ([0] if expected else [])
 
 
@@ -335,9 +335,9 @@ def test_confirmed_contests_strictly_decreasing_under_staggering():
         for chain in eco.chains:
             omegas = []
             for block in chain.blocks:
-                for applied in block.results:
-                    if applied.ok and isinstance(applied.tx, Contest):
-                        omegas.append(int.from_bytes(applied.tx.omega, "big"))
+                for tx, error in zip(block.transactions, block.errors):
+                    if error is None and isinstance(tx, Contest):
+                        omegas.append(int.from_bytes(tx.omega, "big"))
             assert omegas == sorted(omegas, reverse=True)
             assert len(omegas) >= 1
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from panchain.chain import AppliedTx, Block, SimChain, block_log, block_log_entry
+from panchain.chain import Block, SimChain, block_log, block_log_entry
 from panchain.contract import ChainState
 from panchain.protocol import make_claim, make_contest, make_finalize, make_poi
 
@@ -110,7 +110,7 @@ def test_submitted_tx_lands_in_next_block():
     chain.submit(make_claim(poi), now=1.0)
     block = chain.produce_block(13.0)
     assert len(block.transactions) == 1
-    assert block.results[0].ok
+    assert block.errors == (None,)
     assert poi.alpha in chain.state.poi_records
 
 
@@ -135,7 +135,7 @@ def test_duplicate_contest_included_twice_second_noop():
     chain.submit(contest, now=3.0)
     block = chain.produce_block(13.0)
     assert len(block.transactions) == 3
-    assert all(applied.ok for applied in block.results)
+    assert block.errors == (None, None, None)
     assert chain.state.poi_records[poi.alpha].contestants == {U.public_key: contest.omega}
 
 
@@ -148,15 +148,15 @@ def test_empty_mempool_empty_block():
     assert chain.blocks == [] and chain.block_times == [0, 13.0]
 
 
-@pytest.mark.parametrize("field", ["height", "timestamp", "transactions", "results"])
+@pytest.mark.parametrize("field", ["height", "timestamp", "transactions", "errors"])
 def test_produced_blocks_are_immutable_and_field_exact(field):
     chain = new_chain()
     empty = chain.produce_block(13.0)
     claim = make_claim(make_poi(S, D, amount=20, t0=1, t1=61))
     chain.submit(claim, now=14.0)
     full = chain.produce_block(26.0)
-    assert empty == Block(height=1, timestamp=13.0, transactions=(), results=())
-    assert full == Block(height=2, timestamp=26.0, transactions=(claim,), results=(AppliedTx(tx=claim, ok=True),))
+    assert empty == Block(height=1, timestamp=13.0, transactions=(), errors=())
+    assert full == Block(height=2, timestamp=26.0, transactions=(claim,), errors=(None,))
     for block in (empty, full):
         with pytest.raises(AttributeError):
             setattr(block, field, getattr(block, field))
@@ -171,7 +171,7 @@ def test_block_time_governs_validity():
     chain.produce_block(13.0)
     chain.submit(make_finalize(D, poi.alpha), now=14.0)  # before t1=20
     block = chain.produce_block(26.0)  # block timestamp 26 > 20
-    assert block.results[0].ok
+    assert block.errors[0] is None
     assert chain.state.balance(D.public_key) == 19
 
 
@@ -180,8 +180,7 @@ def test_expired_tx_rejected_at_inclusion_and_reported():
     poi = make_poi(S, D, amount=20, t0=1, t1=10)
     chain.submit(make_claim(poi), now=2.0)  # valid at submission
     block = chain.produce_block(13.0)  # included past t1
-    assert not block.results[0].ok
-    assert block.results[0].error == "expired-poi"
+    assert block.errors == ("expired-poi",)
     assert poi.alpha not in chain.state.poi_records
 
 

@@ -14,7 +14,7 @@ from panchain import crypto
 from panchain.crypto import (
     PRIME,
     KeyPair,
-    contest_winner,
+    contest_leader,
     generate_keypair,
     sign,
     verify,
@@ -22,7 +22,7 @@ from panchain.crypto import (
 from panchain.configs import sweep_config
 from panchain.ecosystem import run
 
-from conftest import clear_verify_caches
+from conftest import clear_verify_caches, hide_libgmp
 
 # 0.999 quantile of the chi-square distribution with 15 degrees of freedom
 # (scipy.stats.chi2.ppf(0.999, 15)).
@@ -111,7 +111,7 @@ def _beats(a: int, b: int) -> bool:
     """True iff omega value a wins a two-way contest against omega value b,
     whichever wallet holds which."""
     return all(
-        contest_winner({wa: _sig_from_int(a), wb: _sig_from_int(b)}) == wa
+        contest_leader({wa: _sig_from_int(a), wb: _sig_from_int(b)})[1] == wa
         for wa, wb in ((LOW_WALLET, HIGH_WALLET), (HIGH_WALLET, LOW_WALLET))
     )
 
@@ -133,7 +133,7 @@ def test_contest_winner_agrees_with_integer_comparison_sampled():
     for _ in range(1_000_000):
         a = rng.getrandbits(16)
         b = rng.getrandbits(16)
-        winner = contest_winner({HIGH_WALLET: _sig_from_int(a), LOW_WALLET: _sig_from_int(b)})
+        winner = contest_leader({HIGH_WALLET: _sig_from_int(a), LOW_WALLET: _sig_from_int(b)})[1]
         assert (winner == HIGH_WALLET) == (a < b)
 
 
@@ -153,7 +153,7 @@ def test_contest_winner_strict_total_order(a, b, c):
         assert _beats(a, c)
     # the three-way winner holds the least value
     wallets = [bytes([i]) * 32 for i in (3, 2, 1)]
-    winner = contest_winner(dict(zip(wallets, map(_sig_from_int, (a, b, c)))))
+    winner = contest_leader(dict(zip(wallets, map(_sig_from_int, (a, b, c)))))[1]
     assert min((v, w) for v, w in zip((a, b, c), wallets))[1] == winner
 
 
@@ -169,7 +169,7 @@ def test_sign_verify_property(message, seed_int):
 def test_contest_winner_breaks_ties_by_wallet():
     sig = _sig_from_int(7)
     for contestants in ({LOW_WALLET: sig, HIGH_WALLET: sig}, {HIGH_WALLET: sig, LOW_WALLET: sig}):
-        assert contest_winner(contestants) == LOW_WALLET
+        assert contest_leader(contestants)[1] == LOW_WALLET
 
 
 def test_verify_refuses_a_signature_of_the_wrong_width(sender_key):
@@ -269,8 +269,44 @@ def test_engine_falls_back_to_pow_without_a_gmp_symbol(monkeypatch, symbol):
 
 
 def test_engine_falls_back_to_pow_without_libgmp(monkeypatch):
-    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    hide_libgmp(monkeypatch)
     assert crypto._load_gmp() == _POW_ENGINE
+
+
+def _gmp_soname_loads() -> bool:
+    try:
+        ctypes.CDLL("libgmp.so.10")
+    except OSError:
+        return False
+    return True
+
+
+@needs_gmp
+@pytest.mark.skipif(not _gmp_soname_loads(), reason="needs libgmp.so.10")
+def test_engine_loads_gmp_by_soname_without_find_library(monkeypatch):
+    def no_search(name):
+        raise AssertionError("find_library ran although the soname loads")
+
+    monkeypatch.setattr(ctypes.util, "find_library", no_search)
+    powmod, invert = crypto._load_gmp()
+    assert powmod is not crypto._pow and invert is not crypto._invert
+
+
+@needs_gmp
+def test_engine_finds_gmp_by_search_when_the_soname_fails(monkeypatch):
+    real, opened = ctypes.CDLL, []
+
+    def cdll(name):
+        opened.append(name)
+        if len(opened) == 1:
+            raise OSError(f"{name}: cannot open shared object file")
+        return real(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    powmod, invert = crypto._load_gmp()
+    assert opened == ["libgmp.so.10", ctypes.util.find_library("gmp")]
+    assert powmod is not crypto._pow and invert is not crypto._invert
+    assert powmod(3, 5) == 243 and invert(5) == pow(5, -1, PRIME - 1)
 
 
 @needs_gmp

@@ -1,14 +1,20 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panchain.agents import Client
+from panchain.chain import block_log
+from panchain.cli import main
 from panchain.configs import (
     EcosystemConfig,
     config_from_dict,
@@ -23,9 +29,11 @@ from panchain.configs import (
 )
 from panchain.contract import FINALIZED, ChainState
 from panchain.crypto import sign
-from panchain.ecosystem import Ecosystem, run, wallet_keypair
+from panchain.ecosystem import Ecosystem, _Transfer, run, wallet_keypair
 from panchain.protocol import encode_poi
 from panchain.report import RunReport, check_consistency, dumps
+
+from test_output_digests import CASES
 
 
 def test_worked_example_reaches_published_final_state():
@@ -656,3 +664,65 @@ def test_a_small_honest_run_ends_consistent_and_audited(data):
         if tracker.claim_ok:
             # An accepted claim is judged on every chain.
             assert len(tracker.contest_counts) == len(eco.chains)
+
+
+def _recount(entries) -> tuple[Counter, Counter]:
+    """Transactions by kind, and the applied ones by kind, in block log entries."""
+    txs = [tx for entry in entries for tx in entry["txs"]]
+    return Counter(tx["kind"] for tx in txs), Counter(tx["kind"] for tx in txs if tx["ok"])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_tx_counts_are_a_recount_of_the_block_log(request, tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    config, seeds, engine = CASES[case]
+    if engine == "pow":
+        request.getfixturevalue("pow_engine")
+    Path("cfg.json").write_text(json.dumps({**config, "block_log": True}))
+    assert main(["--campaign", "run", "--config", "cfg.json", "--out", "out", "--seeds", seeds]) == 0
+    for seed in seeds.split(","):
+        report = json.loads(Path(f"out/run/run-{seed}.json").read_text())
+        entries = map(json.loads, Path(f"out/run/run-{seed}.blocks.jsonl").read_text().splitlines())
+        assert (report["tx_counts"], report["tx_counts_ok"]) == _recount(entries)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("preset", [veto_demo, veto_demo_boundary])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_veto_demo_tx_counts_are_a_recount_of_the_block_log(preset, seed):
+    eco = Ecosystem(preset(seed=seed))
+    report = eco.run()
+    counts, ok = _recount(entry for chain in eco.chains for entry in block_log(chain))
+    assert (report.tx_counts, report.tx_counts_ok) == (counts, ok)
+    # Every kind lands, and some are refused.
+    assert set(counts) == {"claim", "contest", "finalize", "veto", "finalize_veto"}
+    assert ok != counts
+
+
+_WINNERS = st.one_of(st.none(), st.sampled_from([b"u", b"v", b"w"]))
+
+
+@given(st.dictionaries(st.integers(0, 6), _WINNERS, max_size=7))
+@example({})
+@example({0: None, 1: None, 2: b"u"})
+@example({0: b"v", 1: b"u", 2: b"v", 3: b"u"})
+@example({2: None, 0: b"u"})
+def test_transfer_winner_is_the_most_common_executed_winner(executed):
+    tracker = _Transfer(poi=None, claim_chain=0, client_driven=False, executed=executed)
+    # The rule as Counter states it: the most common value, the first seen on a tie.
+    top = Counter(executed.values()).most_common(1)
+    assert tracker.winner == (top[0][0] if top else None)
+
+
+def test_output_digests_do_not_depend_on_hash_order():
+    # Set and dict iteration over str and bytes follows the hash seed; a
+    # fixed seed other than this process's reruns every byte pin.
+    tests = Path(__file__).parent
+    src = str(tests.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": "12345",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tests / "test_output_digests.py")],
+        cwd=tests.parent, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
