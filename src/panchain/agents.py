@@ -15,13 +15,17 @@ from typing import Optional, Sequence
 
 from .chain import SimChain
 from .contract import PENDING
-from .crypto import KeyPair, sign
+# ``sign`` and ``encode_poi`` are not called here, now that ``make_contest``
+# makes the observer's contest; they stay importable from this module because
+# perfbench's tracer patches each call site by name, and refuses a missing one.
+from .crypto import KeyPair, sign  # noqa: F401
 from .protocol import (
     Contest,
     ProofOfIntent,
     Veto,
     conflicts,
-    encode_poi,
+    encode_poi,  # noqa: F401
+    make_contest,
     make_poi,
     make_veto,
     veto_deadline,
@@ -126,9 +130,6 @@ class Observer:
         self.seen: dict[bytes, ProofOfIntent] = {}
         self._by_sender: dict[bytes, tuple[int, list[ProofOfIntent]]] = {}
 
-    def omega_for(self, poi: ProofOfIntent) -> bytes:
-        return sign(self.key, encode_poi(poi))
-
     def handle_new_poi(self, poi: ProofOfIntent, chains: Sequence[SimChain], now: float) -> ObserverReaction:
         """First sight of a proof: veto it if it conflicts with anything in
         memory, otherwise consider joining the witness contest."""
@@ -157,9 +158,8 @@ class Observer:
         everywhere at all, when the winnable filter is off)."""
         if now >= poi.t1:
             return []
-        omega = self.omega_for(poi)
-        me = self.key.public_key
-        contest = Contest(poi=poi, contestant=me, omega=omega)
+        contest = make_contest(self.key, poi)
+        omega, me = contest.omega, contest.contestant
         submissions = []
         for chain in chains:
             record = chain.state.poi_records.get(poi.alpha)

@@ -334,8 +334,12 @@ class ChainState:
     def snapshot(self, memo: Optional[dict] = None) -> dict:
         """Canonical JSON-ready view: hex ids, sorted-key friendly, integer
         amounts. Snapshots taken with one ``memo`` share each hex string,
-        veto key and proof's ``poi`` dict, made once per value; without one
-        the view is equal, only not shared."""
+        veto key and proof's ``poi`` dict, made once per value, and each
+        proof or veto record's dict with the first equal record snapshotted
+        before: the same proof or veto pair with the same status, winner and
+        contestants. So one memo serves the snapshots of one moment, as
+        ``build_report`` takes them: no state changes between them. Without
+        a memo the view is equal, only not shared."""
         memo = {} if memo is None else memo
 
         def shared(key, make):
@@ -368,6 +372,24 @@ class ChainState:
         def contestants(record: PoiRecord | VetoRecord) -> dict:
             return {hexed(w): hexed(record.contestants[w]) for w in sorted(record.contestants)}
 
+        def record_dict(key: tuple, rec: PoiRecord | VetoRecord, field: str, value) -> dict:
+            # ``key`` names the proof or veto pair. Records under it share a
+            # dict while their ``field`` value, status, winner and
+            # contestants are equal.
+            made = memo.setdefault(key, [])
+            for other, view in made:
+                if (other.status == rec.status and other.winner == rec.winner
+                        and other.contestants == rec.contestants and view[field] == value):
+                    return view
+            view = {
+                field: value,
+                "status": rec.status,
+                "winner": hexed(rec.winner) if rec.winner else None,
+                "contestants": contestants(rec),
+            }
+            made.append((rec, view))
+            return view
+
         return {
             "chain_id": self.chain_id,
             "reward": self.reward,
@@ -378,21 +400,11 @@ class ChainState:
             "resync_adjustment": 0,
             "balances": {hexed(w): v for w, v in sorted(self.balances.items())},
             "poi_records": {
-                hexed(alpha): {
-                    "poi": shared(rec.poi, poi_dict),
-                    "status": rec.status,
-                    "winner": hexed(rec.winner) if rec.winner else None,
-                    "contestants": contestants(rec),
-                }
+                hexed(alpha): record_dict(("poi", alpha), rec, "poi", shared(rec.poi, poi_dict))
                 for alpha, rec in sorted(self.poi_records.items())
             },
             "veto_records": {
-                shared(pair, pair_text): {
-                    "deadline": rec.deadline,
-                    "status": rec.status,
-                    "winner": hexed(rec.winner) if rec.winner else None,
-                    "contestants": contestants(rec),
-                }
+                shared(pair, pair_text): record_dict(("veto", pair), rec, "deadline", rec.deadline)
                 for pair, rec in sorted(self.veto_records.items())
             },
         }

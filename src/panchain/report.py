@@ -1,7 +1,7 @@
 """The run report, built in one pass once a run has ended, with its
 cross-chain consistency check; ``wallet_name``, the one rule that names a
 wallet in it; and ``dumps``, the canonical writer of every indented JSON
-output."""
+output, with ``dump``, which streams the same text to a file."""
 
 from __future__ import annotations
 
@@ -29,6 +29,40 @@ def dumps(obj) -> str:
     joined strings instead. NaN and infinities are a ValueError, and a key
     that is not a str a TypeError, instead of being written."""
     return _encode(obj, "\n") + "\n"
+
+
+def dump(obj, out: TextIO, depth: int) -> None:
+    """Write ``dumps(obj)`` to ``out`` in pieces: the containers ``depth``
+    levels down are one write each, and every container above them is
+    written entry by entry, so the whole text is never one string."""
+    _stream(obj, "\n", depth, out.write, {})
+    out.write("\n")
+
+
+def _stream(value, newline: str, depth: int, write, texts: dict) -> None:
+    """``dump``'s writer. What it writes whole is a scalar or an empty
+    container, whose text takes no indent, or a container ``depth`` levels
+    down, at one indent for all of them. So ``texts`` caches each value's
+    text by ``id``, and a value that appears more than once is encoded once.
+    Each entry keeps its value alive beside its text, so no id is reused
+    while the cache lives."""
+    if not depth or not value or not isinstance(value, (list, tuple, dict)):
+        hit = texts.get(id(value))
+        if hit is None:
+            hit = texts[id(value)] = (value, _encode(value, newline))
+        write(hit[1])
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        # ``encode_basestring_ascii`` refuses a key that is not a str: a TypeError.
+        heads = [(inner + encode_basestring_ascii(key) + ": ", item) for key, item in sorted(value.items())]
+        opening, closing = "{", "}"
+    else:
+        opening, closing, heads = "[", "]", [(inner, item) for item in value]
+    for index, (head, item) in enumerate(heads):
+        write(("," if index else opening) + head)
+        _stream(item, inner, depth - 1, write, texts)
+    write(newline + closing)
 
 
 def _encode(value, newline: str) -> str:
@@ -90,11 +124,10 @@ class RunReport:
         return dumps({key: value for key, value in vars(self).items() if key != "chains"})
 
     def chains_json(self, out: TextIO) -> None:
-        """Write ``dumps(self.chains)`` to ``out`` one chain snapshot per write,
-        so the whole text is never one string."""
-        for index, snapshot in enumerate(self.chains):
-            out.write(("," if index else "[") + "\n  " + _encode(snapshot, "\n  "))
-        out.write("\n]\n" if self.chains else "[]\n")
+        """Write ``dumps(self.chains)`` to ``out`` down to each snapshot's
+        balance and record entries, so no chain's text is one string and a
+        record dict that snapshots share is encoded once."""
+        dump(self.chains, out, 3)
 
     def ledger_csv(self) -> str:
         """One row per transfer: ids, window, winner, per-chain contest counts,
@@ -204,7 +237,9 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
         "mean_contests_per_chain": sum(contests) / len(contests) if contests else 0.0,
         "blocks_per_chain": {str(chain.chain_id): len(chain.block_times) - 1 for chain in chains},
     }
-    memo: dict = {}  # every chain's snapshot shares one hex string per value and one dict per proof
+    # Every chain's snapshot shares one hex string per value, one dict per
+    # proof and one dict per distinct proof or veto record.
+    memo: dict = {}
     return RunReport(
         config=config.to_dict(),
         chains=[chain.state.snapshot(memo) for chain in chains],

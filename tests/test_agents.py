@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import statistics
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -106,7 +107,7 @@ def test_observer_posts_everywhere_when_no_contestants():
 
 def test_observer_abstains_where_it_cannot_win():
     observer, poi, chains, _ = observer_fixture()
-    own = observer.omega_for(poi)
+    own = make_contest(observer.key, poi).omega
     rivals = [keypair(f"rival-{i}") for i in range(40)]
     rival_contests = [make_contest(kp, poi) for kp in rivals]
     best = min(rival_contests, key=lambda c: (c.omega, c.contestant))
@@ -132,7 +133,7 @@ def test_observer_posts_everywhere_with_filter_off():
     posted = {cid for cid, _ in reaction.contests}
     assert posted == {0, 1, 2} or (
         # unless the rival actually loses to us, chain 0 must still be posted
-        rival.omega > observer.omega_for(poi)
+        rival.omega > make_contest(observer.key, poi).omega
     )
 
 
@@ -302,9 +303,13 @@ def test_contest_winner_is_the_lowest_omega_then_the_lowest_wallet(contestants):
 def test_observer_posts_iff_it_would_win_the_contest(contestants, me, omega):
     observer, poi, chains, _ = observer_fixture()
     observer.key = dataclasses.replace(observer.key, public_key=me)
-    observer.omega_for = lambda _poi: omega
     chains[0].state.poi_records[poi.alpha] = PoiRecord(poi=poi, contestants=dict(contestants))
-    reaction = observer.handle_new_poi(poi, chains[:1], now=2.0)
+    # Patched in the body, not by a fixture, which Hypothesis would not reset per example.
+    def fixed_omega_contest(key, proof):
+        return Contest(poi=proof, contestant=key.public_key, omega=omega)
+
+    with mock.patch("panchain.agents.make_contest", fixed_omega_contest):
+        reaction = observer.handle_new_poi(poi, chains[:1], now=2.0)
     expected = me not in contestants and crypto.contest_leader({**contestants, me: omega})[1] == me
     assert [cid for cid, _ in reaction.contests] == ([0] if expected else [])
 

@@ -690,3 +690,29 @@ def test_no_negative_balances_and_monotone_status():
         state.apply(tx, now=last_t1 + 1)
         assert all(v >= 0 for v in state.balances.values())
     assert all(rec.status == FINALIZED for rec in state.poi_records.values())
+
+
+# --- snapshots ----------------------------------------------------------
+
+
+def test_snapshots_with_one_memo_share_a_record_dict_only_between_equal_records():
+    poi = table_poi()
+    # Contestants U, V (as many, another wallet), U again, U then finalized,
+    # none, none then finalized (only the status differs).
+    states = []
+    for contestants, finalized in (([U], False), ([V], False), ([U], False), ([U], True), ([], False), ([], True)):
+        state = fresh_state()
+        state.apply_claim(make_claim(poi), now=1)
+        for key in contestants:
+            state.apply_contest(make_contest(key, poi), now=2)
+        if finalized:
+            state.apply_finalize(make_finalize(D, poi.alpha), now=62)
+        states.append(state)
+    memo = {}
+    snapshots = [state.snapshot(memo) for state in states]
+    assert snapshots == [state.snapshot() for state in states]
+    records = [snapshot["poi_records"][poi.alpha.hex()] for snapshot in snapshots]
+    assert records[0] is records[2]
+    for a in records:
+        assert [a is b for b in records] == [a == b for b in records]
+    assert len({id(record["poi"]) for record in records}) == 1

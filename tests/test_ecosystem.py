@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +32,7 @@ from panchain.contract import FINALIZED, ChainState
 from panchain.crypto import sign
 from panchain.ecosystem import Ecosystem, _Transfer, run, wallet_keypair
 from panchain.protocol import encode_poi
-from panchain.report import RunReport, check_consistency, dumps
+from panchain.report import RunReport, _encode, check_consistency, dump, dumps
 
 from test_output_digests import CASES
 
@@ -388,6 +389,44 @@ def test_report_and_chains_files_split_the_report_with_no_key_in_both(preset):
     assert json.loads(report.to_json()).keys() == {f.name for f in fields(RunReport)} - {"chains"}
 
 
+@st.composite
+def _json_sharing_dicts(draw):
+    """A JSON-ready value of dicts and lists whose entries at one depth are
+    often the same dict object."""
+    pool = draw(st.lists(st.dictionaries(_TEXT, _JSON, max_size=3), min_size=1, max_size=3))
+    depth = draw(st.integers(0, 3))
+
+    def build(level):
+        if level == depth:
+            return draw(st.one_of(st.sampled_from(pool), _JSON))
+        children = [build(level + 1) for _ in range(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            return children
+        return dict(zip(draw(st.lists(_TEXT, min_size=len(children), max_size=len(children), unique=True)),
+                        children))
+
+    return build(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_sharing_dicts())
+def test_dump_streams_the_text_of_dumps_at_every_depth(value):
+    for depth in range(4):
+        out = io.StringIO()
+        dump(value, out, depth)
+        assert out.getvalue() == dumps(value)
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_dump_refuses_what_dumps_refuses(depth):
+    for value in ({1: "a"}, {"a": {None: 1}}, [{(1, 2): 0}], {"a": [{"b": {"c": {2: 0}}}]}):
+        with pytest.raises(TypeError):
+            dump(value, io.StringIO(), depth)
+    for number in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            dump({"cost": [1.0, {"a": [number]}]}, io.StringIO(), depth)
+
+
 def _strings(value):
     """Every str in a JSON-ready value, dict keys included."""
     if isinstance(value, str):
@@ -401,11 +440,35 @@ def _strings(value):
             yield from _strings(item)
 
 
-@pytest.mark.parametrize("preset", [worked_example, veto_demo], ids=["worked_example", "veto_demo"])
-def test_one_reports_snapshots_share_hex_strings_and_poi_dicts(preset):
-    eco = Ecosystem(preset(seed=1))
+# Runs whose snapshots share strings and records: the stress runs have
+# corrupted and resynced transfers, so some records differ across chains.
+_SHARING_RUNS = {
+    "worked_example": lambda: worked_example(seed=1),
+    "veto_demo": lambda: veto_demo(seed=1),
+    **{f"stress-{seed}": lambda seed=seed: _stress_config(seed) for seed in range(4)},
+    "ties": lambda: config_from_dict(CASES["ties"][0]["ecosystem"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHARING_RUNS))
+def test_one_reports_snapshots_share_hex_strings_and_poi_dicts(name):
+    eco = Ecosystem(_SHARING_RUNS[name]())
     report = eco.run()
     assert report.chains == [chain.state.snapshot() for chain in eco.chains]
+    encoded = []
+
+    def encode(value, newline):
+        if newline == "\n      " and isinstance(value, dict):  # a record, inside a snapshot's field
+            encoded.append(value)
+        return _encode(value, newline)
+
+    chains = io.StringIO()
+    with mock.patch("panchain.report._encode", encode):
+        report.chains_json(chains)
+    assert chains.getvalue() == dumps(report.chains)
+    records = {id(record): record for snapshot in report.chains
+               for field in ("poi_records", "veto_records") for record in snapshot[field].values()}
+    assert sorted(map(id, encoded)) == sorted(records)  # each distinct record encoded once
     first, *others = report.chains
     by_text = {text: text for text in _strings(first)}
     shared_pois = 0
@@ -417,7 +480,22 @@ def test_one_reports_snapshots_share_hex_strings_and_poi_dicts(preset):
                 assert record["poi"] is first["poi_records"][alpha]["poi"]
                 shared_pois += 1
     assert shared_pois >= len(others)
-    if preset is veto_demo:
+    # A proof or veto record's dict is one object on two chains exactly when
+    # the two chains' records are equal.
+    equal = unequal = 0
+    for field in ("poi_records", "veto_records"):
+        for index, snapshot in enumerate(report.chains):
+            for other in report.chains[index + 1:]:
+                for key, record in snapshot[field].items():
+                    if key in other[field]:
+                        same = record == other[field][key]
+                        assert (record is other[field][key]) == same
+                        equal += same
+                        unequal += not same
+    assert equal
+    if name.startswith("stress"):
+        assert unequal
+    if name == "veto_demo":
         assert all(snapshot["veto_records"] for snapshot in report.chains)
 
 
@@ -427,8 +505,9 @@ class _Discard:
 
 
 def test_chains_file_is_written_without_holding_its_text():
-    # Writing the chains file holds about one chain snapshot's text at a time;
-    # building the whole text before one write peaks at twice its length here.
+    # Writing the chains file holds the text of each distinct record, about
+    # a third of the file when three chains agree; holding one chain
+    # snapshot's text at a time peaks at about the file's length here.
     report = run(config_from_dict({
         "chains": 3, "clients": 20, "client_balance": 100, "observers": 5, "duration": 600.0,
     }))
@@ -439,7 +518,7 @@ def test_chains_file_is_written_without_holding_its_text():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * length
+    assert peak < 0.6 * length
 
 
 def _stress_config(seed: int) -> EcosystemConfig:
