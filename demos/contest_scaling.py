@@ -4,7 +4,8 @@
 Observers skip the contest when a lower signature is already confirmed, so
 with serialized looks at the chain the posting count follows the record
 process over n uniform values: mean H_n = 1 + 1/2 + ... + 1/n, which stays
-under the log2(n) halving bound for n >= 2.
+under the log2(n) halving bound from n = 5 on (H_5 = 2.283 < 2.322). For
+n = 2, 3 and 4 it is above it: H_4 = 2.083 > 2.
 
 Full campaign equivalent: panchain --campaign contest-scaling --config c.json,
 with c.json holding {"scaling": {"runs": 200}}

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .crypto import contest_leader, verify
+from .crypto import verify
 from .protocol import (
     Claim,
     Contest,
@@ -37,6 +37,7 @@ from .protocol import (
     encode_veto_payload,
     verify_poi,
     veto_deadline,
+    veto_pair,
 )
 
 PENDING = "pending"
@@ -58,13 +59,9 @@ class _ContestLedger:
     """A record's witness contest: ``contestants`` maps each wallet to its
     omega, and ``leader`` keeps the lowest (omega, wallet) pair among them,
     ``crypto.contest_leader``'s rule, or None while there are none.
-    Contestants join through ``enter``, which keeps ``leader`` current; a
-    record built with contestants derives it."""
+    Contestants join only through ``enter``, which keeps ``leader`` current."""
 
-    leader: Optional[tuple[bytes, WalletId]]
-
-    def __post_init__(self) -> None:
-        self.leader = contest_leader(self.contestants) if self.contestants else None
+    leader: Optional[tuple[bytes, WalletId]] = None
 
     def enter(self, wallet: WalletId, omega: bytes) -> None:
         """Register a contestant; a wallet already entered keeps its omega."""
@@ -100,10 +97,6 @@ class VetoRecord(_ContestLedger):
     # What the vetoes for this pair actually burned; the winner's reward is
     # paid out of this and never out of other burns.
     escrow: int = 0
-
-
-def _pair_key(alpha: bytes, alpha_prime: bytes) -> tuple[bytes, bytes]:
-    return (alpha, alpha_prime) if alpha <= alpha_prime else (alpha_prime, alpha)
 
 
 class ChainState:
@@ -230,7 +223,7 @@ class ChainState:
         other = tx.conflicting_poi
         if not conflicts(known, other):
             raise TxError("not-conflicting", "cited proofs do not conflict")
-        pair = _pair_key(known.alpha, other.alpha)
+        pair = veto_pair(known.alpha, other.alpha)
         veto_record = self.veto_records.get(pair)
         if veto_record is not None and veto_record.status != OPEN:
             raise TxError("already-concluded", "veto contest already finalized")
@@ -259,7 +252,7 @@ class ChainState:
         """Conclude a veto contest: pay the lowest-omega vetoer the reward out
         of what this pair's vetoes burned, or all of it if that is less. No
         transfer is executed."""
-        veto_record = self.veto_records.get(_pair_key(tx.alpha, tx.alpha_prime))
+        veto_record = self.veto_records.get(veto_pair(tx.alpha, tx.alpha_prime))
         if veto_record is None:
             raise TxError("unknown-veto", "no veto contest for this pair")
         if veto_record.status != OPEN:

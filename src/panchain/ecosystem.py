@@ -2,7 +2,8 @@
 clock, plus corrupted-transfer detection and resync, which finalizes a
 corrupted transfer on every chain. Each chain's supply is audited after every
 busy block and every resync that changes it. The run's report is built by
-``report.build_report`` once the run has ended.
+``report.build_report`` once the run has ended. A proof is exposed, each
+observer's look at it scheduled, when its first claim lands.
 
 Events execute in (fire_at, sequence) order; the sequence counter is assigned
 at scheduling time, so identical (config, seed) pairs replay identically.
@@ -31,18 +32,17 @@ from typing import Optional
 from .agents import Client, Observer
 from .chain import SimChain
 from .configs import EcosystemConfig, ScriptedAction
-from .contract import FINALIZED, OPEN, VETOED, ChainState, _pair_key
+from .contract import FINALIZED, OPEN, VETOED, ChainState
 from .crypto import KeyPair, generate_keypair
 from .protocol import (
     Claim,
-    Contest,
     Finalize,
     ProofOfIntent,
-    Veto,
     make_claim,
     make_finalize,
     make_finalize_veto,
     make_poi,
+    veto_pair,
 )
 from .report import RunReport, build_report, wallet_name
 
@@ -117,9 +117,10 @@ class Ecosystem:
             name: Observer(name, self.keys[name], post_iff_winnable=config.post_iff_winnable)
             for name in config.observers
         }
-        # Each observer's uniform observation delays, built on first use:
-        # staggered observation never draws from them.
-        self._delay_rngs: dict[str, random.Random] = {}
+        # Each observer's uniform observation delays; staggered observation draws none.
+        self._delay_rngs: dict[str, random.Random] = {
+            name: random.Random(f"{seed}/observer/{name}") for name in config.observers
+        } if config.observation.mode == "uniform" else {}
         self._heap: list[tuple[float, int, tuple]] = []
         # (fire_at, seq, chain_id) of each chain's next block, if within the horizon.
         self._blocks: list[tuple[float, int, int]] = []
@@ -127,7 +128,8 @@ class Ecosystem:
         self._now = 0.0
         self._horizon = float(config.duration)
         self._transfers: dict[bytes, _Transfer] = {}
-        self._poi_by_alpha: dict[bytes, ProofOfIntent] = {}
+        # The alphas whose proofs observers have been scheduled to look at.
+        self._exposed: set[bytes] = set()
         self._resync_events: list[dict] = []
 
     # -- scheduling ---------------------------------------------------------
@@ -208,60 +210,46 @@ class Ecosystem:
     # -- handlers -----------------------------------------------------------
 
     def _handle_block(self, chain: SimChain) -> None:
-        """Produce a block that drains transactions and act on what it
-        applied; the run loop requeues the chain."""
+        """Produce a block that drains transactions and act on its claims and
+        finalizes; the run loop requeues the chain. Contests and vetoes carry
+        only proofs a claim already exposed, so they need no handling here."""
         block = chain.produce_block(self._now)
         for tx, error in zip(block.transactions, block.errors):
             if isinstance(tx, Claim):
-                self._note_claim_result(tx.poi, error is None)
-                self._expose_poi(tx.poi)
-            elif isinstance(tx, Contest):
-                self._expose_poi(tx.poi)
-            elif isinstance(tx, Veto):
-                self._expose_poi(tx.conflicting_poi)
-            elif isinstance(tx, Finalize) and tx.alpha in self._transfers:
+                self._claim_landed(tx.poi, error is None)
+            elif isinstance(tx, Finalize):
                 self._transfers[tx.alpha].finalize_results += 1
 
-    def _expose_poi(self, poi: ProofOfIntent) -> None:
-        """First confirmation of a proof anywhere makes it observable; schedule
-        each observer's (delayed) look at it."""
-        if poi.alpha in self._poi_by_alpha:
+    def _claim_landed(self, poi: ProofOfIntent, ok: bool) -> None:
+        """A claim has landed, accepted or not: its transfer's first landed
+        claim schedules the finalizes and the detect check, or frees the
+        client, and then the proof's first landing anywhere exposes it."""
+        tracker = self._transfers[poi.alpha]
+        if tracker.claim_ok is None:
+            tracker.claim_ok = ok
+            interval = self.config.block_interval
+            if ok:
+                recipient_key = self.keys[self.names[poi.recipient]]
+                finalize = make_finalize(recipient_key, poi.alpha)
+                for chain in self.chains:
+                    self._schedule(poi.t1 + interval, ("submit", chain.chain_id, finalize))
+                detect_at = poi.t1 + 2 * interval * (1 + self.config.jitter) + 1
+                self._schedule(detect_at, ("detect", poi.alpha))
+            else:
+                self._finish_transfer(tracker)
+        # Two scripted legs that sign the same proof share one alpha.
+        if poi.alpha in self._exposed:
             return
-        self._poi_by_alpha[poi.alpha] = poi
+        self._exposed.add(poi.alpha)
         policy = self.config.observation
         names = list(self.observers)
-        if not names:
-            return
         if policy.mode == "staggered":
-            order = random.Random(f"{self.config.seed}/stagger/{poi.alpha.hex()}")
-            order.shuffle(names)
-            for idx, name in enumerate(names):
-                self._schedule(
-                    self._now + (idx + 1) * policy.spacing, ("observe", name, poi.alpha)
-                )
+            random.Random(f"{self.config.seed}/stagger/{poi.alpha.hex()}").shuffle(names)
+            delays = [(idx + 1) * policy.spacing for idx in range(len(names))]
         else:
-            for name in names:
-                rng = self._delay_rngs.get(name)
-                if rng is None:
-                    rng = self._delay_rngs[name] = random.Random(f"{self.config.seed}/observer/{name}")
-                delay = rng.uniform(policy.low, policy.high)
-                self._schedule(self._now + delay, ("observe", name, poi.alpha))
-
-    def _note_claim_result(self, poi: ProofOfIntent, ok: bool) -> None:
-        tracker = self._transfers.get(poi.alpha)
-        if tracker is None or tracker.claim_ok is not None:
-            return
-        tracker.claim_ok = ok
-        interval = self.config.block_interval
-        if ok:
-            recipient_key = self.keys[self.names[poi.recipient]]
-            finalize = make_finalize(recipient_key, poi.alpha)
-            for chain in self.chains:
-                self._schedule(poi.t1 + interval, ("submit", chain.chain_id, finalize))
-            detect_at = poi.t1 + 2 * interval * (1 + self.config.jitter) + 1
-            self._schedule(detect_at, ("detect", poi.alpha))
-        else:
-            self._finish_transfer(tracker)
+            delays = [self._delay_rngs[name].uniform(policy.low, policy.high) for name in names]
+        for name, delay in zip(names, delays):
+            self._schedule(self._now + delay, ("observe", name, poi.alpha))
 
     def _finish_transfer(self, tracker: _Transfer) -> None:
         """Free the initiating client and queue its next attempt.
@@ -312,7 +300,7 @@ class Ecosystem:
 
     def _handle_observe(self, name: str, alpha: bytes) -> None:
         observer = self.observers[name]
-        poi = self._poi_by_alpha[alpha]
+        poi = self._transfers[alpha].poi
         reaction = observer.handle_new_poi(poi, self.chains, self._now)
         for chain_id, tx in reaction.contests + reaction.vetoes:
             self._handle_submit(chain_id, tx)
@@ -324,13 +312,13 @@ class Ecosystem:
         # An observer finds each conflicting pair once, on seeing its later
         # proof, so each (observer, pair) check is scheduled once.
         for a, b, deadline in reaction.conflicts_found:
-            self._schedule(max(deadline, landed) + interval, ("fvcheck", name, _pair_key(a, b)))
+            self._schedule(max(deadline, landed) + interval, ("fvcheck", name, veto_pair(a, b)))
 
     def _handle_fvcheck(self, name: str, pair: tuple[bytes, bytes]) -> None:
         observer = self.observers[name]
         for chain in self.chains:
             record = chain.state.veto_records.get(pair)
-            if record is None or record.status != OPEN or not record.leader:
+            if record is None or record.status != OPEN:
                 continue
             if record.leader[1] == observer.key.public_key:
                 self._handle_submit(chain.chain_id, make_finalize_veto(observer.key, pair[0], pair[1]))

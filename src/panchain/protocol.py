@@ -1,5 +1,5 @@
 """Transfer-protocol value types: proofs of intent, the five ledger transactions,
-conflict detection between intents, and veto-contest timing.
+conflict detection between intents, and veto-contest timing and pair order.
 
 Everything here is chain-independent. The canonical byte encoding defined by
 ``encode_intent`` and ``encode_poi`` is the only signing/wire format; it is
@@ -75,10 +75,16 @@ def encode_poi(poi: ProofOfIntent) -> bytes:
     return poi._encoded
 
 
+def veto_pair(alpha: bytes, alpha_prime: bytes) -> tuple[bytes, bytes]:
+    """The unordered pair of conflicting proof ids, lower id first: the one
+    order of a veto pair, in its payload and as its record's key."""
+    return (alpha, alpha_prime) if alpha <= alpha_prime else (alpha_prime, alpha)
+
+
 def encode_veto_payload(alpha: bytes, conflicting_alpha: bytes) -> bytes:
     """Payload a vetoer signs: the unordered pair of conflicting proof ids.
 
-    Signing the pair canonically (sorted) rather than the oriented report
+    Signing the pair canonically (``veto_pair``) rather than the oriented report
     means a vetoer's contest value is identical no matter which of the two
     proofs a given chain learned first; otherwise chains that saw the proofs
     in opposite orders would rank the same vetoer differently and pick
@@ -86,7 +92,7 @@ def encode_veto_payload(alpha: bytes, conflicting_alpha: bytes) -> bytes:
     transaction body for validation; the double-signing itself is proven by
     the two sender signatures, not by the vetoer's.
     """
-    lo, hi = sorted((alpha, conflicting_alpha))
+    lo, hi = veto_pair(alpha, conflicting_alpha)
     return b"VET" + _lp(lo) + _lp(hi)
 
 

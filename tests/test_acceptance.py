@@ -55,7 +55,7 @@ def test_criterion_1_worked_example_golden():
     report = eco.run()
     elapsed = time.perf_counter() - start
 
-    poi = eco._poi_by_alpha[bytes.fromhex(report.transfers[0]["alpha"])]
+    poi = eco._transfers[bytes.fromhex(report.transfers[0]["alpha"])].poi
     observers = ("ursula", "victor", "wanda")
     omegas = {name: sign(eco.keys[name], encode_poi(poi)) for name in observers}
     winner = min(omegas, key=lambda n: (omegas[n], eco.keys[n].public_key))

@@ -303,7 +303,9 @@ def test_contest_winner_is_the_lowest_omega_then_the_lowest_wallet(contestants):
 def test_observer_posts_iff_it_would_win_the_contest(contestants, me, omega):
     observer, poi, chains, _ = observer_fixture()
     observer.key = dataclasses.replace(observer.key, public_key=me)
-    chains[0].state.poi_records[poi.alpha] = PoiRecord(poi=poi, contestants=dict(contestants))
+    record = chains[0].state.poi_records[poi.alpha] = PoiRecord(poi=poi)
+    for wallet, other_omega in contestants.items():
+        record.enter(wallet, other_omega)
     # Patched in the body, not by a fixture, which Hypothesis would not reset per example.
     def fixed_omega_contest(key, proof):
         return Contest(poi=proof, contestant=key.public_key, omega=omega)

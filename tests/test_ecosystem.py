@@ -31,7 +31,7 @@ from panchain.configs import (
 from panchain.contract import FINALIZED, ChainState
 from panchain.crypto import sign
 from panchain.ecosystem import Ecosystem, _Transfer, run, wallet_keypair
-from panchain.protocol import encode_poi
+from panchain.protocol import Claim, Contest, Veto, encode_poi
 from panchain.report import RunReport, _encode, check_consistency, dump, dumps
 
 from test_output_digests import CASES
@@ -42,7 +42,7 @@ def test_worked_example_reaches_published_final_state():
     eco = Ecosystem(config)
     report = eco.run()
     # independent winner oracle: lowest omega among the three observers
-    poi = eco._poi_by_alpha[bytes.fromhex(report.transfers[0]["alpha"])]
+    poi = eco._transfers[bytes.fromhex(report.transfers[0]["alpha"])].poi
     omegas = {
         name: sign(eco.keys[name], encode_poi(poi))
         for name in ("ursula", "victor", "wanda")
@@ -569,6 +569,31 @@ def test_each_observer_schedules_each_finalize_veto_check_once(preset, pairs):
     found = {pair for _, pair in scheduled}
     assert len(found) == pairs
     assert sorted(scheduled) == sorted((name, pair) for name in eco.observers for pair in found)
+
+
+# Every digest case's config at its seeds (custom-pow runs custom's), both veto
+# demos and the stress runs.
+_EXPOSURE_RUNS = {
+    **{f"{case}-{seed}": lambda case=case, seed=seed: replace(
+        config_from_dict(CASES[case][0].get("ecosystem", {})), seed=int(seed))
+       for case in ("default", "custom", "ties") for seed in CASES[case][1].split(",")},
+    **{f"{preset.__name__}-{seed}": lambda preset=preset, seed=seed: preset(seed)
+       for preset in (veto_demo, veto_demo_boundary) for seed in range(3)},
+    **{f"stress-{seed}": lambda seed=seed: _stress_config(seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", list(_EXPOSURE_RUNS))
+def test_only_claims_expose_proofs_and_contests_and_vetoes_carry_exposed_ones(name):
+    eco = Ecosystem(_EXPOSURE_RUNS[name]())
+    eco.run()
+    included = [tx for chain in eco.chains for block in chain.blocks for tx in block.transactions]
+    assert eco._exposed == {tx.poi.alpha for tx in included if isinstance(tx, Claim)}
+    carried = [tx.poi.alpha for tx in included if isinstance(tx, Contest)]
+    carried += [alpha for tx in included if isinstance(tx, Veto) for alpha in (tx.alpha, tx.conflicting_poi.alpha)]
+    assert set(carried) <= eco._exposed
+    if name.startswith("veto_demo"):
+        assert any(isinstance(tx, Veto) for tx in included)
 
 
 @pytest.mark.parametrize(
