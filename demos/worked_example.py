@@ -9,7 +9,7 @@ contestant collects the 1-token reward.
 """
 
 from panchain import worked_example
-from panchain.chain import block_log_entry
+from panchain.chain import block_log
 from panchain.ecosystem import Ecosystem
 
 config = worked_example(seed=0)
@@ -20,11 +20,11 @@ names = {kp.public_key.hex(): name for name, kp in eco.keys.items()}
 
 print("block-by-block:")
 for chain in eco.chains:
-    for block in chain.blocks:
-        entry = block_log_entry(chain.chain_id, block)
-        for tx in entry["txs"]:
+    # The run resyncs nothing, so every journal line is a block.
+    for line in block_log(chain):
+        for tx in line["txs"]:
             flag = "ok" if tx["ok"] else f"rejected ({tx['error']})"
-            print(f"  chain {chain.chain_id} t={block.timestamp:>5.0f}  {tx['kind']:<9} {flag}")
+            print(f"  chain {chain.chain_id} t={line['timestamp']:>5.0f}  {tx['kind']:<9} {flag}")
 
 print("\nfinal balances (identical on every chain):")
 for snap in report.chains:

@@ -2,7 +2,7 @@
 token transfers with deterministic witness contests and veto-based
 double-spend prevention."""
 
-from .chain import Block, SimChain
+from .chain import Block, Resync, SimChain
 from .configs import (
     ConfigError,
     EcosystemConfig,

@@ -1,11 +1,13 @@
-"""A simulated blockchain: FIFO transaction pool and periodic block production.
+"""A simulated blockchain: FIFO transaction pool, periodic block production
+and the chain's journal.
 
 Transactions are queued unconditionally and judged only at inclusion time,
-with the block timestamp as the contract's notion of "now". Every drained
-transaction appears in its block together with its apply outcome, the
-rejection code or None, so agents can observe rejections (they are on-chain
-data) without any mempool access.
-A block that drains nothing is kept only as its timestamp.
+with the block timestamp as the contract's notion of "now". The journal holds,
+in order, every block that drained transactions, each with its apply outcomes
+(the rejection code or None), so agents can observe rejections (they are
+on-chain data) without any mempool access, and every resync applied between
+blocks. So replaying a journal into a fresh ``ChainState`` rebuilds the
+chain's state. A block that drains nothing is only counted, in ``height``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import deque
 from typing import Iterator, NamedTuple, Optional
 
 from .contract import ChainState, TxError
-from .protocol import Transaction
+from .protocol import ProofOfIntent, Transaction, WalletId
 
 
 class Block(NamedTuple):
@@ -26,12 +28,22 @@ class Block(NamedTuple):
     errors: tuple[Optional[str], ...]
 
 
+class Resync(NamedTuple):
+    """A corrupted transfer brought to the majority ``winner`` at ``at``,
+    after block ``height``; ``moved`` is ``ChainState.resync``'s answer."""
+
+    height: int
+    at: float
+    poi: ProofOfIntent
+    winner: Optional[WalletId]
+    moved: bool
+
+
 class SimChain:
-    """One chain: block parameters, contract state, mempool, every block's
-    timestamp by height (``block_times``, genesis first) and the blocks that
-    drained transactions (``blocks``, each with its true height). An empty
-    block is only its timestamp. ``EcosystemConfig`` checks the parameters;
-    a chain with jitter draws it from ``rng``, which it then needs."""
+    """One chain: block parameters, contract state, mempool, the last block's
+    ``height`` (genesis is 0) and the ``journal`` of busy blocks and resyncs.
+    ``EcosystemConfig`` checks the parameters; a chain with jitter draws it
+    from ``rng``, which it then needs."""
 
     def __init__(
         self,
@@ -52,9 +64,8 @@ class SimChain:
         self.jitter = jitter
         self._rng = rng
         self.mempool: deque[Transaction] = deque()
-        # The genesis block's timestamp is the int 0, as the block log writes it.
-        self.block_times: list[float] = [0]
-        self.blocks: list[Block] = []
+        self.height = 0
+        self.journal: list[Block | Resync] = []
         self.next_block_time = self._next_after(0)
 
     def _next_after(self, timestamp: float) -> float:
@@ -73,20 +84,17 @@ class SimChain:
         self.mempool.append(tx)
 
     def produce_empty_block(self, now: float) -> None:
-        """Produce a block with nothing to drain, which is only its timestamp;
-        every block starts as one."""
+        """Produce a block with nothing to drain, which is only counted; every
+        block starts as one."""
         if now != self.next_block_time:
-            raise ValueError(
-                f"chain {self.chain_id} expected block at {self.next_block_time}, got {now}"
-            )
-        self.block_times.append(now)
+            raise ValueError(f"chain {self.chain_id} expected block at {self.next_block_time}, got {now}")
+        self.height += 1
         self.next_block_time = self._next_after(now)
 
     def produce_block(self, now: float) -> Block:
         """Drain up to the capacity cap in FIFO order and apply each
         transaction with this block's timestamp. Only a block that drained
-        something is kept in ``blocks``."""
-        height = len(self.block_times)
+        something is journaled."""
         self.produce_empty_block(now)
         drained: list[Transaction] = []
         errors: list[Optional[str]] = []
@@ -98,35 +106,30 @@ class SimChain:
                 errors.append(None)
             except TxError as err:
                 errors.append(err.code)
-        block = Block(height, now, tuple(drained), tuple(errors))
+        block = Block(self.height, now, tuple(drained), tuple(errors))
         if drained:
-            self.blocks.append(block)
+            self.journal.append(block)
         return block
 
-
-def block_log_entry(chain_id: int, block: Block) -> dict:
-    """JSON-ready one-line summary of a block and its apply outcomes."""
-
-    def tx_summary(tx: Transaction, error: Optional[str]) -> dict:
-        entry: dict = {"kind": tx.kind, "poster": tx.poster.hex()[:16]}
-        # Claims and contests carry the proof; the other kinds name it by alpha.
-        entry["alpha"] = getattr(tx, "poi", tx).alpha.hex()[:16]
-        entry["ok"] = error is None
-        if error is not None:
-            entry["error"] = error
-        return entry
-
-    return {
-        "chain_id": chain_id,
-        "height": block.height,
-        "timestamp": block.timestamp,
-        "txs": [tx_summary(tx, error) for tx, error in zip(block.transactions, block.errors)],
-    }
+    def resync(self, poi: ProofOfIntent, winner: Optional[WalletId], now: float) -> bool:
+        """Apply and journal ``ChainState.resync`` at ``now``, between blocks;
+        returns whether the state changed."""
+        moved = self.state.resync(poi, winner)
+        self.journal.append(Resync(self.height, now, poi, winner, moved))
+        return moved
 
 
 def block_log(chain: SimChain) -> Iterator[dict]:
-    """Every block's log entry by height, genesis first; a height with no
-    kept block is an empty block at its timestamp."""
-    kept = {block.height: block for block in chain.blocks}
-    for height, timestamp in enumerate(chain.block_times):
-        yield block_log_entry(chain.chain_id, kept.get(height) or Block(height, timestamp, (), ()))
+    """The chain's journal as JSON-ready lines, in order: one per busy block,
+    with each transaction's outcome, and one per resync."""
+    for entry in chain.journal:
+        line = {"chain_id": chain.chain_id, "height": entry.height}
+        if isinstance(entry, Resync):
+            yield {**line, "at": entry.at, "resync": entry.poi.alpha.hex()[:16], "moved": entry.moved,
+                   "winner": entry.winner.hex()[:16] if entry.winner else None}
+            continue
+        # Claims and contests carry the proof; the other kinds name it by alpha.
+        txs = [{"kind": tx.kind, "poster": tx.poster.hex()[:16], "ok": error is None,
+                "alpha": getattr(tx, "poi", tx).alpha.hex()[:16], **({"error": error} if error else {})}
+               for tx, error in zip(entry.transactions, entry.errors)]
+        yield {**line, "timestamp": entry.timestamp, "txs": txs}

@@ -6,9 +6,10 @@ A ChainState is owned by exactly one simulated chain; operations mutate it in
 place and are atomic per transaction (they validate fully before touching
 state). Signatures are checked after every state check, so a transaction the
 state refuses costs no verification. ``settle`` is the one rule that moves a
-transfer's tokens. Each proof and veto record keeps its contest leader, the
-lowest (omega, wallet) pair, as contestants enter, so a finalize, and an
-observer deciding whether it can still win, reads it without a scan.
+transfer's tokens, and ``resync`` the one that brings a corrupted transfer to
+the winner most chains chose. Each proof and veto record keeps its contest
+leader, the lowest (omega, wallet) pair, as contestants enter, so a finalize,
+and an observer deciding whether it can still win, reads it without a scan.
 
 Every refusal is one ``TxError`` whose ``code`` is a stable, machine-readable
 string that block producers log: ``invalid-amount``, ``insufficient-balance``,
@@ -279,14 +280,21 @@ class ChainState:
         moves[winner] = moves.get(winner, 0) + self.reward  # the key None is ``burned``
         self._move(poi, moves)
 
-    def reassign_reward(self, poi: ProofOfIntent, old: Optional[WalletId], new: Optional[WalletId]) -> None:
-        """Re-settle a transfer this chain settled with winner ``old`` as won
-        by ``new``: the net of moving the old settlement back and settling the
-        new one. Only the reward moves: the recipient, who may have spent
-        what it received, is not touched. Raises as ``settle`` does."""
-        moves = {old: -self.reward}
-        moves[new] = moves.get(new, 0) + self.reward
-        self._move(poi, moves)
+    def resync(self, poi: ProofOfIntent, winner: Optional[WalletId]) -> bool:
+        """Bring a corrupted transfer to ``winner``, the one most executing
+        chains chose, by this chain's own record of it: one this chain did not
+        finalize is settled; one it finalized with another winner moves only
+        the reward, to ``winner``, since the recipient may have spent what it
+        received. The record keeps what this chain concluded. Returns whether
+        anything moved; raises, changing nothing, as ``settle`` does."""
+        record = self.poi_records.get(poi.alpha)
+        if record is None or record.status != FINALIZED:
+            self.settle(poi, winner)
+        elif record.winner != winner:
+            self._move(poi, {record.winner: -self.reward, winner: self.reward})
+        else:
+            return False
+        return True
 
     def _move(self, poi: ProofOfIntent, moves: dict[Optional[WalletId], int]) -> None:
         burned = self.burned + moves.pop(None, 0)

@@ -1,7 +1,8 @@
 """Discrete-event ecosystem: all chains and agents under one deterministic
-clock, plus corrupted-transfer detection and resync, which finalizes a
-corrupted transfer on every chain. Each chain's supply is audited after every
-busy block and every resync that changes it. The run's report is built by
+clock, plus corrupted-transfer detection and resync, which brings a corrupted
+transfer to its majority winner on every chain by ``ChainState.resync`` and
+journals it on each. Each chain's supply is audited after every busy block and
+every resync that changes it. The run's report is built by
 ``report.build_report`` once the run has ended. A proof is exposed, each
 observer's look at it scheduled, when its first claim lands.
 
@@ -12,7 +13,7 @@ of every other event; both draw from the one sequence counter, and the loop
 takes whichever head is earlier, so the merged order is that of a single
 queue. A chain's entry stays queued while its block is made, and the loop
 requeues it afterwards in one place. A block on a chain with an empty mempool
-is only its timestamp, so the loop stamps it without a handler and builds no
+is only counted, so the loop counts it without a handler and builds no
 ``Block``.
 After the client-initiation window (``duration``) closes, the loop keeps
 producing blocks until every proof and veto contest is past its deadline plus
@@ -44,7 +45,7 @@ from .protocol import (
     make_poi,
     veto_pair,
 )
-from .report import RunReport, build_report, wallet_name
+from .report import RunReport, build_report
 
 
 def wallet_keypair(seed: int, name: str) -> KeyPair:
@@ -130,7 +131,8 @@ class Ecosystem:
         self._transfers: dict[bytes, _Transfer] = {}
         # The alphas whose proofs observers have been scheduled to look at.
         self._exposed: set[bytes] = set()
-        self._resync_events: list[dict] = []
+        # The longest gap between two blocks of a chain.
+        self._longest_gap = config.block_interval * (1 + config.jitter)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -143,7 +145,7 @@ class Ecosystem:
             raise RuntimeError(f"{payload[0]} event scheduled at {fire_at}, before now ({self._now})")
         heapq.heappush(self._heap, (fire_at, self._seq, payload))
         self._seq += 1
-        end = fire_at + 2 * self.config.block_interval * (1 + self.config.jitter) + 1
+        end = fire_at + 2 * self._longest_gap + 1
         if end > self._horizon:
             self._horizon = end
             self._ensure_blocks()
@@ -184,7 +186,7 @@ class Ecosystem:
                 if chain.mempool:
                     self._handle_block(chain)
                     self._audit(chain)
-                else:  # idle chain: its block is only its timestamp
+                else:  # idle chain: its block is only counted
                     chain.produce_empty_block(fire_at)
                 if chain.next_block_time <= self._horizon:
                     heapq.heapreplace(blocks, (chain.next_block_time, self._seq, chain_id))
@@ -197,9 +199,7 @@ class Ecosystem:
                 getattr(self, "_handle_" + payload[0])(*payload[1:])
 
         # Busy blocks and resyncs, the only state changes, were each audited.
-        return build_report(
-            self.config, self.chains, self._transfers.values(), self._resync_events, self.names
-        )
+        return build_report(self.config, self.chains, self._transfers.values(), self.names)
 
     def _audit(self, chain: SimChain) -> None:
         try:
@@ -227,14 +227,12 @@ class Ecosystem:
         tracker = self._transfers[poi.alpha]
         if tracker.claim_ok is None:
             tracker.claim_ok = ok
-            interval = self.config.block_interval
             if ok:
                 recipient_key = self.keys[self.names[poi.recipient]]
                 finalize = make_finalize(recipient_key, poi.alpha)
                 for chain in self.chains:
-                    self._schedule(poi.t1 + interval, ("submit", chain.chain_id, finalize))
-                detect_at = poi.t1 + 2 * interval * (1 + self.config.jitter) + 1
-                self._schedule(detect_at, ("detect", poi.alpha))
+                    self._schedule(poi.t1 + self.config.block_interval, ("submit", chain.chain_id, finalize))
+                self._schedule(poi.t1 + 2 * self._longest_gap + 1, ("detect", poi.alpha))
             else:
                 self._finish_transfer(tracker)
         # Two scripted legs that sign the same proof share one alpha.
@@ -308,7 +306,7 @@ class Ecosystem:
         # A conflict can surface after its veto deadline (a back-dated
         # window); then the check waits until the vetoes just submitted can
         # have landed.
-        landed = self._now + interval * (1 + self.config.jitter)
+        landed = self._now + self._longest_gap
         # An observer finds each conflicting pair once, on seeing its later
         # proof, so each (observer, pair) check is scheduled once.
         for a, b, deadline in reaction.conflicts_found:
@@ -333,9 +331,7 @@ class Ecosystem:
             return
         for chain in self.chains:
             record = chain.state.poi_records.get(alpha)
-            tracker.contest_counts[chain.chain_id] = (
-                len(record.contestants) if record is not None else 0
-            )
+            tracker.contest_counts[chain.chain_id] = len(record.contestants) if record else 0
             if record is not None and record.status == FINALIZED:
                 tracker.executed[chain.chain_id] = record.winner
             elif record is not None and record.status == VETOED:
@@ -348,27 +344,13 @@ class Ecosystem:
         self._finish_transfer(tracker)
 
     def _resync(self, tracker: _Transfer) -> None:
-        """Finalize a corrupted transfer on every chain with its majority
-        ``winner``, so the workload can keep running. A chain that did not
-        execute it settles it; on one that chose another winner only the
-        reward moves, to ``winner``. Only this transfer's tokens move, so
-        transfers still in flight keep theirs. Each chain's proof record keeps
-        what that chain concluded."""
-        poi, executed, winner = tracker.poi, tracker.executed, tracker.winner
-        settled = []
+        """Bring a corrupted transfer to its majority ``winner`` on every
+        chain, so the workload can keep running: each chain applies and
+        journals ``ChainState.resync``. Only this transfer's tokens move, so
+        transfers still in flight keep theirs."""
         for chain in self.chains:
-            if chain.chain_id not in executed:
-                chain.state.settle(poi, winner)
-            elif executed[chain.chain_id] != winner:
-                chain.state.reassign_reward(poi, executed[chain.chain_id], winner)
-            else:
-                continue
-            self._audit(chain)
-            settled.append(chain.chain_id)
-        self._resync_events.append({
-            "at": self._now, "alpha": poi.alpha.hex(), "settled_chains": settled,
-            "winner": wallet_name(self.names, winner) if winner else None,
-        })
+            if chain.resync(tracker.poi, tracker.winner, self._now):
+                self._audit(chain)
 
 
 def run(config: EcosystemConfig) -> RunReport:

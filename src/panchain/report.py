@@ -14,7 +14,7 @@ from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
 
-from .chain import SimChain
+from .chain import Block, Resync, SimChain
 from .configs import EcosystemConfig
 from .contract import ChainState
 
@@ -163,13 +163,20 @@ def check_consistency(states: Sequence[ChainState], names: Mapping[bytes, str]) 
 
 
 def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers: Iterable[_Transfer],
-                 resync_events: list[dict], names: Mapping[bytes, str]) -> RunReport:
-    """The report of a finished run. ``transfers`` are its trackers in the
-    order they were registered, ``names`` every configured wallet's name."""
-    blocks = [block for chain in chains for block in chain.blocks]
+                 names: Mapping[bytes, str]) -> RunReport:
+    """The report of a finished run, read from its chains' journals and its
+    transfer trackers. ``transfers`` are the trackers in the order they were
+    registered, ``names`` every configured wallet's name."""
+    blocks = [entry for chain in chains for entry in chain.journal if isinstance(entry, Block)]
     kinds = [tx.kind for block in blocks for tx in block.transactions]
     tx_counts = Counter(kinds)
     tx_counts_ok = Counter(compress(kinds, [error is None for block in blocks for error in block.errors]))
+
+    # Every chain journals every resync, so the chains' resyncs line up.
+    resyncs = zip(*([entry for entry in chain.journal if isinstance(entry, Resync)] for chain in chains))
+    resync_events = [{"at": row[0].at, "alpha": row[0].poi.alpha.hex(),
+                      "settled_chains": [chain.chain_id for chain, entry in zip(chains, row) if entry.moved],
+                      "winner": wallet_name(names, row[0].winner) if row[0].winner else None} for row in resyncs]
 
     m = len(chains)
     transfer_rows = []
@@ -235,7 +242,7 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
         "transfers_corrupted": corrupted,
         "transfers_vetoed": vetoed,
         "mean_contests_per_chain": sum(contests) / len(contests) if contests else 0.0,
-        "blocks_per_chain": {str(chain.chain_id): len(chain.block_times) - 1 for chain in chains},
+        "blocks_per_chain": {str(chain.chain_id): chain.height for chain in chains},
     }
     # Every chain's snapshot shares one hex string per value, one dict per
     # proof and one dict per distinct proof or veto record.

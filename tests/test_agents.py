@@ -341,7 +341,7 @@ def test_confirmed_contests_strictly_decreasing_under_staggering():
         eco.run()
         for chain in eco.chains:
             omegas = []
-            for block in chain.blocks:
+            for block in chain.journal:
                 for tx, error in zip(block.transactions, block.errors):
                     if error is None and isinstance(tx, Contest):
                         omegas.append(int.from_bytes(tx.omega, "big"))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from panchain.chain import Block, SimChain, block_log, block_log_entry
+from panchain.chain import Block, Resync, SimChain, block_log
 from panchain.contract import ChainState
 from panchain.protocol import make_claim, make_contest, make_finalize, make_poi
 
@@ -31,8 +31,7 @@ def new_chain(chain_id=0, interval=13.0, cap=100, balance=80):
 
 def test_genesis_block_and_cadence():
     chain = new_chain()
-    assert chain.block_times == [0] and type(chain.block_times[0]) is int
-    assert chain.blocks == []
+    assert chain.height == 0 and chain.journal == []
     assert chain.next_block_time == 13.0
     block = chain.produce_block(13.0)
     assert block.height == 1 and block.timestamp == 13.0
@@ -49,18 +48,18 @@ def test_empty_block_at_wrong_time_rejected():
     chain = new_chain()
     with pytest.raises(ValueError):
         chain.produce_empty_block(12.0)
-    assert chain.block_times == [0] and chain.next_block_time == 13.0
+    assert chain.height == 0 and chain.next_block_time == 13.0
 
 
-def test_empty_block_is_only_its_timestamp():
+def test_an_empty_block_is_only_counted():
     chain = new_chain()
     chain.produce_empty_block(13.0)
+    assert chain.height == 1 and chain.journal == []
     claim = make_claim(make_poi(S, D, amount=20, t0=1, t1=61))
     chain.submit(claim, now=14.0)
     busy = chain.produce_block(26.0)
-    assert busy.height == 2
-    assert chain.block_times == [0, 13.0, 26.0]
-    assert chain.blocks == [busy]
+    assert busy.height == chain.height == 2
+    assert chain.journal == [busy]
 
 
 def test_empty_block_path_logs_what_produce_block_logs_under_jitter():
@@ -74,27 +73,30 @@ def test_empty_block_path_logs_what_produce_block_logs_under_jitter():
     every, twin = jittered(), jittered()
     # Three claims before block 5 exceed the cap of two and spill into block 6.
     claims = {2: senders[:1], 5: senders[1:]}
+    stamps = []
     for height in range(1, 12):
         for kp in claims.get(height, ()):
             claim = make_claim(make_poi(kp, D, amount=5, t0=1, t1=300))
             every.submit(claim, now=every.next_block_time - 1)
             twin.submit(claim, now=twin.next_block_time - 1)
         every.produce_block(every.next_block_time)
+        stamps.append(twin.next_block_time)
         if twin.mempool:
             twin.produce_block(twin.next_block_time)
         else:
             twin.produce_empty_block(twin.next_block_time)
+        assert twin.height == height
     log = list(block_log(every))
     assert log == list(block_log(twin))
-    assert [entry["height"] for entry in log] == list(range(12))
-    assert [len(entry["txs"]) for entry in log] == [0, 0, 1, 0, 0, 2, 1, 0, 0, 0, 0, 0]
+    assert [entry["height"] for entry in log] == [2, 5, 6]
+    assert [len(entry["txs"]) for entry in log] == [1, 2, 1]
     assert all(tx["ok"] for entry in log for tx in entry["txs"])
-    assert [block.height for block in twin.blocks] == [2, 5, 6]
+    assert [block.timestamp for block in twin.journal] == [stamps[1], stamps[4], stamps[5]]
     # Each block, empty or not, draws the next block's jitter once, in order.
     rng, times = random.Random(7), [0]
     for _ in range(12):
         times.append(times[-1] + 13.0 * (1 + rng.uniform(-0.2, 0.2)))
-    assert twin.block_times == times[:12] and twin.next_block_time == times[12]
+    assert stamps == times[1:12] and twin.next_block_time == times[12]
 
 
 def test_timestamps_are_height_times_interval():
@@ -145,7 +147,7 @@ def test_empty_mempool_empty_block():
     block = chain.produce_block(13.0)
     assert block.transactions == ()
     assert chain.state.snapshot() == before
-    assert chain.blocks == [] and chain.block_times == [0, 13.0]
+    assert chain.journal == [] and chain.height == 1
 
 
 @pytest.mark.parametrize("field", ["height", "timestamp", "transactions", "errors"])
@@ -214,7 +216,7 @@ def test_replay_reproduces_blocks_exactly():
         chain.produce_block(13.0)
         chain.submit(make_contest(U, poi), now=14.0)
         chain.produce_block(26.0)
-        return chain.blocks
+        return chain.journal
 
     first, second = run_once(), run_once()
     assert first == second
@@ -249,11 +251,23 @@ def test_a_jittered_chain_needs_an_rng():
     assert chain.next_block_time == 13.0
 
 
-def test_block_log_entry_shape():
+def test_block_log_writes_the_journal_in_order():
     chain = new_chain()
     poi = make_poi(S, D, amount=20, t0=1, t1=61)
     chain.submit(make_claim(poi), now=1.0)
+    chain.submit(make_finalize(D, poi.alpha), now=1.0)
     block = chain.produce_block(13.0)
-    entry = block_log_entry(chain.chain_id, block)
-    assert entry["chain_id"] == 0 and entry["height"] == 1
-    assert entry["txs"][0]["kind"] == "claim" and entry["txs"][0]["ok"]
+    chain.produce_empty_block(26.0)
+    # The claim stays pending on this chain, so a resync settles it there.
+    assert chain.resync(poi, U.public_key, now=30.0)
+    assert chain.journal == [block, Resync(2, 30.0, poi, U.public_key, True)]
+    assert list(block_log(chain)) == [
+        {"chain_id": 0, "height": 1, "timestamp": 13.0, "txs": [
+            {"kind": "claim", "poster": D.public_key.hex()[:16], "alpha": poi.alpha.hex()[:16], "ok": True},
+            {"kind": "finalize", "poster": D.public_key.hex()[:16], "alpha": poi.alpha.hex()[:16], "ok": False,
+             "error": "premature-finalize"},
+        ]},
+        {"chain_id": 0, "height": 2, "at": 30.0, "resync": poi.alpha.hex()[:16], "moved": True,
+         "winner": U.public_key.hex()[:16]},
+    ]
+    assert chain.state.balance(D.public_key) == 19 and chain.state.balance(U.public_key) == 1

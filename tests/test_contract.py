@@ -560,29 +560,62 @@ def test_settle_moves_a_transfer(winner):
     assert state.audit() == (80 - state.burned, state.burned, 80)
 
 
+def _finalized(state, poi, winner, settle=True):
+    """Record ``poi`` on ``state`` as finalized with ``winner``, settled
+    unless ``settle`` is False (then its reward was never paid)."""
+    if settle:
+        state.settle(poi, winner)
+    state.poi_records[poi.alpha] = contract.PoiRecord(poi=poi, status=FINALIZED, winner=winner)
+
+
 def test_settle_nets_the_moves_of_a_wallet_in_two_roles():
     # The sender is its own recipient and wins its own contest: it ends where
     # it began, and a later change of winner takes only the reward from it.
     state = fresh_state(sender_balance=20)
     poi = table_poi(amount=20, recipient=S)
-    state.settle(poi, S.public_key)
+    _finalized(state, poi, S.public_key)
     assert state.balance(S.public_key) == 20
-    state.reassign_reward(poi, S.public_key, U.public_key)
+    assert state.resync(poi, U.public_key)
     assert state.balance(S.public_key) == 19 and state.audit() == (20, 0, 20)
 
 
 @pytest.mark.parametrize("old, new", [(U, V), (U, None), (None, U)], ids=["winner", "to-burned", "from-burned"])
-def test_reassign_reward_ends_where_settling_the_new_winner_does(old, new):
+def test_resync_from_another_winner_ends_where_settling_the_new_winner_does(old, new):
     # The recipient spends 15 of its 19 first, so moving the whole old
     # settlement back would take more than it holds; only the reward moves.
     poi = table_poi(amount=20)
     expected, state = fresh_state(), fresh_state()
     expected.settle(poi, _key(new))
     _spend(expected, D, 15)
-    state.settle(poi, _key(old))
+    _finalized(state, poi, _key(old))
     _spend(state, D, 15)
-    state.reassign_reward(poi, _key(old), _key(new))
+    assert state.resync(poi, _key(new))
     assert (state.balances, state.burned) == (expected.balances, expected.burned)
+    # The record keeps what this chain concluded.
+    assert state.poi_records[poi.alpha].winner == _key(old)
+
+
+@pytest.mark.parametrize("claimed", [False, True], ids=["no-record", "pending"])
+@pytest.mark.parametrize("winner", [U, None], ids=["winner", "burned"])
+def test_resync_settles_a_transfer_this_chain_did_not_finalize(claimed, winner):
+    poi = table_poi(amount=20)
+    expected, state = fresh_state(), fresh_state()
+    expected.settle(poi, _key(winner))
+    if claimed:
+        state.apply_claim(make_claim(poi), now=2.0)
+    assert state.resync(poi, _key(winner))
+    assert (state.balances, state.burned) == (expected.balances, expected.burned)
+    # The chain's record, or its lack of one, stays as it was.
+    assert [record.status for record in state.poi_records.values()] == ([PENDING] if claimed else [])
+
+
+@pytest.mark.parametrize("winner", [U, None], ids=["winner", "burned"])
+def test_resync_to_this_chains_own_winner_moves_nothing(winner):
+    state = fresh_state()
+    _finalized(state, table_poi(amount=20), _key(winner))
+    before = (dict(state.balances), state.burned)
+    assert state.resync(table_poi(amount=20), _key(winner)) is False
+    assert (state.balances, state.burned) == before
 
 
 def test_settle_that_would_go_negative_raises_and_changes_nothing():
@@ -595,12 +628,13 @@ def test_settle_that_would_go_negative_raises_and_changes_nothing():
 
 
 @pytest.mark.parametrize("old", [U, None], ids=["from-winner", "from-burned"])
-def test_reassign_reward_that_would_go_negative_raises_and_changes_nothing(old):
+def test_resync_that_would_go_negative_raises_and_changes_nothing(old):
     # A reward that was never paid: the old winner (or burned) holds nothing.
     state = fresh_state()
+    _finalized(state, table_poi(amount=20), _key(old), settle=False)
     before = (dict(state.balances), state.burned)
     with pytest.raises(RuntimeError, match="negative"):
-        state.reassign_reward(table_poi(amount=20), _key(old), V.public_key)
+        state.resync(table_poi(amount=20), V.public_key)
     assert (state.balances, state.burned) == before
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panchain.agents import Client
-from panchain.chain import block_log
+from panchain.chain import Block, Resync, block_log
 from panchain.cli import main
 from panchain.configs import (
     EcosystemConfig,
@@ -28,13 +28,43 @@ from panchain.configs import (
     veto_demo_boundary,
     worked_example,
 )
-from panchain.contract import FINALIZED, ChainState
+from panchain.contract import FINALIZED, ChainState, TxError
 from panchain.crypto import sign
 from panchain.ecosystem import Ecosystem, _Transfer, run, wallet_keypair
 from panchain.protocol import Claim, Contest, Veto, encode_poi
 from panchain.report import RunReport, _encode, check_consistency, dump, dumps
 
 from test_output_digests import CASES
+
+
+def _blocks(chain) -> list[Block]:
+    """The busy blocks of a chain's journal, in order."""
+    return [entry for entry in chain.journal if isinstance(entry, Block)]
+
+
+def _replay(eco: Ecosystem) -> None:
+    """Replay each chain's journal into a fresh ChainState built from the
+    config's balances: every transaction, applied at its block's timestamp,
+    gives its recorded code, every resync its recorded ``moved``, in the
+    order of their heights, and the final snapshot equals the chain's."""
+    config = eco.config
+    balances = {wallet_keypair(config.seed, w.name).public_key: w.balance for w in config.wallets}
+    for chain in eco.chains:
+        state, height = ChainState(chain.chain_id, balances, reward=config.reward), 0
+        for entry in chain.journal:
+            assert height <= entry.height <= chain.height
+            height = entry.height
+            if isinstance(entry, Resync):
+                assert state.resync(entry.poi, entry.winner) == entry.moved
+                continue
+            for tx, code in zip(entry.transactions, entry.errors):
+                try:
+                    state.apply(tx, entry.timestamp)
+                except TxError as err:
+                    assert err.code == code, (chain.chain_id, entry.height, tx.kind)
+                else:
+                    assert code is None, (chain.chain_id, entry.height, tx.kind)
+        assert state.snapshot() == chain.state.snapshot()
 
 
 def test_worked_example_reaches_published_final_state():
@@ -587,13 +617,48 @@ _EXPOSURE_RUNS = {
 def test_only_claims_expose_proofs_and_contests_and_vetoes_carry_exposed_ones(name):
     eco = Ecosystem(_EXPOSURE_RUNS[name]())
     eco.run()
-    included = [tx for chain in eco.chains for block in chain.blocks for tx in block.transactions]
+    included = [tx for chain in eco.chains for block in _blocks(chain) for tx in block.transactions]
     assert eco._exposed == {tx.poi.alpha for tx in included if isinstance(tx, Claim)}
     carried = [tx.poi.alpha for tx in included if isinstance(tx, Contest)]
     carried += [alpha for tx in included if isinstance(tx, Veto) for alpha in (tx.alpha, tx.conflicting_poi.alpha)]
     assert set(carried) <= eco._exposed
     if name.startswith("veto_demo"):
         assert any(isinstance(tx, Veto) for tx in included)
+
+
+# The exposure runs, and sweep runs that resync 97 to 114 transfers each.
+_REPLAY_RUNS = {
+    **_EXPOSURE_RUNS,
+    **{f"sweep_config-20-{seed}": lambda seed=seed: sweep_config(20, seed=seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", list(_REPLAY_RUNS))
+def test_replaying_each_chains_journal_rebuilds_its_state(name):
+    eco = Ecosystem(_REPLAY_RUNS[name]())
+    report = eco.run()
+    _replay(eco)
+    resyncs = [[entry for entry in chain.journal if isinstance(entry, Resync)] for chain in eco.chains]
+    assert [len(entries) for entries in resyncs] == [len(report.resync_events)] * len(eco.chains)
+    if name.startswith("sweep_config"):
+        # These runs resync, and replay is exact only with the resyncs journaled.
+        assert any(entry.moved for entries in resyncs for entry in entries)
+
+
+def test_an_idle_chain_keeps_no_record_of_its_empty_blocks():
+    # A 10^6 s window keeps three chains producing blocks for about 77,000
+    # heights each, nearly all of them empty; each is only counted.
+    eco = Ecosystem(config_from_dict({
+        "chains": 3, "clients": 2, "observers": 1, "duration": 60, "validity_length": 10**6,
+    }))
+    tracemalloc.start()
+    try:
+        report = eco.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert min(report.stats["blocks_per_chain"].values()) > 70_000
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
@@ -641,10 +706,12 @@ def test_only_blocks_that_drained_transactions_are_built(config):
     eco = Ecosystem(config)
     report = eco.run()
     for chain in eco.chains:
-        assert chain.blocks and all(block.transactions for block in chain.blocks)
-        assert all(chain.block_times[block.height] == block.timestamp for block in chain.blocks)
-        assert report.stats["blocks_per_chain"][str(chain.chain_id)] == len(chain.block_times) - 1
-        assert len(chain.block_times) - 1 > len(chain.blocks)
+        blocks = _blocks(chain)
+        assert blocks and all(block.transactions for block in blocks)
+        heights, stamps = [block.height for block in blocks], [block.timestamp for block in blocks]
+        assert heights == sorted(set(heights)) and stamps == sorted(set(stamps))
+        assert report.stats["blocks_per_chain"][str(chain.chain_id)] == chain.height > heights[-1]
+        assert chain.height > len(blocks)
 
 
 def test_in_run_audit_names_the_chain_and_the_block_time():
@@ -758,6 +825,7 @@ def test_a_small_honest_run_ends_consistent_and_audited(data):
     eco = Ecosystem(config_from_dict(data))
     report = eco.run()
     assert report.consistency == []
+    _replay(eco)
     for chain in eco.chains:
         chain.state.audit()
         # Without an observer fewer events extend the run, and a backlog of
@@ -772,7 +840,7 @@ def test_a_small_honest_run_ends_consistent_and_audited(data):
 
 def _recount(entries) -> tuple[Counter, Counter]:
     """Transactions by kind, and the applied ones by kind, in block log entries."""
-    txs = [tx for entry in entries for tx in entry["txs"]]
+    txs = [tx for entry in entries for tx in entry.get("txs", ())]  # resync lines have none
     return Counter(tx["kind"] for tx in txs), Counter(tx["kind"] for tx in txs if tx["ok"])
 
 

@@ -103,11 +103,11 @@ CAMPAIGN_DIGESTS = {
         "contest-scaling/contest-scaling-0.csv": "0ebde9110f3c79d2500964cb42e287642928bd3f2c490d6bccc0f0e2792b8376",
         "cost-report/cost-report.json": "d065744bf8ac42977133e86d5a5b383439a9ecaeb8058c443af0d9852ea81d37",
         "cost-report/cost-report.txt": "a8fc35b7125cb4f8228bf4ee4bb7ac68b19bcc75de96369ae4051639a269b55a",
-        "run/run-0.blocks.jsonl": "113dc453a985f7b5b4a9cac4803101559242416087213338b60772f86961ade9",
+        "run/run-0.blocks.jsonl": "dc65b81b3a4a9abfe459467554ed64facda3659305b09a10a664973a105d8885",
         "run/run-0.chains.json": "3a60f3aefa69c6dea1e39d7d9a7b65e5d10e67643cdcfc6a0d10ce336d838fdb",
         "run/run-0.csv": "25921fb830ae7580d2c9e01545196cfc21912e92b4610c5fc5b546ba01693554",
         "run/run-0.json": "f61f0de8d9c80399bb8df731e91e0c4a4fca316a78d7c504f787bd3292e6f569",
-        "run/run-1.blocks.jsonl": "48db448648eabd46759c1ba4e5f43e6598f4202f3ccfc303e12c45b1e8a09d73",
+        "run/run-1.blocks.jsonl": "cf22f463c9079743fab2a2ad08ac47c99b65be5d77b58e4503ccc9e34cc5d949",
         "run/run-1.chains.json": "4bb54d25f3cd3070bfd8b3298d7a647d147650a1c0fbce6f5537f3768c7dd31b",
         "run/run-1.csv": "a74004d19b8f2bf60e5640b5da2b51d5a889b5a2b93a42a8e4cee1f9b95920bf",
         "run/run-1.json": "e52aa566457f63d0a2f7433507e851ce436432d7ea9537a43650be912664355b",
@@ -134,11 +134,11 @@ CAMPAIGN_DIGESTS = {
         "contest-scaling/contest-scaling-0.csv": "0b4ce9d1e001c3944edb9454cfffa09a332fb2b7a9a75e96102695b4919802a4",
         "cost-report/cost-report.json": "f59028f7439cbf73c15cee57bc0f8a3c574eb435405642429cf08d2983d3d391",
         "cost-report/cost-report.txt": "e13b268b49b2f093524267ed89b1be68b152019c03b561aacdaf2fa32ca13474",
-        "run/run-0.blocks.jsonl": "bec5acae383450ce1747f535aaa06ec05fd2427b2d2678f2216374757c0d117d",
+        "run/run-0.blocks.jsonl": "7132f048eec5d636d33c850fec57e2d3875337ce8d2b715cd6a3181eac78ff4a",
         "run/run-0.chains.json": "98630ee064658d183e6d760a96fdc383707c6a955a0f86a8eefba5678102a89c",
         "run/run-0.csv": "a1344462ed9e73f08154c295947301dd486b1eedc650ed421abff46a70e1aa26",
         "run/run-0.json": "b4ec62700b1916dd9965c3044ac3832efc7822eb8ce31dc21e1148a575480bed",
-        "run/run-1.blocks.jsonl": "6cde3eab1e0b2e127b9578d50218a107785dbad71091370363217d94ce3c9a05",
+        "run/run-1.blocks.jsonl": "8196a81de42d2bb8f2471e1d0ecbc8650289d65ecc3a3387439333310e8c61a7",
         "run/run-1.chains.json": "9023cc6ad72397aec8e87aade1c38d0e079b00ce539fd0b94915602cadac2cc7",
         "run/run-1.csv": "6f292982669f00c3eb9c8af96a577160cdbd8830e19543cc20663f58e3f747f0",
         "run/run-1.json": "96e8bcc0c32cc469cee4bd90969c7906cf1a1d4a5834ed73a1090e87d45ae4ea",
