@@ -8,7 +8,7 @@ protocol wipes her balance: neither transfer executes, 9 tokens burn, and the
 lowest-signature vetoer earns the 1-token reward on every chain.
 """
 
-from panchain import run, veto_demo, veto_demo_boundary
+from panchain import veto_demo, veto_demo_boundary
 from panchain.ecosystem import Ecosystem
 
 

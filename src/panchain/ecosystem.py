@@ -15,11 +15,18 @@ queue. A chain's entry stays queued while its block is made, and the loop
 requeues it afterwards in one place. A block on a chain with an empty mempool
 is only counted, so the loop counts it without a handler and builds no
 ``Block``.
-After the client-initiation window (``duration``) closes, the loop keeps
-producing blocks until every proof and veto contest is past its deadline plus
-two block intervals, then reports. A transfer's outcome is judged only once
-every chain has included its finalize, accepted or rejected; until then the
-check is retried one block interval later.
+The run ends after the first instant at which no event is queued and every
+mempool is empty; that instant's remaining blocks are still produced, so at
+jitter 0 every chain ends at the same height. A transfer's outcome is judged
+only once every chain has included its finalize, accepted or rejected; until
+then the check is retried one block interval later.
+
+The run terminates because every event source is finite: clients start
+transfers only within ``duration``, each script leg fires once, and a
+transfer's first landed claim, an exposure and a found conflict each schedule
+a fixed number of events. The detect check's retries are the one repeating
+event, and they last only while a finalize is queued, because each busy block
+drains at least one transaction.
 """
 
 from __future__ import annotations
@@ -123,11 +130,10 @@ class Ecosystem:
             name: random.Random(f"{seed}/observer/{name}") for name in config.observers
         } if config.observation.mode == "uniform" else {}
         self._heap: list[tuple[float, int, tuple]] = []
-        # (fire_at, seq, chain_id) of each chain's next block, if within the horizon.
+        # (fire_at, seq, chain_id) of each chain's next block.
         self._blocks: list[tuple[float, int, int]] = []
         self._seq = 0
         self._now = 0.0
-        self._horizon = float(config.duration)
         self._transfers: dict[bytes, _Transfer] = {}
         # The alphas whose proofs observers have been scheduled to look at.
         self._exposed: set[bytes] = set()
@@ -137,28 +143,11 @@ class Ecosystem:
     # -- scheduling ---------------------------------------------------------
 
     def _schedule(self, fire_at: float, payload: tuple) -> None:
-        """Schedule a non-block event and keep chains producing blocks until
-        two (jittered) block intervals and one second past it, long enough to
-        include whatever it may submit. Every submission happens inside such
-        an event, so this is the one place the horizon grows."""
+        """Schedule a non-block event; blocks have their own queue."""
         if fire_at < self._now:
             raise RuntimeError(f"{payload[0]} event scheduled at {fire_at}, before now ({self._now})")
         heapq.heappush(self._heap, (fire_at, self._seq, payload))
         self._seq += 1
-        end = fire_at + 2 * self._longest_gap + 1
-        if end > self._horizon:
-            self._horizon = end
-            self._ensure_blocks()
-
-    def _ensure_blocks(self) -> None:
-        """Queue the next block, if within the horizon, of every chain without
-        an entry. Needed only when the horizon extends: a chain without one had
-        its next block past the horizon when it was last requeued."""
-        queued = {entry[2] for entry in self._blocks}
-        for chain in self.chains:
-            if chain.chain_id not in queued and chain.next_block_time <= self._horizon:
-                heapq.heappush(self._blocks, (chain.next_block_time, self._seq, chain.chain_id))
-                self._seq += 1
 
     def _handle_submit(self, chain_id: int, tx) -> None:
         self.chains[chain_id].submit(tx, self._now)
@@ -166,6 +155,10 @@ class Ecosystem:
     # -- run loop -----------------------------------------------------------
 
     def run(self) -> RunReport:
+        """Run to quiescence: the run ends after the first instant at which no
+        event is queued and every mempool is empty. Every chain's next block
+        is queued after the initial client and leg events, so ties keep their
+        (fire_at, seq) order, and stays queued to the end."""
         for name, client in self.clients.items():
             first = client.rng.uniform(0, self.config.think_time[1])
             if first <= self.config.duration:
@@ -173,11 +166,14 @@ class Ecosystem:
         for a_idx, action in enumerate(self.config.script):
             for l_idx, leg in enumerate(action.legs):
                 self._schedule(leg.at, ("leg", a_idx, l_idx))
-        self._ensure_blocks()
+        for chain in self.chains:
+            heapq.heappush(self._blocks, (chain.next_block_time, self._seq, chain.chain_id))
+            self._seq += 1
 
         heap, blocks, chains = self._heap, self._blocks, self.chains
-        while heap or blocks:
-            if blocks and (not heap or blocks[0] < heap[0]):
+        # The last clause finishes the current instant's blocks.
+        while heap or any(chain.mempool for chain in chains) or blocks[0][0] == self._now:
+            if not heap or blocks[0] < heap[0]:
                 # The chain's entry stays on top until it is requeued: whatever
                 # the block queues meanwhile fires later or has a larger seq.
                 fire_at, _, chain_id = blocks[0]
@@ -188,11 +184,8 @@ class Ecosystem:
                     self._audit(chain)
                 else:  # idle chain: its block is only counted
                     chain.produce_empty_block(fire_at)
-                if chain.next_block_time <= self._horizon:
-                    heapq.heapreplace(blocks, (chain.next_block_time, self._seq, chain_id))
-                    self._seq += 1
-                else:
-                    heapq.heappop(blocks)
+                heapq.heapreplace(blocks, (chain.next_block_time, self._seq, chain_id))
+                self._seq += 1
             else:
                 fire_at, _, payload = heapq.heappop(heap)
                 self._now = fire_at
@@ -291,8 +284,10 @@ class Ecosystem:
         self._register_transfer(poi, leg.chain, client_driven=False)
 
     def _register_transfer(self, poi: ProofOfIntent, claim_chain: int, client_driven: bool) -> None:
-        self._transfers[poi.alpha] = _Transfer(
-            poi=poi, claim_chain=claim_chain, client_driven=client_driven
+        # A scripted leg that re-signs a registered proof gets its alpha, and
+        # the transfer keeps its first tracker.
+        self._transfers.setdefault(
+            poi.alpha, _Transfer(poi=poi, claim_chain=claim_chain, client_driven=client_driven)
         )
         self._handle_submit(claim_chain, make_claim(poi))
 

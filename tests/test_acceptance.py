@@ -8,8 +8,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from panchain.cli import (
     ExperimentSpec,
     cmd_contest_scaling,
@@ -26,7 +24,7 @@ from panchain.configs import (
 from panchain.contract import ChainState
 from panchain.costmodel import min_viable_price, transfer_cost
 from panchain.crypto import sign
-from panchain.ecosystem import Ecosystem, run
+from panchain.ecosystem import Ecosystem
 from panchain.protocol import (
     encode_poi,
     make_claim,

@@ -119,9 +119,11 @@ def test_a_lone_client_has_no_one_to_pay(monkeypatch):
     assert report.transfers == [] and report.stats["transfers_attempted"] == 0
 
 
-def test_duration_zero_empty_ledger():
+@pytest.mark.parametrize("duration", [0.0, 1e6])
+def test_duration_zero_empty_ledger(duration):
+    # Without a client or a script nothing is queued, so no block is made.
     config = EcosystemConfig(
-        chains=2, wallets=(WalletSpec("a", 10),), duration=0.0, seed=1
+        chains=2, wallets=(WalletSpec("a", 10),), duration=duration, seed=1
     )
     report = run(config)
     assert report.transfers == []
@@ -559,7 +561,7 @@ def _stress_config(seed: int) -> EcosystemConfig:
     })
 
 
-def _congested_double_spends() -> EcosystemConfig:
+def _congested_double_spends(seed: int = 0) -> EcosystemConfig:
     # Four wallets each sign two overlapping proofs, claimed 5 s apart on
     # different chains, amid four clients at two transactions per block.
     clients = [f"client-{i:02d}" for i in range(4)]
@@ -574,7 +576,7 @@ def _congested_double_spends() -> EcosystemConfig:
         script.append({"kind": "double_spend", "sender": f"ds-{i:02d}", "legs": legs})
     return config_from_dict({
         "chains": 3, "clients": 4, "observers": 3, "max_txs_per_block": 2,
-        "duration": 300.0, "seed": 0, "wallets": {f"ds-{i:02d}": 100 for i in range(4)},
+        "duration": 300.0, "seed": seed, "wallets": {f"ds-{i:02d}": 100 for i in range(4)},
         "script": script,
     })
 
@@ -626,10 +628,12 @@ def test_only_claims_expose_proofs_and_contests_and_vetoes_carry_exposed_ones(na
         assert any(isinstance(tx, Veto) for tx in included)
 
 
-# The exposure runs, and sweep runs that resync 97 to 114 transfers each.
+# The exposure runs, sweep runs that resync 97 to 114 transfers each, and
+# congested double spends, whose mempools stay backlogged until late in the run.
 _REPLAY_RUNS = {
     **_EXPOSURE_RUNS,
     **{f"sweep_config-20-{seed}": lambda seed=seed: sweep_config(20, seed=seed) for seed in range(4)},
+    **{f"congested-{seed}": lambda seed=seed: _congested_double_spends(seed) for seed in range(4)},
 }
 
 
@@ -638,6 +642,10 @@ def test_replaying_each_chains_journal_rebuilds_its_state(name):
     eco = Ecosystem(_REPLAY_RUNS[name]())
     report = eco.run()
     _replay(eco)
+    # The run ended quiescent, and at jitter 0 all chains finished its last instant.
+    assert not eco._heap and not any(chain.mempool for chain in eco.chains)
+    if not eco.config.jitter:
+        assert len({chain.height for chain in eco.chains}) == 1
     resyncs = [[entry for entry in chain.journal if isinstance(entry, Resync)] for chain in eco.chains]
     assert [len(entries) for entries in resyncs] == [len(report.resync_events)] * len(eco.chains)
     if name.startswith("sweep_config"):
@@ -752,6 +760,40 @@ def test_resync_moves_only_the_reward_when_a_chain_chose_another_winner(seed):
     )
 
 
+_RESIGNED_LEG = """
+import json, sys
+from panchain.configs import config_from_dict
+from panchain.ecosystem import run
+leg = {"recipient": "b", "amount": 12, "t0": 1, "t1": 40, "chain": 0}
+rows = []
+for second_at in (30.0, 64.0, 65.5):
+    report = run(config_from_dict({
+        "wallets": {"a": 40, "b": 0}, "observers": 2, "duration": 100,
+        "script": [{"sender": "a", "legs": [{**leg, "at": at}]} for at in (1.0, second_at)],
+    }))
+    rows.append((report.transfers, report.tx_counts["finalize"]))
+json.dump(rows, sys.stdout)
+"""
+
+
+def test_a_leg_that_re_signs_a_registered_proof_keeps_its_tracker():
+    # Two identical legs sign one proof, so the second gets the first's alpha.
+    # Had it replaced the tracker, a second leg at 30 s would submit the
+    # finalizes twice, one at 64 s would report the executed transfer as
+    # failed, and one at 65.5 s would leave detect waiting for finalizes that
+    # had landed already, forever; the subprocess's timeout catches that.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", _RESIGNED_LEG], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    for rows, finalizes in json.loads(result.stdout):
+        assert finalizes == 3
+        [row] = rows
+        assert row["claim_ok"] and not row["failed"] and row["executed_chains"] == [0, 1, 2]
+
+
 def _double_spend(sender, *legs):
     keys = ("at", "recipient", "amount", "t0", "t1", "chain")
     return {"kind": "double_spend", "sender": sender, "legs": [dict(zip(keys, leg)) for leg in legs]}
@@ -828,11 +870,11 @@ def test_a_small_honest_run_ends_consistent_and_audited(data):
     _replay(eco)
     for chain in eco.chains:
         chain.state.audit()
-        # Without an observer fewer events extend the run, and a backlog of
-        # claims can outlast it.
-        assert not chain.mempool or not eco.observers
+        assert not chain.mempool
+    if not eco.config.jitter:
+        assert len({chain.height for chain in eco.chains}) == 1
     for tracker in eco._transfers.values():
-        assert tracker.claim_ok is not None or not eco.observers
+        assert tracker.claim_ok is not None
         if tracker.claim_ok:
             # An accepted claim is judged on every chain.
             assert len(tracker.contest_counts) == len(eco.chains)

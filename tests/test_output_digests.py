@@ -106,17 +106,17 @@ CAMPAIGN_DIGESTS = {
         "run/run-0.blocks.jsonl": "dc65b81b3a4a9abfe459467554ed64facda3659305b09a10a664973a105d8885",
         "run/run-0.chains.json": "3a60f3aefa69c6dea1e39d7d9a7b65e5d10e67643cdcfc6a0d10ce336d838fdb",
         "run/run-0.csv": "25921fb830ae7580d2c9e01545196cfc21912e92b4610c5fc5b546ba01693554",
-        "run/run-0.json": "f61f0de8d9c80399bb8df731e91e0c4a4fca316a78d7c504f787bd3292e6f569",
+        "run/run-0.json": "684a4a831a299ebf96c1b771c82aa3439e5b1f5ca54f620a5b0d16ac4bf97f73",
         "run/run-1.blocks.jsonl": "cf22f463c9079743fab2a2ad08ac47c99b65be5d77b58e4503ccc9e34cc5d949",
         "run/run-1.chains.json": "4bb54d25f3cd3070bfd8b3298d7a647d147650a1c0fbce6f5537f3768c7dd31b",
         "run/run-1.csv": "a74004d19b8f2bf60e5640b5da2b51d5a889b5a2b93a42a8e4cee1f9b95920bf",
-        "run/run-1.json": "e52aa566457f63d0a2f7433507e851ce436432d7ea9537a43650be912664355b",
+        "run/run-1.json": "c9e17b4050ed285b42f7d64d690b0f5e85fa251b2f38fb0daaf742fb80c49952",
         "sweep-validity/sweep-validity-0.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-1.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-summary.csv":
             "694dbd19e7239f6d3c509007dab5a5e7658f661a4d9ec385c848fcb9f8a6d261",
-        "veto-demo/veto-demo-0.json": "507ab72aadd8a75b274fefcbc248d382df630d9cd5a8188835e0093d0dba4af7",
-        "veto-demo/veto-demo-1.json": "66fc786af6cf393e3934deb11adf21de807fe4a85d101e763e92018a7625dd75",
+        "veto-demo/veto-demo-0.json": "dbeba05384e184dd9f448ea947e1393433e33ad8b65a6d1ee47e451e7d67f46c",
+        "veto-demo/veto-demo-1.json": "a925ac293397c24317dc51cb33f6d014180f71aa218c8db26f0c50e2fca48744",
     },
     "default": {
         "contest-scaling/contest-scaling-0.csv": "0352f52191ca33527dfd5c4b42149347c1ca316d33ba3682e064566fe05ed185",
@@ -124,11 +124,11 @@ CAMPAIGN_DIGESTS = {
         "cost-report/cost-report.txt": "e13b268b49b2f093524267ed89b1be68b152019c03b561aacdaf2fa32ca13474",
         "run/run-0.chains.json": "4e296a92df563dfe7de457033bfd037cc63d0389d0f4513591c539dcf4d86c6b",
         "run/run-0.csv": "36d2df5d3d0b01aea0c83475a948446fdfb07e0cd84bd901e634fa0f8e5076b0",
-        "run/run-0.json": "91d8c67b0ccd6ce24bbb9e335dfd650fe9abc44c37d9c7e812893b762e80689c",
+        "run/run-0.json": "5600cf002341e382a88e1b967d3ac1647ce69803ca0713e55a9f35d6ca1d5439",
         "sweep-validity/sweep-validity-0.csv": "06a86a80c13c8cbbb025435122f52e1931c83976e1d7a158a44e0509ef224aa3",
         "sweep-validity/sweep-validity-summary.csv":
             "1c6d0ceac49704f141296d9b20bc62221db0cd6702590357e8cb7d39122c71d5",
-        "veto-demo/veto-demo-0.json": "507ab72aadd8a75b274fefcbc248d382df630d9cd5a8188835e0093d0dba4af7",
+        "veto-demo/veto-demo-0.json": "dbeba05384e184dd9f448ea947e1393433e33ad8b65a6d1ee47e451e7d67f46c",
     },
     "ties": {
         "contest-scaling/contest-scaling-0.csv": "0b4ce9d1e001c3944edb9454cfffa09a332fb2b7a9a75e96102695b4919802a4",
@@ -137,17 +137,17 @@ CAMPAIGN_DIGESTS = {
         "run/run-0.blocks.jsonl": "7132f048eec5d636d33c850fec57e2d3875337ce8d2b715cd6a3181eac78ff4a",
         "run/run-0.chains.json": "98630ee064658d183e6d760a96fdc383707c6a955a0f86a8eefba5678102a89c",
         "run/run-0.csv": "a1344462ed9e73f08154c295947301dd486b1eedc650ed421abff46a70e1aa26",
-        "run/run-0.json": "b4ec62700b1916dd9965c3044ac3832efc7822eb8ce31dc21e1148a575480bed",
+        "run/run-0.json": "93cd0b4c567389db0e5ee35a26a2a3a2cbc9d983cd489b2f1dc5f9b158c3e5eb",
         "run/run-1.blocks.jsonl": "8196a81de42d2bb8f2471e1d0ecbc8650289d65ecc3a3387439333310e8c61a7",
         "run/run-1.chains.json": "9023cc6ad72397aec8e87aade1c38d0e079b00ce539fd0b94915602cadac2cc7",
         "run/run-1.csv": "6f292982669f00c3eb9c8af96a577160cdbd8830e19543cc20663f58e3f747f0",
-        "run/run-1.json": "96e8bcc0c32cc469cee4bd90969c7906cf1a1d4a5834ed73a1090e87d45ae4ea",
+        "run/run-1.json": "34a3cf47c826e5967a7535036e2f2192085dcd7c993af09311fe7c016210d6fc",
         "sweep-validity/sweep-validity-0.csv": "728accf9db3c0a9af304793da50b4dea8b4b3e7800c90515a27c5a7e76db5739",
         "sweep-validity/sweep-validity-1.csv": "b1fb415688f82ac8a94786a1d533de23e2e0efd427c3cfe54f98ceda990474da",
         "sweep-validity/sweep-validity-summary.csv":
             "4bc182b6495c69b806c569158eaa09cf51cf5e236ce9f5cc6f07b839459644d3",
-        "veto-demo/veto-demo-0.json": "507ab72aadd8a75b274fefcbc248d382df630d9cd5a8188835e0093d0dba4af7",
-        "veto-demo/veto-demo-1.json": "66fc786af6cf393e3934deb11adf21de807fe4a85d101e763e92018a7625dd75",
+        "veto-demo/veto-demo-0.json": "dbeba05384e184dd9f448ea947e1393433e33ad8b65a6d1ee47e451e7d67f46c",
+        "veto-demo/veto-demo-1.json": "a925ac293397c24317dc51cb33f6d014180f71aa218c8db26f0c50e2fca48744",
     },
 }
 
