@@ -785,7 +785,7 @@ def test_a_leg_that_re_signs_a_registered_proof_keeps_its_tracker():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
-        [sys.executable, "-c", _RESIGNED_LEG], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", _RESIGNED_LEG], env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     for rows, finalizes in json.loads(result.stdout):
