@@ -44,8 +44,8 @@ class Client:
     At most one outgoing transfer is in flight at any time (the protocol
     forbids overlapping outgoing proofs). The ecosystem's event chain
     guarantees it: a client's next look is queued only after a look that
-    planned nothing, or once its transfer has concluded and then no sooner
-    than ``t1 + 1`` of the window it signed.
+    planned nothing, or once its transfer has concluded, its claim refused or
+    its outcome judged.
     """
 
     # The signed window is dated slightly ahead of signing time so the lag
@@ -123,10 +123,9 @@ class Observer:
     with a proof long since finalized.
     """
 
-    def __init__(self, name: str, key: KeyPair, post_iff_winnable: bool = True):
+    def __init__(self, name: str, key: KeyPair):
         self.name = name
         self.key = key
-        self.post_iff_winnable = post_iff_winnable
         self.seen: dict[bytes, ProofOfIntent] = {}
         self._by_sender: dict[bytes, tuple[int, list[ProofOfIntent]]] = {}
 
@@ -154,23 +153,19 @@ class Observer:
     def contest_submissions(
         self, poi: ProofOfIntent, chains: Sequence[SimChain], now: float
     ) -> list[tuple[int, Contest]]:
-        """Submit a contest everywhere this observer can still win (or
-        everywhere at all, when the winnable filter is off)."""
+        """Submit a contest on every chain where this observer would lead:
+        the proof is unknown there, or pending with no leader at or below this
+        observer's ``(omega, wallet)``. An observer that has entered is such a
+        leader or behind one, since its omega is deterministic."""
         if now >= poi.t1:
             return []
         contest = make_contest(self.key, poi)
-        omega, me = contest.omega, contest.contestant
+        mine = (contest.omega, contest.contestant)
         submissions = []
         for chain in chains:
             record = chain.state.poi_records.get(poi.alpha)
-            if record is not None:
-                if record.status != PENDING or me in record.contestants:
-                    continue
-                # This observer is not among the contestants yet, so it would
-                # win iff it beats their leader.
-                if self.post_iff_winnable and record.leader and record.leader < (omega, me):
-                    continue
-            submissions.append((chain.chain_id, contest))
+            if record is None or (record.status == PENDING and (record.leader is None or mine < record.leader)):
+                submissions.append((chain.chain_id, contest))
         return submissions
 
     def make_vetoes(

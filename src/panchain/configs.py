@@ -91,7 +91,6 @@ class EcosystemConfig:
     seed: int = 0
     think_time: tuple[float, float] = (15.0, 30.0)
     observation: ObservationPolicy = field(default_factory=ObservationPolicy)
-    post_iff_winnable: bool = True
     script: tuple[ScriptedAction, ...] = ()
 
     def __post_init__(self) -> None:

@@ -121,10 +121,7 @@ class Ecosystem:
             name: [self.keys[peer] for peer in self.clients if peer != name]
             for name in self.clients
         }
-        self.observers: dict[str, Observer] = {
-            name: Observer(name, self.keys[name], post_iff_winnable=config.post_iff_winnable)
-            for name in config.observers
-        }
+        self.observers: dict[str, Observer] = {name: Observer(name, self.keys[name]) for name in config.observers}
         # Each observer's uniform observation delays; staggered observation draws none.
         self._delay_rngs: dict[str, random.Random] = {
             name: random.Random(f"{seed}/observer/{name}") for name in config.observers
@@ -135,8 +132,6 @@ class Ecosystem:
         self._seq = 0
         self._now = 0.0
         self._transfers: dict[bytes, _Transfer] = {}
-        # The alphas whose proofs observers have been scheduled to look at.
-        self._exposed: set[bytes] = set()
         # The longest gap between two blocks of a chain.
         self._longest_gap = config.block_interval * (1 + config.jitter)
 
@@ -214,24 +209,22 @@ class Ecosystem:
                 self._transfers[tx.alpha].finalize_results += 1
 
     def _claim_landed(self, poi: ProofOfIntent, ok: bool) -> None:
-        """A claim has landed, accepted or not: its transfer's first landed
-        claim schedules the finalizes and the detect check, or frees the
-        client, and then the proof's first landing anywhere exposes it."""
+        """A claim has landed, accepted or not. Only the proof's first landed
+        claim acts: it schedules the finalizes and the detect check, or frees
+        the client, and then exposes the proof. Two scripted legs that sign
+        the same proof share one alpha and so one tracker."""
         tracker = self._transfers[poi.alpha]
-        if tracker.claim_ok is None:
-            tracker.claim_ok = ok
-            if ok:
-                recipient_key = self.keys[self.names[poi.recipient]]
-                finalize = make_finalize(recipient_key, poi.alpha)
-                for chain in self.chains:
-                    self._schedule(poi.t1 + self.config.block_interval, ("submit", chain.chain_id, finalize))
-                self._schedule(poi.t1 + 2 * self._longest_gap + 1, ("detect", poi.alpha))
-            else:
-                self._finish_transfer(tracker)
-        # Two scripted legs that sign the same proof share one alpha.
-        if poi.alpha in self._exposed:
+        if tracker.claim_ok is not None:
             return
-        self._exposed.add(poi.alpha)
+        tracker.claim_ok = ok
+        if ok:
+            recipient_key = self.keys[self.names[poi.recipient]]
+            finalize = make_finalize(recipient_key, poi.alpha)
+            for chain in self.chains:
+                self._schedule(poi.t1 + self.config.block_interval, ("submit", chain.chain_id, finalize))
+            self._schedule(poi.t1 + 2 * self._longest_gap + 1, ("detect", poi.alpha))
+        else:
+            self._finish_transfer(tracker)
         policy = self.config.observation
         names = list(self.observers)
         if policy.mode == "staggered":
@@ -243,18 +236,21 @@ class Ecosystem:
             self._schedule(self._now + delay, ("observe", name, poi.alpha))
 
     def _finish_transfer(self, tracker: _Transfer) -> None:
-        """Free the initiating client and queue its next attempt.
+        """Free the initiating client, which looks again after a think delay.
 
-        The next intent must not overlap the window the client already signed,
-        even if that claim was rejected: the signature exists and is on-chain
-        data, so an overlapping successor would be a vetoable double-sign.
-        """
-        if not tracker.client_driven:
-            return
-        client = self.clients[self.names[tracker.poi.sender]]
-        next_at = max(self._now + client.think_delay(), tracker.poi.t1 + 1.0)
+        Its next window opens at ``int(now) + WINDOW_LEAD``, after the one it
+        signed: a transfer is judged after ``t1``, and the claim of a client
+        whose balance only its own transfers spend is refused only as
+        ``expired-poi``, at or after ``t1``."""
+        if tracker.client_driven:
+            self._next_look(self.names[tracker.poi.sender])
+
+    def _next_look(self, name: str) -> None:
+        """Queue the client's next look after a think delay, if that falls
+        within ``duration``."""
+        next_at = self._now + self.clients[name].think_delay()
         if next_at <= self.config.duration:
-            self._schedule(next_at, ("client", client.name))
+            self._schedule(next_at, ("client", name))
 
     def _handle_client(self, name: str) -> None:
         client = self.clients[name]
@@ -263,11 +259,9 @@ class Ecosystem:
         ]
         plan = client.plan_transfer(self._now, chain_balances, self._recipients[name])
         if plan is None:
-            next_at = self._now + client.think_delay()
-            if next_at <= self.config.duration:
-                self._schedule(next_at, ("client", name))
-            return
-        self._register_transfer(plan.poi, plan.claim_chain, client_driven=True)
+            self._next_look(name)
+        else:
+            self._register_transfer(plan.poi, plan.claim_chain, client_driven=True)
 
     def _handle_leg(self, action_idx: int, leg_idx: int) -> None:
         action: ScriptedAction = self.config.script[action_idx]

@@ -181,13 +181,16 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
     m = len(chains)
     transfer_rows = []
     executed_full = failed = corrupted = vetoed = 0
-    contests: list[float] = []  # per chain, one entry per claimed transfer
+    # The claimed transfers' contests on all chains: an integer, so their
+    # mean per chain is one correctly rounded division on every Python.
+    claimed = contests = 0
     for tracker in transfers:
         executed = tracker.executed
         # One winner on all m chains; such a transfer is never corrupted.
         executed_full += len(executed) == m and len(set(executed.values())) == 1
         if tracker.claim_ok:
-            contests.append(sum(tracker.contest_counts.values()) / m)
+            claimed += 1
+            contests += sum(tracker.contest_counts.values())
         claim_failed = tracker.claim_ok is False
         failed += claim_failed
         corrupted += tracker.corrupted
@@ -236,12 +239,12 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
 
     stats = {
         "transfers_attempted": len(transfer_rows),
-        "transfers_claimed": len(contests),
+        "transfers_claimed": claimed,
         "transfers_executed": executed_full,
         "transfers_failed": failed,
         "transfers_corrupted": corrupted,
         "transfers_vetoed": vetoed,
-        "mean_contests_per_chain": sum(contests) / len(contests) if contests else 0.0,
+        "mean_contests_per_chain": contests / (m * claimed) if claimed else 0.0,
         "blocks_per_chain": {str(chain.chain_id): chain.height for chain in chains},
     }
     # Every chain's snapshot shares one hex string per value, one dict per

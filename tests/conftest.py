@@ -1,11 +1,33 @@
 import ctypes
 import ctypes.util
 import hashlib
+import signal
 
 import pytest
 
 from panchain import crypto
 from panchain.crypto import generate_keypair
+
+
+# The slowest test takes about 5 s; a test still running at this limit hangs.
+TIME_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TIME_LIMIT_S, so a hang fails the suite
+    instead of stalling it."""
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its {TIME_LIMIT_S} s time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def keypair(label: str):

@@ -370,6 +370,8 @@ _OVERFLOW = "so large that a cost overflows"
         ("run", {"ecosystem": {"duration": -1.0}}, [], "duration must be non-negative"),
         ("run", {"ecosystem": {"validity_length": 0}}, [], "validity_length must be at least 1 second"),
         ("run", {"ecosystem": {"reward": -1}}, [], "reward must be non-negative"),
+        # The observer rule has no switch: a config that names one is refused.
+        ("run", {"ecosystem": {"post_iff_winnable": True}}, [], "unknown ecosystem fields: ['post_iff_winnable']"),
         ("run", {"ecosystem": {"think_time": [0, 5]}}, [], "think_time bounds must satisfy 0 < low"),
         ("run", {"ecosystem": {"think_time": [1]}}, [], "think_time must be a list of 2"),
         ("run", {"ecosystem": {"wallets": {"a": 10}, "clients": ["zed"]}}, [], "unknown wallet referenced: 'zed'"),
@@ -395,7 +397,8 @@ _OVERFLOW = "so large that a cost overflows"
         "veto-demo-negative-client-balance", "supply-of-2^65", *(f"{c}-out-is-a-file" for c in cli.CAMPAIGNS),
         "unknown-observation-mode", "observation-low-above-high", "staggered-without-spacing",
         "unknown-action-kind", "two-leg-transfer", "one-leg-double-spend", "negative-duration",
-        "zero-validity", "negative-reward", "zero-think-time", "one-think-time-bound", "unknown-client-name",
+        "zero-validity", "negative-reward", "removed-post-iff-winnable", "zero-think-time", "one-think-time-bound",
+        "unknown-client-name",
         "script-sender-not-a-wallet", "script-recipient-not-a-wallet", "leg-chain-out-of-range",
         "top-level-list", "empty-seed-list", "zero-jobs",
     ],

@@ -638,6 +638,13 @@ def test_resync_that_would_go_negative_raises_and_changes_nothing(old):
     assert (state.balances, state.burned) == before
 
 
+def test_a_chain_takes_a_reward_of_zero_but_not_a_negative_one():
+    balances = {S.public_key: 80, D.public_key: 0}
+    assert ChainState(0, balances, reward=0).reward == 0
+    with pytest.raises(ValueError, match="reward must be non-negative"):
+        ChainState(0, balances, reward=-1)
+
+
 def test_audit_rejects_a_negative_balance():
     # Conserved in sum and burned is 0, yet a wallet holds -1.
     state = fresh_state(sender_balance=10)

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -117,6 +118,25 @@ def test_a_lone_client_has_no_one_to_pay(monkeypatch):
     report = run(config_from_dict({"clients": 1, "observers": 1, "duration": 300.0}))
     assert len(asked) > 1 and not any(asked)
     assert report.transfers == [] and report.stats["transfers_attempted"] == 0
+
+
+@pytest.mark.parametrize("clients", [1, 2], ids=["after-planning-nothing", "after-a-transfer"])
+def test_a_client_look_due_exactly_at_duration_still_runs(monkeypatch, clients):
+    # A lone client plans nothing; two clients pay each other, so each look
+    # after a client's first follows the end of its last transfer. Either way
+    # its next look comes one think time later and runs if it falls within
+    # duration, the last instant included.
+    looks = []
+    plan = Client.plan_transfer
+    monkeypatch.setattr(
+        Client, "plan_transfer", lambda self, now, *args: looks.append((self.name, now)) or plan(self, now, *args)
+    )
+    config = config_from_dict({"clients": clients, "observers": 1, "think_time": [5, 5], "duration": 300.0})
+    run(config)
+    first = [now for name, now in looks if name == "client-00"]
+    looks.clear()
+    run(replace(config, duration=first[1]))
+    assert [now for name, now in looks if name == "client-00"] == first[:2]
 
 
 @pytest.mark.parametrize("duration", [0.0, 1e6])
@@ -620,10 +640,13 @@ def test_only_claims_expose_proofs_and_contests_and_vetoes_carry_exposed_ones(na
     eco = Ecosystem(_EXPOSURE_RUNS[name]())
     eco.run()
     included = [tx for chain in eco.chains for block in _blocks(chain) for tx in block.transactions]
-    assert eco._exposed == {tx.poi.alpha for tx in included if isinstance(tx, Claim)}
+    claimed = {tx.poi.alpha for tx in included if isinstance(tx, Claim)}
+    # A proof is exposed to every observer when its first claim lands.
+    assert all(observer.seen.keys() == claimed for observer in eco.observers.values())
+    assert {alpha for alpha, tracker in eco._transfers.items() if tracker.claim_ok is not None} == claimed
     carried = [tx.poi.alpha for tx in included if isinstance(tx, Contest)]
     carried += [alpha for tx in included if isinstance(tx, Veto) for alpha in (tx.alpha, tx.conflicting_poi.alpha)]
-    assert set(carried) <= eco._exposed
+    assert set(carried) <= claimed
     if name.startswith("veto_demo"):
         assert any(isinstance(tx, Veto) for tx in included)
 
@@ -682,7 +705,7 @@ def test_stats_are_the_counts_of_the_transfer_rows(config):
         if len(row["executed_chains"]) == m and len(set(row["winners_by_chain"].values())) == 1
     ]
     assert not any(row["corrupted"] for row in executed)
-    contests = [sum(row["contest_counts"].values()) / m for row in rows if row["claim_ok"]]
+    contests = [sum(row["contest_counts"].values()) for row in rows if row["claim_ok"]]
     counts = {
         "transfers_attempted": len(rows),
         "transfers_claimed": len(contests),
@@ -693,7 +716,9 @@ def test_stats_are_the_counts_of_the_transfer_rows(config):
     }
     assert {key: report.stats[key] for key in counts} == counts
     assert all(type(report.stats[key]) is int for key in counts)
-    assert report.stats["mean_contests_per_chain"] == (sum(contests) / len(contests) if contests else 0.0)
+    # The mean per chain is the exact one, rounded once.
+    mean = Fraction(sum(contests), m * len(contests)) if contests else 0
+    assert report.stats["mean_contests_per_chain"] == float(mean)
 
 
 @pytest.mark.parametrize("seed", [0, 2, 11])
@@ -738,12 +763,12 @@ _WINNER_SWAP_CRASHES = {
     "586523": {
         "chains": 3, "clients": 7, "observers": 4, "max_txs_per_block": 1, "jitter": 0.1,
         "block_interval": 13.0, "validity_length": 16, "duration": 400.0, "seed": 586523,
-        "observation": {"mode": "staggered", "spacing": 0.5}, "post_iff_winnable": True,
+        "observation": {"mode": "staggered", "spacing": 0.5},
     },
     "333210": {
         "chains": 2, "clients": 9, "observers": 3, "max_txs_per_block": 3, "jitter": 0.1,
         "block_interval": 20.0, "validity_length": 23, "duration": 400.0, "seed": 333210,
-        "observation": {"mode": "staggered", "spacing": 0.5}, "post_iff_winnable": True,
+        "observation": {"mode": "staggered", "spacing": 0.5},
     },
 }
 
@@ -794,16 +819,22 @@ def test_a_leg_that_re_signs_a_registered_proof_keeps_its_tracker():
         assert row["claim_ok"] and not row["failed"] and row["executed_chains"] == [0, 1, 2]
 
 
+_LEG_KEYS = ("at", "recipient", "amount", "t0", "t1", "chain")
+
+
 def _double_spend(sender, *legs):
-    keys = ("at", "recipient", "amount", "t0", "t1", "chain")
-    return {"kind": "double_spend", "sender": sender, "legs": [dict(zip(keys, leg)) for leg in legs]}
+    return {"kind": "double_spend", "sender": sender, "legs": [dict(zip(_LEG_KEYS, leg)) for leg in legs]}
 
 
-# Valid double-spend configs whose resync must settle a leg that another chain
-# has already paid out of the sender: settle refuses to overdraw it and the run
-# dies. ROADMAP direction 2 owns the rule for such a transfer; direction 9 says
-# to keep the raise, not clamp it, until that rule exists.
-_DOUBLE_SPEND_CRASHES = {
+def _transfer(sender, leg):
+    return {"sender": sender, "legs": [dict(zip(_LEG_KEYS, leg))]}
+
+
+# Valid configs whose resync must settle a transfer that another chain has
+# already paid out of the sender: settle refuses to overdraw it and the run
+# dies. ROADMAP direction 16 owns the rule for such a transfer, and keeps the
+# raise, not a clamp, until that rule exists.
+_RESYNC_CRASHES = {
     # Each chain executes its own leg, and m cannot pay both.
     "no-observers": {
         "chains": 2, "observers": 0, "duration": 60.0, "seed": 0, "wallets": {"m": 100, "a": 0, "b": 0},
@@ -819,13 +850,22 @@ _DOUBLE_SPEND_CRASHES = {
             _double_spend("ds-2", (145.0, "client-08", 69, 147, 153, 3), (145.0, "client-07", 66, 147, 155, 3)),
         ],
     },
+    # No double spend: every contest lands after its proof's t1, so each
+    # transfer executes only on its claim chain. Chain 0 never learns the
+    # first, pays out the second from the same tokens, and the first's resync
+    # cannot settle there.
+    "sequential-short-windows": {
+        "chains": 2, "observers": 2, "block_interval": 20.0, "jitter": 0.1, "seed": 0, "duration": 100.0,
+        "wallets": {"m": 100, "r": 0},
+        "script": [_transfer("m", (1.0, "r", 43, 3, 36, 1)), _transfer("m", (37.0, "r", 93, 39, 55, 0))],
+    },
 }
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError, reason="resync overdraws a double spender (ROADMAP 2, 9)")
-@pytest.mark.parametrize("name", list(_DOUBLE_SPEND_CRASHES))
-def test_a_valid_double_spend_config_runs_to_a_consistent_report(name):
-    report = run(config_from_dict(_DOUBLE_SPEND_CRASHES[name]))
+@pytest.mark.xfail(strict=True, raises=RuntimeError, reason="resync overdraws a sender (ROADMAP 16)")
+@pytest.mark.parametrize("name", list(_RESYNC_CRASHES))
+def test_a_valid_config_runs_to_a_consistent_report(name):
+    report = run(config_from_dict(_RESYNC_CRASHES[name]))
     assert report.consistency == []
 
 
@@ -856,7 +896,8 @@ _HONEST_CONFIGS = st.fixed_dictionaries({
         st.just({"mode": "uniform"}),
         st.builds(lambda spacing: {"mode": "staggered", "spacing": spacing}, st.sampled_from([0.5, 1.0, 2.0])),
     ),
-    "post_iff_winnable": st.booleans(),
+    "think_time": st.sampled_from([[0.1, 0.1], [0.2, 0.9], [1, 1], [1, 3], [15, 30]]),
+    "reward": st.sampled_from([0, 1, 3]),
     "seed": st.integers(0, 2**20),
 })
 
@@ -871,6 +912,11 @@ def test_a_small_honest_run_ends_consistent_and_audited(data):
     for chain in eco.chains:
         chain.state.audit()
         assert not chain.mempool
+    # No honest wallet signs overlapping windows, so nothing is vetoed and no
+    # claim is refused as conflicting.
+    assert "veto" not in report.tx_counts
+    errors = {error for chain in eco.chains for block in _blocks(chain) for error in block.errors}
+    assert "conflicting-poi" not in errors
     if not eco.config.jitter:
         assert len({chain.height for chain in eco.chains}) == 1
     for tracker in eco._transfers.values():

@@ -106,11 +106,11 @@ CAMPAIGN_DIGESTS = {
         "run/run-0.blocks.jsonl": "dc65b81b3a4a9abfe459467554ed64facda3659305b09a10a664973a105d8885",
         "run/run-0.chains.json": "3a60f3aefa69c6dea1e39d7d9a7b65e5d10e67643cdcfc6a0d10ce336d838fdb",
         "run/run-0.csv": "25921fb830ae7580d2c9e01545196cfc21912e92b4610c5fc5b546ba01693554",
-        "run/run-0.json": "684a4a831a299ebf96c1b771c82aa3439e5b1f5ca54f620a5b0d16ac4bf97f73",
+        "run/run-0.json": "774218151d092dc943144b25686cffbe53380e097efe6b54fb224b47f382ea33",
         "run/run-1.blocks.jsonl": "cf22f463c9079743fab2a2ad08ac47c99b65be5d77b58e4503ccc9e34cc5d949",
         "run/run-1.chains.json": "4bb54d25f3cd3070bfd8b3298d7a647d147650a1c0fbce6f5537f3768c7dd31b",
         "run/run-1.csv": "a74004d19b8f2bf60e5640b5da2b51d5a889b5a2b93a42a8e4cee1f9b95920bf",
-        "run/run-1.json": "c9e17b4050ed285b42f7d64d690b0f5e85fa251b2f38fb0daaf742fb80c49952",
+        "run/run-1.json": "00c3d3e6165f0bdb25102510b8a187d6f93ca64d453dbb0d5ac2fa53b210ddd7",
         "sweep-validity/sweep-validity-0.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-1.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-summary.csv":
@@ -124,7 +124,7 @@ CAMPAIGN_DIGESTS = {
         "cost-report/cost-report.txt": "e13b268b49b2f093524267ed89b1be68b152019c03b561aacdaf2fa32ca13474",
         "run/run-0.chains.json": "4e296a92df563dfe7de457033bfd037cc63d0389d0f4513591c539dcf4d86c6b",
         "run/run-0.csv": "36d2df5d3d0b01aea0c83475a948446fdfb07e0cd84bd901e634fa0f8e5076b0",
-        "run/run-0.json": "5600cf002341e382a88e1b967d3ac1647ce69803ca0713e55a9f35d6ca1d5439",
+        "run/run-0.json": "c14138457fedaa9da4c9fadff8fd5687eb2a7d766b16d84ba53c8fbf2eca09b0",
         "sweep-validity/sweep-validity-0.csv": "06a86a80c13c8cbbb025435122f52e1931c83976e1d7a158a44e0509ef224aa3",
         "sweep-validity/sweep-validity-summary.csv":
             "1c6d0ceac49704f141296d9b20bc62221db0cd6702590357e8cb7d39122c71d5",
@@ -137,11 +137,11 @@ CAMPAIGN_DIGESTS = {
         "run/run-0.blocks.jsonl": "7132f048eec5d636d33c850fec57e2d3875337ce8d2b715cd6a3181eac78ff4a",
         "run/run-0.chains.json": "98630ee064658d183e6d760a96fdc383707c6a955a0f86a8eefba5678102a89c",
         "run/run-0.csv": "a1344462ed9e73f08154c295947301dd486b1eedc650ed421abff46a70e1aa26",
-        "run/run-0.json": "93cd0b4c567389db0e5ee35a26a2a3a2cbc9d983cd489b2f1dc5f9b158c3e5eb",
+        "run/run-0.json": "aea6d7155bd8c33cb510ec56c0ab82583d0ce7807a0ff2a90e3b38a89bc15521",
         "run/run-1.blocks.jsonl": "8196a81de42d2bb8f2471e1d0ecbc8650289d65ecc3a3387439333310e8c61a7",
         "run/run-1.chains.json": "9023cc6ad72397aec8e87aade1c38d0e079b00ce539fd0b94915602cadac2cc7",
         "run/run-1.csv": "6f292982669f00c3eb9c8af96a577160cdbd8830e19543cc20663f58e3f747f0",
-        "run/run-1.json": "34a3cf47c826e5967a7535036e2f2192085dcd7c993af09311fe7c016210d6fc",
+        "run/run-1.json": "32733456aeba4d12dfafc4a3ad8d338f01fa00344b7c3e4670adc1dcea759d77",
         "sweep-validity/sweep-validity-0.csv": "728accf9db3c0a9af304793da50b4dea8b4b3e7800c90515a27c5a7e76db5739",
         "sweep-validity/sweep-validity-1.csv": "b1fb415688f82ac8a94786a1d533de23e2e0efd427c3cfe54f98ceda990474da",
         "sweep-validity/sweep-validity-summary.csv":
@@ -154,11 +154,11 @@ CAMPAIGN_DIGESTS = {
 CAMPAIGN_DIGESTS["custom-pow"] = CAMPAIGN_DIGESTS["custom"]
 
 PRESET_DIGESTS = {
-    "contest_scaling_config": "0d35649ccc4fbcf85f612f3eb3191efbecee1e348036062f97e8af34ad79e482",
-    "sweep_config": "d344c92dcca7988444897e36ca2e3c6f5aaef85ec38ee209b80f6ea214b6daea",
-    "veto_demo": "7d8ae0dad7fe9193d6f24e4d6e29d979189a1e6150d71498ef9a7e1bceab8664",
-    "veto_demo_boundary": "8cf101ac55b0678877e272ecb36455c7bc9aa6eda5b7ad94489fe0e465c4d63f",
-    "worked_example": "ebc5cf9d2f519235ee370d61ad39501efe36b440fb4ee460f1e9ff34cdb88841",
+    "contest_scaling_config": "2d62399c0422e5566effc6c5293777f15275bdc44f9d565a1a4a0d76519f181a",
+    "sweep_config": "58ec935fd6656d042e97302a7d8539e2d66b715652994fb5270b99db38ad63fa",
+    "veto_demo": "c8bf635a1a9bf094dbd1d5fad83117ba1b2b0d311cfe8fbc44c1245e9ccec07c",
+    "veto_demo_boundary": "62a4bcdd2f643ba2ca08775f82618d05e1a961a19519334234f367d1ce0ecf66",
+    "worked_example": "60c8db5fed1cb55af032e8570c7497e42181e7e20117581c2b7e3a7980f3cd75",
 }
 
 

@@ -61,6 +61,14 @@ def test_encode_distinguishes_amounts(sender_key, recipient_key):
     assert encode_intent(amount=0, **base) != encode_intent(amount=1, **base)
 
 
+def test_encode_intent_takes_every_u64_and_nothing_above(sender_key, recipient_key):
+    base = dict(sender=sender_key.public_key, recipient=recipient_key.public_key, t0=0, t1=9)
+    # The amount is a length-prefixed, big-endian 8-byte field.
+    assert bytes([0, 0, 0, 8]) + b"\xff" * 8 in encode_intent(amount=2**64 - 1, **base)
+    with pytest.raises(ValueError, match="amount out of range"):
+        encode_intent(amount=2**64, **base)
+
+
 def test_encode_injective_sampled():
     # brute-force injectivity scan over random intents
     rng = random.Random(777)
