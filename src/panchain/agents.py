@@ -10,7 +10,7 @@ event loop; they hold no timers of their own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .chain import SimChain
@@ -171,15 +171,7 @@ class Observer:
     def make_vetoes(
         self, a: ProofOfIntent, b: ProofOfIntent, chains: Sequence[SimChain]
     ) -> list[tuple[int, Veto]]:
-        """Veto a conflicting pair on every chain, in both orientations.
-
-        A chain accepts a veto only if the cited alpha is already known to it,
-        and which of the two proofs a given chain learned first cannot be
-        known here, so both orderings are posted; the contract's unordered
-        veto-record keying collapses them into one contest. Both orientations
-        share one omega, since the vetoer signs the unordered pair, so it is
-        signed once and the same two vetoes go to every chain.
-        """
-        ab = make_veto(self.key, a.alpha, b)
-        ba = replace(ab, alpha=b.alpha, conflicting_poi=a)
-        return [(chain.chain_id, veto) for chain in chains for veto in (ab, ba)]
+        """Veto a conflicting pair once on every chain: the veto carries both
+        proofs, so any chain that knows either one applies it."""
+        veto = make_veto(self.key, a, b)
+        return [(chain.chain_id, veto) for chain in chains]

@@ -128,7 +128,7 @@ def block_log(chain: SimChain) -> Iterator[dict]:
             yield {**line, "at": entry.at, "resync": entry.poi.alpha.hex()[:16], "moved": entry.moved,
                    "winner": entry.winner.hex()[:16] if entry.winner else None}
             continue
-        # Claims and contests carry the proof; the other kinds name it by alpha.
+        # Claims, contests and vetoes carry a proof; finalizes name it by alpha.
         txs = [{"kind": tx.kind, "poster": tx.poster.hex()[:16], "ok": error is None,
                 "alpha": getattr(tx, "poi", tx).alpha.hex()[:16], **({"error": error} if error else {})}
                for tx, error in zip(entry.transactions, entry.errors)]

@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, TextIO
 
@@ -231,6 +231,18 @@ def _scaling_point(point: tuple) -> tuple:
     return n, seed, per_chain
 
 
+def _std_error(counts: list[int]) -> float:
+    """The standard error of the mean of two or more ``counts``: the exact
+    sample variance over the number of counts, then one correctly rounded
+    square root, an integer root of at least 55 bits with a sticky last bit
+    (round to odd), which scaling back to a float rounds once."""
+    runs = len(counts)
+    num, den = runs * sum(c * c for c in counts) - sum(counts) ** 2, runs * runs * (runs - 1)
+    k = max(0, (112 - num.bit_length() + den.bit_length()) // 2)
+    root = math.isqrt((num << 2 * k) // den)
+    return (root | (root * root * den != num << 2 * k)) / (1 << k)
+
+
 def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     """Confirmed contests per chain for each observer count, against the
     harmonic-number expectation and the log2 bound."""
@@ -244,16 +256,16 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     results = _map_points(_scaling_point, points, spec.jobs)
 
     outputs, errors = [], []
-    counts: dict[int, list[float]] = {n: [] for n in n_values}
+    counts: dict[int, list[int]] = {n: [] for n in n_values}
     for n, seed, per_chain in results:
         if len(set(per_chain)) != 1:
             errors.append({"n": n, "seed": seed, "error": "contest counts differ across chains"})
         counts[n].append(per_chain[0])
     lines = ["n,runs,mean_contests_per_chain,std_error,harmonic_number,log2_n"]
     for n in n_values:
-        mean = statistics.mean(counts[n])
-        se = statistics.stdev(counts[n]) / math.sqrt(len(counts[n])) if len(counts[n]) > 1 else 0.0
-        harmonic = sum(1 / k for k in range(1, n + 1))
+        mean = sum(counts[n]) / len(counts[n])
+        se = _std_error(counts[n]) if len(counts[n]) > 1 else 0.0
+        harmonic = float(sum(Fraction(1, k) for k in range(1, n + 1)))
         log2n = math.log2(n) if n > 1 else 0.0
         lines.append(f"{n},{len(seeds)},{mean:.6f},{se:.6f},{harmonic:.6f},{log2n:.6f}")
     outputs.append(

@@ -216,29 +216,28 @@ class ChainState:
     def apply_veto(self, tx: Veto, now: float) -> None:
         """Punish a double-signing sender: burn their whole balance, cancel
         their still-valid pending proofs, and open (or join) the veto contest
-        for the unordered pair of conflicting proofs."""
-        record = self.poi_records.get(tx.alpha)
-        if record is None:
-            raise TxError("unknown-poi", "cited alpha is not known to this chain")
-        known = record.poi
-        other = tx.conflicting_poi
-        if not conflicts(known, other):
-            raise TxError("not-conflicting", "cited proofs do not conflict")
-        pair = veto_pair(known.alpha, other.alpha)
+        for the unordered pair of conflicting proofs. The veto carries both
+        proofs; the chain must know at least one, and learns the other."""
+        pois = (tx.poi, tx.conflicting_poi)
+        missing = [poi for poi in pois if poi.alpha not in self.poi_records]
+        if len(missing) == 2:
+            raise TxError("unknown-poi", "neither proof is known to this chain")
+        if not conflicts(*pois):
+            raise TxError("not-conflicting", "carried proofs do not conflict")
+        pair = veto_pair(tx.poi.alpha, tx.conflicting_poi.alpha)
         veto_record = self.veto_records.get(pair)
         if veto_record is not None and veto_record.status != OPEN:
             raise TxError("already-concluded", "veto contest already finalized")
-        if not verify_poi(other):
-            raise TxError("bad-signature", "conflicting proof's signatures do not verify")
-        if not verify(tx.vetoer, encode_veto_payload(tx.alpha, other.alpha), tx.omega):
+        if not all(map(verify_poi, pois)):
+            raise TxError("bad-signature", "a carried proof's signatures do not verify")
+        if not verify(tx.vetoer, encode_veto_payload(*pair), tx.omega):
             raise TxError("bad-signature", "veto omega does not verify")
 
-        sender = known.sender
-        if other.alpha not in self.poi_records:
-            # The veto itself teaches this chain the second proof.
-            self._insert_pending(other)
+        sender = tx.poi.sender
+        for poi in missing:
+            self._insert_pending(poi)
         if veto_record is None:
-            veto_record = VetoRecord(deadline=veto_deadline(known, other))
+            veto_record = VetoRecord(deadline=veto_deadline(*pois))
             self.veto_records[pair] = veto_record
         burn = self.balance(sender)
         self.burned += burn
@@ -275,10 +274,9 @@ class ChainState:
         ``winner`` gains ``reward``, or ``burned`` does when there is none.
         Raises, changing nothing, rather than leave a balance or ``burned``
         negative."""
-        moves = {poi.sender: -poi.amount}
-        moves[poi.recipient] = moves.get(poi.recipient, 0) + poi.amount - self.reward
-        moves[winner] = moves.get(winner, 0) + self.reward  # the key None is ``burned``
-        self._move(poi, moves)
+        if not self._move(self._settlement(poi, winner)):
+            raise RuntimeError(f"settling {poi.alpha.hex()[:12]} on chain {self.chain_id} "
+                               "would leave a balance or burned negative")
 
     def resync(self, poi: ProofOfIntent, winner: Optional[WalletId]) -> bool:
         """Bring a corrupted transfer to ``winner``, the one most executing
@@ -286,24 +284,29 @@ class ChainState:
         finalize is settled; one it finalized with another winner moves only
         the reward, to ``winner``, since the recipient may have spent what it
         received. The record keeps what this chain concluded. Returns whether
-        anything moved; raises, changing nothing, as ``settle`` does."""
+        anything moved: nothing does where it was already so, or where moving
+        would leave a balance or ``burned`` negative."""
         record = self.poi_records.get(poi.alpha)
         if record is None or record.status != FINALIZED:
-            self.settle(poi, winner)
-        elif record.winner != winner:
-            self._move(poi, {record.winner: -self.reward, winner: self.reward})
-        else:
-            return False
-        return True
+            return self._move(self._settlement(poi, winner))
+        return record.winner != winner and self._move({record.winner: -self.reward, winner: self.reward})
 
-    def _move(self, poi: ProofOfIntent, moves: dict[Optional[WalletId], int]) -> None:
+    def _settlement(self, poi: ProofOfIntent, winner: Optional[WalletId]) -> dict[Optional[WalletId], int]:
+        moves = {poi.sender: -poi.amount}
+        moves[poi.recipient] = moves.get(poi.recipient, 0) + poi.amount - self.reward
+        moves[winner] = moves.get(winner, 0) + self.reward  # the key None is ``burned``
+        return moves
+
+    def _move(self, moves: dict[Optional[WalletId], int]) -> bool:
+        """Apply the moves and return True, or change nothing and return
+        False where one would leave a balance or ``burned`` negative."""
         burned = self.burned + moves.pop(None, 0)
         settled = {w: self.balances.get(w, 0) + d for w, d in moves.items()}
         if burned < 0 or min(settled.values()) < 0:
-            raise RuntimeError(f"settling {poi.alpha.hex()[:12]} on chain {self.chain_id} "
-                               "would leave a balance or burned negative")
+            return False
         self.balances.update(settled)
         self.burned = burned
+        return True
 
     def apply(self, tx: Transaction, now: float) -> None:
         # Looked up on the instance at each call, so wrappers installed on

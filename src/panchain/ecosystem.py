@@ -334,9 +334,9 @@ class Ecosystem:
 
     def _resync(self, tracker: _Transfer) -> None:
         """Bring a corrupted transfer to its majority ``winner`` on every
-        chain, so the workload can keep running: each chain applies and
-        journals ``ChainState.resync``. Only this transfer's tokens move, so
-        transfers still in flight keep theirs."""
+        chain that can pay it, so the workload can keep running: each chain
+        applies and journals ``ChainState.resync``. Only this transfer's
+        tokens move, so transfers still in flight keep theirs."""
         for chain in self.chains:
             if chain.resync(tracker.poi, tracker.winner, self._now):
                 self._audit(chain)

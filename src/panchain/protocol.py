@@ -82,15 +82,10 @@ def veto_pair(alpha: bytes, alpha_prime: bytes) -> tuple[bytes, bytes]:
 
 
 def encode_veto_payload(alpha: bytes, conflicting_alpha: bytes) -> bytes:
-    """Payload a vetoer signs: the unordered pair of conflicting proof ids.
-
-    Signing the pair canonically (``veto_pair``) rather than the oriented report
-    means a vetoer's contest value is identical no matter which of the two
-    proofs a given chain learned first; otherwise chains that saw the proofs
-    in opposite orders would rank the same vetoer differently and pick
-    different veto winners. The full conflicting proof still travels in the
-    transaction body for validation; the double-signing itself is proven by
-    the two sender signatures, not by the vetoer's.
+    """Payload a vetoer signs: the unordered pair of conflicting proof ids,
+    in ``veto_pair``'s order, so one vetoer has one omega for a pair on every
+    chain. Both proofs travel in the transaction body; the double-signing
+    itself is proven by the two sender signatures, not by the vetoer's.
     """
     lo, hi = veto_pair(alpha, conflicting_alpha)
     return b"VET" + _lp(lo) + _lp(hi)
@@ -193,10 +188,10 @@ class Finalize:
 
 @dataclass(frozen=True)
 class Veto:
-    """Report of two conflicting proofs: alpha names the one already known to
-    the target chain, conflicting_poi carries the other in full."""
+    """Report of two conflicting proofs, both carried in full, so a chain
+    that knows either one can apply it."""
 
-    alpha: bytes
+    poi: ProofOfIntent
     conflicting_poi: ProofOfIntent
     vetoer: WalletId
     omega: bytes
@@ -236,14 +231,9 @@ def make_finalize(poster_key: KeyPair, alpha: bytes) -> Finalize:
     return Finalize(alpha=alpha, poster=poster_key.public_key)
 
 
-def make_veto(vetoer_key: KeyPair, alpha: bytes, conflicting_poi: ProofOfIntent) -> Veto:
-    omega = sign(vetoer_key, encode_veto_payload(alpha, conflicting_poi.alpha))
-    return Veto(
-        alpha=alpha,
-        conflicting_poi=conflicting_poi,
-        vetoer=vetoer_key.public_key,
-        omega=omega,
-    )
+def make_veto(vetoer_key: KeyPair, poi: ProofOfIntent, conflicting_poi: ProofOfIntent) -> Veto:
+    omega = sign(vetoer_key, encode_veto_payload(poi.alpha, conflicting_poi.alpha))
+    return Veto(poi=poi, conflicting_poi=conflicting_poi, vetoer=vetoer_key.public_key, omega=omega)
 
 
 def make_finalize_veto(poster_key: KeyPair, alpha: bytes, alpha_prime: bytes) -> FinalizeVeto:

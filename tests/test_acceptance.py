@@ -368,8 +368,8 @@ def test_criterion_8_order_independence():
     def veto_path(first, second):
         state = ChainState(0, dict(balances), reward=1)
         state.apply(make_claim(first), now=1)
-        state.apply(make_veto(watchdogs[0], first.alpha, second), now=10)
-        state.apply(make_veto(watchdogs[1], second.alpha, first), now=11)
+        state.apply(make_veto(watchdogs[0], first, second), now=10)
+        state.apply(make_veto(watchdogs[1], second, first), now=11)
         from panchain.protocol import make_finalize_veto
 
         state.apply(make_finalize_veto(watchdogs[0], first.alpha, second.alpha), now=200)

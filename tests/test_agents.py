@@ -131,21 +131,21 @@ def test_observer_ignores_expired_poi():
     assert not reaction.contests and not reaction.vetoes
 
 
-def test_observer_detects_conflict_and_vetoes_both_orientations():
+def test_observer_detects_conflict_and_vetoes_once_per_chain():
     observer, poi, chains, sender = observer_fixture()
     other = make_poi(sender, keypair("second-recipient"), amount=20, t0=5, t1=65)
     first = observer.handle_new_poi(poi, chains, now=2.0)
     assert not first.vetoes
     second = observer.handle_new_poi(other, chains, now=3.0)
     assert not second.contests
-    assert len(second.vetoes) == 6  # both orientations on all three chains
+    assert [cid for cid, _ in second.vetoes] == [0, 1, 2]
     assert len(second.conflicts_found) == 1
     a, b, deadline = second.conflicts_found[0]
     assert {a, b} == {poi.alpha, other.alpha}
     assert deadline == 65 + 60
 
 
-def test_make_vetoes_signs_the_pair_once_and_both_orientations_verify(monkeypatch):
+def test_make_vetoes_signs_the_pair_once_and_posts_one_veto_per_chain(monkeypatch):
     observer, poi, chains, sender = observer_fixture()
     other = make_poi(sender, keypair("second-recipient"), amount=20, t0=5, t1=65)
     calls = []
@@ -158,13 +158,10 @@ def test_make_vetoes_signs_the_pair_once_and_both_orientations_verify(monkeypatc
     monkeypatch.setattr(protocol, "sign", counting_sign)
     submissions = observer.make_vetoes(poi, other, chains)
     assert len(calls) == 1
-    assert [cid for cid, _ in submissions] == [0, 0, 1, 1, 2, 2]
-    for i, (_, veto) in enumerate(submissions):
-        known, cited = (poi, other) if i % 2 == 0 else (other, poi)
-        assert (veto.alpha, veto.conflicting_poi) == (known.alpha, cited)
-        # The same value the per-orientation signing produced.
-        assert veto == make_veto(observer.key, known.alpha, cited)
-        payload = encode_veto_payload(veto.alpha, veto.conflicting_poi.alpha)
+    assert [cid for cid, _ in submissions] == [0, 1, 2]
+    for _, veto in submissions:
+        assert veto == make_veto(observer.key, poi, other)
+        payload = encode_veto_payload(veto.poi.alpha, veto.conflicting_poi.alpha)
         assert crypto.verify(observer.key.public_key, payload, veto.omega)
 
 
@@ -186,7 +183,7 @@ def test_backdated_proof_conflicting_with_a_finalized_one_is_vetoed():
     assert chains[0].state.poi_records[poi.alpha].status == FINALIZED
     backdated = make_poi(sender, keypair("late-recipient"), amount=20, t0=50, t1=300)
     reaction = observer.handle_new_poi(backdated, chains, now=200.0)
-    assert len(reaction.vetoes) == 6
+    assert [cid for cid, _ in reaction.vetoes] == [0, 1, 2]
     assert [(a, b) for a, b, _ in reaction.conflicts_found] == [(poi.alpha, backdated.alpha)]
 
 
@@ -272,7 +269,7 @@ def test_a_backdated_proof_is_still_scanned_and_vetoed(monkeypatch):
     backdated = make_poi(sender, keypair("r3"), amount=20, t0=70, t1=110)
     reaction = observer.handle_new_poi(backdated, chains, now=101.0)
     assert [(a.alpha, b.alpha) for a, b in calls] == [(backdated.alpha, poi.alpha), (backdated.alpha, later.alpha)]
-    assert len(reaction.vetoes) == 6
+    assert [cid for cid, _ in reaction.vetoes] == [0, 1, 2]
     assert [(a, b) for a, b, _ in reaction.conflicts_found] == [(later.alpha, backdated.alpha)]
 
 

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -248,6 +250,24 @@ def test_main_failure_summary_is_machine_readable(tmp_path, capsys):
     assert rc == 1
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "failed" and out["errors"]
+
+
+def test_a_run_whose_resync_cannot_pay_exits_1_with_its_files_written(tmp_path, capsys):
+    # No watchdog: each chain executes its own leg of m's double spend, and
+    # neither chain can pay the other leg, so both resyncs move nothing.
+    leg = {"at": 1.0, "t0": 1, "t1": 30}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"ecosystem": {
+        "chains": 2, "observers": 0, "duration": 60.0, "wallets": {"m": 100, "a": 0, "b": 0},
+        "script": [{"kind": "double_spend", "sender": "m", "legs": [
+            {**leg, "recipient": "a", "amount": 71, "chain": 0}, {**leg, "recipient": "b", "amount": 83, "chain": 1}]}],
+    }}))
+    assert main(["--campaign", "run", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "failed"
+    report = json.loads((tmp_path / "run" / "run-0.json").read_text())
+    assert sorted(row["name"] for row in report["consistency"]) == ["a", "b", "m"]
+    assert [event["settled_chains"] for event in report["resync_events"]] == [[], []]
+    assert (tmp_path / "run" / "run-0.chains.json").exists() and (tmp_path / "run" / "run-0.csv").exists()
 
 
 def _report(**fields):
@@ -621,3 +641,14 @@ def test_main_never_raises_on_mangled_configs(tmp_path, capsys, case):
     rc = main(["--campaign", campaign, "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc in (0, 1, 2)
     capsys.readouterr()
+
+
+@given(st.lists(st.integers(0, 10**6), min_size=2, max_size=60))
+def test_std_error_is_the_exact_standard_error_rounded_once(counts):
+    se = cli._std_error(counts)
+    mean = Fraction(sum(counts), len(counts))
+    exact = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1) / len(counts)
+    # The float nearest the exact root: its half-way points to either
+    # neighbour bracket the root.
+    below, above = ((Fraction(se) + Fraction(math.nextafter(se, bound))) / 2 for bound in (0.0, math.inf))
+    assert below ** 2 <= exact <= above ** 2

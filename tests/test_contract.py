@@ -205,12 +205,19 @@ def _claimed_state():
 
 def _veto_with_bad_beta():
     state, a, b = _veto_setup()
-    return state, make_veto(U, a.alpha, _bad_beta(b))
+    return state, make_veto(U, a, _bad_beta(b))
+
+
+def _veto_with_a_bad_copy_of_the_known_proof():
+    # The carried copy keeps the known proof's alpha, so the chain knows it
+    # by name; only verifying what the veto carries refuses it.
+    state, a, b = _veto_setup()
+    return state, make_veto(U, _bad_beta(a), b)
 
 
 def _veto_with_bad_omega():
     state, a, b = _veto_setup()
-    return state, replace(make_veto(U, a.alpha, b), vetoer=V.public_key)
+    return state, replace(make_veto(U, a, b), vetoer=V.public_key)
 
 
 # Each tampered transaction passes every state check, so only a signature
@@ -221,6 +228,7 @@ TAMPERED = {
     "contest-new-proof-bad-omega": lambda: (fresh_state(), _bad_omega_contest(table_poi())),
     "contest-known-proof-bad-omega": lambda: (_claimed_state(), _bad_omega_contest(table_poi())),
     "veto-bad-conflicting-beta": _veto_with_bad_beta,
+    "veto-bad-known-beta": _veto_with_a_bad_copy_of_the_known_proof,
     "veto-bad-omega": _veto_with_bad_omega,
 }
 
@@ -243,7 +251,7 @@ def _finalized_state():
 
 def _vetoed_state():
     state, a, b = _veto_setup()
-    state.apply_veto(make_veto(U, a.alpha, b), now=10)
+    state.apply_veto(make_veto(U, a, b), now=10)
     return state
 
 
@@ -263,9 +271,9 @@ def _contest_after_the_balance_dropped():
 
 def _veto_after_its_contest_concluded():
     state, a, b = _veto_setup()
-    state.apply_veto(make_veto(U, a.alpha, b), now=10)
+    state.apply_veto(make_veto(U, a, b), now=10)
     state.apply_finalize_veto(make_finalize_veto(U, a.alpha, b.alpha), now=126)
-    return state, make_veto(V, b.alpha, a), 127, "already-concluded"
+    return state, make_veto(V, b, a), 127, "already-concluded"
 
 
 # (state, transaction, now, expected code): each is refused by a state check.
@@ -279,7 +287,7 @@ REFUSED_BY_STATE = {
         _vetoed_state(), make_contest(V, table_poi(amount=8, t0=1, t1=61)), 11, "vetoed-poi"),
     "contest-known-proof-over-balance": _contest_after_the_balance_dropped,
     "veto-not-conflicting": lambda: (
-        _claimed_state(), make_veto(U, table_poi().alpha, _later_poi()), 10, "not-conflicting"),
+        _claimed_state(), make_veto(U, table_poi(), _later_poi()), 10, "not-conflicting"),
     "veto-concluded": _veto_after_its_contest_concluded,
 }
 
@@ -366,7 +374,7 @@ def test_finalize_of_vetoed_poi_rejected():
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    state.apply_veto(make_veto(U, a.alpha, b), now=10)
+    state.apply_veto(make_veto(U, a, b), now=10)
     with rejected("vetoed-poi"):
         state.apply_finalize(make_finalize(D, a.alpha), now=62)
 
@@ -380,7 +388,7 @@ def test_veto_zeroes_sender_and_cancels_pending():
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    state.apply_veto(make_veto(U, a.alpha, b), now=10)
+    state.apply_veto(make_veto(U, a, b), now=10)
     assert state.balance(S.public_key) == 0
     assert state.burned == 10
     assert state.poi_records[a.alpha].status == VETOED
@@ -394,7 +402,7 @@ def test_veto_requires_conflict():
     b = table_poi(t0=62, t1=120, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
     with rejected("not-conflicting"):
-        state.apply_veto(make_veto(U, a.alpha, b), now=10)
+        state.apply_veto(make_veto(U, a, b), now=10)
 
 
 def test_veto_unknown_alpha():
@@ -402,7 +410,29 @@ def test_veto_unknown_alpha():
     a = table_poi(t0=1, t1=61)
     b = table_poi(t0=5, t1=65, recipient=keypair("elsewhere"))
     with rejected("unknown-poi"):
-        state.apply_veto(make_veto(U, a.alpha, b), now=10)
+        state.apply_veto(make_veto(U, a, b), now=10)
+
+
+@pytest.mark.parametrize("known", [(0,), (1,), (0, 1)], ids=["first", "second", "both"])
+def test_one_veto_applies_wherever_either_proof_is_known(known):
+    # A chain that knows either carried proof, or both, learns the other and
+    # ends in one state; the state a chain that knows only the first reaches.
+    a = table_poi(amount=8, t0=1, t1=61)
+    b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
+    expected = fresh_state(sender_balance=10)
+    expected.apply_claim(make_claim(a), now=1)
+    expected.apply_veto(make_veto(U, a, b), now=10)
+    state = fresh_state(sender_balance=10)
+    for i in known:
+        state._insert_pending((a, b)[i])
+    state.apply_veto(make_veto(U, a, b), now=10)
+    assert state.snapshot() == expected.snapshot()
+    assert {record.status for record in state.poi_records.values()} == {VETOED}
+    neither = fresh_state(sender_balance=10)
+    before = neither.snapshot()
+    with rejected("unknown-poi"):
+        neither.apply_veto(make_veto(U, a, b), now=10)
+    assert neither.snapshot() == before
 
 
 def test_veto_bad_conflicting_signature():
@@ -412,7 +442,7 @@ def test_veto_bad_conflicting_signature():
     state.apply_claim(make_claim(a), now=1)
     broken = replace(b, beta=b"\x02" * 32)
     with rejected("bad-signature"):
-        state.apply_veto(make_veto(U, a.alpha, broken), now=10)
+        state.apply_veto(make_veto(U, a, broken), now=10)
 
 
 def test_veto_discovery_order_independent():
@@ -423,13 +453,13 @@ def test_veto_discovery_order_independent():
 
     chain1 = fresh_state(chain_id=0, sender_balance=10)
     chain1.apply_claim(make_claim(a), now=1)
-    chain1.apply_veto(make_veto(U, a.alpha, b), now=10)
-    chain1.apply_veto(make_veto(V, b.alpha, a), now=11)
+    chain1.apply_veto(make_veto(U, a, b), now=10)
+    chain1.apply_veto(make_veto(V, b, a), now=11)
 
     chain2 = fresh_state(chain_id=0, sender_balance=10)
     chain2.apply_claim(make_claim(b), now=1)
-    chain2.apply_veto(make_veto(V, b.alpha, a), now=10)
-    chain2.apply_veto(make_veto(U, a.alpha, b), now=11)
+    chain2.apply_veto(make_veto(V, b, a), now=10)
+    chain2.apply_veto(make_veto(U, a, b), now=11)
 
     snap1, snap2 = chain1.snapshot(), chain2.snapshot()
     # claim path differs only in which proof carries pending-vs-vetoed timing;
@@ -447,7 +477,7 @@ def test_finalize_veto_pays_lowest_omega_from_burned():
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    vetoes = [make_veto(kp, a.alpha, b) for kp in (U, V)]
+    vetoes = [make_veto(kp, a, b) for kp in (U, V)]
     for veto in vetoes:
         state.apply_veto(veto, now=10)
     pair = state.veto_records[next(iter(state.veto_records))]
@@ -472,7 +502,7 @@ def test_finalize_veto_pays_only_what_the_pair_burned():
     state.apply_claim(make_claim(a), now=1)
     state.apply_finalize(make_finalize(D, a.alpha), now=62)
     assert state.burned == 1
-    state.apply_veto(make_veto(U, a.alpha, b), now=70)
+    state.apply_veto(make_veto(U, a, b), now=70)
     state.apply_finalize_veto(make_finalize_veto(U, a.alpha, b.alpha), now=200)
     assert state.balance(U.public_key) == 0
     assert state.audit() == (9, 1, 10)
@@ -498,10 +528,10 @@ def test_repeated_veto_only_appends_contestants():
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     state.apply_claim(make_claim(a), now=1)
-    state.apply_veto(make_veto(U, a.alpha, b), now=10)
+    state.apply_veto(make_veto(U, a, b), now=10)
     burned_after_first = state.burned
-    state.apply_veto(make_veto(V, b.alpha, a), now=11)
-    state.apply_veto(make_veto(V, b.alpha, a), now=12)
+    state.apply_veto(make_veto(V, b, a), now=11)
+    state.apply_veto(make_veto(V, b, a), now=12)
     assert len(state.veto_records) == 1
     record = next(iter(state.veto_records.values()))
     assert set(record.contestants) == {U.public_key, V.public_key}
@@ -627,14 +657,15 @@ def test_settle_that_would_go_negative_raises_and_changes_nothing():
     assert (state.balances, state.burned) == before
 
 
-@pytest.mark.parametrize("old", [U, None], ids=["from-winner", "from-burned"])
-def test_resync_that_would_go_negative_raises_and_changes_nothing(old):
+@pytest.mark.parametrize("old", [U, None, "unsettled"], ids=["from-winner", "from-burned", "overdraw"])
+def test_resync_that_would_go_negative_returns_false_and_changes_nothing(old):
     # A reward that was never paid: the old winner (or burned) holds nothing.
-    state = fresh_state()
-    _finalized(state, table_poi(amount=20), _key(old), settle=False)
+    # Or the chain never finalized the transfer, and its sender holds 10 of 20.
+    state = fresh_state(sender_balance=10 if old == "unsettled" else 80)
+    if old != "unsettled":
+        _finalized(state, table_poi(amount=20), _key(old), settle=False)
     before = (dict(state.balances), state.burned)
-    with pytest.raises(RuntimeError, match="negative"):
-        state.resync(table_poi(amount=20), V.public_key)
+    assert state.resync(table_poi(amount=20), V.public_key) is False
     assert (state.balances, state.burned) == before
 
 

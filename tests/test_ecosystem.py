@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -623,11 +624,17 @@ def test_each_observer_schedules_each_finalize_veto_check_once(preset, pairs):
     assert sorted(scheduled) == sorted((name, pair) for name in eco.observers for pair in found)
 
 
+def _campaign_config(case: str, seed: int) -> EcosystemConfig:
+    """The config the ``run`` campaign runs for a digest case at ``seed``: its
+    ``ecosystem`` section, or the worked example when it has none."""
+    section = CASES[case][0].get("ecosystem")
+    return replace(config_from_dict(section) if section else worked_example(), seed=seed)
+
+
 # Every digest case's config at its seeds (custom-pow runs custom's), both veto
 # demos and the stress runs.
 _EXPOSURE_RUNS = {
-    **{f"{case}-{seed}": lambda case=case, seed=seed: replace(
-        config_from_dict(CASES[case][0].get("ecosystem", {})), seed=int(seed))
+    **{f"{case}-{seed}": lambda case=case, seed=seed: _campaign_config(case, int(seed))
        for case in ("default", "custom", "ties") for seed in CASES[case][1].split(",")},
     **{f"{preset.__name__}-{seed}": lambda preset=preset, seed=seed: preset(seed)
        for preset in (veto_demo, veto_demo_boundary) for seed in range(3)},
@@ -641,11 +648,12 @@ def test_only_claims_expose_proofs_and_contests_and_vetoes_carry_exposed_ones(na
     eco.run()
     included = [tx for chain in eco.chains for block in _blocks(chain) for tx in block.transactions]
     claimed = {tx.poi.alpha for tx in included if isinstance(tx, Claim)}
+    assert claimed
     # A proof is exposed to every observer when its first claim lands.
     assert all(observer.seen.keys() == claimed for observer in eco.observers.values())
     assert {alpha for alpha, tracker in eco._transfers.items() if tracker.claim_ok is not None} == claimed
     carried = [tx.poi.alpha for tx in included if isinstance(tx, Contest)]
-    carried += [alpha for tx in included if isinstance(tx, Veto) for alpha in (tx.alpha, tx.conflicting_poi.alpha)]
+    carried += [alpha for tx in included if isinstance(tx, Veto) for alpha in (tx.poi.alpha, tx.conflicting_poi.alpha)]
     assert set(carried) <= claimed
     if name.startswith("veto_demo"):
         assert any(isinstance(tx, Veto) for tx in included)
@@ -664,6 +672,7 @@ _REPLAY_RUNS = {
 def test_replaying_each_chains_journal_rebuilds_its_state(name):
     eco = Ecosystem(_REPLAY_RUNS[name]())
     report = eco.run()
+    assert any(_blocks(chain) for chain in eco.chains)
     _replay(eco)
     # The run ended quiescent, and at jitter 0 all chains finished its last instant.
     assert not eco._heap and not any(chain.mempool for chain in eco.chains)
@@ -831,9 +840,9 @@ def _transfer(sender, leg):
 
 
 # Valid configs whose resync must settle a transfer that another chain has
-# already paid out of the sender: settle refuses to overdraw it and the run
-# dies. ROADMAP direction 16 owns the rule for such a transfer, and keeps the
-# raise, not a clamp, until that rule exists.
+# already paid out of the sender: the resync refuses to overdraw it and moves
+# nothing there, so the run ends inconsistent. ROADMAP direction 16 owns the
+# rule for such a transfer.
 _RESYNC_CRASHES = {
     # Each chain executes its own leg, and m cannot pay both.
     "no-observers": {
@@ -862,11 +871,55 @@ _RESYNC_CRASHES = {
 }
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError, reason="resync overdraws a sender (ROADMAP 16)")
+# three-observers still ends with ds-2 at 100/100/0/0: chains 0 and 1 knew
+# neither of its proofs, so they refused every veto.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="no rule yet for a chain that knows neither proof or a resync that would overdraw (ROADMAP 16)")
 @pytest.mark.parametrize("name", list(_RESYNC_CRASHES))
 def test_a_valid_config_runs_to_a_consistent_report(name):
     report = run(config_from_dict(_RESYNC_CRASHES[name]))
     assert report.consistency == []
+
+
+def _veto_mix(capacity: int, seed: int) -> EcosystemConfig:
+    """The benchmark's veto-mix run at ``capacity`` transactions per block:
+    ten honest clients, five observers, and 40 wallets that each sign two
+    overlapping proofs, claimed within 12 s of each other on random chains."""
+    rng = random.Random(f"veto-mix/{seed}")
+    clients = [f"client-{i:02d}" for i in range(10)]
+    script = []
+    for i in range(40):
+        at, legs = rng.uniform(1.0, 1700.0), []
+        for recipient in rng.sample(clients, 2):
+            t0 = int(at) + 2
+            legs.append({"at": at, "recipient": recipient, "amount": rng.randint(2, 100),
+                         "t0": t0, "t1": t0 + rng.randint(52, 82), "chain": rng.randrange(3)})
+            at += rng.uniform(0.0, 12.0)
+        script.append({"kind": "double_spend", "sender": f"ds-{i:02d}", "legs": legs})
+    return config_from_dict({
+        "chains": 3, "block_interval": 13.0, "clients": 10, "client_balance": 100, "observers": 5,
+        "validity_length": 65, "duration": 1800.0, "max_txs_per_block": capacity, "seed": seed,
+        "wallets": {f"ds-{i:02d}": 100 for i in range(40)}, "script": script,
+    })
+
+
+# Congested double spends, among them runs whose resync would overdraw a
+# sender on some chain (capacity 2 seed 0, capacity 5 seeds 0 and 6), and
+# the resync crashes above.
+_CONGESTED_VETO_RUNS = {
+    **{f"veto-mix-{capacity}-{seed}": lambda capacity=capacity, seed=seed: _veto_mix(capacity, seed)
+       for capacity, seeds in ((2, (0, 1, 2)), (5, (0, 1, 6)), (10, (0, 1))) for seed in seeds},
+    **{name: lambda name=name: config_from_dict(_RESYNC_CRASHES[name]) for name in _RESYNC_CRASHES},
+}
+
+
+@pytest.mark.parametrize("name", list(_CONGESTED_VETO_RUNS))
+def test_congested_and_unsettleable_runs_end_in_an_audited_report(name):
+    eco = Ecosystem(_CONGESTED_VETO_RUNS[name]())
+    eco.run()
+    for chain in eco.chains:
+        chain.state.audit()
+    _replay(eco)
 
 
 @pytest.mark.parametrize("seed", range(8))

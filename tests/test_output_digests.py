@@ -101,16 +101,16 @@ def preset_digest(name: str) -> str:
 CAMPAIGN_DIGESTS = {
     "custom": {
         "contest-scaling/contest-scaling-0.csv": "0ebde9110f3c79d2500964cb42e287642928bd3f2c490d6bccc0f0e2792b8376",
-        "cost-report/cost-report.json": "d065744bf8ac42977133e86d5a5b383439a9ecaeb8058c443af0d9852ea81d37",
+        "cost-report/cost-report.json": "d8824d4909c1f4d9e03732438389d08103dec6c9e4dad47e1f18179df74f4ee3",
         "cost-report/cost-report.txt": "a8fc35b7125cb4f8228bf4ee4bb7ac68b19bcc75de96369ae4051639a269b55a",
-        "run/run-0.blocks.jsonl": "dc65b81b3a4a9abfe459467554ed64facda3659305b09a10a664973a105d8885",
+        "run/run-0.blocks.jsonl": "a69bb5ee122779941dd9c44d1956de64142d73fb78441f6b06cf89e2b819fc8b",
         "run/run-0.chains.json": "3a60f3aefa69c6dea1e39d7d9a7b65e5d10e67643cdcfc6a0d10ce336d838fdb",
         "run/run-0.csv": "25921fb830ae7580d2c9e01545196cfc21912e92b4610c5fc5b546ba01693554",
-        "run/run-0.json": "774218151d092dc943144b25686cffbe53380e097efe6b54fb224b47f382ea33",
-        "run/run-1.blocks.jsonl": "cf22f463c9079743fab2a2ad08ac47c99b65be5d77b58e4503ccc9e34cc5d949",
+        "run/run-0.json": "328f023f46a1518c3e8da7422fd21f8eaf06f4760806f3c5ec99b09ceccd0496",
+        "run/run-1.blocks.jsonl": "45b109e54fe9d09a3b8f4197181eba6642265ed90f7b2f7051a661e3b0dec844",
         "run/run-1.chains.json": "4bb54d25f3cd3070bfd8b3298d7a647d147650a1c0fbce6f5537f3768c7dd31b",
         "run/run-1.csv": "a74004d19b8f2bf60e5640b5da2b51d5a889b5a2b93a42a8e4cee1f9b95920bf",
-        "run/run-1.json": "00c3d3e6165f0bdb25102510b8a187d6f93ca64d453dbb0d5ac2fa53b210ddd7",
+        "run/run-1.json": "69d41ea15d0cefbe623c23fd75c0946e91d0f1e94c53f4569a6dd0cbea5f9468",
         "sweep-validity/sweep-validity-0.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-1.csv": "bf07bbcdb27d177307ee4441ac5374b4d4581c10b880957cb408936807de542a",
         "sweep-validity/sweep-validity-summary.csv":

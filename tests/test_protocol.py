@@ -166,7 +166,7 @@ def test_contest_and_veto_signatures_verify(sender_key, recipient_key, observer_
     contest = make_contest(observer_keys[0], poi)
     assert verify(contest.contestant, encode_poi(poi), contest.omega)
     other = _poi(sender_key, keypair("r2"), t0=5, t1=65)
-    veto = make_veto(observer_keys[1], poi.alpha, other)
+    veto = make_veto(observer_keys[1], poi, other)
     assert verify(veto.vetoer, encode_veto_payload(poi.alpha, other.alpha), veto.omega)
     # orientation-independent: the swapped pair yields the same payload
     assert encode_veto_payload(other.alpha, poi.alpha) == encode_veto_payload(
