@@ -2,9 +2,10 @@
 
 Clients initiate transfers at random intervals; observers watch every chain,
 join witness contests when they can still win, and double as watchdogs that
-veto conflicting proofs the moment they spot them. Agents only ever read
-confirmed chain state (never mempools) and are driven by the ecosystem's
-event loop; they hold no timers of their own.
+veto conflicting proofs the moment they spot them; the ecosystem concludes
+what they veto. Agents only ever read confirmed chain state (never mempools)
+and are driven by the ecosystem's event loop; they hold no timers of their
+own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .protocol import (
     make_contest,
     make_poi,
     make_veto,
-    veto_deadline,
 )
 
 
@@ -105,9 +105,6 @@ class ObserverReaction:
 
     contests: list[tuple[int, Contest]] = field(default_factory=list)
     vetoes: list[tuple[int, Veto]] = field(default_factory=list)
-    # (alpha, alpha_prime, deadline) per newly detected conflict, so the
-    # ecosystem can schedule the finalize-veto check.
-    conflicts_found: list[tuple[bytes, bytes, int]] = field(default_factory=list)
 
 
 class Observer:
@@ -143,9 +140,6 @@ class Observer:
         if conflicting:
             for other in conflicting:
                 reaction.vetoes.extend(self.make_vetoes(other, poi, chains))
-                reaction.conflicts_found.append(
-                    (other.alpha, poi.alpha, veto_deadline(other, poi))
-                )
             return reaction
         reaction.contests = self.contest_submissions(poi, chains, now)
         return reaction

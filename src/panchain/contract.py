@@ -7,7 +7,8 @@ place and are atomic per transaction (they validate fully before touching
 state). Signatures are checked after every state check, so a transaction the
 state refuses costs no verification. ``settle`` is the one rule that moves a
 transfer's tokens, and ``resync`` the one that brings a corrupted transfer to
-the winner most chains chose. Each proof and veto record keeps its contest
+the winner most chains chose. A veto carries both conflicting proofs, so
+every chain applies a valid one. Each proof and veto record keeps its contest
 leader, the lowest (omega, wallet) pair, as contestants enter, so a finalize,
 and an observer deciding whether it can still win, reads it without a scan.
 
@@ -217,11 +218,9 @@ class ChainState:
         """Punish a double-signing sender: burn their whole balance, cancel
         their still-valid pending proofs, and open (or join) the veto contest
         for the unordered pair of conflicting proofs. The veto carries both
-        proofs; the chain must know at least one, and learns the other."""
+        proofs, verified here, so the chain learns whichever it lacks, both
+        where it knew neither."""
         pois = (tx.poi, tx.conflicting_poi)
-        missing = [poi for poi in pois if poi.alpha not in self.poi_records]
-        if len(missing) == 2:
-            raise TxError("unknown-poi", "neither proof is known to this chain")
         if not conflicts(*pois):
             raise TxError("not-conflicting", "carried proofs do not conflict")
         pair = veto_pair(tx.poi.alpha, tx.conflicting_poi.alpha)
@@ -234,8 +233,9 @@ class ChainState:
             raise TxError("bad-signature", "veto omega does not verify")
 
         sender = tx.poi.sender
-        for poi in missing:
-            self._insert_pending(poi)
+        for poi in pois:
+            if poi.alpha not in self.poi_records:
+                self._insert_pending(poi)
         if veto_record is None:
             veto_record = VetoRecord(deadline=veto_deadline(*pois))
             self.veto_records[pair] = veto_record

@@ -4,7 +4,10 @@ transfer to its majority winner on every chain by ``ChainState.resync`` and
 journals it on each. Each chain's supply is audited after every busy block and
 every resync that changes it. The run's report is built by
 ``report.build_report`` once the run has ended. A proof is exposed, each
-observer's look at it scheduled, when its first claim lands.
+observer's look at it scheduled, when its first claim lands. A veto contest
+concludes as a witness contest does: the first observer to veto a pair also
+queues its finalize-veto on every chain, after the veto deadline, and FIFO
+mempools land it behind the veto.
 
 Events execute in (fire_at, sequence) order; the sequence counter is assigned
 at scheduling time, so identical (config, seed) pairs replay identically.
@@ -23,8 +26,8 @@ then the check is retried one block interval later.
 
 The run terminates because every event source is finite: clients start
 transfers only within ``duration``, each script leg fires once, and a
-transfer's first landed claim, an exposure and a found conflict each schedule
-a fixed number of events. The detect check's retries are the one repeating
+transfer's first landed claim, an exposure and a vetoed pair each schedule a
+fixed number of events. The detect check's retries are the one repeating
 event, and they last only while a finalize is queued, because each busy block
 drains at least one transaction.
 """
@@ -40,7 +43,7 @@ from typing import Optional
 from .agents import Client, Observer
 from .chain import SimChain
 from .configs import EcosystemConfig, ScriptedAction
-from .contract import FINALIZED, OPEN, VETOED, ChainState
+from .contract import FINALIZED, VETOED, ChainState
 from .crypto import KeyPair, generate_keypair
 from .protocol import (
     Claim,
@@ -50,6 +53,7 @@ from .protocol import (
     make_finalize,
     make_finalize_veto,
     make_poi,
+    veto_deadline,
     veto_pair,
 )
 from .report import RunReport, build_report
@@ -132,6 +136,8 @@ class Ecosystem:
         self._seq = 0
         self._now = 0.0
         self._transfers: dict[bytes, _Transfer] = {}
+        # Each veto pair whose finalize-veto is queued.
+        self._vetoed_pairs: set[tuple[bytes, bytes]] = set()
         # The longest gap between two blocks of a chain.
         self._longest_gap = config.block_interval * (1 + config.jitter)
 
@@ -291,24 +297,16 @@ class Ecosystem:
         reaction = observer.handle_new_poi(poi, self.chains, self._now)
         for chain_id, tx in reaction.contests + reaction.vetoes:
             self._handle_submit(chain_id, tx)
-        interval = self.config.block_interval
-        # A conflict can surface after its veto deadline (a back-dated
-        # window); then the check waits until the vetoes just submitted can
-        # have landed.
-        landed = self._now + self._longest_gap
-        # An observer finds each conflicting pair once, on seeing its later
-        # proof, so each (observer, pair) check is scheduled once.
-        for a, b, deadline in reaction.conflicts_found:
-            self._schedule(max(deadline, landed) + interval, ("fvcheck", name, veto_pair(a, b)))
-
-    def _handle_fvcheck(self, name: str, pair: tuple[bytes, bytes]) -> None:
-        observer = self.observers[name]
-        for chain in self.chains:
-            record = chain.state.veto_records.get(pair)
-            if record is None or record.status != OPEN:
-                continue
-            if record.leader[1] == observer.key.public_key:
-                self._handle_submit(chain.chain_id, make_finalize_veto(observer.key, pair[0], pair[1]))
+        # Mempools are FIFO, so on every chain the pair's finalize-veto lands
+        # behind its veto and needs no retry.
+        for _, veto in reaction.vetoes:
+            pair = veto_pair(veto.poi.alpha, veto.conflicting_poi.alpha)
+            if pair not in self._vetoed_pairs:
+                self._vetoed_pairs.add(pair)
+                fire_at = max(veto_deadline(veto.poi, veto.conflicting_poi), self._now) + self.config.block_interval
+                finalize_veto = make_finalize_veto(observer.key, *pair)
+                for chain in self.chains:
+                    self._schedule(fire_at, ("submit", chain.chain_id, finalize_veto))
 
     def _handle_detect(self, alpha: bytes) -> None:
         tracker = self._transfers[alpha]

@@ -25,6 +25,7 @@ from panchain.protocol import (
     make_finalize,
     make_poi,
     make_veto,
+    veto_deadline,
 )
 
 from conftest import keypair
@@ -97,6 +98,12 @@ def observer_fixture():
     return observer, poi, chains, sender
 
 
+def vetoed_pairs(reaction):
+    """The (poi, conflicting_poi) alpha pair of each distinct veto in a
+    reaction, in the order posted."""
+    return list(dict.fromkeys((veto.poi.alpha, veto.conflicting_poi.alpha) for _, veto in reaction.vetoes))
+
+
 def test_observer_posts_everywhere_when_no_contestants():
     observer, poi, chains, _ = observer_fixture()
     chains[0].state.apply_claim(make_claim(poi), now=1)
@@ -139,10 +146,9 @@ def test_observer_detects_conflict_and_vetoes_once_per_chain():
     second = observer.handle_new_poi(other, chains, now=3.0)
     assert not second.contests
     assert [cid for cid, _ in second.vetoes] == [0, 1, 2]
-    assert len(second.conflicts_found) == 1
-    a, b, deadline = second.conflicts_found[0]
-    assert {a, b} == {poi.alpha, other.alpha}
-    assert deadline == 65 + 60
+    assert vetoed_pairs(second) == [(poi.alpha, other.alpha)]
+    veto = second.vetoes[0][1]
+    assert veto_deadline(veto.poi, veto.conflicting_poi) == 65 + 60
 
 
 def test_make_vetoes_signs_the_pair_once_and_posts_one_veto_per_chain(monkeypatch):
@@ -170,7 +176,7 @@ def test_watchdog_no_action_without_conflict():
     later = make_poi(sender, keypair("r2"), amount=20, t0=62, t1=120)
     observer.handle_new_poi(poi, chains, now=2.0)
     reaction = observer.handle_new_poi(later, chains, now=3.0)
-    assert not reaction.vetoes and not reaction.conflicts_found
+    assert not reaction.vetoes
 
 
 def test_backdated_proof_conflicting_with_a_finalized_one_is_vetoed():
@@ -184,11 +190,13 @@ def test_backdated_proof_conflicting_with_a_finalized_one_is_vetoed():
     backdated = make_poi(sender, keypair("late-recipient"), amount=20, t0=50, t1=300)
     reaction = observer.handle_new_poi(backdated, chains, now=200.0)
     assert [cid for cid, _ in reaction.vetoes] == [0, 1, 2]
-    assert [(a, b) for a, b, _ in reaction.conflicts_found] == [(poi.alpha, backdated.alpha)]
+    assert vetoed_pairs(reaction) == [(poi.alpha, backdated.alpha)]
 
 
 PROP_SENDERS = [keypair(f"prop-sender-{i}") for i in range(3)]
 PROP_RECIPIENTS = [keypair(f"prop-recipient-{i}") for i in range(2)]
+# A chain for observers to veto on; a look past every window contests nothing.
+ONE_CHAIN = observer_fixture()[2][:1]
 
 
 def _proof_specs(senders: int):
@@ -205,14 +213,14 @@ def test_sender_index_finds_what_a_full_scan_finds(specs):
     earlier = []
     for s, r, t0, length in specs:
         poi = make_poi(PROP_SENDERS[s], PROP_RECIPIENTS[r], amount=2, t0=t0, t1=t0 + length)
-        # No chains, and past every window: only the conflict check runs.
-        reaction = observer.handle_new_poi(poi, [], now=100.0)
+        # One chain, and past every window: only the conflict check runs.
+        reaction = observer.handle_new_poi(poi, ONE_CHAIN, now=100.0)
         if poi in earlier:
             expected = []
         else:
             expected = [(p.alpha, poi.alpha) for p in earlier if conflicts(poi, p)]
             earlier.append(poi)
-        assert [(a, b) for a, b, _ in reaction.conflicts_found] == expected
+        assert vetoed_pairs(reaction) == expected
 
 
 def test_observer_checks_a_proof_only_against_its_senders_proofs(monkeypatch):
@@ -246,10 +254,10 @@ def test_a_proof_opening_after_its_senders_last_close_is_not_scanned(monkeypatch
     sender, recipient = keypair("screen-sender"), keypair("screen-recipient")
     # The second window closes before the first; the latest close stays 61.
     for t0, t1 in ((1, 61), (10, 20)):
-        observer.handle_new_poi(make_poi(sender, recipient, amount=2, t0=t0, t1=t1), [], now=100.0)
+        observer.handle_new_poi(make_poi(sender, recipient, amount=2, t0=t0, t1=t1), ONE_CHAIN, now=100.0)
     calls.clear()
-    reaction = observer.handle_new_poi(make_poi(sender, recipient, amount=2, t0=62, t1=90), [], now=100.0)
-    assert calls == [] and not reaction.vetoes and not reaction.conflicts_found
+    reaction = observer.handle_new_poi(make_poi(sender, recipient, amount=2, t0=62, t1=90), ONE_CHAIN, now=100.0)
+    assert calls == [] and not reaction.vetoes
 
 
 def test_a_backdated_proof_is_still_scanned_and_vetoed(monkeypatch):
@@ -270,7 +278,7 @@ def test_a_backdated_proof_is_still_scanned_and_vetoed(monkeypatch):
     reaction = observer.handle_new_poi(backdated, chains, now=101.0)
     assert [(a.alpha, b.alpha) for a, b in calls] == [(backdated.alpha, poi.alpha), (backdated.alpha, later.alpha)]
     assert [cid for cid, _ in reaction.vetoes] == [0, 1, 2]
-    assert [(a, b) for a, b, _ in reaction.conflicts_found] == [(later.alpha, backdated.alpha)]
+    assert vetoed_pairs(reaction) == [(later.alpha, backdated.alpha)]
 
 
 # Few distinct short values, so equal omegas and wallet ties come up often.

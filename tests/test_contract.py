@@ -405,18 +405,11 @@ def test_veto_requires_conflict():
         state.apply_veto(make_veto(U, a, b), now=10)
 
 
-def test_veto_unknown_alpha():
-    state = fresh_state()
-    a = table_poi(t0=1, t1=61)
-    b = table_poi(t0=5, t1=65, recipient=keypair("elsewhere"))
-    with rejected("unknown-poi"):
-        state.apply_veto(make_veto(U, a, b), now=10)
-
-
-@pytest.mark.parametrize("known", [(0,), (1,), (0, 1)], ids=["first", "second", "both"])
-def test_one_veto_applies_wherever_either_proof_is_known(known):
-    # A chain that knows either carried proof, or both, learns the other and
-    # ends in one state; the state a chain that knows only the first reaches.
+@pytest.mark.parametrize("known", [(), (0,), (1,), (0, 1)], ids=["neither", "first", "second", "both"])
+def test_one_veto_applies_on_every_chain(known):
+    # The veto carries both proofs and the chain verifies both, so a chain
+    # that knows either, both or neither learns the ones it lacks and ends in
+    # one state: the state a chain that knows only the first reaches.
     a = table_poi(amount=8, t0=1, t1=61)
     b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
     expected = fresh_state(sender_balance=10)
@@ -428,11 +421,22 @@ def test_one_veto_applies_wherever_either_proof_is_known(known):
     state.apply_veto(make_veto(U, a, b), now=10)
     assert state.snapshot() == expected.snapshot()
     assert {record.status for record in state.poi_records.values()} == {VETOED}
-    neither = fresh_state(sender_balance=10)
-    before = neither.snapshot()
-    with rejected("unknown-poi"):
-        neither.apply_veto(make_veto(U, a, b), now=10)
-    assert neither.snapshot() == before
+
+
+@pytest.mark.parametrize("now, a_status", [(60, VETOED), (61, PENDING)], ids=["before-t1", "at-t1"])
+def test_a_veto_cancels_a_pending_proof_only_before_its_t1(now, a_status):
+    # The boundary at which a claim or contest of the proof is refused as
+    # expired: at t1 a veto leaves the proof pending, and still cancels the
+    # other, whose window runs on.
+    a = table_poi(amount=8, t0=1, t1=61)
+    b = table_poi(amount=8, t0=5, t1=65, recipient=keypair("elsewhere"))
+    state = fresh_state(sender_balance=10)
+    state._insert_pending(a)
+    state._insert_pending(b)
+    state.apply_veto(make_veto(U, a, b), now=now)
+    assert state.poi_records[a.alpha].status == a_status
+    assert state.poi_records[b.alpha].status == VETOED
+    assert state.burned == 10
 
 
 def test_veto_bad_conflicting_signature():

@@ -30,10 +30,10 @@ from panchain.configs import (
     veto_demo_boundary,
     worked_example,
 )
-from panchain.contract import FINALIZED, ChainState, TxError
+from panchain.contract import FINALIZED, OPEN, ChainState, TxError
 from panchain.crypto import sign
 from panchain.ecosystem import Ecosystem, _Transfer, run, wallet_keypair
-from panchain.protocol import Claim, Contest, Veto, encode_poi
+from panchain.protocol import Claim, Contest, FinalizeVeto, Veto, encode_poi
 from panchain.report import RunReport, _encode, check_consistency, dump, dumps
 
 from test_output_digests import CASES
@@ -364,10 +364,10 @@ def test_config_echo_reads_back_as_the_same_config(preset):
 @pytest.mark.parametrize("jitter", [0.0, 0.3])
 def test_conflict_found_after_its_veto_deadline_is_still_finalized(jitter):
     # The second leg is signed at 200 with a window back-dated into the
-    # first's, so its conflict surfaces after the veto deadline (131). The
-    # finalize-veto check used to be scheduled at 131 + 1 block while the
-    # clock stood near 208: it ran before the vetoes landed, and the veto
-    # contest stayed open on every chain with its escrow never paid.
+    # first's, so its conflict surfaces after the veto deadline (131). A
+    # finalize-veto due at 131 + 1 block would fire before the vetoes land,
+    # and the veto contest would stay open on every chain with its escrow
+    # never paid.
     config = config_from_dict({
         "chains": 3, "wallets": {"ds": 100, "a": 0, "b": 0}, "observers": 3,
         "duration": 300.0, "seed": 0, "jitter": jitter,
@@ -607,21 +607,29 @@ def _congested_double_spends(seed: int = 0) -> EcosystemConfig:
     [(veto_demo, 1), (veto_demo_boundary, 1), (_congested_double_spends, 4)],
     ids=["veto_demo", "veto_demo_boundary", "congested"],
 )
-def test_each_observer_schedules_each_finalize_veto_check_once(preset, pairs):
+def test_each_found_pair_queues_one_finalize_veto_per_chain(preset, pairs):
     eco = Ecosystem(preset())
-    scheduled = []
+    queued = []
     schedule = eco._schedule
 
     def record(fire_at, payload):
-        if payload[0] == "fvcheck":
-            scheduled.append(payload[1:])
+        if payload[0] == "submit" and isinstance(payload[2], FinalizeVeto):
+            queued.append((payload[2].alpha, payload[2].alpha_prime, payload[1]))
         schedule(fire_at, payload)
 
     eco._schedule = record
     eco.run()
-    found = {pair for _, pair in scheduled}
+    found = {(a, b) for a, b, _ in queued}
     assert len(found) == pairs
-    assert sorted(scheduled) == sorted((name, pair) for name in eco.observers for pair in found)
+    assert sorted(queued) == sorted((*pair, chain.chain_id) for pair in found for chain in eco.chains)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_congested_double_spends_end_consistent(seed):
+    eco = Ecosystem(_congested_double_spends(seed))
+    report = eco.run()
+    assert report.consistency == []
+    assert len({chain.state.burned for chain in eco.chains}) == 1
 
 
 def _campaign_config(case: str, seed: int) -> EcosystemConfig:
@@ -871,10 +879,11 @@ _RESYNC_CRASHES = {
 }
 
 
-# three-observers still ends with ds-2 at 100/100/0/0: chains 0 and 1 knew
-# neither of its proofs, so they refused every veto.
+# three-observers ends with client-09 at 4/4/4/0 and obs-00 at 21/21/21/20:
+# ds-0's first transfer executed on chains 0-2 only, and its resync cannot
+# take the 5 from ds-0 on chain 3, where a veto burned ds-0's balance.
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="no rule yet for a chain that knows neither proof or a resync that would overdraw (ROADMAP 16)")
+                   reason="no resync rule yet for a sender that is burned or overdrawn (ROADMAP 16)")
 @pytest.mark.parametrize("name", list(_RESYNC_CRASHES))
 def test_a_valid_config_runs_to_a_consistent_report(name):
     report = run(config_from_dict(_RESYNC_CRASHES[name]))
@@ -916,10 +925,19 @@ _CONGESTED_VETO_RUNS = {
 @pytest.mark.parametrize("name", list(_CONGESTED_VETO_RUNS))
 def test_congested_and_unsettleable_runs_end_in_an_audited_report(name):
     eco = Ecosystem(_CONGESTED_VETO_RUNS[name]())
-    eco.run()
+    report = eco.run()
     for chain in eco.chains:
         chain.state.audit()
     _replay(eco)
+    # Every veto contest concludes: each veto applies, each finalize-veto
+    # lands behind it and applies, and every chain pays one winner.
+    errors = Counter((tx.kind, error) for chain in eco.chains for block in _blocks(chain)
+                     for tx, error in zip(block.transactions, block.errors))
+    assert errors[("veto", "unknown-poi")] == 0
+    assert all(error is None for kind, error in errors if kind == "finalize_veto")
+    assert not any(record.status == OPEN and record.contestants
+                   for chain in eco.chains for record in chain.state.veto_records.values())
+    assert all(row["consistent_winner"] for row in report.vetoes)
 
 
 @pytest.mark.parametrize("seed", range(8))

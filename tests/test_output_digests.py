@@ -103,11 +103,11 @@ CAMPAIGN_DIGESTS = {
         "contest-scaling/contest-scaling-0.csv": "0ebde9110f3c79d2500964cb42e287642928bd3f2c490d6bccc0f0e2792b8376",
         "cost-report/cost-report.json": "d8824d4909c1f4d9e03732438389d08103dec6c9e4dad47e1f18179df74f4ee3",
         "cost-report/cost-report.txt": "a8fc35b7125cb4f8228bf4ee4bb7ac68b19bcc75de96369ae4051639a269b55a",
-        "run/run-0.blocks.jsonl": "a69bb5ee122779941dd9c44d1956de64142d73fb78441f6b06cf89e2b819fc8b",
+        "run/run-0.blocks.jsonl": "42c2425a3c5c17ca1a53278742403e297cbe0ea8c6e2ebd0094950be2839ea76",
         "run/run-0.chains.json": "3a60f3aefa69c6dea1e39d7d9a7b65e5d10e67643cdcfc6a0d10ce336d838fdb",
         "run/run-0.csv": "25921fb830ae7580d2c9e01545196cfc21912e92b4610c5fc5b546ba01693554",
         "run/run-0.json": "328f023f46a1518c3e8da7422fd21f8eaf06f4760806f3c5ec99b09ceccd0496",
-        "run/run-1.blocks.jsonl": "45b109e54fe9d09a3b8f4197181eba6642265ed90f7b2f7051a661e3b0dec844",
+        "run/run-1.blocks.jsonl": "4b32bd05e59645f964804a02fc6f01a99f4c45f877fc5564f85343b7e61b068a",
         "run/run-1.chains.json": "4bb54d25f3cd3070bfd8b3298d7a647d147650a1c0fbce6f5537f3768c7dd31b",
         "run/run-1.csv": "a74004d19b8f2bf60e5640b5da2b51d5a889b5a2b93a42a8e4cee1f9b95920bf",
         "run/run-1.json": "69d41ea15d0cefbe623c23fd75c0946e91d0f1e94c53f4569a6dd0cbea5f9468",
