@@ -24,7 +24,6 @@ from .configs import (
     config_from_dict,
     contest_scaling_config,
     load_experiment_file,
-    natural,
     read,
     sweep_config,
     veto_demo,
@@ -76,7 +75,6 @@ class CostSection:
     reward: int = 1
     gas: GasTable = GasTable()
     price: PriceModel = PriceModel()
-    run_report: Optional[str] = None
 
     def __post_init__(self) -> None:
         if min(self.m, self.n, self.reward) < 1:
@@ -275,21 +273,14 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
 
 
 def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
-    """Analytical per-role costs and token-price thresholds; joins in empirical
-    counts when a run report is supplied. Every figure is computed, and found
-    finite, before the campaign's directory is made."""
+    """Analytical per-role costs and token-price thresholds, and the priced
+    transactions of the ``run`` campaign's run at the first seed. Analytic
+    figures are found finite before anything runs, all before any write."""
     conf = spec.sections.cost
-    if conf.run_report:
-        run_data = load_experiment_file(conf.run_report)
-        counts, stats = run_data.get("tx_counts"), run_data.get("stats", {})
-        if not isinstance(counts, dict) or not isinstance(stats, dict):
-            raise ConfigError(f"{conf.run_report}: not a run report (needs tx_counts and stats objects)")
-        executed = stats.get("transfers_executed", 0)
-        for key, value in [*counts.items(), ("transfers_executed", executed)]:
-            natural(value, f"{conf.run_report}: {key}")
     errors = [{"n": n, "error": "incentive threshold needs n >= 2"} for n in conf.n_grid if n < 2]
     # Float arithmetic raises OverflowError on an integer too large to
     # convert, and dumps a ValueError on an infinity or a NaN.
+    overflow = "config.cost: counts or prices so large that a cost overflows"
     try:
         cost = transfer_cost(conf.m, conf.n, conf.gas, conf.price)
         thresholds = {
@@ -311,14 +302,19 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
             },
             "min_viable_price_usd": thresholds,
         }
-        if conf.run_report:
-            payload["simulated"] = simulated_cost_report(counts, executed, conf.gas, conf.price)
-        text = dumps(payload)
+        dumps(payload)
     except (OverflowError, ValueError) as err:
-        where = conf.run_report or "config.cost"
-        raise ConfigError(f"{where}: counts or prices so large that a cost overflows") from err
+        raise ConfigError(overflow) from err
 
     out = _campaign_dir(spec.out_dir / "cost-report")
+    report = run(replace(spec.sections.ecosystem or worked_example(), seed=spec.seeds[0]))
+    try:
+        payload["simulated"] = simulated_cost_report(
+            report.tx_counts, report.stats["transfers_executed"], conf.gas, conf.price
+        )
+        text = dumps(payload)
+    except (OverflowError, ValueError) as err:
+        raise ConfigError(overflow) from err
     outputs = [str(_write(out / "cost-report.json", text))]
     table = [
         f"{'role':<10} {'kGas':>10} {'USD':>10}",

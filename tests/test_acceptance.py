@@ -6,6 +6,7 @@ import hashlib
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from panchain.cli import (
@@ -22,9 +23,9 @@ from panchain.configs import (
     worked_example,
 )
 from panchain.contract import ChainState
-from panchain.costmodel import min_viable_price, transfer_cost
+from panchain.costmodel import min_viable_price, simulated_cost_report, transfer_cost
 from panchain.crypto import sign
-from panchain.ecosystem import Ecosystem
+from panchain.ecosystem import Ecosystem, run
 from panchain.protocol import (
     encode_poi,
     make_claim,
@@ -157,11 +158,29 @@ def test_criterion_4_cost_reproduction():
     cost = transfer_cost(m=10, n=10)
     receiver_ok = abs(cost.receiver_usd - 0.59) <= 0.005
     observer_ok = abs(cost.observer_usd - 0.94) <= 0.005
+    # The worked example's transfer on ten chains, priced from the
+    # transactions its chains included: the receiver's claim and finalizes
+    # cost what the model says, and so does each of the three observers that
+    # posts on every chain.
+    m = 10
+    report = run(replace(worked_example(), chains=m))
+    sim = simulated_cost_report(report.tx_counts, report.stats["transfers_executed"])
+    counts = sim["tx_counts"]
+    posting = counts["contest"] / m
+    receiver_usd = sim["per_transfer_usd"]["receiver"]
+    observer_usd = sim["usd_by_role"]["observer"] / posting
+    simulated_ok = (
+        (counts["claim"], counts["finalize"], counts["contest"]) == (1, m, 3 * m)
+        and round(receiver_usd, 2) == round(cost.receiver_usd, 2)
+        and round(observer_usd, 2) == round(cost.observer_usd, 2)
+    )
     _report(
         4,
         "cost reproduction",
-        receiver_ok and observer_ok,
-        f"receiver={cost.receiver_usd:.4f} USD, observer={cost.observer_usd:.4f} USD",
+        receiver_ok and observer_ok and simulated_ok,
+        f"receiver={cost.receiver_usd:.4f} USD, observer={cost.observer_usd:.4f} USD; "
+        f"simulated receiver={receiver_usd:.4f} USD, observer={observer_usd:.4f} USD "
+        f"from {counts['claim']} claim, {counts['finalize']} finalizes, {counts['contest']} contests",
     )
 
 

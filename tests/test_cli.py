@@ -197,12 +197,13 @@ def test_cmd_cost_report_zero_ether(tmp_path):
     assert all(v == 0.0 for v in payload["min_viable_price_usd"].values())
 
 
-def test_cmd_cost_report_simulated_join(tmp_path):
-    cmd_run(spec_for("run", tmp_path))
-    config = {"cost": {"run_report": str(tmp_path / "run" / "run-0.json")}}
-    cmd_cost_and_incentive(spec_for("cost-report", tmp_path, config=config))
+def test_cmd_cost_report_prices_the_worked_example_run(tmp_path):
+    # With no ecosystem section the priced run is the worked example's: one
+    # claim, a finalize on each of its three chains and three contests on each.
+    cmd_cost_and_incentive(spec_for("cost-report", tmp_path))
     payload = json.loads((tmp_path / "cost-report" / "cost-report.json").read_text())
-    assert payload["simulated"]["tx_counts"]["contest"] == 9
+    counts = payload["simulated"]["tx_counts"]
+    assert (counts["claim"], counts["finalize"], counts["contest"]) == (1, 3, 9)
 
 
 def test_cmd_incentive_rejects_small_n(tmp_path):
@@ -350,7 +351,8 @@ _OVERFLOW = "so large that a cost overflows"
         ("cost-report", {"cost": {"gas": {"bribe": {"mean_kgas": 1.0}}}}, [], "fields: ['bribe']"),
         ("cost-report", {"cost": {"price": {"gas_price_gwei": -1}}}, [], "prices must be non-negative"),
         ("cost-report", {"cost": {"m": 0}}, [], "m, n and reward must be >= 1"),
-        ("cost-report", {"cost": {"run_report": "no-such-run.json"}}, [], "no-such-run.json: "),
+        # The cost report prices its own run: a config that names a run report is refused.
+        ("cost-report", {"cost": {"run_report": "run-0.json"}}, [], "unknown config.cost fields: ['run_report']"),
         ("contest-scaling", {"scaling": {"runs": 0}}, [], "runs must be >= 1"),
         ("run", {"ecosystem": {"block_interval": 0}}, [], "block_interval must be positive"),
         ("run", {"ecosystem": {"max_txs_per_block": 0}}, [], "max_txs_per_block must be at least 1"),
@@ -405,7 +407,7 @@ _OVERFLOW = "so large that a cost overflows"
     ids=[
         "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
         "string-validity-points", "gas-without-mean", "unknown-gas-kind", "negative-gas-price",
-        "zero-cost-chains", "missing-run-report", "zero-scaling-runs", "zero-block-interval",
+        "zero-cost-chains", "removed-run-report", "zero-scaling-runs", "zero-block-interval",
         "zero-block-capacity", "jitter-above-one", "leg-amount-at-reward",
         "leg-empty-window", "boolean-wallet-balance", "string-scaling-runs", "string-block-log",
         "misspelt-section", "infinite-duration", "negative-client-count", "negative-observer-count",
@@ -491,12 +493,6 @@ def test_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     rc = main(["--campaign", "run", "--config", str(config), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert str(config) in json.loads(capsys.readouterr().err)["error"]
-    report = tmp_path / "run-0.json"
-    report.write_bytes(b'{"tx_counts": {"\xff": 1}}')
-    config.write_text(json.dumps({"cost": {"run_report": str(report)}}))
-    rc = main(["--campaign", "cost-report", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert str(report) in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize(
@@ -544,41 +540,28 @@ def test_outputs_are_utf8_whatever_the_locale(tmp_path):
     assert "bj\u00f6rn".encode() in produced["C"]["run-0.csv"]
 
 
-def test_garbled_run_report_exits_2_at_its_position(tmp_path, capsys):
-    report = tmp_path / "run-0.json"
-    report.write_text('{"tx_counts": {\n  "claim": 1,,\n}}')
+def test_garbled_config_exits_2_at_its_position(tmp_path, capsys):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"cost": {"run_report": str(report)}}))
+    config.write_text('{"cost": {\n  "m": 1,,\n}}')
     rc = main(["--campaign", "cost-report", "--config", str(config), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert f"{report}:2:" in json.loads(capsys.readouterr().err)["error"]
-
-
-@pytest.mark.parametrize(
-    "report",
-    [
-        {"tx_counts": {"claim": "x"}},
-        {"tx_counts": {"claim": 1, "contest": -2}},
-        {"tx_counts": {"claim": True}},
-        {"tx_counts": ["claim"]},
-        {"tx_counts": {"claim": 1}, "stats": {"transfers_executed": 1.5}},
-        {"tx_counts": {"claim": 1}, "stats": []},
-        {"tx_counts": {"claim": 10**400}},
-        {"tx_counts": {"claim": 10**305}},
-    ],
-    ids=["string-count", "negative-count", "boolean-count", "list-counts", "float-executed", "list-stats",
-         "count-beyond-a-float", "count-whose-cost-overflows"],
-)
-def test_run_report_with_bad_counts_exits_2_naming_it(tmp_path, capsys, report):
-    path = tmp_path / "run-0.json"
-    path.write_text(json.dumps(report))
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"cost": {"run_report": str(path)}}))
-    rc = main(["--campaign", "cost-report", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert rc == 2
+    assert f"{config}:2:" in json.loads(capsys.readouterr().err)["error"]
     assert not (tmp_path / "out").exists()
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and str(path) in json.loads(err[0])["error"]
+
+
+def test_simulated_cost_that_overflows_exits_2_writing_nothing(tmp_path, capsys):
+    # This contest gas cost leaves the analytic figures finite, and the
+    # worked example's nine priced contests too; the contests of ten clients
+    # and five observers are not.
+    def cost_report(name, ecosystem):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"cost": {"gas": {"contest": {"mean_kgas": 1e303}}}, "ecosystem": ecosystem}))
+        return main(["--campaign", "cost-report", "--config", str(config), "--out", str(tmp_path / name)])
+
+    assert cost_report("worked", {}) == 0
+    assert cost_report("busy", {"clients": 10, "observers": 5}) == 2
+    assert _OVERFLOW in json.loads(capsys.readouterr().err)["error"]
+    assert list((tmp_path / "busy" / "cost-report").iterdir()) == []
 
 
 def _key_paths(node, prefix=()):

@@ -69,6 +69,27 @@ def _replay(eco: Ecosystem) -> None:
         assert state.snapshot() == chain.state.snapshot()
 
 
+def _assert_ideal_ledger(eco: Ecosystem, report: RunReport) -> None:
+    """Every chain ends where the report's transfer rows alone put the
+    config's wallets: each transfer with an accepted claim moves ``amount``
+    from its sender, ``amount - reward`` to its recipient, and the reward to
+    its winner, or to ``burned`` when it has none. Every wallet is compared,
+    those at zero too."""
+    reward = eco.config.reward
+    ledger, burned = {w.name: w.balance for w in eco.config.wallets}, 0
+    for row in report.transfers:
+        if row["claim_ok"]:
+            ledger[row["sender"]] -= row["amount"]
+            ledger[row["recipient"]] += row["amount"] - reward
+            if row["winner"]:
+                ledger[row["winner"]] += reward
+            else:
+                burned += reward
+    for chain in eco.chains:
+        balances = {eco.names[wallet]: value for wallet, value in chain.state.balances.items()}
+        assert (balances, chain.state.burned) == (ledger, burned), chain.chain_id
+
+
 def test_worked_example_reaches_published_final_state():
     config = worked_example(seed=0)
     eco = Ecosystem(config)
@@ -639,6 +660,13 @@ def _campaign_config(case: str, seed: int) -> EcosystemConfig:
     return replace(config_from_dict(section) if section else worked_example(), seed=seed)
 
 
+@pytest.mark.parametrize("seed", [int(seed) for seed in CASES["ties"][1].split(",")])
+def test_the_ties_runs_end_at_the_ideal_ledger(seed):
+    # The one digest config with no script: every transfer is an honest client's.
+    eco = Ecosystem(_campaign_config("ties", seed))
+    _assert_ideal_ledger(eco, eco.run())
+
+
 # Every digest case's config at its seeds (custom-pow runs custom's), both veto
 # demos and the stress runs.
 _EXPOSURE_RUNS = {
@@ -980,6 +1008,7 @@ def test_a_small_honest_run_ends_consistent_and_audited(data):
     report = eco.run()
     assert report.consistency == []
     _replay(eco)
+    _assert_ideal_ledger(eco, report)
     for chain in eco.chains:
         chain.state.audit()
         assert not chain.mempool

@@ -27,8 +27,7 @@ def _leg(**fields):
     return {"at": 1.0, "recipient": "b", "amount": 12, "t0": 1, "t1": 40, "chain": 0, **fields}
 
 
-# Every section the campaigns read, with a script, a block log, and a run
-# report joined into the cost report (``run`` writes it first).
+# Every section the campaigns read, with a script and a block log.
 CUSTOM = {
     "ecosystem": {
         "chains": 2, "block_interval": 5.0, "wallets": {"a": 40, "b": 0, "c": 0}, "clients": 2,
@@ -40,7 +39,7 @@ CUSTOM = {
     },
     "sweep": {"validity_points": [20, 40]},
     "scaling": {"n_values": [1, 4], "runs": 2},
-    "cost": {"m": 3, "n": 5, "n_grid": [5, 50], "run_report": "out/run/run-0.json"},
+    "cost": {"m": 3, "n": 5, "n_grid": [5, 50]},
     "block_log": True,
 }
 
@@ -120,7 +119,7 @@ CAMPAIGN_DIGESTS = {
     },
     "default": {
         "contest-scaling/contest-scaling-0.csv": "0352f52191ca33527dfd5c4b42149347c1ca316d33ba3682e064566fe05ed185",
-        "cost-report/cost-report.json": "f59028f7439cbf73c15cee57bc0f8a3c574eb435405642429cf08d2983d3d391",
+        "cost-report/cost-report.json": "fbdc63f1d8ba007fc69d628176c4ed9df01a880da317de5a7ed9eb8538cdb740",
         "cost-report/cost-report.txt": "e13b268b49b2f093524267ed89b1be68b152019c03b561aacdaf2fa32ca13474",
         "run/run-0.chains.json": "4e296a92df563dfe7de457033bfd037cc63d0389d0f4513591c539dcf4d86c6b",
         "run/run-0.csv": "36d2df5d3d0b01aea0c83475a948446fdfb07e0cd84bd901e634fa0f8e5076b0",
@@ -132,7 +131,7 @@ CAMPAIGN_DIGESTS = {
     },
     "ties": {
         "contest-scaling/contest-scaling-0.csv": "0b4ce9d1e001c3944edb9454cfffa09a332fb2b7a9a75e96102695b4919802a4",
-        "cost-report/cost-report.json": "f59028f7439cbf73c15cee57bc0f8a3c574eb435405642429cf08d2983d3d391",
+        "cost-report/cost-report.json": "cccb2f10e2c76431523b0464ae4067d18d4e93f974565db3d5f73bdef12638a9",
         "cost-report/cost-report.txt": "e13b268b49b2f093524267ed89b1be68b152019c03b561aacdaf2fa32ca13474",
         "run/run-0.blocks.jsonl": "7132f048eec5d636d33c850fec57e2d3875337ce8d2b715cd6a3181eac78ff4a",
         "run/run-0.chains.json": "98630ee064658d183e6d760a96fdc383707c6a955a0f86a8eefba5678102a89c",

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(path for folder in (ROOT / "src" / "panchain", ROOT / "tests")
+MODULES = sorted(path for folder in (ROOT / "src" / "panchain", ROOT / "tests", ROOT / "demos")
                  for path in folder.glob("*.py") if path.name != "__init__.py")
 
 
