@@ -13,7 +13,9 @@ The modular powers run in GMP's mpz_powm, one foreign call per power on
 operands made once per process, when libgmp loads, and in Python's pow
 otherwise; a wallet's private exponent is inverted the same way, by
 mpz_invert or pow(e, -1, P-1). Both give the same integers, so keys and
-signatures do not depend on which one ran.
+signatures do not depend on which one ran. A wallet's (e, d) pair is derived
+once, with its key, and lives on the KeyPair, so nothing per wallet outlives
+the key; a KeyPair built by hand derives its pair on its first signature.
 
 A signature is its value as 32 big-endian bytes, so comparing two signatures
 as bytes compares their values.
@@ -38,7 +40,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 # Largest prime below 2**256; all signature values live in [0, PRIME).
 PRIME = 2**256 - 189
@@ -51,14 +53,18 @@ class KeyPair:
     """A wallet: 32-byte private seed and the public exponent it derives.
 
     public_key doubles as the wallet address; there is no separate address
-    hashing step.
+    hashing step. ``_exponents`` is the (e, d) pair its private key derives,
+    stored by ``generate_keypair`` and derived on first use otherwise.
     """
 
     private_key: bytes
     public_key: bytes
 
+    @cached_property
+    def _exponents(self) -> tuple[int, int]:
+        return _derive_exponents(self.private_key)
 
-@lru_cache(maxsize=1 << 14)
+
 def _derive_exponents(seed: bytes) -> tuple[int, int]:
     # e is a seeded 64-bit odd number coprime to PRIME-1; d is its inverse.
     # 64 bits keeps verification cheap while making exponent collisions
@@ -80,9 +86,12 @@ def generate_keypair(seed: bytes) -> KeyPair:
     """
     if len(seed) != SEED_BYTES:
         raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
-    e, _ = _derive_exponents(seed)
+    exponents = _derive_exponents(seed)
     tag = hashlib.sha256(seed + b"/address").digest()[:24]
-    return KeyPair(private_key=seed, public_key=tag + e.to_bytes(8, "big"))
+    key = KeyPair(private_key=seed, public_key=tag + exponents[0].to_bytes(8, "big"))
+    # Set as cached_property would, which a frozen dataclass allows.
+    key.__dict__["_exponents"] = exponents
+    return key
 
 
 def _pow(base: int, exp: int) -> int:
@@ -199,7 +208,7 @@ _signed_before: set = set()
 def sign(key: KeyPair, message: bytes) -> bytes:
     """Deterministically sign a message; same (key, message) always yields the same bytes."""
     global _signed, _signed_before
-    e, d = _derive_exponents(key.private_key)
+    e, d = key._exponents
     sig = _powmod(_message_residue(message), d).to_bytes(SIGNATURE_BYTES, "big")
     # Only a bytes message is remembered: a bytearray is unhashable and could
     # change after signing.

@@ -75,10 +75,11 @@ def hide_libgmp(monkeypatch):
 @pytest.fixture
 def pow_engine(monkeypatch):
     """Run every modular power and every exponent inverse in pow, as on a
-    machine without libgmp: the engine reloads without it, and no wallet's
-    exponents or signature's check come from a cache filled by GMP."""
+    machine without libgmp: the engine reloads without it, and no
+    signature's check comes from a cache filled by GMP. Each key derives its
+    own exponents under whatever engine is loaded then; both engines give
+    the same integers."""
     hide_libgmp(monkeypatch)
     monkeypatch.setattr(crypto, "_ENGINE", None)
     monkeypatch.setattr(crypto, "_INVERT", None)
-    crypto._derive_exponents.cache_clear()
     clear_verify_caches()

@@ -1,5 +1,6 @@
 import ctypes
 import ctypes.util
+import dataclasses
 import functools
 import hashlib
 import math
@@ -203,6 +204,20 @@ def test_keypair_address_is_public_key():
     assert len(key.public_key) == 32
 
 
+def test_keys_built_any_way_sign_alike():
+    # generate_keypair stores the pair it derived; a key built by hand or by
+    # dataclasses.replace derives the same pair on its first signature.
+    key = generate_keypair(seed_bytes(6))
+    stored = vars(key)["_exponents"]
+    e, d = stored
+    assert key.public_key[24:] == e.to_bytes(8, "big") and e * d % (PRIME - 1) == 1
+    for other in (KeyPair(private_key=key.private_key, public_key=key.public_key), dataclasses.replace(key)):
+        assert "_exponents" not in vars(other)
+        assert other == key and hash(other) == hash(key)
+        assert sign(other, b"any way") == sign(key, b"any way")
+        assert vars(other)["_exponents"] == stored
+
+
 @given(
     base=st.integers(min_value=0, max_value=2**256 - 1),
     exp=st.one_of(
@@ -395,7 +410,7 @@ def test_pow_fallback_signs_and_verifies(request, sender_key, recipient_key):
     m = b"signed without libgmp"
     expected = sign(sender_key, m)
     request.getfixturevalue("pow_engine")
-    # The key's exponents are derived before any power, so the inverse is
+    # A new key derives its exponents before any power, so its inverse is
     # what loads the engine.
     assert generate_keypair(sender_key.private_key) == sender_key
     assert crypto._INVERT is crypto._invert

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -569,6 +570,9 @@ def test_one_reports_snapshots_share_hex_strings_and_poi_dicts(name):
     assert equal
     if name.startswith("stress"):
         assert unequal
+    # So is a balances dict, between chains whose balances are equal.
+    for snapshot in others:
+        assert (snapshot["balances"] is first["balances"]) == (snapshot["balances"] == first["balances"])
     if name == "veto_demo":
         assert all(snapshot["veto_records"] for snapshot in report.chains)
 
@@ -593,6 +597,26 @@ def test_chains_file_is_written_without_holding_its_text():
     finally:
         tracemalloc.stop()
     assert peak < 0.6 * length
+
+
+def test_a_campaign_keeps_nothing_per_wallet_once_its_runs_end():
+    # No client, observer or script: no signature is made, so sign's bounded
+    # memo plays no part, and each run's 20 wallets are keys and nothing else.
+    def config(seed: int) -> EcosystemConfig:
+        return EcosystemConfig(
+            wallets=tuple(WalletSpec(f"w{i:02d}", 10) for i in range(20)), duration=60.0, seed=seed,
+        )
+
+    run(config(300))  # warm-up: whatever loads once per process loads here
+    tracemalloc.start()
+    try:
+        for seed in range(300):
+            run(config(seed))
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 64 * 1024
 
 
 def _stress_config(seed: int) -> EcosystemConfig:
