@@ -397,7 +397,7 @@ class ChainState:
             return view
 
         def balances_view() -> dict:
-            # A 1-tuple key: no hex value, pair or ("poi" | "veto", ...) key.
+            # A 1-tuple: no hex, pair or ("poi" | "veto", ...) key equals it.
             made = memo.setdefault(("balances",), [])
             for other, view in made:
                 if other == self.balances:

@@ -53,8 +53,7 @@ class KeyPair:
     """A wallet: 32-byte private seed and the public exponent it derives.
 
     public_key doubles as the wallet address; there is no separate address
-    hashing step. ``_exponents`` is the (e, d) pair its private key derives,
-    stored by ``generate_keypair`` and derived on first use otherwise.
+    hashing step.
     """
 
     private_key: bytes

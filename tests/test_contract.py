@@ -816,4 +816,3 @@ def test_a_balances_view_is_shared_exactly_between_equal_balances():
     assert views[0] is views[1]
     assert len({id(view) for view in views}) == 3
     assert views == [state.snapshot()["balances"] for state in states]
-    assert list(views[1]) == sorted(w.hex() for w in wallets[:2])
