@@ -341,11 +341,9 @@ class ChainState:
         veto key and proof's ``poi`` dict, made once per value, and each
         proof or veto record's dict with the first equal record snapshotted
         before: the same proof or veto pair with the same status, winner and
-        contestants, and the ``balances`` dict with the first chain's whose
-        balances are equal. So one memo serves the snapshots of one moment,
-        as ``build_report`` takes them: no state changes between them, and no
-        reader mutates a shared view. Without a memo the view is equal, only
-        not shared."""
+        contestants. So one memo serves the snapshots of one moment, as
+        ``build_report`` takes them: no state changes between them. Without
+        a memo the view is equal, only not shared."""
         memo = {} if memo is None else memo
 
         def shared(key, make):
@@ -396,16 +394,6 @@ class ChainState:
             made.append((rec, view))
             return view
 
-        def balances_view() -> dict:
-            # A 1-tuple: no hex, pair or ("poi" | "veto", ...) key equals it.
-            made = memo.setdefault(("balances",), [])
-            for other, view in made:
-                if other == self.balances:
-                    return view
-            view = {hexed(w): v for w, v in sorted(self.balances.items())}
-            made.append((self.balances, view))
-            return view
-
         return {
             "chain_id": self.chain_id,
             "reward": self.reward,
@@ -414,7 +402,7 @@ class ChainState:
             # Always 0 since a resync only settles transfers; kept so every
             # snapshot (the goldens too) keeps its shape for existing readers.
             "resync_adjustment": 0,
-            "balances": balances_view(),
+            "balances": {hexed(w): v for w, v in sorted(self.balances.items())},
             "poi_records": {
                 hexed(alpha): record_dict(("poi", alpha), rec, "poi", shared(rec.poi, poi_dict))
                 for alpha, rec in sorted(self.poi_records.items())

@@ -794,25 +794,3 @@ def test_snapshots_with_one_memo_share_a_record_dict_only_between_equal_records(
     for a in records:
         assert [a is b for b in records] == [a == b for b in records]
     assert len({id(record["poi"]) for record in records}) == 1
-    # Balances views too: one object for the chains whose balances are equal.
-    balances = [snapshot["balances"] for snapshot in snapshots]
-    assert balances[0] is balances[1] and balances[0] is not balances[6]
-    for a in balances:
-        assert [a is b for b in balances] == [a == b for b in balances]
-
-
-def test_a_balances_view_is_shared_exactly_between_equal_balances():
-    # Equal balances built in another order share a view; a wallet at zero
-    # and an absent wallet are different balances.
-    wallets = [kp.public_key for kp in (S, D, U)]
-    memo = {}
-    states = [
-        ChainState(0, {wallets[0]: 5, wallets[1]: 3}, reward=1),
-        ChainState(1, {wallets[1]: 3, wallets[0]: 5}, reward=1),
-        ChainState(2, {wallets[0]: 5, wallets[1]: 3, wallets[2]: 0}, reward=1),
-        ChainState(3, {wallets[0]: 3, wallets[1]: 5}, reward=1),
-    ]
-    views = [state.snapshot(memo)["balances"] for state in states]
-    assert views[0] is views[1]
-    assert len({id(view) for view in views}) == 3
-    assert views == [state.snapshot()["balances"] for state in states]
