@@ -101,10 +101,11 @@ class Client:
 
 @dataclass
 class ObserverReaction:
-    """What an observer decides to do upon first seeing a proof."""
+    """What an observer decides upon first seeing a proof: contests, each for
+    one chain, or vetoes, each for every chain."""
 
     contests: list[tuple[int, Contest]] = field(default_factory=list)
-    vetoes: list[tuple[int, Veto]] = field(default_factory=list)
+    vetoes: list[Veto] = field(default_factory=list)
 
 
 class Observer:
@@ -138,8 +139,7 @@ class Observer:
         self._by_sender[poi.sender] = (max(last_close, poi.t1), earlier)
         self.seen[poi.alpha] = poi
         if conflicting:
-            for other in conflicting:
-                reaction.vetoes.extend(self.make_vetoes(other, poi, chains))
+            reaction.vetoes = [self.make_vetoes(other, poi) for other in conflicting]
             return reaction
         reaction.contests = self.contest_submissions(poi, chains, now)
         return reaction
@@ -162,10 +162,7 @@ class Observer:
                 submissions.append((chain.chain_id, contest))
         return submissions
 
-    def make_vetoes(
-        self, a: ProofOfIntent, b: ProofOfIntent, chains: Sequence[SimChain]
-    ) -> list[tuple[int, Veto]]:
-        """Veto a conflicting pair once on every chain: the veto carries both
-        proofs, so any chain that knows either one applies it."""
-        veto = make_veto(self.key, a, b)
-        return [(chain.chain_id, veto) for chain in chains]
+    def make_vetoes(self, a: ProofOfIntent, b: ProofOfIntent) -> Veto:
+        """The one veto of a conflicting pair, for every chain: it carries
+        both proofs, so any chain that knows either one applies it."""
+        return make_veto(self.key, a, b)

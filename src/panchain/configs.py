@@ -113,8 +113,9 @@ class EcosystemConfig:
         if lo <= 0 or hi < lo:
             raise ConfigError("think_time bounds must satisfy 0 < low <= high")
         names = [w.name for w in self.wallets]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate wallet names")
+        for role, listed in (("wallet", names), ("client", self.clients), ("observer", self.observers)):
+            if len(set(listed)) != len(listed):
+                raise ConfigError(f"duplicate {role} names")
         # A client's amount is at most its balance, and a balance, which grows
         # by what it receives, at most the total supply.
         if sum(w.balance for w in self.wallets) >= 2**64:
@@ -266,6 +267,8 @@ def load_experiment_file(path: str | Path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except (ValueError, RecursionError) as err:  # an integer past the digit limit, or too deep a nesting
+        raise ConfigError(f"{path}: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return data

@@ -6,11 +6,13 @@ every resync that changes it. The run's report is built by
 ``report.build_report`` once the run has ended. A proof is exposed, each
 observer's look at it scheduled, when its first claim lands. A veto contest
 concludes as a witness contest does: the first observer to veto a pair also
-queues its finalize-veto on every chain, after the veto deadline, and FIFO
+queues one broadcast of its finalize-veto, after the veto deadline, and FIFO
 mempools land it behind the veto.
 
 Events execute in (fire_at, sequence) order; the sequence counter is assigned
-at scheduling time, so identical (config, seed) pairs replay identically.
+at scheduling time, so identical (config, seed) pairs replay identically. An
+event is a handler and the objects it acts on. ``_broadcast`` submits a
+finalize, a finalize-veto or a veto to every chain, in chain order.
 Block events wait in their own queue, at most one per chain, beside the queue
 of every other event; both draw from the one sequence counter, and the loop
 takes whichever head is earlier, so the merged order is that of a single
@@ -38,11 +40,11 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .agents import Client, Observer
 from .chain import SimChain
-from .configs import EcosystemConfig, ScriptedAction
+from .configs import EcosystemConfig, ScriptedAction, TransferLeg
 from .contract import FINALIZED, VETOED, ChainState
 from .crypto import KeyPair, generate_keypair
 from .protocol import (
@@ -70,7 +72,7 @@ class _Transfer:
 
     poi: ProofOfIntent
     claim_chain: int
-    client_driven: bool
+    client: Optional[Client]  # None for a scripted leg
     claim_ok: Optional[bool] = None
     # Finalize outcomes seen so far, one per chain once all have landed.
     finalize_results: int = 0
@@ -130,7 +132,7 @@ class Ecosystem:
         self._delay_rngs: dict[str, random.Random] = {
             name: random.Random(f"{seed}/observer/{name}") for name in config.observers
         } if config.observation.mode == "uniform" else {}
-        self._heap: list[tuple[float, int, tuple]] = []
+        self._heap: list[tuple[float, int, Callable, tuple]] = []
         # (fire_at, seq, chain_id) of each chain's next block.
         self._blocks: list[tuple[float, int, int]] = []
         self._seq = 0
@@ -143,15 +145,17 @@ class Ecosystem:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, fire_at: float, payload: tuple) -> None:
-        """Schedule a non-block event; blocks have their own queue."""
+    def _schedule(self, fire_at: float, handler: Callable, *args) -> None:
+        """Schedule ``handler(*args)``; blocks have their own queue."""
         if fire_at < self._now:
-            raise RuntimeError(f"{payload[0]} event scheduled at {fire_at}, before now ({self._now})")
-        heapq.heappush(self._heap, (fire_at, self._seq, payload))
+            raise RuntimeError(f"{handler.__name__} event scheduled at {fire_at}, before now ({self._now})")
+        heapq.heappush(self._heap, (fire_at, self._seq, handler, args))
         self._seq += 1
 
-    def _handle_submit(self, chain_id: int, tx) -> None:
-        self.chains[chain_id].submit(tx, self._now)
+    def _broadcast(self, tx) -> None:
+        """Submit one transaction to every chain, in chain order."""
+        for chain in self.chains:
+            chain.submit(tx, self._now)
 
     # -- run loop -----------------------------------------------------------
 
@@ -160,13 +164,13 @@ class Ecosystem:
         event is queued and every mempool is empty. Every chain's next block
         is queued after the initial client and leg events, so ties keep their
         (fire_at, seq) order, and stays queued to the end."""
-        for name, client in self.clients.items():
+        for client in self.clients.values():
             first = client.rng.uniform(0, self.config.think_time[1])
             if first <= self.config.duration:
-                self._schedule(first, ("client", name))
-        for a_idx, action in enumerate(self.config.script):
-            for l_idx, leg in enumerate(action.legs):
-                self._schedule(leg.at, ("leg", a_idx, l_idx))
+                self._schedule(first, self._look, client)
+        for action in self.config.script:
+            for leg in action.legs:
+                self._schedule(leg.at, self._leg, action, leg)
         for chain in self.chains:
             heapq.heappush(self._blocks, (chain.next_block_time, self._seq, chain.chain_id))
             self._seq += 1
@@ -188,9 +192,9 @@ class Ecosystem:
                 heapq.heapreplace(blocks, (chain.next_block_time, self._seq, chain_id))
                 self._seq += 1
             else:
-                fire_at, _, payload = heapq.heappop(heap)
+                fire_at, _, handler, args = heapq.heappop(heap)
                 self._now = fire_at
-                getattr(self, "_handle_" + payload[0])(*payload[1:])
+                handler(*args)
 
         # Busy blocks and resyncs, the only state changes, were each audited.
         return build_report(self.config, self.chains, self._transfers.values(), self.names)
@@ -216,30 +220,28 @@ class Ecosystem:
 
     def _claim_landed(self, poi: ProofOfIntent, ok: bool) -> None:
         """A claim has landed, accepted or not. Only the proof's first landed
-        claim acts: it schedules the finalizes and the detect check, or frees
-        the client, and then exposes the proof. Two scripted legs that sign
-        the same proof share one alpha and so one tracker."""
+        claim acts: it schedules the finalize's broadcast and the detect
+        check, or frees the client, and then exposes the proof. Two scripted
+        legs that sign the same proof share one alpha and so one tracker."""
         tracker = self._transfers[poi.alpha]
         if tracker.claim_ok is not None:
             return
         tracker.claim_ok = ok
         if ok:
-            recipient_key = self.keys[self.names[poi.recipient]]
-            finalize = make_finalize(recipient_key, poi.alpha)
-            for chain in self.chains:
-                self._schedule(poi.t1 + self.config.block_interval, ("submit", chain.chain_id, finalize))
-            self._schedule(poi.t1 + 2 * self._longest_gap + 1, ("detect", poi.alpha))
+            finalize = make_finalize(self.keys[self.names[poi.recipient]], poi.alpha)
+            self._schedule(poi.t1 + self.config.block_interval, self._broadcast, finalize)
+            self._schedule(poi.t1 + 2 * self._longest_gap + 1, self._detect, tracker)
         else:
             self._finish_transfer(tracker)
         policy = self.config.observation
-        names = list(self.observers)
+        observers = list(self.observers.values())
         if policy.mode == "staggered":
-            random.Random(f"{self.config.seed}/stagger/{poi.alpha.hex()}").shuffle(names)
-            delays = [(idx + 1) * policy.spacing for idx in range(len(names))]
+            random.Random(f"{self.config.seed}/stagger/{poi.alpha.hex()}").shuffle(observers)
+            delays = [(idx + 1) * policy.spacing for idx in range(len(observers))]
         else:
-            delays = [self._delay_rngs[name].uniform(policy.low, policy.high) for name in names]
-        for name, delay in zip(names, delays):
-            self._schedule(self._now + delay, ("observe", name, poi.alpha))
+            delays = [self._delay_rngs[observer.name].uniform(policy.low, policy.high) for observer in observers]
+        for observer, delay in zip(observers, delays):
+            self._schedule(self._now + delay, self._observe, observer, poi)
 
     def _finish_transfer(self, tracker: _Transfer) -> None:
         """Free the initiating client, which looks again after a think delay.
@@ -248,30 +250,27 @@ class Ecosystem:
         signed: a transfer is judged after ``t1``, and the claim of a client
         whose balance only its own transfers spend is refused only as
         ``expired-poi``, at or after ``t1``."""
-        if tracker.client_driven:
-            self._next_look(self.names[tracker.poi.sender])
+        if tracker.client is not None:
+            self._next_look(tracker.client)
 
-    def _next_look(self, name: str) -> None:
+    def _next_look(self, client: Client) -> None:
         """Queue the client's next look after a think delay, if that falls
         within ``duration``."""
-        next_at = self._now + self.clients[name].think_delay()
+        next_at = self._now + client.think_delay()
         if next_at <= self.config.duration:
-            self._schedule(next_at, ("client", name))
+            self._schedule(next_at, self._look, client)
 
-    def _handle_client(self, name: str) -> None:
-        client = self.clients[name]
+    def _look(self, client: Client) -> None:
         chain_balances = [
             chain.state.balance(client.key.public_key) for chain in self.chains
         ]
-        plan = client.plan_transfer(self._now, chain_balances, self._recipients[name])
+        plan = client.plan_transfer(self._now, chain_balances, self._recipients[client.name])
         if plan is None:
-            self._next_look(name)
+            self._next_look(client)
         else:
-            self._register_transfer(plan.poi, plan.claim_chain, client_driven=True)
+            self._register_transfer(plan.poi, plan.claim_chain, client)
 
-    def _handle_leg(self, action_idx: int, leg_idx: int) -> None:
-        action: ScriptedAction = self.config.script[action_idx]
-        leg = action.legs[leg_idx]
+    def _leg(self, action: ScriptedAction, leg: TransferLeg) -> None:
         # A double spend is just legs whose windows overlap.
         poi = make_poi(
             self.keys[action.sender],
@@ -281,43 +280,37 @@ class Ecosystem:
             t1=leg.t1,
             reward=self.config.reward,
         )
-        self._register_transfer(poi, leg.chain, client_driven=False)
+        self._register_transfer(poi, leg.chain, client=None)
 
-    def _register_transfer(self, poi: ProofOfIntent, claim_chain: int, client_driven: bool) -> None:
+    def _register_transfer(self, poi: ProofOfIntent, claim_chain: int, client: Optional[Client]) -> None:
         # A scripted leg that re-signs a registered proof gets its alpha, and
         # the transfer keeps its first tracker.
-        self._transfers.setdefault(
-            poi.alpha, _Transfer(poi=poi, claim_chain=claim_chain, client_driven=client_driven)
-        )
-        self._handle_submit(claim_chain, make_claim(poi))
+        self._transfers.setdefault(poi.alpha, _Transfer(poi=poi, claim_chain=claim_chain, client=client))
+        self.chains[claim_chain].submit(make_claim(poi), self._now)
 
-    def _handle_observe(self, name: str, alpha: bytes) -> None:
-        observer = self.observers[name]
-        poi = self._transfers[alpha].poi
+    def _observe(self, observer: Observer, poi: ProofOfIntent) -> None:
         reaction = observer.handle_new_poi(poi, self.chains, self._now)
-        for chain_id, tx in reaction.contests + reaction.vetoes:
-            self._handle_submit(chain_id, tx)
+        for chain_id, contest in reaction.contests:
+            self.chains[chain_id].submit(contest, self._now)
         # Mempools are FIFO, so on every chain the pair's finalize-veto lands
         # behind its veto and needs no retry.
-        for _, veto in reaction.vetoes:
+        for veto in reaction.vetoes:
+            self._broadcast(veto)
             pair = veto_pair(veto.poi.alpha, veto.conflicting_poi.alpha)
             if pair not in self._vetoed_pairs:
                 self._vetoed_pairs.add(pair)
                 fire_at = max(veto_deadline(veto.poi, veto.conflicting_poi), self._now) + self.config.block_interval
-                finalize_veto = make_finalize_veto(observer.key, *pair)
-                for chain in self.chains:
-                    self._schedule(fire_at, ("submit", chain.chain_id, finalize_veto))
+                self._schedule(fire_at, self._broadcast, make_finalize_veto(observer.key, *pair))
 
-    def _handle_detect(self, alpha: bytes) -> None:
-        tracker = self._transfers[alpha]
+    def _detect(self, tracker: _Transfer) -> None:
         m = len(self.chains)
         if tracker.finalize_results < m:
             # Under mempool backlog some finalizes are still queued; judging
             # now would score a transfer that is about to land as partial.
-            self._schedule(self._now + self.config.block_interval, ("detect", alpha))
+            self._schedule(self._now + self.config.block_interval, self._detect, tracker)
             return
         for chain in self.chains:
-            record = chain.state.poi_records.get(alpha)
+            record = chain.state.poi_records.get(tracker.poi.alpha)
             tracker.contest_counts[chain.chain_id] = len(record.contestants) if record else 0
             if record is not None and record.status == FINALIZED:
                 tracker.executed[chain.chain_id] = record.winner

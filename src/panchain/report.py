@@ -213,7 +213,7 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
                 "vetoed_chains": tracker.vetoed_chains,
                 "corrupted": tracker.corrupted,
                 "failed": claim_failed,
-                "scripted": not tracker.client_driven,
+                "scripted": tracker.client is None,
                 "self_transfer": poi.sender == poi.recipient,
             }
         )

@@ -99,9 +99,9 @@ def observer_fixture():
 
 
 def vetoed_pairs(reaction):
-    """The (poi, conflicting_poi) alpha pair of each distinct veto in a
-    reaction, in the order posted."""
-    return list(dict.fromkeys((veto.poi.alpha, veto.conflicting_poi.alpha) for _, veto in reaction.vetoes))
+    """The (poi, conflicting_poi) alpha pair of each veto in a reaction, in
+    the order posted."""
+    return [(veto.poi.alpha, veto.conflicting_poi.alpha) for veto in reaction.vetoes]
 
 
 def test_observer_posts_everywhere_when_no_contestants():
@@ -138,21 +138,21 @@ def test_observer_ignores_expired_poi():
     assert not reaction.contests and not reaction.vetoes
 
 
-def test_observer_detects_conflict_and_vetoes_once_per_chain():
+def test_observer_detects_conflict_and_vetoes_the_pair_once():
+    # One veto for every chain; the ecosystem broadcasts it.
     observer, poi, chains, sender = observer_fixture()
     other = make_poi(sender, keypair("second-recipient"), amount=20, t0=5, t1=65)
     first = observer.handle_new_poi(poi, chains, now=2.0)
     assert not first.vetoes
     second = observer.handle_new_poi(other, chains, now=3.0)
     assert not second.contests
-    assert [cid for cid, _ in second.vetoes] == [0, 1, 2]
     assert vetoed_pairs(second) == [(poi.alpha, other.alpha)]
-    veto = second.vetoes[0][1]
+    (veto,) = second.vetoes
     assert veto_deadline(veto.poi, veto.conflicting_poi) == 65 + 60
 
 
-def test_make_vetoes_signs_the_pair_once_and_posts_one_veto_per_chain(monkeypatch):
-    observer, poi, chains, sender = observer_fixture()
+def test_make_vetoes_signs_the_pair_once_into_one_veto(monkeypatch):
+    observer, poi, _, sender = observer_fixture()
     other = make_poi(sender, keypair("second-recipient"), amount=20, t0=5, t1=65)
     calls = []
 
@@ -162,13 +162,11 @@ def test_make_vetoes_signs_the_pair_once_and_posts_one_veto_per_chain(monkeypatc
 
     monkeypatch.setattr(agents, "sign", counting_sign)
     monkeypatch.setattr(protocol, "sign", counting_sign)
-    submissions = observer.make_vetoes(poi, other, chains)
+    veto = observer.make_vetoes(poi, other)
     assert len(calls) == 1
-    assert [cid for cid, _ in submissions] == [0, 1, 2]
-    for _, veto in submissions:
-        assert veto == make_veto(observer.key, poi, other)
-        payload = encode_veto_payload(veto.poi.alpha, veto.conflicting_poi.alpha)
-        assert crypto.verify(observer.key.public_key, payload, veto.omega)
+    assert veto == make_veto(observer.key, poi, other)
+    payload = encode_veto_payload(veto.poi.alpha, veto.conflicting_poi.alpha)
+    assert crypto.verify(observer.key.public_key, payload, veto.omega)
 
 
 def test_watchdog_no_action_without_conflict():
@@ -189,7 +187,6 @@ def test_backdated_proof_conflicting_with_a_finalized_one_is_vetoed():
     assert chains[0].state.poi_records[poi.alpha].status == FINALIZED
     backdated = make_poi(sender, keypair("late-recipient"), amount=20, t0=50, t1=300)
     reaction = observer.handle_new_poi(backdated, chains, now=200.0)
-    assert [cid for cid, _ in reaction.vetoes] == [0, 1, 2]
     assert vetoed_pairs(reaction) == [(poi.alpha, backdated.alpha)]
 
 
@@ -277,7 +274,6 @@ def test_a_backdated_proof_is_still_scanned_and_vetoed(monkeypatch):
     backdated = make_poi(sender, keypair("r3"), amount=20, t0=70, t1=110)
     reaction = observer.handle_new_poi(backdated, chains, now=101.0)
     assert [(a.alpha, b.alpha) for a, b in calls] == [(backdated.alpha, poi.alpha), (backdated.alpha, later.alpha)]
-    assert [cid for cid, _ in reaction.vetoes] == [0, 1, 2]
     assert vetoed_pairs(reaction) == [(later.alpha, backdated.alpha)]
 
 

@@ -397,6 +397,11 @@ _OVERFLOW = "so large that a cost overflows"
         ("run", {"ecosystem": {"think_time": [0, 5]}}, [], "think_time bounds must satisfy 0 < low"),
         ("run", {"ecosystem": {"think_time": [1]}}, [], "think_time must be a list of 2"),
         ("run", {"ecosystem": {"wallets": {"a": 10}, "clients": ["zed"]}}, [], "unknown wallet referenced: 'zed'"),
+        # A repeated name would run one agent where the config echo lists two.
+        ("run", {"ecosystem": {"wallets": {"a": 100, "b": 100}, "clients": ["a", "b", "b"]}}, [],
+         "duplicate client names"),
+        ("run", {"ecosystem": {"wallets": {"a": 100, "w": 0}, "observers": ["w", "w"]}}, [],
+         "duplicate observer names"),
         ("run", _script(sender="zed"), [], "scripted sender is not a wallet: 'zed'"),
         ("run", _one_leg_script(recipient="zed"), [], "scripted recipient is not a wallet: 'zed'"),
         ("run", _one_leg_script(chain=3), [], "scripted leg targets chain 3, have 3"),
@@ -420,7 +425,7 @@ _OVERFLOW = "so large that a cost overflows"
         "unknown-observation-mode", "observation-low-above-high", "staggered-without-spacing",
         "unknown-action-kind", "two-leg-transfer", "one-leg-double-spend", "negative-duration",
         "zero-validity", "negative-reward", "removed-post-iff-winnable", "zero-think-time", "one-think-time-bound",
-        "unknown-client-name",
+        "unknown-client-name", "repeated-client-name", "repeated-observer-name",
         "script-sender-not-a-wallet", "script-recipient-not-a-wallet", "leg-chain-out-of-range",
         "top-level-list", "empty-seed-list", "zero-jobs",
     ],
@@ -449,6 +454,29 @@ def test_duplicate_wallet_names_are_refused():
     # A JSON object cannot repeat a key, so only a config built in code can.
     with pytest.raises(ConfigError, match="duplicate wallet names"):
         EcosystemConfig(wallets=(WalletSpec("a", 1), WalletSpec("a", 2)))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"ecosystem": {"seed": ' + "9" * 5000 + "}}", "4300 digits"),
+        ('{"ecosystem": {"script": ' + "[" * 100_000 + "]" * 100_000 + "}}", "recursion"),
+    ],
+    ids=["5000-digit-seed", "list-nested-100000-deep"],
+)
+def test_config_past_the_json_parsers_limits_exits_2_naming_it(tmp_path, capsys, text, message):
+    # json raises ValueError for an integer past CPython's digit limit and
+    # RecursionError for too deep a nesting; neither is a JSONDecodeError.
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    rc = main(["--campaign", "run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["status"] == "error"
+    assert error["error"].startswith(f"{config}: ") and message in error["error"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_list_that_is_not_integers_exits_2(capsys):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panchain.agents import Client
+from panchain.agents import Client, Observer
 from panchain.chain import Block, Resync, block_log
 from panchain.cli import main
 from panchain.configs import (
@@ -34,7 +34,7 @@ from panchain.configs import (
 from panchain.contract import FINALIZED, OPEN, ChainState, TxError
 from panchain.crypto import sign
 from panchain.ecosystem import Ecosystem, _Transfer, run, wallet_keypair
-from panchain.protocol import Claim, Contest, FinalizeVeto, Veto, encode_poi
+from panchain.protocol import Claim, Contest, FinalizeVeto, Veto, encode_poi, veto_pair
 from panchain.report import RunReport, _encode, check_consistency, dump, dumps
 
 from test_output_digests import CASES
@@ -409,8 +409,8 @@ def test_conflict_found_after_its_veto_deadline_is_still_finalized(jitter):
 def test_scheduling_into_the_past_is_refused():
     eco = Ecosystem(worked_example(seed=0))
     eco._now = 10.0
-    with pytest.raises(RuntimeError, match="before now"):
-        eco._schedule(9.5, ("detect", b""))
+    with pytest.raises(RuntimeError, match="_detect event scheduled at 9.5, before now"):
+        eco._schedule(9.5, eco._detect, None)
 
 
 # Text with non-ASCII, quote, backslash and control characters.
@@ -649,21 +649,49 @@ def _congested_double_spends(seed: int = 0) -> EcosystemConfig:
     [(veto_demo, 1), (veto_demo_boundary, 1), (_congested_double_spends, 4)],
     ids=["veto_demo", "veto_demo_boundary", "congested"],
 )
-def test_each_found_pair_queues_one_finalize_veto_per_chain(preset, pairs):
+def test_each_found_pair_queues_one_finalize_veto_broadcast(preset, pairs):
     eco = Ecosystem(preset())
     queued = []
     schedule = eco._schedule
 
-    def record(fire_at, payload):
-        if payload[0] == "submit" and isinstance(payload[2], FinalizeVeto):
-            queued.append((payload[2].alpha, payload[2].alpha_prime, payload[1]))
-        schedule(fire_at, payload)
+    def record(fire_at, handler, *args):
+        if handler == eco._broadcast and isinstance(args[0], FinalizeVeto):
+            queued.append((args[0].alpha, args[0].alpha_prime))
+        schedule(fire_at, handler, *args)
 
     eco._schedule = record
     eco.run()
-    found = {(a, b) for a, b, _ in queued}
-    assert len(found) == pairs
-    assert sorted(queued) == sorted((*pair, chain.chain_id) for pair in found for chain in eco.chains)
+    assert len(queued) == len(set(queued)) == pairs
+
+
+@pytest.mark.parametrize(
+    "preset", [veto_demo, veto_demo_boundary, _congested_double_spends],
+    ids=["veto_demo", "veto_demo_boundary", "congested"],
+)
+def test_every_veto_and_finalize_veto_lands_once_on_every_chain(preset, monkeypatch):
+    # The vetoes observers make, recorded apart from how they reach the chains.
+    made = []
+    make_vetoes = Observer.make_vetoes
+
+    def recording(self, a, b):
+        made.append(make_vetoes(self, a, b))
+        return made[-1]
+
+    monkeypatch.setattr(Observer, "make_vetoes", recording)
+    eco = Ecosystem(preset())
+    eco.run()
+
+    def key(veto):
+        return veto.vetoer, veto_pair(veto.poi.alpha, veto.conflicting_poi.alpha)
+
+    vetoes = Counter(map(key, made))
+    assert vetoes and set(vetoes.values()) == {1}
+    pairs = Counter({pair for _, pair in vetoes})
+    for chain in eco.chains:
+        included = [tx for block in _blocks(chain) for tx in block.transactions]
+        assert Counter(key(tx) for tx in included if isinstance(tx, Veto)) == vetoes, chain.chain_id
+        finalize_vetoes = Counter((tx.alpha, tx.alpha_prime) for tx in included if isinstance(tx, FinalizeVeto))
+        assert finalize_vetoes == pairs, chain.chain_id
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1089,7 +1117,7 @@ _WINNERS = st.one_of(st.none(), st.sampled_from([b"u", b"v", b"w"]))
 @example({0: b"v", 1: b"u", 2: b"v", 3: b"u"})
 @example({2: None, 0: b"u"})
 def test_transfer_winner_is_the_most_common_executed_winner(executed):
-    tracker = _Transfer(poi=None, claim_chain=0, client_driven=False, executed=executed)
+    tracker = _Transfer(poi=None, claim_chain=0, client=None, executed=executed)
     # The rule as Counter states it: the most common value, the first seen on a tie.
     top = Counter(executed.values()).most_common(1)
     assert tracker.winner == (top[0][0] if top else None)
