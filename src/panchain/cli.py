@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -116,12 +117,21 @@ class ExperimentSpec:
         object.__setattr__(self, "sections", read(ExperimentFile, raw, "config", ecosystem=ecosystem))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_points(fn, points: list, jobs: int) -> Iterable:
-    """Run campaign points sequentially or on a bounded worker pool; results
-    come back in point order either way, so outputs stay byte-reproducible."""
-    if jobs == 1 or len(points) <= 1:
+    """Run campaign points sequentially or on a worker pool no larger than
+    the jobs asked for, the points, or the CPUs this process may use (a
+    forked pool starts every worker at once); results come back in point
+    order either way, so outputs stay byte-reproducible."""
+    workers = min(jobs, len(points), _usable_cpus())
+    if workers <= 1:
         return [fn(p) for p in points]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, points))
 
 
@@ -420,6 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A refusal names its field and rule first; what follows can echo a whole
+# input, so main writes at most this many characters of it.
+ERROR_CHARS = 500
+
+
+def _bounded(message: str) -> str:
+    cut = len(message) - ERROR_CHARS
+    return message if cut <= 0 else f"{message[:ERROR_CHARS]}... ({cut} more characters cut)"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -434,7 +454,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         result = _HANDLERS[spec.campaign](spec)
     except ConfigError as err:
-        print(json.dumps({"status": "error", "error": str(err)}), file=sys.stderr)
+        print(json.dumps({"status": "error", "error": _bounded(str(err))}), file=sys.stderr)
         return 2
     status = "ok" if not result["errors"] else "failed"
     print(json.dumps({"status": status, **result}, sort_keys=True))

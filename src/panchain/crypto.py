@@ -10,8 +10,8 @@ uniform, which is all the witness contest needs. It is not secure against
 a party willing to factor 64-bit exponent inverses.
 
 The modular powers run in GMP's mpz_powm, one foreign call per power on
-operands made once per process, when libgmp loads, and in Python's pow
-otherwise; a wallet's private exponent is inverted the same way, by
+operands made once per process, at import, when libgmp loads, and in Python's
+pow otherwise; a wallet's private exponent is inverted the same way, by
 mpz_invert or pow(e, -1, P-1). Both give the same integers, so keys and
 signatures do not depend on which one ran. A wallet's (e, d) pair is derived
 once, with its key, and lives on the KeyPair, so nothing per wallet outlives
@@ -71,8 +71,6 @@ def _derive_exponents(seed: bytes) -> tuple[int, int]:
     e = int.from_bytes(hashlib.sha256(seed + b"/exponent").digest()[:8], "big") | 1
     while math.gcd(e, PRIME - 1) != 1:
         e += 2
-    if _INVERT is None:
-        _load_engine()
     return e, _INVERT(e)
 
 
@@ -174,23 +172,10 @@ def _load_gmp():
     return powmod, invert
 
 
-# Both loaded together on first use, with one library load per process. A
-# forked pool worker gets its own copy-on-write copy of the GMP operands, and
-# a spawned one re-imports this module.
-_ENGINE = None
-_INVERT = None
-
-
-def _load_engine() -> None:
-    global _ENGINE, _INVERT
-    _ENGINE, _INVERT = _load_gmp()
-
-
-def _powmod(base: int, exp: int) -> int:
-    """base**exp mod PRIME for base and exp below 2**256, identical to _pow."""
-    if _ENGINE is None:
-        _load_engine()
-    return _ENGINE(base, exp)
+# Both made together at import, with one library load per process. A forked
+# pool worker gets its own copy-on-write copy of the GMP operands, and a
+# spawned one re-imports this module.
+_ENGINE, _INVERT = _load_gmp()
 
 
 def _message_residue(message: bytes) -> int:
@@ -208,7 +193,7 @@ def sign(key: KeyPair, message: bytes) -> bytes:
     """Deterministically sign a message; same (key, message) always yields the same bytes."""
     global _signed, _signed_before
     e, d = key._exponents
-    sig = _powmod(_message_residue(message), d).to_bytes(SIGNATURE_BYTES, "big")
+    sig = _ENGINE(_message_residue(message), d).to_bytes(SIGNATURE_BYTES, "big")
     # Only a bytes message is remembered: a bytearray is unhashable and could
     # change after signing.
     if type(message) is bytes and key.public_key[24:] == e.to_bytes(8, "big"):
@@ -232,7 +217,7 @@ def _verify_cached(public_key: bytes, message: bytes, sig: bytes) -> bool:
     e, value = int.from_bytes(public_key[24:], "big"), int.from_bytes(sig, "big")
     if e <= 0 or value >= PRIME:
         return False
-    return _powmod(value, e) == _message_residue(message)
+    return _ENGINE(value, e) == _message_residue(message)
 
 
 def verify(public_key: bytes, message: bytes, sig: bytes) -> bool:

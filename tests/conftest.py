@@ -75,11 +75,12 @@ def hide_libgmp(monkeypatch):
 @pytest.fixture
 def pow_engine(monkeypatch):
     """Run every modular power and every exponent inverse in pow, as on a
-    machine without libgmp: the engine reloads without it, and no
+    machine without libgmp: the engine is made again without it, and no
     signature's check comes from a cache filled by GMP. Each key derives its
-    own exponents under whatever engine is loaded then; both engines give
+    own exponents under whatever engine is installed then; both engines give
     the same integers."""
     hide_libgmp(monkeypatch)
-    monkeypatch.setattr(crypto, "_ENGINE", None)
-    monkeypatch.setattr(crypto, "_INVERT", None)
+    engine, invert = crypto._load_gmp()
+    monkeypatch.setattr(crypto, "_ENGINE", engine)
+    monkeypatch.setattr(crypto, "_INVERT", invert)
     clear_verify_caches()

@@ -141,9 +141,24 @@ def test_worker_pool_is_no_larger_than_the_campaign(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"scaling": {"n_values": [1, 3], "runs": 2}}))
-    argv = ["--campaign", "contest-scaling", "--config", str(config), "--out", str(tmp_path / "out")]
-    assert main([*argv, "--jobs", "64"]) == 0
-    assert sizes == [4]
+    argv = ["--campaign", "contest-scaling", "--config", str(config)]
+    # The pool is the smallest of the jobs, the points and the usable CPUs.
+    for cpus, jobs, expected in ((64, 64, [4]), (3, 64, [3]), (64, 2, [2]), (1, 64, [])):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        sizes.clear()
+        assert main([*argv, "--jobs", str(jobs), "--out", str(tmp_path / f"out-{cpus}-{jobs}")]) == 0
+        assert sizes == expected
+
+
+def test_usable_cpus_is_the_affinity_set_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7})
+        assert cli._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert cli._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 def test_cmd_contest_scaling_csv_shape(tmp_path):
@@ -294,6 +309,37 @@ def test_veto_assertions_name_each_failure(label, report, failure):
     assert cli._veto_assertions(label, report) == [failure]
 
 
+def _failed_errors(capsys, tmp_path, campaign, config):
+    # The campaign's summary through main at --jobs 1, so stubs reach every point.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = ["--campaign", campaign, "--config", str(path), "--out", str(tmp_path / "out"), "--jobs", "1"]
+    assert main(argv) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["status"] == "failed"
+    return summary["errors"]
+
+
+def test_sweep_point_with_inconsistent_balances_is_an_error_row(tmp_path, capsys, monkeypatch):
+    detail = [{"name": "a", "balances": [1, 2]}]
+    monkeypatch.setattr(cli, "run", lambda config: _report(stats={"transfers_corrupted": 0}, consistency=detail))
+    errors = _failed_errors(capsys, tmp_path, "sweep-validity", {"sweep": {"validity_points": [30]}})
+    assert errors == [{"seed": 0, "validity": 30, "error": "inconsistent final balances after resync",
+                       "detail": detail}]
+
+
+def test_contest_counts_that_differ_across_chains_are_an_error_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda config: _report(transfers=[{"contest_counts": {"0": 1, "1": 2}}]))
+    errors = _failed_errors(capsys, tmp_path, "contest-scaling", {"scaling": {"n_values": [2], "runs": 1}})
+    assert errors == [{"n": 2, "seed": 0, "error": "contest counts differ across chains"}]
+
+
+def test_veto_demo_scenario_issue_is_an_error_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_veto_assertions", lambda label, report: ["boom"] if label == "boundary" else [])
+    errors = _failed_errors(capsys, tmp_path, "veto-demo", {})
+    assert errors == [{"seed": 0, "scenario": "boundary", "error": "boom"}]
+
+
 def test_readme_documents_every_flag():
     # The Flags paragraph names each option build_parser accepts, and no other.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -360,6 +406,7 @@ _OVERFLOW = "so large that a cost overflows"
         ("run", _one_leg_script(amount=1), [], "must exceed the reward"),
         ("run", _one_leg_script(t0=61), [], "got [61, 61]"),
         ("run", {"ecosystem": {"wallets": {"a": True}}}, [], "wallets.a must be a non-negative integer"),
+        ("run", {"ecosystem": {"wallets": ["a"]}}, [], "wallets must map name -> initial balance"),
         ("contest-scaling", {"scaling": {"runs": "2"}}, [], "runs must be an integer"),
         ("run", {"block_log": "yes"}, [], "block_log must be true or false"),
         ("veto-demo", {"sweeep": {}}, [], "fields: ['sweeep']"),
@@ -414,7 +461,7 @@ _OVERFLOW = "so large that a cost overflows"
         "string-validity-points", "gas-without-mean", "unknown-gas-kind", "negative-gas-price",
         "zero-cost-chains", "removed-run-report", "zero-scaling-runs", "zero-block-interval",
         "zero-block-capacity", "jitter-above-one", "leg-amount-at-reward",
-        "leg-empty-window", "boolean-wallet-balance", "string-scaling-runs", "string-block-log",
+        "leg-empty-window", "boolean-wallet-balance", "wallets-list", "string-scaling-runs", "string-block-log",
         "misspelt-section", "infinite-duration", "negative-client-count", "negative-observer-count",
         "veto-demo-string-chain-count", "contest-scaling-string-chain-count",
         "cost-report-string-chain-count", "ecosystem-list", "negative-scaling-observer-count",
@@ -477,6 +524,45 @@ def test_config_past_the_json_parsers_limits_exits_2_naming_it(tmp_path, capsys,
     assert error["status"] == "error"
     assert error["error"].startswith(f"{config}: ") and message in error["error"]
     assert not (tmp_path / "out").exists()
+
+
+def _leg_text(t0: str) -> str:
+    return json.dumps(_one_leg_script(t0=0)).replace('"t0": 0', f'"t0": {t0}')
+
+
+@pytest.mark.parametrize(
+    "campaign, text, head",
+    [
+        ("run", json.dumps(_script()).replace('[{"sender"', "[" * 901 + "1" + "]" * 900 + ', {"sender"'),
+         "ecosystem.script[0] must be a JSON object, got [[[["),
+        ("run", _leg_text("9" * 4001), "ecosystem: scripted leg window needs 0 <= t0 < t1 < 2^64, got [9999"),
+        ("run", json.dumps({"ecosystem": {"x" * 100_000: 1}}), "unknown ecosystem fields: ['xxxx"),
+        ("sweep-validity", json.dumps({"sweep": {"validity_points": [30] * 50_000}}),
+         "config.sweep: validity_points lists a value more than once: [30, 30, "),
+        ("run", json.dumps({"ecosystem": {"observation": {"mode": "m" * 100_000}}}),
+         "ecosystem.observation: unknown observation mode: 'mmmm"),
+    ],
+    ids=["list-nested-900-deep", "4001-digit-t0", "long-unknown-key", "50000-validity-points", "long-mode"],
+)
+def test_refusal_line_is_bounded_whatever_the_input(tmp_path, capsys, campaign, text, head):
+    # A refusal that echoes its input keeps the head that names the field and
+    # the rule, and says how much of the rest it cut.
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    assert main(["--campaign", campaign, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["status"] == "error"
+    assert error["error"].startswith(head)
+    assert re.fullmatch(r".{%d}\.\.\. \(\d+ more characters cut\)" % cli.ERROR_CHARS, error["error"], re.S)
+    assert len(err[0]) < 600
+
+
+def test_short_refusal_is_written_whole():
+    message = "x" * cli.ERROR_CHARS
+    assert cli._bounded(message) == message
+    assert cli._bounded(message + "y") == message + "... (1 more characters cut)"
 
 
 def test_seed_list_that_is_not_integers_exits_2(capsys):

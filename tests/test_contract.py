@@ -680,6 +680,11 @@ def test_a_chain_takes_a_reward_of_zero_but_not_a_negative_one():
         ChainState(0, balances, reward=-1)
 
 
+def test_a_chain_refuses_a_negative_initial_balance():
+    with pytest.raises(ValueError, match=f"negative initial balance for {D.public_key.hex()}"):
+        ChainState(0, {S.public_key: 80, D.public_key: -1})
+
+
 def test_audit_rejects_a_negative_balance():
     # Conserved in sum and burned is 0, yet a wallet holds -1.
     state = fresh_state(sender_balance=10)

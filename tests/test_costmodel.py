@@ -70,6 +70,11 @@ def test_incentive_requires_two_observers():
         min_viable_price(1)
 
 
+def test_incentive_requires_a_positive_reward():
+    with pytest.raises(ValueError, match="reward must be positive"):
+        min_viable_price(10, reward=0)
+
+
 def test_incentive_linear_in_reward():
     assert min_viable_price(10, reward=2) == pytest.approx(min_viable_price(10, reward=1) / 2)
 

@@ -494,9 +494,11 @@ def test_dump_streams_the_text_of_dumps_at_every_depth(value):
 
 @pytest.mark.parametrize("depth", range(4))
 def test_dump_refuses_what_dumps_refuses(depth):
-    for value in ({1: "a"}, {"a": {None: 1}}, [{(1, 2): 0}], {"a": [{"b": {"c": {2: 0}}}]}):
+    for value in ({1: "a"}, {"a": {None: 1}}, [{(1, 2): 0}], {"a": [{"b": {"c": {2: 0}}}]}, {"a": [{1, 2}]}):
         with pytest.raises(TypeError):
             dump(value, io.StringIO(), depth)
+        with pytest.raises(TypeError):
+            dumps(value)
     for number in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             dump({"cost": [1.0, {"a": [number]}]}, io.StringIO(), depth)
