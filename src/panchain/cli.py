@@ -161,13 +161,18 @@ def _write(path: Path, text: str) -> Path:
 
 def cmd_run(spec: ExperimentSpec) -> dict:
     """Single-ecosystem runs: report JSON, ledger CSV, and per-chain snapshots
-    per seed; optionally a JSONL block log (one line per block)."""
+    per seed; optionally a JSONL block log (one line per block). A run's
+    ecosystem is freed before its files are written; its chains are kept
+    only for the block log, and they and its report are freed before the
+    next run starts."""
     out = _campaign_dir(spec.out_dir / "run")
     base = spec.sections.ecosystem or worked_example()
     outputs, errors = [], []
     for seed in spec.seeds:
         eco = Ecosystem(replace(base, seed=seed))
         report = eco.run()
+        chains = eco.chains if spec.sections.block_log else ()
+        del eco
         report_path = _write(out / f"run-{seed}.json", report.to_json())
         chains_path = out / f"run-{seed}.chains.json"
         with _open_output(chains_path) as file:
@@ -177,7 +182,7 @@ def cmd_run(spec: ExperimentSpec) -> dict:
         if spec.sections.block_log:
             log_path = out / f"run-{seed}.blocks.jsonl"
             with _open_output(log_path) as file:
-                for chain in eco.chains:
+                for chain in chains:
                     for entry in block_log(chain):
                         file.write(json.dumps(entry, sort_keys=True) + "\n")
             outputs.append(str(log_path))
@@ -185,6 +190,7 @@ def cmd_run(spec: ExperimentSpec) -> dict:
             errors.append(
                 {"seed": seed, "error": "inconsistent final balances", "detail": report.consistency}
             )
+        del report, chains
     return {"campaign": "run", "outputs": outputs, "errors": errors}
 
 

@@ -106,7 +106,9 @@ def wallet_name(names: Mapping[bytes, str], wallet: bytes) -> str:
 
 @dataclass
 class RunReport:
-    """Deterministic, JSON-serializable outcome of one ecosystem run."""
+    """Deterministic, JSON-serializable outcome of one ecosystem run. One
+    memo per report shares its hex ids and equal small row values, so treat
+    its values as read-only: replace a value rather than mutate it."""
 
     config: dict
     chains: list[dict]
@@ -179,6 +181,10 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
                       "winner": wallet_name(names, row[0].winner) if row[0].winner else None} for row in resyncs]
 
     m = len(chains)
+    # One memo for the whole report: each row's ``alpha`` is the snapshots'
+    # own hex string, and equal small row values are one object, under keys
+    # tagged apart from the snapshot memo's own.
+    memo: dict = {}
     transfer_rows = []
     executed_full = failed = corrupted = vetoed = 0
     # The claimed transfers' contests on all chains: an integer, so their
@@ -196,20 +202,22 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
         corrupted += tracker.corrupted
         vetoed += tracker.vetoed_chains > 0
         winner, poi = tracker.winner, tracker.poi
+        ids, won = sorted(executed), tuple(sorted(executed.items()))
+        counts = tuple(sorted(tracker.contest_counts.items()))
         transfer_rows.append(
             {
-                "alpha": poi.alpha.hex(),
+                "alpha": memo.setdefault(poi.alpha, poi.alpha.hex()),
                 "sender": wallet_name(names, poi.sender),
                 "recipient": wallet_name(names, poi.recipient),
                 "amount": poi.amount, "t0": poi.t0, "t1": poi.t1,
                 "claim_chain": tracker.claim_chain,
                 "claim_ok": tracker.claim_ok,
-                "executed_chains": sorted(executed),
+                "executed_chains": memo.setdefault(("executed_chains", *ids), ids),
                 "winner": wallet_name(names, winner) if winner else None,
-                "winners_by_chain": {
-                    str(cid): wallet_name(names, w) if w else None for cid, w in sorted(executed.items())
-                },
-                "contest_counts": {str(cid): n for cid, n in sorted(tracker.contest_counts.items())},
+                "winners_by_chain": memo.setdefault(("winners_by_chain", won), {
+                    str(cid): wallet_name(names, w) if w else None for cid, w in won
+                }),
+                "contest_counts": memo.setdefault(("contest_counts", counts), {str(cid): n for cid, n in counts}),
                 "vetoed_chains": tracker.vetoed_chains,
                 "corrupted": tracker.corrupted,
                 "failed": claim_failed,
@@ -249,7 +257,6 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
     }
     # Every chain's snapshot shares one hex string per value, one dict per
     # proof and one dict per distinct proof or veto record.
-    memo: dict = {}
     return RunReport(
         config=config.to_dict(),
         chains=[chain.state.snapshot(memo) for chain in chains],

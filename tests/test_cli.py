@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from panchain.cli import (
     main,
 )
 from panchain.configs import ConfigError, EcosystemConfig, WalletSpec
+from panchain.ecosystem import Ecosystem
 from panchain.report import RunReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -51,6 +54,55 @@ def test_cmd_run_block_log(tmp_path):
     assert {e["chain_id"] for e in entries} == {0, 1, 2}
     kinds = [tx["kind"] for e in entries for tx in e["txs"]]
     assert kinds.count("claim") == 1 and kinds.count("contest") == 9
+
+
+@pytest.mark.parametrize("block_log", [False, True])
+def test_run_frees_each_ecosystem_before_writing_its_files(tmp_path, monkeypatch, block_log):
+    # With the cyclic collector off, only reference counts can free a run's
+    # ecosystem before its report is written.
+    made, freed = [], []
+    init, to_json = Ecosystem.__init__, RunReport.to_json
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    def write(self):
+        freed.append(made[-1]() is None)
+        return to_json(self)
+
+    monkeypatch.setattr(Ecosystem, "__init__", keep)
+    monkeypatch.setattr(RunReport, "to_json", write)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"block_log": block_log}))
+    gc.disable()
+    try:
+        code = main(["--campaign", "run", "--config", str(path), "--out", str(tmp_path), "--seeds", "0,1"])
+    finally:
+        gc.enable()
+    assert code == 0 and freed == [True, True]
+    for seed in (0, 1):
+        assert (tmp_path / "run" / f"run-{seed}.blocks.jsonl").exists() == block_log
+
+
+@pytest.mark.parametrize("block_log", [False, True])
+def test_run_frees_each_report_before_the_next_run(tmp_path, monkeypatch, block_log):
+    reports, freed = [], []
+    run = Ecosystem.run
+
+    def keep(self):
+        freed.extend(ref() is None for ref in reports)
+        report = run(self)
+        reports.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(Ecosystem, "run", keep)
+    gc.disable()
+    try:
+        cmd_run(spec_for("run", tmp_path, config={"block_log": block_log}, seeds=(0, 1, 2)))
+    finally:
+        gc.enable()
+    assert len(reports) == 3 and freed == [True, True, True]
 
 
 def test_cmd_run_duration_zero_empty_ledger(tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from panchain.agents import Client, Observer
-from panchain.chain import Block, Resync, block_log
+from panchain.chain import Block, Resync, SimChain, block_log
 from panchain.cli import main
 from panchain.configs import (
     EcosystemConfig,
@@ -31,11 +31,11 @@ from panchain.configs import (
     veto_demo_boundary,
     worked_example,
 )
-from panchain.contract import FINALIZED, OPEN, ChainState, TxError
+from panchain.contract import FINALIZED, OPEN, ChainState, TxError, VetoRecord
 from panchain.crypto import sign
 from panchain.ecosystem import Ecosystem, _Transfer, run, wallet_keypair
-from panchain.protocol import Claim, Contest, FinalizeVeto, Veto, encode_poi, veto_pair
-from panchain.report import RunReport, _encode, check_consistency, dump, dumps
+from panchain.protocol import Claim, Contest, Finalize, FinalizeVeto, Veto, encode_poi, veto_pair
+from panchain.report import RunReport, _encode, build_report, check_consistency, dump, dumps
 
 from test_output_digests import CASES
 
@@ -341,6 +341,37 @@ def test_report_roundtrips_through_json():
     chains = io.StringIO()
     report.chains_json(chains)
     assert len(json.loads(chains.getvalue())) == 3
+
+
+def test_one_memo_shares_each_reports_ids_and_equal_row_values():
+    report, other = run(sweep_config(65, 0)), run(sweep_config(65, 0))
+    rows = report.transfers
+    shared = []
+    for key in ("contest_counts", "winners_by_chain", "executed_chains"):
+        groups: dict[str, set[int]] = {}
+        for row in rows:
+            groups.setdefault(json.dumps(row[key]), set()).add(id(row[key]))
+            shared.append(row[key])
+        assert all(len(ids) == 1 for ids in groups.values()), key
+        assert len(groups) < len(rows), key
+    alphas = {id(alpha) for snapshot in report.chains for alpha in snapshot["poi_records"]}
+    recorded = [row["alpha"] for row in rows if row["claim_ok"]]
+    assert recorded and all(id(alpha) in alphas for alpha in recorded)
+    shared += recorded
+    # Each report has its own memo.
+    keys = ("contest_counts", "winners_by_chain", "executed_chains", "alpha")
+    theirs = {id(row[key]) for row in other.transfers for key in keys}
+    assert not {id(value) for value in shared} & theirs
+
+
+def test_a_veto_row_leaves_out_a_chain_that_holds_no_record_of_its_pair():
+    config = config_from_dict({"chains": 2, "wallets": {"a": 0}})
+    chains = [SimChain(i, ChainState(i, {}, reward=1), block_interval=13.0, max_txs_per_block=100, jitter=0.0)
+              for i in range(2)]
+    pair = veto_pair(b"\x01" * 32, b"\x02" * 32)
+    chains[0].state.veto_records[pair] = VetoRecord(deadline=50)
+    [row] = build_report(config, chains, [], {}).vetoes
+    assert list(row["chains"]) == ["0"] and row["consistent_winner"] is False
 
 
 def test_ledger_csv_columns():
@@ -913,6 +944,25 @@ def test_a_leg_that_re_signs_a_registered_proof_keeps_its_tracker():
         assert finalizes == 3
         [row] = rows
         assert row["claim_ok"] and not row["failed"] and row["executed_chains"] == [0, 1, 2]
+
+
+def test_a_proof_claimed_on_two_chains_acts_on_its_first_landed_claim_only():
+    # Two legs sign one proof and claim it on chains 0 and 1: the second
+    # landed claim finds the tracker settled and schedules nothing.
+    leg = {"at": 1.0, "recipient": "b", "amount": 12, "t0": 1, "t1": 40}
+    eco = Ecosystem(config_from_dict({
+        "wallets": {"a": 40, "b": 0}, "observers": 2, "duration": 100,
+        "script": [{"sender": "a", "legs": [{**leg, "chain": chain}]} for chain in (0, 1)],
+    }))
+    report = eco.run()
+    [alpha] = eco._transfers
+    [row] = report.transfers
+    assert row["alpha"] == alpha.hex()
+    for chain in eco.chains:
+        claims = [tx for block in _blocks(chain) for tx in block.transactions if isinstance(tx, Claim)]
+        finalizes = [tx for block in _blocks(chain) for tx in block.transactions if isinstance(tx, Finalize)]
+        assert [tx.alpha for tx in finalizes] == [alpha]
+        assert len(claims) == (chain.chain_id < 2)
 
 
 _LEG_KEYS = ("at", "recipient", "amount", "t0", "t1", "chain")
