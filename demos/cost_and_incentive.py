@@ -18,7 +18,7 @@ print("analytical, 10 chains / 10 observers:")
 print(f"  receiver: {cost.receiver_kgas:7.1f} kGas = {cost.receiver_usd:.2f} USD")
 print(f"  observer: {cost.observer_kgas:7.1f} kGas = {cost.observer_usd:.2f} USD "
       f"(about {cost.expected_posting_observers:.1f} observers post)")
-print(f"  sender:   {cost.sender_kgas:7.1f} kGas")
+print(f"  sender:   {cost.sender_usd:.2f} USD")
 
 print("\nminimum viable token price:")
 for n in (10, 100, 1000):

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, TextIO
@@ -48,8 +48,8 @@ class SweepSection:
     validity_points: tuple[int, ...] = tuple(range(10, 71, 5))
 
     def __post_init__(self) -> None:
-        # Checked here, before any point runs; EcosystemConfig would reject
-        # the point only when the sweep reaches it.
+        # Checked whichever campaign runs; the sweep also checks each
+        # point's whole config before it runs any.
         if not all(1 <= v < 2**63 for v in self.validity_points):
             raise ConfigError("validity_points must be at least 1 second and below 2^63")
         _no_duplicates(self.validity_points, "validity_points")
@@ -195,18 +195,23 @@ def cmd_run(spec: ExperimentSpec) -> dict:
 
 
 def _sweep_point(point: tuple) -> tuple:
-    base, validity, seed = point
-    report = run(replace(base, validity_length=validity, seed=seed))
-    return validity, seed, report.stats["transfers_corrupted"], report.consistency
+    config, seed = point
+    report = run(replace(config, seed=seed))
+    return config.validity_length, seed, report.stats["transfers_corrupted"], report.consistency
 
 
 def cmd_sweep_validity(spec: ExperimentSpec) -> dict:
     """Corrupted-transfer counts over the validity-period grid, one CSV per
-    seed plus an aggregated summary."""
-    out = _campaign_dir(spec.out_dir / "sweep-validity")
+    seed plus an aggregated summary. Every point's config is checked before
+    the campaign's directory is made."""
     points = spec.sections.sweep.validity_points
     base = spec.sections.ecosystem or sweep_config()
-    jobs = [(base, validity, seed) for seed in spec.seeds for validity in points]
+    try:
+        configs = [replace(base, validity_length=validity) for validity in points]
+    except ConfigError as err:
+        raise ConfigError(f"sweep.validity_points: {err}") from err
+    out = _campaign_dir(spec.out_dir / "sweep-validity")
+    jobs = [(config, seed) for seed in spec.seeds for config in configs]
     results = _map_points(_sweep_point, jobs, spec.jobs)
 
     outputs, errors = [], []
@@ -260,12 +265,12 @@ def _std_error(counts: list[int]) -> float:
 def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     """Confirmed contests per chain for each observer count, against the
     harmonic-number expectation and the log2 bound."""
-    out = _campaign_dir(spec.out_dir / "contest-scaling")
     n_values = spec.sections.scaling.n_values
     runs = spec.sections.scaling.runs
     base_seed = spec.seeds[0]
     seeds = spec.seeds if runs is None else [base_seed + k for k in range(runs)]
     bases = {n: contest_scaling_config(n) for n in n_values}
+    out = _campaign_dir(spec.out_dir / "contest-scaling")
     points = [(n, bases[n], seed) for n in n_values for seed in seeds]
     results = _map_points(_scaling_point, points, spec.jobs)
 
@@ -308,14 +313,7 @@ def cmd_cost_and_incentive(spec: ExperimentSpec) -> dict:
             "observers": conf.n,
             "reward": conf.reward,
             "round_observer_cost": True,
-            "transfer_cost": {
-                "receiver_kgas": cost.receiver_kgas,
-                "receiver_usd": cost.receiver_usd,
-                "observer_kgas": cost.observer_kgas,
-                "observer_usd": cost.observer_usd,
-                "sender_usd": cost.sender_usd,
-                "expected_posting_observers": cost.expected_posting_observers,
-            },
+            "transfer_cost": asdict(cost),
             "min_viable_price_usd": thresholds,
         }
         dumps(payload)

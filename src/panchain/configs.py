@@ -16,6 +16,11 @@ class ConfigError(ValueError):
     pass
 
 
+# A run must end in practice: its clients look at most this many times, and
+# nothing is scheduled past this many of its shortest block intervals.
+RUN_BOUND = 10**6
+
+
 @dataclass(frozen=True)
 class WalletSpec:
     name: str
@@ -139,6 +144,22 @@ class EcosystemConfig:
                     raise ConfigError(f"scripted leg window needs 0 <= t0 < t1 < 2^64, got [{leg.t0}, {leg.t1}]")
                 if not self.reward < leg.amount < 2**64:
                     raise ConfigError(f"scripted leg amount {leg.amount} must exceed the reward {self.reward}")
+        if len(self.clients) * self.duration > RUN_BOUND * lo:
+            raise ConfigError(f"{len(self.clients)} clients could look more than {RUN_BOUND} times "
+                              f"in duration {self.duration} at think_time low {lo}")
+        times = [(f"scripted leg {key}", getattr(leg, key))
+                 for action in self.script for leg in action.legs for key in ("at", "t1")]
+        if self.clients:
+            times += [("duration", self.duration), ("validity_length", self.validity_length)]
+        if self.observers:
+            policy = self.observation
+            delay = policy.high if policy.mode == "uniform" else policy.spacing * len(self.observers)
+            times.append(("observation delay", delay))
+        shortest = self.block_interval * (1 - self.jitter)
+        for name, value in times:
+            if value > RUN_BOUND * shortest:
+                raise ConfigError(f"{name} {value} lies beyond {RUN_BOUND} shortest block intervals "
+                                  f"of {shortest} s, so the run would not end in practice")
 
     def to_dict(self) -> dict:
         """The config as JSON data that config_from_dict reads back, with

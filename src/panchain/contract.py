@@ -65,6 +65,11 @@ class _ContestLedger:
 
     leader: Optional[tuple[bytes, WalletId]] = None
 
+    @property
+    def winner(self) -> Optional[WalletId]:
+        """The leader's wallet once the contest is finalized, else None."""
+        return self.leader[1] if self.status == FINALIZED and self.leader else None
+
     def enter(self, wallet: WalletId, omega: bytes) -> None:
         """Register a contestant; a wallet already entered keeps its omega."""
         if wallet not in self.contestants:
@@ -82,9 +87,8 @@ class PoiRecord(_ContestLedger):
     """
 
     poi: ProofOfIntent
-    contestants: dict[WalletId, bytes] = field(default_factory=dict)
+    contestants: dict[WalletId, bytes] = field(default_factory=dict, init=False)
     status: str = PENDING
-    winner: Optional[WalletId] = None
 
 
 @dataclass
@@ -93,9 +97,8 @@ class VetoRecord(_ContestLedger):
     pair is the record's key in ``ChainState.veto_records``."""
 
     deadline: int
-    contestants: dict[WalletId, bytes] = field(default_factory=dict)
+    contestants: dict[WalletId, bytes] = field(default_factory=dict, init=False)
     status: str = OPEN
-    winner: Optional[WalletId] = None
     # What the vetoes for this pair actually burned; the winner's reward is
     # paid out of this and never out of other burns.
     escrow: int = 0
@@ -212,7 +215,6 @@ class ChainState:
         winner = record.leader[1] if record.leader else None
         self.settle(poi, winner)
         self._conclude(record, FINALIZED)
-        record.winner = winner
 
     def apply_veto(self, tx: Veto, now: float) -> None:
         """Punish a double-signing sender: burn their whole balance, cancel
@@ -266,7 +268,6 @@ class ChainState:
         self.balances[winner] = self.balance(winner) + payout
         self.burned -= payout
         veto_record.status = FINALIZED
-        veto_record.winner = winner
 
     def settle(self, poi: ProofOfIntent, winner: Optional[WalletId]) -> None:
         """Move a concluded transfer's tokens, the one rule that does: the
@@ -340,7 +341,7 @@ class ChainState:
         amounts. Snapshots taken with one ``memo`` share each hex string,
         veto key and proof's ``poi`` dict, made once per value, and each
         proof or veto record's dict with the first equal record snapshotted
-        before: the same proof or veto pair with the same status, winner and
+        before: the same proof or veto pair with the same status and
         contestants. So one memo serves the snapshots of one moment, as
         ``build_report`` takes them: no state changes between them. Without
         a memo the view is equal, only not shared."""
@@ -377,13 +378,12 @@ class ChainState:
             return {hexed(w): hexed(record.contestants[w]) for w in sorted(record.contestants)}
 
         def record_dict(key: tuple, rec: PoiRecord | VetoRecord, field: str, value) -> dict:
-            # ``key`` names the proof or veto pair. Records under it share a
-            # dict while their ``field`` value, status, winner and
-            # contestants are equal.
+            # ``key`` names the proof or veto pair, which fixes the ``field``
+            # value. Records under it share a dict while their status and
+            # contestants, which fix the winner, are equal.
             made = memo.setdefault(key, [])
             for other, view in made:
-                if (other.status == rec.status and other.winner == rec.winner
-                        and other.contestants == rec.contestants and view[field] == value):
+                if other.status == rec.status and other.contestants == rec.contestants:
                     return view
             view = {
                 field: value,

@@ -54,13 +54,11 @@ class PriceModel:
 
 @dataclass(frozen=True)
 class TransferCost:
-    """Expected per-transfer cost breakdown by role for m chains, n observers."""
+    """Expected per-transfer cost breakdown by role for m chains, n observers:
+    field for field the ``transfer_cost`` block of ``cost-report.json``."""
 
-    chains: int
-    observers: int
     receiver_kgas: float
     observer_kgas: float  # per posting observer
-    sender_kgas: float
     receiver_usd: float
     observer_usd: float
     sender_usd: float
@@ -88,11 +86,8 @@ def transfer_cost(
     receiver_kgas = gas.claim.mean_kgas + m * gas.finalize.mean_kgas
     observer_kgas = m * gas.contest.mean_kgas
     return TransferCost(
-        chains=m,
-        observers=n,
         receiver_kgas=receiver_kgas,
         observer_kgas=observer_kgas,
-        sender_kgas=0.0,
         receiver_usd=price.usd(receiver_kgas),
         observer_usd=price.usd(observer_kgas),
         sender_usd=0.0,

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, TextIO
 
 from .chain import Block, Resync, SimChain
 from .configs import EcosystemConfig
@@ -99,9 +99,9 @@ def _encode(value, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def wallet_name(names: Mapping[bytes, str], wallet: bytes) -> str:
-    """A wallet's configured name, or its hex id when it has none."""
-    return names.get(wallet, wallet.hex())
+def wallet_name(names: Mapping[bytes, str], wallet: Optional[bytes]) -> Optional[str]:
+    """A wallet's configured name, its hex id when it has none, or None for None."""
+    return None if wallet is None else names.get(wallet, wallet.hex())
 
 
 @dataclass
@@ -178,7 +178,7 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
     resyncs = zip(*([entry for entry in chain.journal if isinstance(entry, Resync)] for chain in chains))
     resync_events = [{"at": row[0].at, "alpha": row[0].poi.alpha.hex(),
                       "settled_chains": [chain.chain_id for chain, entry in zip(chains, row) if entry.moved],
-                      "winner": wallet_name(names, row[0].winner) if row[0].winner else None} for row in resyncs]
+                      "winner": wallet_name(names, row[0].winner)} for row in resyncs]
 
     m = len(chains)
     # One memo for the whole report: each row's ``alpha`` is the snapshots'
@@ -192,8 +192,8 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
     claimed = contests = 0
     for tracker in transfers:
         executed = tracker.executed
-        # One winner on all m chains; such a transfer is never corrupted.
-        executed_full += len(executed) == m and len(set(executed.values())) == 1
+        # One winner on all m chains, as ``_detect`` judged it.
+        executed_full += len(executed) == m and not tracker.corrupted
         if tracker.claim_ok:
             claimed += 1
             contests += sum(tracker.contest_counts.values())
@@ -213,9 +213,9 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
                 "claim_chain": tracker.claim_chain,
                 "claim_ok": tracker.claim_ok,
                 "executed_chains": memo.setdefault(("executed_chains", *ids), ids),
-                "winner": wallet_name(names, winner) if winner else None,
+                "winner": wallet_name(names, winner),
                 "winners_by_chain": memo.setdefault(("winners_by_chain", won), {
-                    str(cid): wallet_name(names, w) if w else None for cid, w in won
+                    str(cid): wallet_name(names, w) for cid, w in won
                 }),
                 "contest_counts": memo.setdefault(("contest_counts", counts), {str(cid): n for cid, n in counts}),
                 "vetoed_chains": tracker.vetoed_chains,
@@ -236,7 +236,7 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
             per_chain[str(chain.chain_id)] = {
                 "status": record.status,
                 "deadline": record.deadline,
-                "winner": wallet_name(names, record.winner) if record.winner else None,
+                "winner": wallet_name(names, record.winner),
                 "contestants": len(record.contestants),
             }
         winners = {info["winner"] for info in per_chain.values()}

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import weakref
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from panchain.cli import (
     main,
 )
 from panchain.configs import ConfigError, EcosystemConfig, WalletSpec
+from panchain.costmodel import TransferCost
 from panchain.ecosystem import Ecosystem
 from panchain.report import RunReport
 
@@ -254,6 +256,8 @@ def test_cmd_cost_report_values(tmp_path):
     assert payload["min_viable_price_usd"]["10"] == pytest.approx(2.83, abs=0.01)
     assert payload["min_viable_price_usd"]["100"] == pytest.approx(14.15, abs=0.01)
     assert payload["min_viable_price_usd"]["1000"] == pytest.approx(94.32, abs=0.01)
+    # The block is the TransferCost record, field for field.
+    assert sorted(payload["transfer_cost"]) == sorted(f.name for f in fields(TransferCost))
 
 
 def test_cmd_cost_report_zero_ether(tmp_path):
@@ -507,6 +511,23 @@ _OVERFLOW = "so large that a cost overflows"
         ("run", [], [], "top level must be a JSON object"),
         ("run", {}, ["--seeds", ","], "need at least one seed"),
         ("run", {}, ["--jobs", "0"], "jobs must be >= 1"),
+        # A run that could not end in practice: too many client looks, or an
+        # event past 10^6 shortest block intervals.
+        ("run", {"ecosystem": {"wallets": {"a": 0, "b": 0}, "clients": ["a", "b"], "think_time": [1e-9, 1e-9],
+                               "duration": 60}}, [], "2 clients could look more than 1000000 times"),
+        ("run", {"ecosystem": {"clients": 2, "think_time": [1e300, 1e300], "duration": 1e308}}, [],
+         "2 clients could look more than 1000000 times"),
+        ("run", {"ecosystem": {"clients": 2, "think_time": [1e300, 1e300], "duration": 2e7}}, [],
+         "duration 20000000.0 lies beyond 1000000 shortest block intervals of 13.0 s"),
+        ("run", {"ecosystem": {"clients": 1, "validity_length": 13 * 10**6 + 1}}, [], "validity_length 13000001 lies"),
+        ("run", {"ecosystem": {"observers": 2, "observation": {"high": 1.5e7}}}, [], "observation delay 15000000.0"),
+        ("run", {"ecosystem": {"observers": 2, "block_interval": 1.0, "observation": {
+            "mode": "staggered", "spacing": 6e5}}}, [], "observation delay 1200000.0"),
+        ("run", _one_leg_script(at=1.3e7 + 1), [], "scripted leg at 13000001.0 lies"),
+        ("run", {"ecosystem": {**_one_leg_script(t1=2**62)["ecosystem"], "jitter": 0.5}}, [],
+         f"scripted leg t1 {2**62} lies beyond 1000000 shortest block intervals of 6.5 s"),
+        ("sweep-validity", {"sweep": {"validity_points": [10, 2 * 10**7]}}, [],
+         "sweep.validity_points: validity_length 20000000 lies beyond"),
     ],
     ids=[
         "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
@@ -526,7 +547,10 @@ _OVERFLOW = "so large that a cost overflows"
         "zero-validity", "negative-reward", "removed-post-iff-winnable", "zero-think-time", "one-think-time-bound",
         "unknown-client-name", "repeated-client-name", "repeated-observer-name",
         "script-sender-not-a-wallet", "script-recipient-not-a-wallet", "leg-chain-out-of-range",
-        "top-level-list", "empty-seed-list", "zero-jobs",
+        "top-level-list", "empty-seed-list", "zero-jobs", "looks-at-nanosecond-think-time",
+        "looks-over-1e308-seconds", "duration-past-the-run-bound", "validity-past-the-run-bound",
+        "uniform-observation-past-the-run-bound", "staggered-observation-past-the-run-bound",
+        "leg-time-past-the-run-bound", "leg-window-past-the-run-bound-under-jitter", "validity-point-past-the-run-bound",
     ],
 )
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv, message):

@@ -565,7 +565,22 @@ def test_the_kept_leader_is_the_contest_leader_after_any_entries(kind, entries):
         entered.setdefault(wallet, omega)  # a re-entry changes nothing
         assert record.contestants == entered
         assert record.leader == contest_leader(entered)
+        assert record.winner is None  # pending or open
     assert record.leader == (contest_leader(entered) if entered else None)
+    # The winner follows from the status and the leader; only a finalized
+    # contest has one.
+    if kind == "poi":
+        record.status = VETOED
+        assert record.winner is None
+    record.status = FINALIZED
+    assert record.winner == (record.leader[1] if entered else None)
+
+
+@pytest.mark.parametrize("kind", sorted(_RECORDS))
+def test_a_record_seats_contestants_only_through_enter(kind):
+    cls, required = _RECORDS[kind]
+    with pytest.raises(TypeError):
+        cls(**required, contestants={U.public_key: b"\x00"})
 
 
 # --- audit and conservation ---------------------------------------------
@@ -595,11 +610,15 @@ def test_settle_moves_a_transfer(winner):
 
 
 def _finalized(state, poi, winner, settle=True):
-    """Record ``poi`` on ``state`` as finalized with ``winner``, settled
-    unless ``settle`` is False (then its reward was never paid)."""
+    """Record ``poi`` on ``state`` as finalized with ``winner`` its one
+    contestant, or none when ``winner`` is None, settled unless ``settle``
+    is False (then its reward was never paid)."""
     if settle:
         state.settle(poi, winner)
-    state.poi_records[poi.alpha] = contract.PoiRecord(poi=poi, status=FINALIZED, winner=winner)
+    record = state.poi_records[poi.alpha] = contract.PoiRecord(poi=poi, status=FINALIZED)
+    if winner is not None:
+        record.enter(winner, b"\x00")
+    assert record.winner == winner
 
 
 def test_settle_nets_the_moves_of_a_wallet_in_two_roles():

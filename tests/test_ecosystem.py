@@ -35,7 +35,7 @@ from panchain.contract import FINALIZED, OPEN, ChainState, TxError, VetoRecord
 from panchain.crypto import sign
 from panchain.ecosystem import Ecosystem, _Transfer, run, wallet_keypair
 from panchain.protocol import Claim, Contest, Finalize, FinalizeVeto, Veto, encode_poi, veto_pair
-from panchain.report import RunReport, _encode, build_report, check_consistency, dump, dumps
+from panchain.report import RunReport, _encode, build_report, check_consistency, dump, dumps, wallet_name
 
 from test_output_digests import CASES
 
@@ -212,6 +212,13 @@ def test_check_consistency_reports_divergence():
     assert rows == [{"wallet": w.hex(), "name": "x", "balances": {"0": 42, "1": 41}}]
     # A wallet without a configured name goes by its hex id.
     assert [row["name"] for row in check_consistency(states, {})] == [w.hex()]
+
+
+def test_wallet_name_names_a_wallet_or_none():
+    w = wallet_keypair(0, "x").public_key
+    assert wallet_name({w: "x"}, w) == "x"
+    assert wallet_name({}, w) == w.hex()
+    assert wallet_name({w: "x"}, None) is None
 
 
 def test_count_corrupted_zero_when_consistent():
