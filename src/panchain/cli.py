@@ -269,7 +269,10 @@ def cmd_contest_scaling(spec: ExperimentSpec) -> dict:
     runs = spec.sections.scaling.runs
     base_seed = spec.seeds[0]
     seeds = spec.seeds if runs is None else [base_seed + k for k in range(runs)]
-    bases = {n: contest_scaling_config(n) for n in n_values}
+    try:
+        bases = {n: contest_scaling_config(n) for n in n_values}
+    except ConfigError as err:
+        raise ConfigError(f"scaling.n_values: {err}") from err
     out = _campaign_dir(spec.out_dir / "contest-scaling")
     points = [(n, bases[n], seed) for n in n_values for seed in seeds]
     results = _map_points(_scaling_point, points, spec.jobs)

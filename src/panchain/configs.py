@@ -17,7 +17,8 @@ class ConfigError(ValueError):
 
 
 # A run must end in practice: its clients look at most this many times, and
-# nothing is scheduled past this many of its shortest block intervals.
+# nothing is scheduled past this many of its shortest block intervals. Nor
+# does a config build more than this many chains or generated wallets.
 RUN_BOUND = 10**6
 
 
@@ -101,6 +102,8 @@ class EcosystemConfig:
     def __post_init__(self) -> None:
         if self.chains < 1:
             raise ConfigError("need at least one chain")
+        if self.chains > RUN_BOUND:
+            raise ConfigError(f"chains {self.chains} is above the run bound {RUN_BOUND}")
         if self.block_interval <= 0:
             raise ConfigError("block_interval must be positive")
         if self.max_txs_per_block < 1:
@@ -267,7 +270,10 @@ def config_from_dict(data: dict) -> EcosystemConfig:
     client_balance = natural(data.pop("client_balance", 100), "ecosystem.client_balance")
     for key, prefix, balance in (("clients", "client", client_balance), ("observers", "obs", 0)):
         if _is(data.get(key), int):
-            data[key] = [f"{prefix}-{i:02d}" for i in range(natural(data[key], f"ecosystem.{key}"))]
+            count = natural(data[key], f"ecosystem.{key}")
+            if count > RUN_BOUND:  # refused before any name is made
+                raise ConfigError(f"ecosystem.{key} {count} is above the run bound {RUN_BOUND}")
+            data[key] = [f"{prefix}-{i:02d}" for i in range(count)]
             for name in data[key]:
                 wallets.setdefault(name, balance)
 

@@ -121,7 +121,7 @@ class ChainState:
         self.veto_records: dict[tuple[bytes, bytes], VetoRecord] = {}
         self.burned = 0
         self.initial_supply = sum(balances.values())
-        self._pending_by_sender: dict[WalletId, set[bytes]] = {}
+        self._pending_by_sender: dict[WalletId, dict[bytes, PoiRecord]] = {}
 
     # -- helpers ---------------------------------------------------------
 
@@ -129,20 +129,17 @@ class ChainState:
         return self.balances.get(wallet, 0)
 
     def pending_proofs(self, sender: WalletId) -> Iterable[PoiRecord]:
-        for alpha in self._pending_by_sender.get(sender, ()):
-            yield self.poi_records[alpha]
+        return self._pending_by_sender.get(sender, {}).values()
 
     def _insert_pending(self, poi: ProofOfIntent) -> PoiRecord:
         record = PoiRecord(poi=poi)
         self.poi_records[poi.alpha] = record
-        self._pending_by_sender.setdefault(poi.sender, set()).add(poi.alpha)
+        self._pending_by_sender.setdefault(poi.sender, {})[poi.alpha] = record
         return record
 
     def _conclude(self, record: PoiRecord, status: str) -> None:
         record.status = status
-        pending = self._pending_by_sender.get(record.poi.sender)
-        if pending is not None:
-            pending.discard(record.poi.alpha)
+        self._pending_by_sender.get(record.poi.sender, {}).pop(record.poi.alpha, None)
 
     def _check_new_poi(self, poi: ProofOfIntent, now: float) -> None:
         if poi.amount <= self.reward:

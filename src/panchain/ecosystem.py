@@ -24,7 +24,9 @@ The run ends after the first instant at which no event is queued and every
 mempool is empty; that instant's remaining blocks are still produced, so at
 jitter 0 every chain ends at the same height. A transfer's outcome is judged
 only once every chain has included its finalize, accepted or rejected; until
-then the check is retried one block interval later.
+then the check is retried one block interval later. Its tracker keeps only
+what the run decided; ``report.outcome`` reads its per-chain outcome from the
+chains' records, which no longer change once it is judged.
 
 The run terminates because every event source is finite: clients start
 transfers only within ``duration``, each script leg fires once, and a
@@ -39,13 +41,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .agents import Client, Observer
 from .chain import SimChain
 from .configs import EcosystemConfig, ScriptedAction, TransferLeg
-from .contract import FINALIZED, VETOED, ChainState
+from .contract import ChainState
 from .crypto import KeyPair, generate_keypair
 from .protocol import (
     Claim,
@@ -58,7 +60,7 @@ from .protocol import (
     veto_deadline,
     veto_pair,
 )
-from .report import RunReport, build_report
+from .report import RunReport, build_report, outcome
 
 
 def wallet_keypair(seed: int, name: str) -> KeyPair:
@@ -68,7 +70,7 @@ def wallet_keypair(seed: int, name: str) -> KeyPair:
 
 @dataclass
 class _Transfer:
-    """Lifecycle tracker for one attempted transfer (one proof of intent)."""
+    """What the run decided about one attempted transfer (one proof of intent)."""
 
     poi: ProofOfIntent
     claim_chain: int
@@ -76,17 +78,10 @@ class _Transfer:
     claim_ok: Optional[bool] = None
     # Finalize outcomes seen so far, one per chain once all have landed.
     finalize_results: int = 0
-    executed: dict[int, Optional[bytes]] = field(default_factory=dict)
-    contest_counts: dict[int, int] = field(default_factory=dict)
-    vetoed_chains: int = 0
+    # ``_detect``'s judgement: the majority winner and whether the chains
+    # disagreed, in which case it was resynced to that winner.
+    winner: Optional[bytes] = None
     corrupted: bool = False
-
-    @property
-    def winner(self) -> Optional[bytes]:
-        """The winner most executing chains chose, the first chain's on a tie;
-        None when no chain executed the transfer or no contestant won it."""
-        winners = list(self.executed.values())
-        return max(winners, key=winners.count, default=None)
 
 
 class Ecosystem:
@@ -140,8 +135,6 @@ class Ecosystem:
         self._transfers: dict[bytes, _Transfer] = {}
         # Each veto pair whose finalize-veto is queued.
         self._vetoed_pairs: set[tuple[bytes, bytes]] = set()
-        # The longest gap between two blocks of a chain.
-        self._longest_gap = config.block_interval * (1 + config.jitter)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -165,9 +158,7 @@ class Ecosystem:
         is queued after the initial client and leg events, so ties keep their
         (fire_at, seq) order, and stays queued to the end."""
         for client in self.clients.values():
-            first = client.rng.uniform(0, self.config.think_time[1])
-            if first <= self.config.duration:
-                self._schedule(first, self._look, client)
+            self._look_after(client, client.rng.uniform(0, self.config.think_time[1]))
         for action in self.config.script:
             for leg in action.legs:
                 self._schedule(leg.at, self._leg, action, leg)
@@ -230,7 +221,8 @@ class Ecosystem:
         if ok:
             finalize = make_finalize(self.keys[self.names[poi.recipient]], poi.alpha)
             self._schedule(poi.t1 + self.config.block_interval, self._broadcast, finalize)
-            self._schedule(poi.t1 + 2 * self._longest_gap + 1, self._detect, tracker)
+            longest_gap = self.config.block_interval * (1 + self.config.jitter)
+            self._schedule(poi.t1 + 2 * longest_gap + 1, self._detect, tracker)
         else:
             self._finish_transfer(tracker)
         policy = self.config.observation
@@ -251,14 +243,14 @@ class Ecosystem:
         whose balance only its own transfers spend is refused only as
         ``expired-poi``, at or after ``t1``."""
         if tracker.client is not None:
-            self._next_look(tracker.client)
+            self._look_after(tracker.client, tracker.client.think_delay())
 
-    def _next_look(self, client: Client) -> None:
-        """Queue the client's next look after a think delay, if that falls
-        within ``duration``."""
-        next_at = self._now + client.think_delay()
-        if next_at <= self.config.duration:
-            self._schedule(next_at, self._look, client)
+    def _look_after(self, client: Client, delay: float) -> None:
+        """Queue the client's look ``delay`` from now, if that falls within
+        ``duration``."""
+        at = self._now + delay
+        if at <= self.config.duration:
+            self._schedule(at, self._look, client)
 
     def _look(self, client: Client) -> None:
         chain_balances = [
@@ -266,7 +258,7 @@ class Ecosystem:
         ]
         plan = client.plan_transfer(self._now, chain_balances, self._recipients[client.name])
         if plan is None:
-            self._next_look(client)
+            self._look_after(client, client.think_delay())
         else:
             self._register_transfer(plan.poi, plan.claim_chain, client)
 
@@ -309,16 +301,12 @@ class Ecosystem:
             # now would score a transfer that is about to land as partial.
             self._schedule(self._now + self.config.block_interval, self._detect, tracker)
             return
-        for chain in self.chains:
-            record = chain.state.poi_records.get(tracker.poi.alpha)
-            tracker.contest_counts[chain.chain_id] = len(record.contestants) if record else 0
-            if record is not None and record.status == FINALIZED:
-                tracker.executed[chain.chain_id] = record.winner
-            elif record is not None and record.status == VETOED:
-                tracker.vetoed_chains += 1
-        executed = tracker.executed
-        divergent = len(executed) == m and len(set(executed.values())) > 1
-        tracker.corrupted = (0 < len(executed) < m) or divergent
+        executed, _, _ = outcome(self.chains, tracker.poi.alpha)
+        winners = list(executed.values())
+        # The winner most executing chains chose, the first chain's on a tie;
+        # None when no chain executed the transfer or no contestant won it.
+        tracker.winner = max(winners, key=winners.count, default=None)
+        tracker.corrupted = 0 < len(executed) < m or len(set(winners)) > 1
         if tracker.corrupted:
             self._resync(tracker)
         self._finish_transfer(tracker)

@@ -1,7 +1,8 @@
 """The run report, built in one pass once a run has ended, with its
-cross-chain consistency check; ``wallet_name``, the one rule that names a
-wallet in it; and ``dumps``, the canonical writer of every indented JSON
-output, with ``dump``, which streams the same text to a file."""
+cross-chain consistency check; ``outcome``, the one reader of a proof's
+per-chain outcome in the chains' records; ``wallet_name``, the one rule that
+names a wallet in it; and ``dumps``, the canonical writer of every indented
+JSON output, with ``dump``, which streams the same text to a file."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, TextIO
 
 from .chain import Block, Resync, SimChain
 from .configs import EcosystemConfig
-from .contract import ChainState
+from .contract import FINALIZED, VETOED, ChainState
 
 if TYPE_CHECKING:
     from .ecosystem import _Transfer
@@ -147,6 +148,16 @@ class RunReport:
         return buf.getvalue()
 
 
+def outcome(chains: Sequence[SimChain], alpha: bytes) -> tuple[dict[int, Optional[bytes]], dict[int, int], int]:
+    """A proof's winner on each chain that executed it, its contest count on
+    every chain, and how many chains vetoed it, read from the chains' records.
+    None of these changes once every chain has concluded its finalize."""
+    records = [(chain.chain_id, chain.state.poi_records.get(alpha)) for chain in chains]
+    executed = {cid: record.winner for cid, record in records if record and record.status == FINALIZED}
+    contest_counts = {cid: len(record.contestants) if record else 0 for cid, record in records}
+    return executed, contest_counts, sum(1 for _, record in records if record and record.status == VETOED)
+
+
 def check_consistency(states: Sequence[ChainState], names: Mapping[bytes, str]) -> list[dict]:
     """Empty iff every wallet's balance is identical on every chain; otherwise
     one row per divergent wallet, named, with the per-chain values."""
@@ -166,9 +177,9 @@ def check_consistency(states: Sequence[ChainState], names: Mapping[bytes, str]) 
 
 def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers: Iterable[_Transfer],
                  names: Mapping[bytes, str]) -> RunReport:
-    """The report of a finished run, read from its chains' journals and its
-    transfer trackers. ``transfers`` are the trackers in the order they were
-    registered, ``names`` every configured wallet's name."""
+    """The report of a finished run, read from its chains' journals and
+    records and its transfer trackers. ``transfers`` are the trackers in the
+    order they were registered, ``names`` every configured wallet's name."""
     blocks = [entry for chain in chains for entry in chain.journal if isinstance(entry, Block)]
     kinds = [tx.kind for block in blocks for tx in block.transactions]
     tx_counts = Counter(kinds)
@@ -191,19 +202,20 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
     # mean per chain is one correctly rounded division on every Python.
     claimed = contests = 0
     for tracker in transfers:
-        executed = tracker.executed
-        # One winner on all m chains, as ``_detect`` judged it.
-        executed_full += len(executed) == m and not tracker.corrupted
+        poi = tracker.poi
+        # A refused claim was never judged, so it keeps empty outcomes.
+        executed, contest_counts, vetoed_chains = outcome(chains, poi.alpha) if tracker.claim_ok else ({}, {}, 0)
         if tracker.claim_ok:
             claimed += 1
-            contests += sum(tracker.contest_counts.values())
+            contests += sum(contest_counts.values())
+        # One winner on all m chains, as ``_detect`` judged it.
+        executed_full += len(executed) == m and not tracker.corrupted
         claim_failed = tracker.claim_ok is False
         failed += claim_failed
         corrupted += tracker.corrupted
-        vetoed += tracker.vetoed_chains > 0
-        winner, poi = tracker.winner, tracker.poi
+        vetoed += vetoed_chains > 0
         ids, won = sorted(executed), tuple(sorted(executed.items()))
-        counts = tuple(sorted(tracker.contest_counts.items()))
+        counts = tuple(sorted(contest_counts.items()))
         transfer_rows.append(
             {
                 "alpha": memo.setdefault(poi.alpha, poi.alpha.hex()),
@@ -213,12 +225,12 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
                 "claim_chain": tracker.claim_chain,
                 "claim_ok": tracker.claim_ok,
                 "executed_chains": memo.setdefault(("executed_chains", *ids), ids),
-                "winner": wallet_name(names, winner),
+                "winner": wallet_name(names, tracker.winner),
                 "winners_by_chain": memo.setdefault(("winners_by_chain", won), {
                     str(cid): wallet_name(names, w) for cid, w in won
                 }),
                 "contest_counts": memo.setdefault(("contest_counts", counts), {str(cid): n for cid, n in counts}),
-                "vetoed_chains": tracker.vetoed_chains,
+                "vetoed_chains": vetoed_chains,
                 "corrupted": tracker.corrupted,
                 "failed": claim_failed,
                 "scripted": tracker.client is None,

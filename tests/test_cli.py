@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import fields
 from fractions import Fraction
@@ -528,6 +529,13 @@ _OVERFLOW = "so large that a cost overflows"
          f"scripted leg t1 {2**62} lies beyond 1000000 shortest block intervals of 6.5 s"),
         ("sweep-validity", {"sweep": {"validity_points": [10, 2 * 10**7]}}, [],
          "sweep.validity_points: validity_length 20000000 lies beyond"),
+        # A count the program amplifies into names and wallets, or chains, is
+        # refused before any of them is built.
+        ("run", {"ecosystem": {"observers": 10**9}}, [], "ecosystem.observers 1000000000 is above the run bound"),
+        ("veto-demo", {"ecosystem": {"clients": 10**6 + 1}}, [], "ecosystem.clients 1000001 is above the run bound"),
+        ("contest-scaling", {"scaling": {"n_values": [4, 10**9]}}, [],
+         "scaling.n_values: ecosystem.observers 1000000000 is above the run bound"),
+        ("run", {"ecosystem": {"chains": 10**9}}, [], "chains 1000000000 is above the run bound 1000000"),
     ],
     ids=[
         "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
@@ -551,6 +559,8 @@ _OVERFLOW = "so large that a cost overflows"
         "looks-over-1e308-seconds", "duration-past-the-run-bound", "validity-past-the-run-bound",
         "uniform-observation-past-the-run-bound", "staggered-observation-past-the-run-bound",
         "leg-time-past-the-run-bound", "leg-window-past-the-run-bound-under-jitter", "validity-point-past-the-run-bound",
+        "observer-count-past-the-run-bound", "client-count-past-the-run-bound",
+        "scaling-observer-count-past-the-run-bound", "chain-count-past-the-run-bound",
     ],
 )
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv, message):
@@ -571,6 +581,32 @@ def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campa
     error = json.loads(err[0])
     assert error["status"] == "error"
     assert message in error["error"]
+
+
+@pytest.mark.parametrize(
+    "campaign, config",
+    [
+        ("run", {"ecosystem": {"observers": 10**6 + 1}}),
+        ("run", {"ecosystem": {"clients": 10**6 + 1}}),
+        ("contest-scaling", {"scaling": {"n_values": [10**6 + 1]}}),
+        ("run", {"ecosystem": {"chains": 10**6 + 1}}),
+    ],
+    ids=["observers", "clients", "scaling-observers", "chains"],
+)
+def test_an_amplified_count_is_refused_having_built_nothing_for_it(tmp_path, capsys, monkeypatch, campaign, config):
+    # Just past the bound, so that names or chains built before the check
+    # would show as hundreds of MiB; the refusal allocates a few KiB.
+    monkeypatch.chdir(tmp_path)
+    Path("big.json").write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        rc = main(["--campaign", campaign, "--config", "big.json", "--out", "out"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["status"] == "error"
+    assert peak < 256 * 1024
 
 
 def test_duplicate_wallet_names_are_refused():

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panchain.agents import Client, Observer
@@ -31,9 +31,9 @@ from panchain.configs import (
     veto_demo_boundary,
     worked_example,
 )
-from panchain.contract import FINALIZED, OPEN, ChainState, TxError, VetoRecord
+from panchain.contract import FINALIZED, OPEN, PENDING, ChainState, TxError, VetoRecord
 from panchain.crypto import sign
-from panchain.ecosystem import Ecosystem, _Transfer, run, wallet_keypair
+from panchain.ecosystem import Ecosystem, run, wallet_keypair
 from panchain.protocol import Claim, Contest, Finalize, FinalizeVeto, Veto, encode_poi, veto_pair
 from panchain.report import RunReport, _encode, build_report, check_consistency, dump, dumps, wallet_name
 
@@ -914,9 +914,7 @@ def test_resync_moves_only_the_reward_when_a_chain_chose_another_winner(seed):
     assert report.consistency == []
     # The resync re-settled at least one chain that had executed the
     # transfer with another winner.
-    assert any(
-        len(set(t.executed.values())) > 1 for t in eco._transfers.values() if t.corrupted
-    )
+    assert any(len(set(row["winners_by_chain"].values())) > 1 for row in report.transfers if row["corrupted"])
 
 
 _RESIGNED_LEG = """
@@ -1127,11 +1125,15 @@ def test_a_small_honest_run_ends_consistent_and_audited(data):
     assert "conflicting-poi" not in errors
     if not eco.config.jitter:
         assert len({chain.height for chain in eco.chains}) == 1
-    for tracker in eco._transfers.values():
-        assert tracker.claim_ok is not None
-        if tracker.claim_ok:
-            # An accepted claim is judged on every chain.
-            assert len(tracker.contest_counts) == len(eco.chains)
+    m = len(eco.chains)
+    for row in report.transfers:
+        assert row["claim_ok"] is not None
+        if row["claim_ok"]:
+            # An accepted claim is judged, and its judgement matches what its
+            # chains recorded.
+            winners = list(row["winners_by_chain"].values())
+            assert len(row["contest_counts"]) == m
+            assert row["corrupted"] == (0 < len(winners) < m or len(set(winners)) > 1)
 
 
 def _recount(entries) -> tuple[Counter, Counter]:
@@ -1167,19 +1169,79 @@ def test_veto_demo_tx_counts_are_a_recount_of_the_block_log(preset, seed):
     assert ok != counts
 
 
-_WINNERS = st.one_of(st.none(), st.sampled_from([b"u", b"v", b"w"]))
+# Runs whose chains chose different winners for some transfer: both winner
+# swaps (on two chains, a tie), the resync crashes and the stress runs.
+_DIVERGENT_RUNS = {
+    **{f"winner-swap-{seed}": lambda seed=seed: config_from_dict(_WINNER_SWAP_CRASHES[seed])
+       for seed in _WINNER_SWAP_CRASHES},
+    **{name: lambda name=name: config_from_dict(_RESYNC_CRASHES[name]) for name in _RESYNC_CRASHES},
+    **{f"stress-{seed}": lambda seed=seed: _stress_config(seed) for seed in range(4)},
+}
 
 
-@given(st.dictionaries(st.integers(0, 6), _WINNERS, max_size=7))
-@example({})
-@example({0: None, 1: None, 2: b"u"})
-@example({0: b"v", 1: b"u", 2: b"v", 3: b"u"})
-@example({2: None, 0: b"u"})
-def test_transfer_winner_is_the_most_common_executed_winner(executed):
-    tracker = _Transfer(poi=None, claim_chain=0, client=None, executed=executed)
-    # The rule as Counter states it: the most common value, the first seen on a tie.
-    top = Counter(executed.values()).most_common(1)
-    assert tracker.winner == (top[0][0] if top else None)
+def test_transfer_winner_is_the_most_common_executed_winner():
+    seen = []
+    for make in _DIVERGENT_RUNS.values():
+        for row in run(make()).transfers:
+            # The rule as Counter states it: the most common value, the first
+            # chain's on a tie; winners_by_chain lists the chains in order.
+            winners = list(row["winners_by_chain"].values())
+            top = Counter(winners).most_common(1)
+            assert row["winner"] == (top[0][0] if top else None)
+            seen.append(winners)
+    # The rule met a tie, and a winner beside a chain that chose none.
+    assert any(len(winners) == 2 and len(set(winners)) == 2 for winners in seen)
+    assert any(None in winners and len(set(winners)) > 1 for winners in seen)
+
+
+def _judged_records(eco: Ecosystem) -> dict:
+    """Record, as ``Ecosystem._detect`` judges each transfer, its proof's
+    per-chain (status, contestants), a missing record as a pending one with
+    none, which is what ``outcome`` reads of it."""
+    judged = {}
+    detect = eco._detect
+
+    def recording(tracker):
+        if tracker.finalize_results == len(eco.chains):
+            judged[tracker.poi.alpha] = _proof_records(eco, tracker.poi.alpha)
+        detect(tracker)
+
+    eco._detect = recording
+    return judged
+
+
+def _proof_records(eco: Ecosystem, alpha: bytes) -> list:
+    records = [chain.state.poi_records.get(alpha) for chain in eco.chains]
+    return [(r.status, dict(r.contestants)) if r else (PENDING, {}) for r in records]
+
+
+def _assert_outcomes_frozen_from_judgement(config: EcosystemConfig) -> None:
+    eco = Ecosystem(config)
+    judged = _judged_records(eco)
+    report = eco.run()
+    # Every accepted claim is judged once, and nothing its outcome is read
+    # from changes after that, so the report reads what ``_detect`` read.
+    assert judged.keys() == {bytes.fromhex(row["alpha"]) for row in report.transfers if row["claim_ok"]}
+    for alpha, records in judged.items():
+        assert _proof_records(eco, alpha) == records, alpha.hex()
+
+
+_FROZEN_OUTCOME_RUNS = {
+    **{f"veto-mix-{capacity}-0": lambda capacity=capacity: _veto_mix(capacity, 0) for capacity in (2, 5)},
+    **{f"congested-{seed}": lambda seed=seed: _congested_double_spends(seed) for seed in range(4)},
+    **{name: lambda name=name: config_from_dict(_RESYNC_CRASHES[name]) for name in _RESYNC_CRASHES},
+}
+
+
+@pytest.mark.parametrize("name", list(_FROZEN_OUTCOME_RUNS))
+def test_a_judged_transfers_records_never_change(name):
+    _assert_outcomes_frozen_from_judgement(_FROZEN_OUTCOME_RUNS[name]())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_HONEST_CONFIGS)
+def test_a_judged_honest_transfers_records_never_change(data):
+    _assert_outcomes_frozen_from_judgement(config_from_dict(data))
 
 
 def test_output_digests_do_not_depend_on_hash_order():
