@@ -147,8 +147,8 @@ def test_a_lone_client_has_no_one_to_pay(monkeypatch):
 def test_a_client_look_due_exactly_at_duration_still_runs(monkeypatch, clients):
     # A lone client plans nothing; two clients pay each other, so each look
     # after a client's first follows the end of its last transfer. Either way
-    # its next look comes one think time later and runs if it falls within
-    # duration, the last instant included.
+    # its first look, and its next one a think time later, runs if it falls
+    # within duration, the last instant included.
     looks = []
     plan = Client.plan_transfer
     monkeypatch.setattr(
@@ -157,9 +157,10 @@ def test_a_client_look_due_exactly_at_duration_still_runs(monkeypatch, clients):
     config = config_from_dict({"clients": clients, "observers": 1, "think_time": [5, 5], "duration": 300.0})
     run(config)
     first = [now for name, now in looks if name == "client-00"]
-    looks.clear()
-    run(replace(config, duration=first[1]))
-    assert [now for name, now in looks if name == "client-00"] == first[:2]
+    for k in (0, 1):
+        looks.clear()
+        run(replace(config, duration=first[k]))
+        assert [now for name, now in looks if name == "client-00"] == first[:k + 1]
 
 
 @pytest.mark.parametrize("duration", [0.0, 1e6])
