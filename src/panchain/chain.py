@@ -7,7 +7,8 @@ in order, every block that drained transactions, each with its apply outcomes
 (the rejection code or None), so agents can observe rejections (they are
 on-chain data) without any mempool access, and every resync applied between
 blocks. So replaying a journal into a fresh ``ChainState`` rebuilds the
-chain's state. A block that drains nothing is only counted, in ``height``.
+chain's state. A block that drains nothing is only counted, in ``height``,
+when a submission wakes the idle chain, at a resync and at the run's end.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class Resync(NamedTuple):
 
 
 class SimChain:
-    """One chain: block parameters, contract state, mempool, the last block's
-    ``height`` (genesis is 0) and the ``journal`` of busy blocks and resyncs.
+    """One chain: block parameters, contract state, mempool, the ``height``
+    counted so far (genesis is 0) and the ``journal`` of busy blocks and resyncs.
     ``EcosystemConfig`` checks the parameters; a chain with jitter draws it
     from ``rng``, which it then needs."""
 
@@ -77,25 +78,29 @@ class SimChain:
             )
         return timestamp + self.block_interval
 
-    def submit(self, tx: Transaction, now: float) -> None:
-        """Queue a transaction submitted at ``now``. The chain does not use
-        ``now``; the benchmark tracer (perfbench/tracing.py) reads it to
-        measure inclusion latency."""
-        self.mempool.append(tx)
+    def count_blocks(self, now: float, *, through: bool = False) -> None:
+        """Count the blocks stamped before ``now``, or at ``now`` too when
+        ``through``, in order, each drawing the next block's time."""
+        while self.next_block_time < now or through and self.next_block_time == now:
+            self.height += 1
+            self.next_block_time = self._next_after(self.next_block_time)
 
-    def produce_empty_block(self, now: float) -> None:
-        """Produce a block with nothing to drain, which is only counted; every
-        block starts as one."""
-        if now != self.next_block_time:
-            raise ValueError(f"chain {self.chain_id} expected block at {self.next_block_time}, got {now}")
-        self.height += 1
-        self.next_block_time = self._next_after(now)
+    def submit(self, tx: Transaction, now: float) -> bool:
+        """Queue a transaction submitted at ``now``; returns whether it woke
+        an idle chain, whose blocks stamped before ``now`` are then counted,
+        so its next block, stamped at or after ``now``, includes it."""
+        if not self.mempool:
+            self.count_blocks(now)
+        self.mempool.append(tx)
+        return len(self.mempool) == 1
 
     def produce_block(self, now: float) -> Block:
         """Drain up to the capacity cap in FIFO order and apply each
         transaction with this block's timestamp. Only a block that drained
         something is journaled."""
-        self.produce_empty_block(now)
+        if now != self.next_block_time:
+            raise ValueError(f"chain {self.chain_id} expected block at {self.next_block_time}, got {now}")
+        self.count_blocks(now, through=True)
         drained: list[Transaction] = []
         errors: list[Optional[str]] = []
         while self.mempool and len(drained) < self.max_txs_per_block:
@@ -112,8 +117,9 @@ class SimChain:
         return block
 
     def resync(self, poi: ProofOfIntent, winner: Optional[WalletId], now: float) -> bool:
-        """Apply and journal ``ChainState.resync`` at ``now``, between blocks;
-        returns whether the state changed."""
+        """Apply and journal ``ChainState.resync`` at ``now``, after the
+        blocks stamped before it; returns whether the state changed."""
+        self.count_blocks(now)
         moved = self.state.resync(poi, winner)
         self.journal.append(Resync(self.height, now, poi, winner, moved))
         return moved

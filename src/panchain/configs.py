@@ -158,11 +158,8 @@ class EcosystemConfig:
             policy = self.observation
             delay = policy.high if policy.mode == "uniform" else policy.spacing * len(self.observers)
             times.append(("observation delay", delay))
-        shortest = self.block_interval * (1 - self.jitter)
         for name, value in times:
-            if value > RUN_BOUND * shortest:
-                raise ConfigError(f"{name} {value} lies beyond {RUN_BOUND} shortest block intervals "
-                                  f"of {shortest} s, so the run would not end in practice")
+            _check_ends(name, value, self.block_interval, self.jitter)
 
     def to_dict(self) -> dict:
         """The config as JSON data that config_from_dict reads back, with
@@ -170,6 +167,14 @@ class EcosystemConfig:
         data = {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.name != "wallets"}
         data["wallets"] = {w.name: w.balance for w in self.wallets}
         return data
+
+
+def _check_ends(name: str, value: float, block_interval: float, jitter: float) -> None:
+    """Refuse a scheduled time ``value`` past ``RUN_BOUND`` shortest block intervals."""
+    shortest = block_interval * (1 - jitter)
+    if value > RUN_BOUND * shortest:
+        raise ConfigError(f"{name} {value} lies beyond {RUN_BOUND} shortest block intervals "
+                          f"of {shortest} s, so the run would not end in practice")
 
 
 def _plain(value):
@@ -273,6 +278,12 @@ def config_from_dict(data: dict) -> EcosystemConfig:
             count = natural(data[key], f"ecosystem.{key}")
             if count > RUN_BOUND:  # refused before any name is made
                 raise ConfigError(f"ecosystem.{key} {count} is above the run bound {RUN_BOUND}")
+            if key == "observers":  # and so is a staggered look the count puts past the bound
+                policy = _value(ObservationPolicy, data.get("observation", {}), "ecosystem.observation")
+                interval, jitter = (_value(float, data.get(name, getattr(EcosystemConfig, name)), f"ecosystem.{name}")
+                                    for name in ("block_interval", "jitter"))
+                if policy.mode == "staggered" and interval > 0 and 0 <= jitter < 1:
+                    _check_ends("observation delay", policy.spacing * count, interval, jitter)
             data[key] = [f"{prefix}-{i:02d}" for i in range(count)]
             for name in data[key]:
                 wallets.setdefault(name, balance)

@@ -13,15 +13,13 @@ Events execute in (fire_at, sequence) order; the sequence counter is assigned
 at scheduling time, so identical (config, seed) pairs replay identically. An
 event is a handler and the objects it acts on. ``_broadcast`` submits a
 finalize, a finalize-veto or a veto to every chain, in chain order.
-Block events wait in their own queue, at most one per chain, beside the queue
-of every other event; both draw from the one sequence counter, and the loop
-takes whichever head is earlier, so the merged order is that of a single
-queue. A chain's entry stays queued while its block is made, and the loop
-requeues it afterwards in one place. A block on a chain with an empty mempool
-is only counted, so the loop counts it without a handler and builds no
-``Block``.
-The run ends after the first instant at which no event is queued and every
-mempool is empty; that instant's remaining blocks are still produced, so at
+Blocks wait in their own queue, beside the queue of every other event, and
+only a chain whose mempool holds transactions has an entry there: a
+submission that wakes an idle chain queues its next block, once the chain has
+counted the idle blocks it skipped. An instant's events run before its
+blocks, and its blocks in chain order, so a block stamped t includes every
+transaction submitted at or before t. The run ends when no event and no block
+is queued; every chain then counts its blocks up to that last instant, so at
 jitter 0 every chain ends at the same height. A transfer's outcome is judged
 only once every chain has included its finalize, accepted or rejected; until
 then the check is retried one block interval later. Its tracker keeps only
@@ -128,8 +126,8 @@ class Ecosystem:
             name: random.Random(f"{seed}/observer/{name}") for name in config.observers
         } if config.observation.mode == "uniform" else {}
         self._heap: list[tuple[float, int, Callable, tuple]] = []
-        # (fire_at, seq, chain_id) of each chain's next block.
-        self._blocks: list[tuple[float, int, int]] = []
+        # (fire_at, chain_id) of each busy chain's next block.
+        self._blocks: list[tuple[float, int]] = []
         self._seq = 0
         self._now = 0.0
         self._transfers: dict[bytes, _Transfer] = {}
@@ -145,47 +143,42 @@ class Ecosystem:
         heapq.heappush(self._heap, (fire_at, self._seq, handler, args))
         self._seq += 1
 
+    def _submit(self, chain: SimChain, tx) -> None:
+        """Submit ``tx`` to ``chain``, queueing the block of a chain it wakes."""
+        if chain.submit(tx, self._now):
+            heapq.heappush(self._blocks, (chain.next_block_time, chain.chain_id))
+
     def _broadcast(self, tx) -> None:
         """Submit one transaction to every chain, in chain order."""
         for chain in self.chains:
-            chain.submit(tx, self._now)
+            self._submit(chain, tx)
 
     # -- run loop -----------------------------------------------------------
 
     def run(self) -> RunReport:
-        """Run to quiescence: the run ends after the first instant at which no
-        event is queued and every mempool is empty. Every chain's next block
-        is queued after the initial client and leg events, so ties keep their
-        (fire_at, seq) order, and stays queued to the end."""
+        """Run to quiescence: the run ends when no event and no block is
+        queued, and every chain counts its blocks up to that instant."""
         for client in self.clients.values():
             self._look_after(client, client.rng.uniform(0, self.config.think_time[1]))
         for action in self.config.script:
             for leg in action.legs:
                 self._schedule(leg.at, self._leg, action, leg)
-        for chain in self.chains:
-            heapq.heappush(self._blocks, (chain.next_block_time, self._seq, chain.chain_id))
-            self._seq += 1
 
         heap, blocks, chains = self._heap, self._blocks, self.chains
-        # The last clause finishes the current instant's blocks.
-        while heap or any(chain.mempool for chain in chains) or blocks[0][0] == self._now:
-            if not heap or blocks[0] < heap[0]:
-                # The chain's entry stays on top until it is requeued: whatever
-                # the block queues meanwhile fires later or has a larger seq.
-                fire_at, _, chain_id = blocks[0]
-                self._now = fire_at
+        while heap or blocks:
+            if blocks and (not heap or blocks[0][0] < heap[0][0]):
+                self._now, chain_id = heapq.heappop(blocks)
                 chain = chains[chain_id]
+                self._handle_block(chain)  # its handlers only schedule events
+                self._audit(chain)
                 if chain.mempool:
-                    self._handle_block(chain)
-                    self._audit(chain)
-                else:  # idle chain: its block is only counted
-                    chain.produce_empty_block(fire_at)
-                heapq.heapreplace(blocks, (chain.next_block_time, self._seq, chain_id))
-                self._seq += 1
+                    heapq.heappush(blocks, (chain.next_block_time, chain_id))
             else:
                 fire_at, _, handler, args = heapq.heappop(heap)
                 self._now = fire_at
                 handler(*args)
+        for chain in chains:
+            chain.count_blocks(self._now, through=True)
 
         # Busy blocks and resyncs, the only state changes, were each audited.
         return build_report(self.config, self.chains, self._transfers.values(), self.names)
@@ -200,8 +193,9 @@ class Ecosystem:
 
     def _handle_block(self, chain: SimChain) -> None:
         """Produce a block that drains transactions and act on its claims and
-        finalizes; the run loop requeues the chain. Contests and vetoes carry
-        only proofs a claim already exposed, so they need no handling here."""
+        finalizes; the run loop requeues the chain while it stays busy.
+        Contests and vetoes carry only proofs a claim already exposed, so
+        they need no handling here."""
         block = chain.produce_block(self._now)
         for tx, error in zip(block.transactions, block.errors):
             if isinstance(tx, Claim):
@@ -278,12 +272,12 @@ class Ecosystem:
         # A scripted leg that re-signs a registered proof gets its alpha, and
         # the transfer keeps its first tracker.
         self._transfers.setdefault(poi.alpha, _Transfer(poi=poi, claim_chain=claim_chain, client=client))
-        self.chains[claim_chain].submit(make_claim(poi), self._now)
+        self._submit(self.chains[claim_chain], make_claim(poi))
 
     def _observe(self, observer: Observer, poi: ProofOfIntent) -> None:
         reaction = observer.handle_new_poi(poi, self.chains, self._now)
         for chain_id, contest in reaction.contests:
-            self.chains[chain_id].submit(contest, self._now)
+            self._submit(self.chains[chain_id], contest)
         # Mempools are FIFO, so on every chain the pair's finalize-veto lands
         # behind its veto and needs no retry.
         for veto in reaction.vetoes:

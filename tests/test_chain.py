@@ -42,27 +42,36 @@ def test_produce_at_wrong_time_rejected():
     chain = new_chain()
     with pytest.raises(ValueError):
         chain.produce_block(12.0)
-
-
-def test_empty_block_at_wrong_time_rejected():
-    chain = new_chain()
-    with pytest.raises(ValueError):
-        chain.produce_empty_block(12.0)
     assert chain.height == 0 and chain.next_block_time == 13.0
 
 
 def test_an_empty_block_is_only_counted():
     chain = new_chain()
-    chain.produce_empty_block(13.0)
-    assert chain.height == 1 and chain.journal == []
     claim = make_claim(make_poi(S, D, amount=20, t0=1, t1=61))
-    chain.submit(claim, now=14.0)
+    # The submission wakes the idle chain, which counts its block at 13.
+    assert chain.submit(claim, now=14.0)
+    assert chain.height == 1 and chain.journal == [] and chain.next_block_time == 26.0
+    # A busy chain is awake already and counts nothing.
+    assert not chain.submit(make_contest(U, claim.poi), now=30.0)
+    assert chain.height == 1 and chain.next_block_time == 26.0
     busy = chain.produce_block(26.0)
     assert busy.height == chain.height == 2
     assert chain.journal == [busy]
 
 
-def test_empty_block_path_logs_what_produce_block_logs_under_jitter():
+def test_a_block_stamped_at_a_submission_includes_it():
+    chain = new_chain()
+    assert chain.submit(make_claim(make_poi(S, D, amount=20, t0=1, t1=61)), now=26.0)
+    assert chain.height == 1 and chain.next_block_time == 26.0
+    assert len(chain.produce_block(26.0).transactions) == 1
+    # The run's end counts the blocks stamped at its last instant too.
+    chain.count_blocks(52.0)
+    assert chain.height == 3 and chain.next_block_time == 52.0
+    chain.count_blocks(52.0, through=True)
+    assert chain.height == 4 and chain.next_block_time == 65.0
+
+
+def test_counting_idle_blocks_when_woken_matches_producing_every_block_under_jitter():
     senders = (S, U, V, W)
 
     def jittered():
@@ -70,33 +79,39 @@ def test_empty_block_path_logs_what_produce_block_logs_under_jitter():
         return SimChain(0, state, block_interval=13.0, max_txs_per_block=2, jitter=0.2,
                         rng=random.Random(7))
 
-    every, twin = jittered(), jittered()
+    # ``every`` produces each block; ``woken`` makes only its busy blocks and
+    # counts the others when a submission wakes it and at the end.
+    every, woken = jittered(), jittered()
     # Three claims before block 5 exceed the cap of two and spill into block 6.
     claims = {2: senders[:1], 5: senders[1:]}
     stamps = []
     for height in range(1, 12):
         for kp in claims.get(height, ()):
             claim = make_claim(make_poi(kp, D, amount=5, t0=1, t1=300))
-            every.submit(claim, now=every.next_block_time - 1)
-            twin.submit(claim, now=twin.next_block_time - 1)
+            now = every.next_block_time - 1
+            every.submit(claim, now)
+            woken.submit(claim, now)
+        stamps.append(every.next_block_time)
         every.produce_block(every.next_block_time)
-        stamps.append(twin.next_block_time)
-        if twin.mempool:
-            twin.produce_block(twin.next_block_time)
-        else:
-            twin.produce_empty_block(twin.next_block_time)
-        assert twin.height == height
-    log = list(block_log(every))
-    assert log == list(block_log(twin))
+        if woken.mempool:
+            assert woken.next_block_time == stamps[-1]
+            woken.produce_block(woken.next_block_time)
+            assert woken.height == height
+    woken.count_blocks(stamps[-1], through=True)
+    log = list(block_log(woken))
+    assert log == list(block_log(every))
     assert [entry["height"] for entry in log] == [2, 5, 6]
     assert [len(entry["txs"]) for entry in log] == [1, 2, 1]
     assert all(tx["ok"] for entry in log for tx in entry["txs"])
-    assert [block.timestamp for block in twin.journal] == [stamps[1], stamps[4], stamps[5]]
-    # Each block, empty or not, draws the next block's jitter once, in order.
+    assert [block.timestamp for block in woken.journal] == [stamps[1], stamps[4], stamps[5]]
+    assert woken.height == every.height == 11
+    assert woken.next_block_time == every.next_block_time
+    assert woken._rng.getstate() == every._rng.getstate()
+    # Each block, busy or counted, draws the next block's jitter once, in order.
     rng, times = random.Random(7), [0]
     for _ in range(12):
         times.append(times[-1] + 13.0 * (1 + rng.uniform(-0.2, 0.2)))
-    assert stamps == times[1:12] and twin.next_block_time == times[12]
+    assert stamps == times[1:12] and woken.next_block_time == times[12]
 
 
 def test_timestamps_are_height_times_interval():
@@ -257,8 +272,8 @@ def test_block_log_writes_the_journal_in_order():
     chain.submit(make_claim(poi), now=1.0)
     chain.submit(make_finalize(D, poi.alpha), now=1.0)
     block = chain.produce_block(13.0)
-    chain.produce_empty_block(26.0)
-    # The claim stays pending on this chain, so a resync settles it there.
+    # The claim stays pending on this chain, so a resync settles it there,
+    # after counting the idle block at 26.
     assert chain.resync(poi, U.public_key, now=30.0)
     assert chain.journal == [block, Resync(2, 30.0, poi, U.public_key, True)]
     assert list(block_log(chain)) == [

@@ -590,8 +590,12 @@ def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campa
         ("run", {"ecosystem": {"clients": 10**6 + 1}}),
         ("contest-scaling", {"scaling": {"n_values": [10**6 + 1]}}),
         ("run", {"ecosystem": {"chains": 10**6 + 1}}),
+        # A count within the bound whose last staggered look lies past it.
+        ("contest-scaling", {"scaling": {"n_values": [500_000]}}),
+        ("run", {"ecosystem": {"observers": 500_000, "block_interval": 1.0,
+                               "observation": {"mode": "staggered", "spacing": 2.5}}}),
     ],
-    ids=["observers", "clients", "scaling-observers", "chains"],
+    ids=["observers", "clients", "scaling-observers", "chains", "scaling-stagger", "stagger"],
 )
 def test_an_amplified_count_is_refused_having_built_nothing_for_it(tmp_path, capsys, monkeypatch, campaign, config):
     # Just past the bound, so that names or chains built before the check

@@ -880,6 +880,43 @@ def test_only_blocks_that_drained_transactions_are_built(config):
         assert heights == sorted(set(heights)) and stamps == sorted(set(stamps))
         assert report.stats["blocks_per_chain"][str(chain.chain_id)] == chain.height > heights[-1]
         assert chain.height > len(blocks)
+        # An idle block is only counted: the chain ends at the height of an
+        # independent replay of its block instants up to the run's last one.
+        rng, instants = random.Random(f"{config.seed}/chain/{chain.chain_id}"), [0.0]
+        while True:
+            gap = config.block_interval * (1 + rng.uniform(-config.jitter, config.jitter)) if config.jitter \
+                else config.block_interval
+            if instants[-1] + gap > eco._now:
+                break
+            instants.append(instants[-1] + gap)
+        assert chain.height == len(instants) - 1
+        assert all(instants[block.height] == block.timestamp for block in blocks)
+
+
+def test_a_look_lands_its_contest_in_the_block_stamped_at_the_look_on_every_chain():
+    # An instant's events run before its blocks, and its blocks in chain
+    # order. The first looker at a proof claimed on chain 2 at 1 s looks at
+    # 2 s, and its contest lands in the block stamped 2 s on every chain: on
+    # chain 0, busy with a claim submitted at 1.5 s, and on idle chain 1 too,
+    # although both chains' blocks at 2 s were due before the look was
+    # scheduled.
+    eco = Ecosystem(config_from_dict({
+        "chains": 3, "block_interval": 1.0, "wallets": {"sender": 80, "other": 80, "recipient": 0},
+        "observers": 3, "duration": 100.0, "observation": {"mode": "staggered", "spacing": 1.0},
+        "script": [{"sender": sender, "legs": [
+            {"at": at, "recipient": "recipient", "amount": 20, "t0": 1, "t1": 61, "chain": chain}]}
+            for sender, at, chain in (("sender", 1.0, 2), ("other", 1.5, 0))],
+    }))
+    eco.run()
+    (claimed,) = [block for block in _blocks(eco.chains[2]) if any(isinstance(tx, Claim) for tx in block.transactions)]
+    assert claimed.timestamp == 1.0
+    alpha = claimed.transactions[0].poi.alpha
+    firsts = [next(block for block in _blocks(chain)
+                   if any(isinstance(tx, Contest) and tx.poi.alpha == alpha for tx in block.transactions))
+              for chain in eco.chains]
+    assert [block.timestamp for block in firsts] == [2.0, 2.0, 2.0]
+    assert [type(tx) for tx in firsts[0].transactions] == [Claim, Contest]
+    assert len({tx.contestant for block in firsts for tx in block.transactions if isinstance(tx, Contest)}) == 1
 
 
 def test_in_run_audit_names_the_chain_and_the_block_time():

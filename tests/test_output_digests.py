@@ -43,11 +43,12 @@ CUSTOM = {
     "block_log": True,
 }
 
-# Events that fire at the same instant run in the order they were scheduled:
+# An instant's events run before its blocks, and its blocks in chain order:
 # 1 s blocks, 1 s staggered observation and whole-second client windows put
 # observes, submits and blocks on the same times, and one transaction per
-# block keeps mempools busy across them. The preset contest-scaling runs add
-# observes at k * 2.5 s on 1 s blocks.
+# block keeps mempools busy across them, so a contest posted at a look lands
+# in the block stamped at that look on every chain. The preset
+# contest-scaling runs add observes at k * 2.5 s on 1 s blocks.
 TIES = {
     "ecosystem": {
         "chains": 3, "block_interval": 1, "max_txs_per_block": 1, "clients": 5, "observers": 4,
@@ -137,14 +138,14 @@ CAMPAIGN_DIGESTS = {
         "run/run-0.chains.json": "98630ee064658d183e6d760a96fdc383707c6a955a0f86a8eefba5678102a89c",
         "run/run-0.csv": "a1344462ed9e73f08154c295947301dd486b1eedc650ed421abff46a70e1aa26",
         "run/run-0.json": "aea6d7155bd8c33cb510ec56c0ab82583d0ce7807a0ff2a90e3b38a89bc15521",
-        "run/run-1.blocks.jsonl": "8196a81de42d2bb8f2471e1d0ecbc8650289d65ecc3a3387439333310e8c61a7",
-        "run/run-1.chains.json": "9023cc6ad72397aec8e87aade1c38d0e079b00ce539fd0b94915602cadac2cc7",
-        "run/run-1.csv": "6f292982669f00c3eb9c8af96a577160cdbd8830e19543cc20663f58e3f747f0",
-        "run/run-1.json": "32733456aeba4d12dfafc4a3ad8d338f01fa00344b7c3e4670adc1dcea759d77",
+        "run/run-1.blocks.jsonl": "b42c69039e7ddded688b8584d85d86d8d8e1ef05221781722510e542f5c4de07",
+        "run/run-1.chains.json": "a9048484b2b80c3b3ba07ce16807353c0943bdbcb2a4037cad2c33a1da094b79",
+        "run/run-1.csv": "0a904c727bd0c0d0fe80b1d3704309e324f7002573d7d94b918eaf8fda039dfd",
+        "run/run-1.json": "3c11597d0d97ec80f374b03ddfc253bb8723e96c369cbb4eb12591221b9f7ad1",
         "sweep-validity/sweep-validity-0.csv": "728accf9db3c0a9af304793da50b4dea8b4b3e7800c90515a27c5a7e76db5739",
-        "sweep-validity/sweep-validity-1.csv": "b1fb415688f82ac8a94786a1d533de23e2e0efd427c3cfe54f98ceda990474da",
+        "sweep-validity/sweep-validity-1.csv": "8928058b7c73fade155f1d767455c67f892a820207004f28a47005db9bddf485",
         "sweep-validity/sweep-validity-summary.csv":
-            "4bc182b6495c69b806c569158eaa09cf51cf5e236ce9f5cc6f07b839459644d3",
+            "5f1a64e3f402cb0e032a7f14c5b86cc4cf3de5672fa66bf1e7107be134c4f47c",
         "veto-demo/veto-demo-0.json": "dbeba05384e184dd9f448ea947e1393433e33ad8b65a6d1ee47e451e7d67f46c",
         "veto-demo/veto-demo-1.json": "a925ac293397c24317dc51cb33f6d014180f71aa218c8db26f0c50e2fca48744",
     },
