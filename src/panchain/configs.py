@@ -147,16 +147,23 @@ class EcosystemConfig:
                     raise ConfigError(f"scripted leg window needs 0 <= t0 < t1 < 2^64, got [{leg.t0}, {leg.t1}]")
                 if not self.reward < leg.amount < 2**64:
                     raise ConfigError(f"scripted leg amount {leg.amount} must exceed the reward {self.reward}")
-        if len(self.clients) * self.duration > RUN_BOUND * lo:
-            raise ConfigError(f"{len(self.clients)} clients could look more than {RUN_BOUND} times "
+        self.check_load(len(self.clients), len(self.observers))
+
+    def check_load(self, clients: int, observers: int) -> None:
+        """Refuse more than ``RUN_BOUND`` looks by ``clients`` clients, or a
+        scripted time, a look, a window or ``observers`` observers' delay past
+        ``RUN_BOUND`` shortest block intervals."""
+        lo = self.think_time[0]
+        if clients * self.duration > RUN_BOUND * lo:
+            raise ConfigError(f"{clients} clients could look more than {RUN_BOUND} times "
                               f"in duration {self.duration} at think_time low {lo}")
         times = [(f"scripted leg {key}", getattr(leg, key))
                  for action in self.script for leg in action.legs for key in ("at", "t1")]
-        if self.clients:
+        if clients:
             times += [("duration", self.duration), ("validity_length", self.validity_length)]
-        if self.observers:
+        if observers:
             policy = self.observation
-            delay = policy.high if policy.mode == "uniform" else policy.spacing * len(self.observers)
+            delay = policy.high if policy.mode == "uniform" else policy.spacing * observers
             times.append(("observation delay", delay))
         for name, value in times:
             _check_ends(name, value, self.block_interval, self.jitter)
@@ -273,18 +280,18 @@ def config_from_dict(data: dict) -> EcosystemConfig:
         natural(balance, f"ecosystem.wallets.{name}")
 
     client_balance = natural(data.pop("client_balance", 100), "ecosystem.client_balance")
+    counts = {key: natural(data[key], f"ecosystem.{key}") for key in ("clients", "observers")
+              if _is(data.get(key), int)}
+    for key, count in counts.items():
+        if count > RUN_BOUND:  # refused before any name is made
+            raise ConfigError(f"ecosystem.{key} {count} is above the run bound {RUN_BOUND}")
+    if counts:  # and so is a load they put past it: the section is read without
+        # its roles and its script, which may name the wallets they generate
+        section = {key: value for key, value in data.items() if key not in ("clients", "observers", "script")}
+        read(EcosystemConfig, section, "ecosystem").check_load(counts.get("clients", 0), counts.get("observers", 0))
     for key, prefix, balance in (("clients", "client", client_balance), ("observers", "obs", 0)):
-        if _is(data.get(key), int):
-            count = natural(data[key], f"ecosystem.{key}")
-            if count > RUN_BOUND:  # refused before any name is made
-                raise ConfigError(f"ecosystem.{key} {count} is above the run bound {RUN_BOUND}")
-            if key == "observers":  # and so is a staggered look the count puts past the bound
-                policy = _value(ObservationPolicy, data.get("observation", {}), "ecosystem.observation")
-                interval, jitter = (_value(float, data.get(name, getattr(EcosystemConfig, name)), f"ecosystem.{name}")
-                                    for name in ("block_interval", "jitter"))
-                if policy.mode == "staggered" and interval > 0 and 0 <= jitter < 1:
-                    _check_ends("observation delay", policy.spacing * count, interval, jitter)
-            data[key] = [f"{prefix}-{i:02d}" for i in range(count)]
+        if key in counts:
+            data[key] = [f"{prefix}-{i:02d}" for i in range(counts[key])]
             for name in data[key]:
                 wallets.setdefault(name, balance)
 
@@ -367,6 +374,8 @@ def contest_scaling_config(n: int, seed: int = 0, chains: int = 3) -> EcosystemC
     interval = 1.0
     spacing = 2.5 * interval
     validity = int(math.ceil(2 + spacing * (n + 1) + 3 * interval + 5))
+    if n <= RUN_BOUND:  # past it, config_from_dict refuses the count first
+        _check_ends("scripted leg t1", 1 + validity, interval, 0.0)  # before any name is built
     return config_from_dict({
         "chains": chains,
         "block_interval": interval,

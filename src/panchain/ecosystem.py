@@ -20,11 +20,11 @@ counted the idle blocks it skipped. An instant's events run before its
 blocks, and its blocks in chain order, so a block stamped t includes every
 transaction submitted at or before t. The run ends when no event and no block
 is queued; every chain then counts its blocks up to that last instant, so at
-jitter 0 every chain ends at the same height. A transfer's outcome is judged
-only once every chain has included its finalize, accepted or rejected; until
-then the check is retried one block interval later. Its tracker keeps only
-what the run decided; ``report.outcome`` reads its per-chain outcome from the
-chains' records, which no longer change once it is judged.
+jitter 0 every chain ends at the same height. ``report.judge`` judges a
+transfer once every chain has included its finalize, accepted or rejected;
+until then the check is retried one block interval later. It reads records
+that no longer change, so the report reads the same judgement, and a
+transfer's tracker keeps only the run loop's bookkeeping.
 
 The run terminates because every event source is finite: clients start
 transfers only within ``duration``, each script leg fires once, and a
@@ -58,7 +58,7 @@ from .protocol import (
     veto_deadline,
     veto_pair,
 )
-from .report import RunReport, build_report, outcome
+from .report import RunReport, build_report, judge
 
 
 def wallet_keypair(seed: int, name: str) -> KeyPair:
@@ -68,7 +68,7 @@ def wallet_keypair(seed: int, name: str) -> KeyPair:
 
 @dataclass
 class _Transfer:
-    """What the run decided about one attempted transfer (one proof of intent)."""
+    """The run loop's bookkeeping for one attempted transfer (one proof of intent)."""
 
     poi: ProofOfIntent
     claim_chain: int
@@ -76,10 +76,6 @@ class _Transfer:
     claim_ok: Optional[bool] = None
     # Finalize outcomes seen so far, one per chain once all have landed.
     finalize_results: int = 0
-    # ``_detect``'s judgement: the majority winner and whether the chains
-    # disagreed, in which case it was resynced to that winner.
-    winner: Optional[bytes] = None
-    corrupted: bool = False
 
 
 class Ecosystem:
@@ -289,30 +285,22 @@ class Ecosystem:
                 self._schedule(fire_at, self._broadcast, make_finalize_veto(observer.key, *pair))
 
     def _detect(self, tracker: _Transfer) -> None:
-        m = len(self.chains)
-        if tracker.finalize_results < m:
+        """Judge a transfer once every chain has included its finalize, and
+        bring a corrupted one to its majority winner on every chain that can
+        pay it, so the workload can keep running: each chain applies and
+        journals ``ChainState.resync``. Only this transfer's tokens move, so
+        transfers still in flight keep theirs."""
+        if tracker.finalize_results < len(self.chains):
             # Under mempool backlog some finalizes are still queued; judging
             # now would score a transfer that is about to land as partial.
             self._schedule(self._now + self.config.block_interval, self._detect, tracker)
             return
-        executed, _, _ = outcome(self.chains, tracker.poi.alpha)
-        winners = list(executed.values())
-        # The winner most executing chains chose, the first chain's on a tie;
-        # None when no chain executed the transfer or no contestant won it.
-        tracker.winner = max(winners, key=winners.count, default=None)
-        tracker.corrupted = 0 < len(executed) < m or len(set(winners)) > 1
-        if tracker.corrupted:
-            self._resync(tracker)
+        *_, winner, corrupted = judge(self.chains, tracker.poi.alpha)
+        if corrupted:
+            for chain in self.chains:
+                if chain.resync(tracker.poi, winner, self._now):
+                    self._audit(chain)
         self._finish_transfer(tracker)
-
-    def _resync(self, tracker: _Transfer) -> None:
-        """Bring a corrupted transfer to its majority ``winner`` on every
-        chain that can pay it, so the workload can keep running: each chain
-        applies and journals ``ChainState.resync``. Only this transfer's
-        tokens move, so transfers still in flight keep theirs."""
-        for chain in self.chains:
-            if chain.resync(tracker.poi, tracker.winner, self._now):
-                self._audit(chain)
 
 
 def run(config: EcosystemConfig) -> RunReport:

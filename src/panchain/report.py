@@ -1,6 +1,7 @@
 """The run report, built in one pass once a run has ended, with its
-cross-chain consistency check; ``outcome``, the one reader of a proof's
-per-chain outcome in the chains' records; ``wallet_name``, the one rule that
+cross-chain consistency check; ``judge``, the one reader of a proof's
+per-chain outcome in the chains' records and the one rule that judges it,
+for the run's resync and for the report; ``wallet_name``, the one rule that
 names a wallet in it; and ``dumps``, the canonical writer of every indented
 JSON output, with ``dump``, which streams the same text to a file."""
 
@@ -148,14 +149,22 @@ class RunReport:
         return buf.getvalue()
 
 
-def outcome(chains: Sequence[SimChain], alpha: bytes) -> tuple[dict[int, Optional[bytes]], dict[int, int], int]:
+def judge(chains: Sequence[SimChain], alpha: bytes) -> tuple[
+        dict[int, Optional[bytes]], dict[int, int], int, Optional[bytes], bool]:
     """A proof's winner on each chain that executed it, its contest count on
-    every chain, and how many chains vetoed it, read from the chains' records.
-    None of these changes once every chain has concluded its finalize."""
+    every chain and how many chains vetoed it, read from the chains' records,
+    and the judgement on them: the winner most executing chains chose, the
+    first chain's on a tie (None when no chain executed the proof or no
+    contestant won it), and whether it is corrupted, executed on some chains
+    only or with more than one winner. None of these changes once every chain
+    has concluded its finalize."""
     records = [(chain.chain_id, chain.state.poi_records.get(alpha)) for chain in chains]
     executed = {cid: record.winner for cid, record in records if record and record.status == FINALIZED}
     contest_counts = {cid: len(record.contestants) if record else 0 for cid, record in records}
-    return executed, contest_counts, sum(1 for _, record in records if record and record.status == VETOED)
+    vetoed = sum(1 for _, record in records if record and record.status == VETOED)
+    winners = list(executed.values())
+    winner = max(winners, key=winners.count, default=None)
+    return executed, contest_counts, vetoed, winner, 0 < len(executed) < len(chains) or len(set(winners)) > 1
 
 
 def check_consistency(states: Sequence[ChainState], names: Mapping[bytes, str]) -> list[dict]:
@@ -204,15 +213,16 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
     for tracker in transfers:
         poi = tracker.poi
         # A refused claim was never judged, so it keeps empty outcomes.
-        executed, contest_counts, vetoed_chains = outcome(chains, poi.alpha) if tracker.claim_ok else ({}, {}, 0)
+        executed, contest_counts, vetoed_chains, winner, is_corrupted = (
+            judge(chains, poi.alpha) if tracker.claim_ok else ({}, {}, 0, None, False))
         if tracker.claim_ok:
             claimed += 1
             contests += sum(contest_counts.values())
-        # One winner on all m chains, as ``_detect`` judged it.
-        executed_full += len(executed) == m and not tracker.corrupted
+        # One winner on all m chains.
+        executed_full += len(executed) == m and not is_corrupted
         claim_failed = tracker.claim_ok is False
         failed += claim_failed
-        corrupted += tracker.corrupted
+        corrupted += is_corrupted
         vetoed += vetoed_chains > 0
         ids, won = sorted(executed), tuple(sorted(executed.items()))
         counts = tuple(sorted(contest_counts.items()))
@@ -225,13 +235,13 @@ def build_report(config: EcosystemConfig, chains: Sequence[SimChain], transfers:
                 "claim_chain": tracker.claim_chain,
                 "claim_ok": tracker.claim_ok,
                 "executed_chains": memo.setdefault(("executed_chains", *ids), ids),
-                "winner": wallet_name(names, tracker.winner),
+                "winner": wallet_name(names, winner),
                 "winners_by_chain": memo.setdefault(("winners_by_chain", won), {
                     str(cid): wallet_name(names, w) for cid, w in won
                 }),
                 "contest_counts": memo.setdefault(("contest_counts", counts), {str(cid): n for cid, n in counts}),
                 "vetoed_chains": vetoed_chains,
-                "corrupted": tracker.corrupted,
+                "corrupted": is_corrupted,
                 "failed": claim_failed,
                 "scripted": tracker.client is None,
                 "self_transfer": poi.sender == poi.recipient,

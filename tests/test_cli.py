@@ -536,6 +536,13 @@ _OVERFLOW = "so large that a cost overflows"
         ("contest-scaling", {"scaling": {"n_values": [4, 10**9]}}, [],
          "scaling.n_values: ecosystem.observers 1000000000 is above the run bound"),
         ("run", {"ecosystem": {"chains": 10**9}}, [], "chains 1000000000 is above the run bound 1000000"),
+        # A count within the bound that puts a look or a window past it, refused
+        # before any name is built; a script may name a generated wallet.
+        ("run", {"ecosystem": {"clients": 10**6}}, [], "1000000 clients could look more than 1000000 times"),
+        ("contest-scaling", {"scaling": {"n_values": [4, 399_995]}}, [],
+         "scaling.n_values: scripted leg t1 1000001 lies beyond 1000000 shortest block intervals of 1.0 s"),
+        ("run", {"ecosystem": {**_one_leg_script(recipient="obs-00", at=1.3e7 + 1)["ecosystem"], "observers": 2}}, [],
+         "scripted leg at 13000001.0 lies"),
     ],
     ids=[
         "unknown-observation-key", "string-chain-count", "incomplete-script-leg",
@@ -561,6 +568,8 @@ _OVERFLOW = "so large that a cost overflows"
         "leg-time-past-the-run-bound", "leg-window-past-the-run-bound-under-jitter", "validity-point-past-the-run-bound",
         "observer-count-past-the-run-bound", "client-count-past-the-run-bound",
         "scaling-observer-count-past-the-run-bound", "chain-count-past-the-run-bound",
+        "client-looks-of-a-count-past-the-run-bound", "scaling-leg-window-past-the-run-bound",
+        "leg-to-a-generated-observer-past-the-run-bound",
     ],
 )
 def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campaign, config, argv, message):
@@ -594,8 +603,15 @@ def test_malformed_ecosystem_config_exits_2(tmp_path, capsys, monkeypatch, campa
         ("contest-scaling", {"scaling": {"n_values": [500_000]}}),
         ("run", {"ecosystem": {"observers": 500_000, "block_interval": 1.0,
                                "observation": {"mode": "staggered", "spacing": 2.5}}}),
+        # A count within the bound that puts the leg's window or its clients'
+        # looks past it.
+        ("contest-scaling", {"scaling": {"n_values": [399_995]}}),
+        ("contest-scaling", {"scaling": {"n_values": [400_000]}}),
+        ("run", {"ecosystem": {"clients": 10**6}}),
+        ("run", {"ecosystem": {"clients": 10**5}}),
     ],
-    ids=["observers", "clients", "scaling-observers", "chains", "scaling-stagger", "stagger"],
+    ids=["observers", "clients", "scaling-observers", "chains", "scaling-stagger", "stagger",
+         "scaling-leg-window-399995", "scaling-leg-window-400000", "client-looks-10^6", "client-looks-10^5"],
 )
 def test_an_amplified_count_is_refused_having_built_nothing_for_it(tmp_path, capsys, monkeypatch, campaign, config):
     # Just past the bound, so that names or chains built before the check

@@ -45,13 +45,16 @@ def _blocks(chain) -> list[Block]:
     return [entry for entry in chain.journal if isinstance(entry, Block)]
 
 
-def _replay(eco: Ecosystem) -> None:
+def _replay(eco: Ecosystem, report: RunReport) -> None:
     """Replay each chain's journal into a fresh ChainState built from the
     config's balances: every transaction, applied at its block's timestamp,
     gives its recorded code, every resync its recorded ``moved``, in the
-    order of their heights, and the final snapshot equals the chain's."""
+    order of their heights, and the final snapshot equals the chain's. The
+    report built from the replayed chains, each holding the run's journal
+    and height, is the run's ``report``, byte for byte."""
     config = eco.config
     balances = {wallet_keypair(config.seed, w.name).public_key: w.balance for w in config.wallets}
+    replayed = []
     for chain in eco.chains:
         state, height = ChainState(chain.chain_id, balances, reward=config.reward), 0
         for entry in chain.journal:
@@ -68,6 +71,18 @@ def _replay(eco: Ecosystem) -> None:
                 else:
                     assert code is None, (chain.chain_id, entry.height, tx.kind)
         assert state.snapshot() == chain.state.snapshot()
+        replayed.append(SimChain(chain.chain_id, state, block_interval=chain.block_interval,
+                                 max_txs_per_block=chain.max_txs_per_block, jitter=0.0))
+        replayed[-1].journal, replayed[-1].height = chain.journal, chain.height
+    # So the judgement of every transfer, the resync events and every count
+    # are read back from the replayed records and journals.
+    rebuilt = build_report(config, replayed, eco._transfers.values(), eco.names)
+    assert rebuilt.to_json() == report.to_json()
+    assert rebuilt.ledger_csv() == report.ledger_csv()
+    texts = [io.StringIO(), io.StringIO()]
+    rebuilt.chains_json(texts[0])
+    report.chains_json(texts[1])
+    assert texts[0].getvalue() == texts[1].getvalue()
 
 
 def _assert_ideal_ledger(eco: Ecosystem, report: RunReport) -> None:
@@ -799,7 +814,7 @@ def test_replaying_each_chains_journal_rebuilds_its_state(name):
     eco = Ecosystem(_REPLAY_RUNS[name]())
     report = eco.run()
     assert any(_blocks(chain) for chain in eco.chains)
-    _replay(eco)
+    _replay(eco, report)
     # The run ended quiescent, and at jitter 0 all chains finished its last instant.
     assert not eco._heap and not any(chain.mempool for chain in eco.chains)
     if not eco.config.jitter:
@@ -1100,7 +1115,7 @@ def test_congested_and_unsettleable_runs_end_in_an_audited_report(name):
     report = eco.run()
     for chain in eco.chains:
         chain.state.audit()
-    _replay(eco)
+    _replay(eco, report)
     # Every veto contest concludes: each veto applies, each finalize-veto
     # lands behind it and applies, and every chain pays one winner.
     errors = Counter((tx.kind, error) for chain in eco.chains for block in _blocks(chain)
@@ -1151,7 +1166,7 @@ def test_a_small_honest_run_ends_consistent_and_audited(data):
     eco = Ecosystem(config_from_dict(data))
     report = eco.run()
     assert report.consistency == []
-    _replay(eco)
+    _replay(eco, report)
     _assert_ideal_ledger(eco, report)
     for chain in eco.chains:
         chain.state.audit()
@@ -1235,7 +1250,7 @@ def test_transfer_winner_is_the_most_common_executed_winner():
 def _judged_records(eco: Ecosystem) -> dict:
     """Record, as ``Ecosystem._detect`` judges each transfer, its proof's
     per-chain (status, contestants), a missing record as a pending one with
-    none, which is what ``outcome`` reads of it."""
+    none, which is what ``judge`` reads of it."""
     judged = {}
     detect = eco._detect
 
@@ -1280,6 +1295,77 @@ def test_a_judged_transfers_records_never_change(name):
 @given(_HONEST_CONFIGS)
 def test_a_judged_honest_transfers_records_never_change(data):
     _assert_outcomes_frozen_from_judgement(config_from_dict(data))
+
+
+def _small_client_config(seed: int) -> EcosystemConfig:
+    """2-5 clients on 2-4 chains for 150 s, with 0-3 observers."""
+    rng = random.Random(f"relations/clients/{seed}")
+    return config_from_dict({
+        "chains": rng.randint(2, 4), "clients": rng.randint(2, 5), "observers": rng.randint(0, 3),
+        "jitter": rng.choice([0.0, 0.1, 0.3]), "block_interval": rng.choice([5.0, 13.0]),
+        "validity_length": rng.randint(20, 70), "duration": 150.0, "seed": seed,
+    })
+
+
+def _small_script_config(seed: int) -> EcosystemConfig:
+    """Script only: 1-3 senders on 2-4 chains, each with one leg or two
+    overlapping ones, watched by 0-5 observers."""
+    rng = random.Random(f"relations/script/{seed}")
+    chains, senders, script = rng.randint(2, 4), rng.randint(1, 3), []
+    for i in range(senders):
+        at = rng.uniform(0.0, 40.0)
+        t0, t1 = int(at) + 1, int(at) + rng.randint(20, 60)
+        legs = [(at + rng.uniform(0.0, 10.0) * k, f"r-{k}", rng.randint(2, 10), t0, t1, rng.randrange(chains))
+                for k in range(rng.randint(1, 2))]
+        script.append(_double_spend(f"s-{i}", *legs) if len(legs) == 2 else _transfer(f"s-{i}", legs[0]))
+    return config_from_dict({
+        "chains": chains, "observers": rng.randint(0, 5), "jitter": rng.choice([0.0, 0.1, 0.3]),
+        "block_interval": rng.choice([1.0, 5.0, 13.0]), "max_txs_per_block": rng.choice([5, 100]),
+        "duration": 200.0, "seed": seed, "script": script,
+        "wallets": {**{f"s-{i}": 10 for i in range(senders)}, "r-0": 0, "r-1": 0},
+    })
+
+
+# ROADMAP direction 22's relations R2 and R3, each between a base run and a
+# second run of a changed config, over the presets and a seeded slice.
+_RELATION_RUNS = {
+    "worked_example": worked_example,
+    "veto_demo": veto_demo,
+    "veto_demo_boundary": veto_demo_boundary,
+    **{f"clients-{seed}": lambda seed=seed: _small_client_config(seed) for seed in range(8)},
+    **{f"script-{seed}": lambda seed=seed: _small_script_config(seed) for seed in range(16)},
+}
+
+
+@pytest.mark.parametrize("name", list(_RELATION_RUNS))
+def test_a_capacity_above_every_block_changes_no_journal_row_or_stat(name):
+    # R2. The base run's capacity is one above the largest block of the run
+    # at 10^9, the least for which the precondition can hold. Precondition:
+    # no block of the base run was full, so each drained its whole mempool,
+    # as it does under any larger capacity.
+    raised_config = replace(_RELATION_RUNS[name](), max_txs_per_block=10**9)
+    raised = Ecosystem(raised_config)
+    raised_report = raised.run()
+    peak = max((len(block.transactions) for chain in raised.chains for block in _blocks(chain)), default=0)
+    base = Ecosystem(replace(raised_config, max_txs_per_block=peak + 1))
+    report = base.run()
+    assert max((len(block.transactions) for chain in base.chains for block in _blocks(chain)), default=0) <= peak
+    assert [chain.journal for chain in raised.chains] == [chain.journal for chain in base.chains]
+    assert raised_report.transfers == report.transfers
+    assert raised_report.stats == report.stats
+
+
+@pytest.mark.parametrize("name", list(_RELATION_RUNS))
+def test_an_unreferenced_wallet_changes_no_journal_or_row(name):
+    # R3. Precondition: the added wallet holds nothing, and no client,
+    # observer or leg names it, since each names a wallet of the base config.
+    config = _RELATION_RUNS[name]()
+    assert "bystander" not in {wallet.name for wallet in config.wallets}
+    widened = replace(config, wallets=(*config.wallets, WalletSpec("bystander", 0)))
+    base, wider = Ecosystem(config), Ecosystem(widened)
+    report, wider_report = base.run(), wider.run()
+    assert [chain.journal for chain in wider.chains] == [chain.journal for chain in base.chains]
+    assert wider_report.transfers == report.transfers
 
 
 def test_output_digests_do_not_depend_on_hash_order():
