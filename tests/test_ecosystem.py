@@ -71,9 +71,10 @@ def _replay(eco: Ecosystem, report: RunReport) -> None:
                 else:
                     assert code is None, (chain.chain_id, entry.height, tx.kind)
         assert state.snapshot() == chain.state.snapshot()
-        replayed.append(SimChain(chain.chain_id, state, block_interval=chain.block_interval,
-                                 max_txs_per_block=chain.max_txs_per_block, jitter=0.0))
-        replayed[-1].journal, replayed[-1].height = chain.journal, chain.height
+        twin = SimChain(chain.chain_id, state, block_interval=chain.block_interval,
+                        max_txs_per_block=chain.max_txs_per_block, jitter=0.0)
+        twin.journal, twin.height = chain.journal, chain.height
+        replayed.append(twin)
     # So the judgement of every transfer, the resync events and every count
     # are read back from the replayed records and journals.
     rebuilt = build_report(config, replayed, eco._transfers.values(), eco.names)
